@@ -2,12 +2,13 @@
 
 A campaign is a JSON file: a master seed, optional estimator settings, and a
 list of check specifications.  Configurations are validated twice before
-anything runs: against the shipped JSON schema (shape) and then semantically
-(known check names, resolvable instances, parameters inside each check's
-preconditions).  Execution derives one seed per check from the master seed
-and the check's position, so results are independent of `--jobs` and
-regenerable from the config alone; reports carry no timestamps or
-machine-dependent content.
+anything runs: against the shipped JSON schema (shape) and then against the
+check registry :data:`CHECKS` (known check names, the instance kind each
+check needs, every parameter's type and range, preconditions across
+parameters, resolvable instances).  Execution derives one seed per check from
+the master seed and the check's position, so results are independent of
+`--jobs` and regenerable from the config alone; reports carry no timestamps
+or machine-dependent content.
 
 Outputs under the chosen directory:
 
@@ -22,6 +23,8 @@ Outputs under the chosen directory:
 from __future__ import annotations
 
 import json
+import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -45,45 +48,11 @@ __all__ = [
     "emit_plot_data",
     "list_instances",
     "MAX_BOUNDED_SLOPE",
+    "CHECKS",
     "CHECK_DEFAULT_TRIALS",
 ]
 
 MAX_BOUNDED_SLOPE = 0.05
-
-# checks that operate on a Fourier pair / a matrix size / nothing
-_PAIR_CHECKS = {
-    "hausdorff_young",
-    "real_interpolation",
-    "inversion_plancherel",
-    "multiplier_bound",
-    "paley",
-}
-_MATRIX_CHECKS = {"schur_bound"}
-_FREE_CHECKS = {"lemma_constants", "sharpness", "endpoint", "growth"}
-KNOWN_CHECKS = _PAIR_CHECKS | _MATRIX_CHECKS | _FREE_CHECKS
-
-CHECK_DEFAULT_TRIALS = {
-    "lemma_constants": 1000,
-    "hausdorff_young": 1000,
-    "real_interpolation": 500,
-    "inversion_plancherel": 1000,
-    "multiplier_bound": 100,
-    "paley": 1000,
-    "schur_bound": 100,
-}
-
-_ALLOWED_PARAMS = {
-    "lemma_constants": set(),
-    "hausdorff_young": {"p"},
-    "real_interpolation": {"p"},
-    "inversion_plancherel": set(),
-    "multiplier_bound": {"p", "q"},
-    "paley": {"p"},
-    "schur_bound": {"p", "q"},
-    "sharpness": {"p", "q", "n_list", "s_factor", "m", "growth_factor"},
-    "endpoint": {"k_list", "m", "growth_window", "min_growth"},
-    "growth": {"num_generators", "m_growth", "p_star", "depth", "c"},
-}
 
 
 @dataclass(frozen=True)
@@ -108,6 +77,136 @@ class CampaignConfig:
 
 
 # ---------------------------------------------------------------------------
+# check registry
+
+
+# JSON gives int, float or bool; bool is not a number here
+_TYPE_TESTS = {
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+}
+_ORDER = {"<": operator.lt, "<=": operator.le}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One accepted check parameter: its type, whether required, and its range.
+
+    ``type`` is ``"number"`` (a finite int or float) or ``"integer"``; with
+    ``length = (min, max)`` (max None: unbounded) the value is a list of that
+    many such entries.  ``lo``/``hi`` bound the value, or each list entry;
+    ``open`` makes both bounds strict.
+    """
+
+    type: str = "number"
+    required: bool = True
+    lo: float = -math.inf
+    hi: float = math.inf
+    open: bool = False
+    length: tuple[int, int | None] | None = None
+
+    def kind(self) -> str:
+        if self.length is None:
+            return "an integer" if self.type == "integer" else "a number"
+        lo, hi = self.length
+        return f"a list of {lo if lo == hi else f'>= {lo}'} {self.type}s"
+
+    def bounds(self, key: str) -> str:
+        """The range as an inequality in ``key`` (``key[i]`` for a list); '' when unbounded."""
+        symbol = key if self.length is None else f"{key}[i]"
+        op = "<" if self.open else "<="
+        lo = f"{self.lo:g} {op} " if self.lo > -math.inf else ""
+        hi = f" {op} {self.hi:g}" if self.hi < math.inf else ""
+        return f"{lo}{symbol}{hi}" if lo or hi else ""
+
+    def validate(self, check: str, key: str, value) -> None:
+        items = [value] if self.length is None else value
+        min_len, max_len = self.length or (1, 1)
+        typed = isinstance(items, list) and all(map(_TYPE_TESTS[self.type], items))
+        if not typed or not min_len <= len(items) <= (max_len or len(items)):
+            raise ConfigError(f"check {check!r}: parameter {key!r} must be {self.kind()}, got {value!r}")
+        inside = operator.lt if self.open else operator.le
+        if not all(inside(self.lo, v) and inside(v, self.hi) for v in items):
+            raise ConfigError(
+                f"check {check!r}: parameter {key!r}={value!r} outside allowed range {self.bounds(key)}"
+            )
+
+
+@dataclass(frozen=True)
+class CheckEntry:
+    """Everything the runner knows about one check.
+
+    ``function`` names the check in :mod:`ncfourier.checks`; it is looked up
+    at call time, so a wrapper installed on that module sees every call.  It
+    gets the resolved instance (``instance`` is ``"pair"``, ``"matrix"`` or
+    None), the params, ``trials`` (the default count; None: a fixed-schedule
+    check, given none), ``seed`` if ``seeded`` and the estimator settings if
+    ``estimator``.  ``requires`` lists preconditions such as ``"p <= q"``.
+    """
+
+    function: str
+    instance: str | None = None
+    params: dict[str, Param] = field(default_factory=dict)
+    requires: tuple[str, ...] = ()
+    trials: int | None = None
+    seeded: bool = True
+    estimator: bool = False
+
+
+CHECKS: dict[str, CheckEntry] = {
+    "lemma_constants": CheckEntry("check_lemma_constants", trials=1000),
+    "hausdorff_young": CheckEntry("check_hausdorff_young", "pair", {"p": Param(lo=1, hi=2)}, trials=1000),
+    "real_interpolation": CheckEntry(
+        "check_real_interpolation", "pair", {"p": Param(lo=1, hi=2, open=True)}, trials=500
+    ),
+    "inversion_plancherel": CheckEntry("check_inversion_plancherel", "pair", trials=1000),
+    "multiplier_bound": CheckEntry(
+        "check_multiplier_bound", "pair", {"p": Param(lo=1), "q": Param(lo=1)},
+        requires=("p <= q",), trials=100, estimator=True,
+    ),
+    "paley": CheckEntry("check_paley", "pair", {"p": Param(lo=1, hi=2)}, trials=1000),
+    "schur_bound": CheckEntry(
+        "check_schur_bound", "matrix", {"p": Param(lo=1, hi=2), "q": Param(lo=2)}, trials=100, estimator=True
+    ),
+    "sharpness": CheckEntry(
+        "sharpness_experiment",
+        params={
+            "p": Param(lo=1),
+            "q": Param(),
+            "n_list": Param("integer", lo=2, length=(3, None)),
+            "s_factor": Param(required=False, lo=1, open=True),
+            "m": Param("integer", required=False),
+            "growth_factor": Param(required=False),
+        },
+        requires=("p < q",),
+    ),
+    "endpoint": CheckEntry(
+        "endpoint_experiment",
+        params={
+            "k_list": Param("integer", lo=1, length=(1, None)),
+            "m": Param("integer", required=False),
+            "growth_window": Param("integer", required=False, length=(2, 2)),
+            "min_growth": Param(required=False),
+        },
+    ),
+    "growth": CheckEntry(
+        "growth_symbol_check",
+        params={
+            "num_generators": Param("integer", lo=1),
+            "m_growth": Param(lo=0, open=True),
+            "p_star": Param(lo=0, open=True),
+            "depth": Param("integer", required=False, lo=1),
+            "c": Param(required=False, lo=0, open=True),
+        },
+        seeded=False,
+    ),
+}
+
+KNOWN_CHECKS = frozenset(CHECKS)
+CHECK_DEFAULT_TRIALS = {name: e.trials for name, e in CHECKS.items() if e.trials is not None}
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -116,89 +215,45 @@ def _schema() -> dict:
     return json.loads(path.read_text())
 
 
-def _require_number(params: dict, key: str, check: str, lo=None, hi=None):
-    if key not in params:
-        raise ConfigError(f"check {check!r} needs parameter {key!r}")
-    v = params[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"check {check!r}: parameter {key!r} must be a number, got {v!r}")
-    if lo is not None and v < lo or hi is not None and v > hi:
-        raise ConfigError(
-            f"check {check!r}: parameter {key!r}={v} outside allowed range "
-            f"[{lo}, {hi}]"
-        )
-    return float(v)
-
-
-def _validate_params(check: str, params: dict) -> None:
-    allowed = _ALLOWED_PARAMS[check]
-    extra = set(params) - allowed
+def _validate_params(check: str, entry: CheckEntry, params: dict) -> None:
+    extra = set(params) - set(entry.params)
     if extra:
         raise ConfigError(
             f"check {check!r} does not accept parameters {sorted(extra)}; "
-            f"allowed: {sorted(allowed)}"
+            f"allowed: {sorted(entry.params)}"
         )
-    if check == "hausdorff_young":
-        _require_number(params, "p", check, 1.0, 2.0)
-    elif check == "real_interpolation":
-        p = _require_number(params, "p", check)
-        if not 1.0 < p < 2.0:
-            raise ConfigError(f"check {check!r}: p must satisfy 1 < p < 2, got {p}")
-    elif check == "paley":
-        _require_number(params, "p", check, 1.0, 2.0)
-    elif check == "multiplier_bound":
-        p = _require_number(params, "p", check, 1.0)
-        q = _require_number(params, "q", check, 1.0)
-        if not p <= q:
-            raise ConfigError(f"check {check!r}: need p <= q, got ({p}, {q})")
-    elif check == "schur_bound":
-        p = _require_number(params, "p", check, 1.0, 2.0)
-        q = _require_number(params, "q", check, 2.0)
-        if not p <= q:
-            raise ConfigError(f"check {check!r}: need p <= 2 <= q, got ({p}, {q})")
-    elif check == "sharpness":
-        p = _require_number(params, "p", check, 1.0)
-        q = _require_number(params, "q", check)
-        if not p < q:
-            raise ConfigError(f"check {check!r}: need p < q, got ({p}, {q})")
-        n_list = params.get("n_list")
-        if not isinstance(n_list, list) or len(n_list) < 3:
-            raise ConfigError(f"check {check!r}: n_list must be a list of >= 3 degrees")
-        if "s_factor" in params and not params["s_factor"] > 1.0:
-            raise ConfigError(f"check {check!r}: s_factor must exceed 1")
-    elif check == "endpoint":
-        k_list = params.get("k_list")
-        if not isinstance(k_list, list) or not k_list:
-            raise ConfigError(f"check {check!r}: k_list must be a nonempty list")
-    elif check == "growth":
-        _require_number(params, "num_generators", check, 1)
-        _require_number(params, "m_growth", check)
-        _require_number(params, "p_star", check)
-        for key in ("num_generators", "depth"):
-            if key in params and not isinstance(params[key], int):
-                raise ConfigError(f"check {check!r}: {key} must be an integer")
+    for key, param in entry.params.items():
+        if key in params:
+            param.validate(check, key, params[key])
+        elif param.required:
+            raise ConfigError(f"check {check!r} needs parameter {key!r}")
+    for rule in entry.requires:
+        a, op, b = rule.split()
+        if not _ORDER[op](params[a], params[b]):
+            raise ConfigError(f"check {check!r}: need {rule}, got ({params[a]}, {params[b]})")
 
 
-def _validate_instance(spec: CheckSpec, index: int) -> None:
+_INSTANCE_NEEDS = {"pair": "a group/abelian instance", "matrix": "a matrix instance like 'M8'"}
+
+
+def _validate_instance(spec: CheckSpec, entry: CheckEntry, index: int) -> None:
     check = spec.check
     inst = spec.instance
-    if check in _FREE_CHECKS:
+    if entry.instance is None:
         if inst is not None:
-            raise ConfigError(
-                f"checks[{index}]: {check!r} takes no instance, got {inst!r}"
-            )
+            raise ConfigError(f"checks[{index}]: {check!r} takes no instance, got {inst!r}")
         return
     if inst is None:
         raise ConfigError(f"checks[{index}]: {check!r} requires an instance")
-    kind = _instance_kind(inst)
-    if check in _MATRIX_CHECKS and kind != "matrix":
+    if _instance_kind(inst) != entry.instance:
         raise ConfigError(
-            f"checks[{index}]: {check!r} needs a matrix instance like 'M8', got {inst!r}"
+            f"checks[{index}]: {check!r} needs {_INSTANCE_NEEDS[entry.instance]}, got {inst!r}"
         )
-    if check in _PAIR_CHECKS and kind == "matrix":
-        raise ConfigError(
-            f"checks[{index}]: {check!r} needs a group/abelian instance, got {inst!r}"
-        )
+    # resolve eagerly so a bad group file fails before any check runs
+    try:
+        resolve_instance(inst)
+    except (NcfourierError, ValueError) as exc:
+        raise ConfigError(f"checks[{index}]: cannot resolve instance: {exc}") from exc
 
 
 def _instance_kind(inst) -> str:
@@ -235,10 +290,9 @@ def load_config(path) -> CampaignConfig:
     specs = []
     for i, item in enumerate(raw["checks"]):
         name = item["check"]
-        if name not in KNOWN_CHECKS:
-            raise ConfigError(
-                f"checks[{i}]: unknown check {name!r}; known: {sorted(KNOWN_CHECKS)}"
-            )
+        entry = CHECKS.get(name)
+        if entry is None:
+            raise ConfigError(f"checks[{i}]: unknown check {name!r}; known: {sorted(CHECKS)}")
         spec = CheckSpec(
             check=name,
             instance=item.get("instance"),
@@ -246,30 +300,19 @@ def load_config(path) -> CampaignConfig:
             trials=item.get("trials"),
             ladder=item.get("ladder"),
         )
-        if spec.trials is not None and name not in CHECK_DEFAULT_TRIALS:
-            raise ConfigError(
-                f"checks[{i}]: {name!r} does not take a trial count"
-            )
-        _validate_instance(spec, i)
+        if spec.trials is not None and entry.trials is None:
+            raise ConfigError(f"checks[{i}]: {name!r} does not take a trial count")
+        _validate_instance(spec, entry, i)
         try:
-            _validate_params(name, spec.params)
+            _validate_params(name, entry, spec.params)
         except ConfigError as exc:
             raise ConfigError(f"checks[{i}]: {exc}") from exc
         specs.append(spec)
-    config = CampaignConfig(
+    return CampaignConfig(
         seed=int(raw["seed"]),
         checks=tuple(specs),
         estimator=dict(raw.get("estimator", {})),
     )
-    # resolve instances eagerly so a bad group file fails before any check runs
-    for i, spec in enumerate(config.checks):
-        if spec.check in _FREE_CHECKS:
-            continue
-        try:
-            resolve_instance(spec.instance)
-        except (NcfourierError, ValueError) as exc:
-            raise ConfigError(f"checks[{i}]: cannot resolve instance: {exc}") from exc
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -303,54 +346,23 @@ def resolve_instance(inst):
     raise ConfigError(f"unintelligible instance spec {inst!r}")
 
 
-def _instance_label(inst) -> str:
-    if inst is None:
-        return "-"
-    if isinstance(inst, str):
-        return inst
-    return json.dumps(inst, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # execution
 
 
 def _run_one(args) -> dict:
     """Worker: run one check spec; returns the report dict."""
-    index, spec_dict, seed, estimator = args
-    spec = CheckSpec(**spec_dict)
-    name = spec.check
-    trials = spec.trials if spec.trials is not None else CHECK_DEFAULT_TRIALS.get(name)
-    if name in _FREE_CHECKS:
-        if name == "lemma_constants":
-            report = checks_mod.check_lemma_constants(trials=trials, seed=seed)
-        elif name == "sharpness":
-            report = checks_mod.sharpness_experiment(seed=seed, **spec.params)
-        elif name == "endpoint":
-            p = dict(spec.params)
-            if "growth_window" in p:
-                p["growth_window"] = tuple(p["growth_window"])
-            report = checks_mod.endpoint_experiment(seed=seed, **p)
-        else:
-            report = checks_mod.growth_symbol_check(**spec.params)
-    else:
-        instance = resolve_instance(spec.instance)
-        if name == "hausdorff_young":
-            report = checks_mod.check_hausdorff_young(instance, trials=trials, seed=seed, **spec.params)
-        elif name == "real_interpolation":
-            report = checks_mod.check_real_interpolation(instance, trials=trials, seed=seed, **spec.params)
-        elif name == "inversion_plancherel":
-            report = checks_mod.check_inversion_plancherel(instance, trials=trials, seed=seed)
-        elif name == "multiplier_bound":
-            report = checks_mod.check_multiplier_bound(
-                instance, trials=trials, seed=seed, estimator=estimator, **spec.params
-            )
-        elif name == "paley":
-            report = checks_mod.check_paley(instance, trials=trials, seed=seed, **spec.params)
-        else:
-            report = checks_mod.check_schur_bound(
-                instance, trials=trials, seed=seed, estimator=estimator, **spec.params
-            )
+    index, spec, seed, estimator = args
+    entry = CHECKS[spec.check]
+    kwargs = dict(spec.params)
+    if entry.trials is not None:
+        kwargs["trials"] = entry.trials if spec.trials is None else spec.trials
+    if entry.seeded:
+        kwargs["seed"] = seed
+    if entry.estimator:
+        kwargs["estimator"] = estimator
+    instance = () if spec.instance is None else (resolve_instance(spec.instance),)
+    report = getattr(checks_mod, entry.function)(*instance, **kwargs)
     doc = report.to_dict()
     doc["index"] = index
     doc["ladder"] = spec.ladder
@@ -370,16 +382,10 @@ def run_campaign(config: CampaignConfig, out_dir, jobs: int = 1):
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = []
-    for i, spec in enumerate(config.checks):
-        spec_dict = {
-            "check": spec.check,
-            "instance": spec.instance,
-            "params": spec.params,
-            "trials": spec.trials,
-            "ladder": spec.ladder,
-        }
-        tasks.append((i, spec_dict, config.check_seed(i), dict(config.estimator)))
+    tasks = [
+        (i, spec, config.check_seed(i), dict(config.estimator))
+        for i, spec in enumerate(config.checks)
+    ]
 
     if jobs == 1:
         results = [_run_one(t) for t in tasks]

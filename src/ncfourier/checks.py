@@ -252,6 +252,27 @@ def _random_sources(algebra: TracialAlgebra, count: int, rng, ensembles=("gaussi
     return out
 
 
+def _worst(scores, key: str = "ratio", **tag) -> tuple[float, dict | None]:
+    """Largest of the ``(input name, score)`` pairs and its witness ``{**tag, "input", key}``.
+
+    Only a score above 0 and strictly above every earlier one counts, so a tie
+    keeps the first input; ``(0.0, None)`` when no score is positive.
+    """
+    best, witness = 0.0, None
+    for name, score in scores:
+        if score > best:
+            best, witness = score, {**tag, "input": name, key: score}
+    return best, witness
+
+
+def _ratios(battery, numerator, denominator):
+    """``(name, numerator(x) / denominator(x))`` over a battery, skipping zero denominators."""
+    for name, x in battery:
+        denom = denominator(x)
+        if denom != 0.0:
+            yield name, numerator(x) / denom
+
+
 # ---------------------------------------------------------------------------
 # hard structural checks
 
@@ -361,17 +382,10 @@ def check_hausdorff_young(pair: QuantumGroupPair, p: float, trials: int = 1000, 
         raise ParameterError(f"transform bound needs 1 <= p <= 2, got {p}")
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
-    max_ratio = 0.0
-    witness = None
     battery = _source_battery(pair, trials, rng)
-    for kind, x in battery:
-        denom = lp_norm(x, p)
-        if denom == 0.0:
-            continue
-        ratio = lp_norm(fourier(pair, x), pc) / denom
-        if ratio > max_ratio:
-            max_ratio = ratio
-            witness = {"input": kind, "ratio": ratio}
+    max_ratio, witness = _worst(
+        _ratios(battery, lambda x: lp_norm(fourier(pair, x), pc), lambda x: lp_norm(x, p))
+    )
     return CheckReport(
         check="hausdorff_young",
         instance=pair.name,
@@ -402,28 +416,18 @@ def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 100
         raise ParameterError(f"refined bound needs 1 < p < 2, got {p}")
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
-    fwd_max, inv_max = 0.0, 0.0
-    fwd_witness, inv_witness = None, None
     battery = _source_battery(pair, trials, rng)
-    for kind, x in battery:
-        denom = lorentz_norm(x, p, pc)
-        if denom == 0.0:
-            continue
-        ratio = lp_norm(fourier(pair, x), pc) / denom
-        if ratio > fwd_max:
-            fwd_max = ratio
-            fwd_witness = {"direction": "forward", "input": kind, "ratio": ratio}
+    fwd_max, fwd_witness = _worst(
+        _ratios(battery, lambda x: lp_norm(fourier(pair, x), pc), lambda x: lorentz_norm(x, p, pc)),
+        direction="forward",
+    )
     dual_batt = [("identity", pair.dual.identity())] + _random_sources(
         pair.dual, max(trials // 2, 1), rng, ("gaussian", "rank_one")
     )
-    for kind, a in dual_batt:
-        denom = lorentz_norm(a, p, pc)
-        if denom == 0.0:
-            continue
-        ratio = lp_norm(inverse_fourier(pair, a), pc) / denom
-        if ratio > inv_max:
-            inv_max = ratio
-            inv_witness = {"direction": "inverse", "input": kind, "ratio": ratio}
+    inv_max, inv_witness = _worst(
+        _ratios(dual_batt, lambda a: lp_norm(inverse_fourier(pair, a), pc), lambda a: lorentz_norm(a, p, pc)),
+        direction="inverse",
+    )
     max_ratio = max(fwd_max, inv_max)
     witness = fwd_witness if fwd_max >= inv_max else inv_witness
     return CheckReport(
@@ -449,17 +453,15 @@ def check_inversion_plancherel(pair: QuantumGroupPair, trials: int = 1000, seed:
         raise ParameterError("inversion check needs at least one trial")
     rng = np.random.default_rng(seed)
     battery = _source_battery(pair, trials, rng)
-    worst = 0.0
-    witness = None
-    for kind, x in battery:
+
+    def residual(x):
         l2 = lp_norm(x, 2)
         fx = fourier(pair, x)
         rt = lp_norm(inverse_fourier(pair, fx) - x, 2)
         pl = abs(lp_norm(fx, 2) - l2)
-        resid = max(rt, pl) / (1.0 + l2)
-        if resid > worst:
-            worst = resid
-            witness = {"input": kind, "residual": resid}
+        return max(rt, pl) / (1.0 + l2)
+
+    worst, witness = _worst(((kind, residual(x)) for kind, x in battery), key="residual")
     return CheckReport(
         check="inversion_plancherel",
         instance=pair.name,
@@ -515,9 +517,6 @@ def check_multiplier_bound(
     # sharpness_experiment.
     betas = _DEFAULT_DECAY if np.isinf(r) else (1.5 / r, 3.0 / r, 6.0 / r)
     battery = _source_battery(pair, trials, rng, decay_betas=betas)
-    max_ratio = 0.0
-    identity_ratio = None
-    witness = None
     series = []
     for kind, sym in battery:
         weak = lp_norm(sym, np.inf) if np.isinf(r) else lorentz_norm(sym, r, np.inf)
@@ -527,11 +526,8 @@ def check_multiplier_bound(
         est = estimate_pq_norm(m, p, q, seed=int(rng.integers(2**62)), **opts)
         ratio = est.lower_bound / weak
         series.append({"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "ratio": ratio})
-        if kind == "identity":
-            identity_ratio = ratio
-        if ratio > max_ratio:
-            max_ratio = ratio
-            witness = {"input": kind, "ratio": ratio}
+    max_ratio, witness = _worst((row["input"], row["ratio"]) for row in series)
+    identity_ratio = next((row["ratio"] for row in series if row["input"] == "identity"), None)
     return CheckReport(
         check="multiplier_bound",
         instance=pair.name,
@@ -567,18 +563,16 @@ def check_paley(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int 
     structured = [("identity", dual.identity()), ("atom_min_weight", dual.basis_element(min_block, 0, 0))]
     n_rand = max(trials - len(structured), 1)
     a_batt = structured + _random_sources(dual, n_rand, rng, ("gaussian", "rank_one", "sparse"))
-    max_ratio = 0.0
-    witness = None
-    for i, (kind, a) in enumerate(a_batt):
-        x = random_element(pair.source, np.random.SeedSequence((seed, i, 7)))
-        weak = lp_norm(a, np.inf) if np.isinf(s) else lorentz_norm(a, s, np.inf)
-        denom = weak * lp_norm(x, p)
-        if denom == 0.0:
-            continue
-        ratio = lp_norm(a * fourier(pair, x), p) / denom
-        if ratio > max_ratio:
-            max_ratio = ratio
-            witness = {"input": kind, "ratio": ratio}
+
+    def ratios():
+        for i, (kind, a) in enumerate(a_batt):
+            x = random_element(pair.source, np.random.SeedSequence((seed, i, 7)))
+            weak = lp_norm(a, np.inf) if np.isinf(s) else lorentz_norm(a, s, np.inf)
+            denom = weak * lp_norm(x, p)
+            if denom != 0.0:
+                yield kind, lp_norm(a * fourier(pair, x), p) / denom
+
+    max_ratio, witness = _worst(ratios())
     return CheckReport(
         check="paley",
         instance=pair.name,
@@ -641,9 +635,6 @@ def check_schur_bound(
     opts = _estimator_opts(estimator)
     rng = np.random.default_rng(seed)
     battery = _schur_battery(n, trials, rng)
-    max_weak_ratio = 0.0
-    max_lr_ratio = 0.0
-    witness = None
     series = []
     for kind, sym in battery:
         if np.isinf(r):
@@ -657,14 +648,13 @@ def check_schur_bound(
         m = schur_map(sym)
         est = estimate_pq_norm(m, p, q, seed=int(rng.integers(2**62)), **opts)
         weak_ratio = est.lower_bound / weak
-        lr_ratio = est.lower_bound / lr
         series.append(
             {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "lr_norm": lr, "ratio": weak_ratio}
         )
-        if lr_ratio > max_lr_ratio:
-            max_lr_ratio = lr_ratio
-            witness = {"input": kind, "lr_ratio": lr_ratio}
-        max_weak_ratio = max(max_weak_ratio, weak_ratio)
+    max_weak_ratio, _ = _worst((row["input"], row["ratio"]) for row in series)
+    max_lr_ratio, witness = _worst(
+        ((row["input"], row["estimate"] / row["lr_norm"]) for row in series), key="lr_ratio"
+    )
     return CheckReport(
         check="schur_bound",
         instance=f"M{n}",

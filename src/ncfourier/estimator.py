@@ -283,14 +283,14 @@ def _check_exponents(p: float, q: float) -> None:
         )
 
 
-def _ratio_gradient(m, dom_ops, cod_ops, zr, q, f):
-    """Ascent direction of z -> ||Mz||_q at unit-p z (real coords, batch)."""
+def _ratio_gradient(m, adj_t, cod_ops, zr, q, f):
+    """Ascent direction of z -> ||Mz||_q at unit-p z; adj_t = m.weighted_adjoint_matrix().T."""
     yc = _as_complex_batch(zr @ m.matrix.T)
     gc = cod_ops.schatten_direction(yc, q)
     gr = _as_real_batch(gc)
     with np.errstate(divide="ignore", invalid="ignore"):
         gr = np.where(f[:, None] > _TINY, gr / np.maximum(f, _TINY)[:, None] ** (q - 1.0), 0.0)
-    return gr @ m.weighted_adjoint_matrix().T
+    return gr @ adj_t
 
 
 def estimate_pq_norm(
@@ -322,6 +322,7 @@ def estimate_pq_norm(
     cod_ops = _BlockOps(m.codomain)
 
     sigma, warm = _l2_maximizer(m, exact=(p == 2.0 and q == 2.0))
+    adj_t = m.weighted_adjoint_matrix().T
     base_step = 1.0 / max(sigma, 1e-12)
 
     n_rest = restarts - 1
@@ -355,7 +356,7 @@ def estimate_pq_norm(
         hit_tol = False
         if f > _TINY:
             for _ in range(max_iters):
-                g = _ratio_gradient(m, dom_ops, cod_ops, zr, q, np.array([f]))
+                g = _ratio_gradient(m, adj_t, cod_ops, zr, q, np.array([f]))
                 t = step
                 f_try = f
                 z_try = zr
@@ -443,8 +444,9 @@ def brute_force_pq_norm(
 
     sigma, _ = _l2_maximizer(m, exact=False)
     step = 0.5 / max(sigma, 1e-12)
+    adj_t = m.weighted_adjoint_matrix().T
     for _ in range(refine_steps):
-        g = _ratio_gradient(m, dom_ops, cod_ops, zr, q, f)
+        g = _ratio_gradient(m, adj_t, cod_ops, zr, q, f)
         zr, good = normalize(zr + step * g)
         f = cod_ops.norm(_as_complex_batch(zr @ m.matrix.T), q)
         f = np.where(good, f, 0.0)

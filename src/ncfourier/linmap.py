@@ -128,10 +128,6 @@ class LinearMap:
         zr = self.matrix @ real_from_complex(stack_complex(x))
         return unstack_complex(self.codomain, complex_from_real(zr))
 
-    def apply_real(self, batch: np.ndarray) -> np.ndarray:
-        """Apply to a batch of real coordinate vectors, shape (S, 2 D_dom)."""
-        return batch @ self.matrix.T
-
     def weighted_adjoint_matrix(self) -> np.ndarray:
         """Adjoint w.r.t. the weighted trace inner products on both sides."""
         wd = coordinate_weights(self.domain)

@@ -45,21 +45,16 @@ def oracle_weighted_singular_values(x):
     return np.asarray(values), np.asarray(weights)
 
 
-def oracle_distribution(x, s: float) -> float:
-    """lambda_s(x) = total weight of singular values strictly above s."""
-    values, weights = oracle_weighted_singular_values(x)
-    return float(weights[values > s].sum())
-
-
 def oracle_mu(x, t: float, s_grid_size: int = 20000) -> float:
     """mu_t(x) = inf{s > 0 : lambda_s(x) < t} evaluated on a dense s-grid."""
-    values, _ = oracle_weighted_singular_values(x)
+    values, weights = oracle_weighted_singular_values(x)
     top = float(values.max(initial=0.0))
     if top == 0.0:
         return 0.0
     grid = np.linspace(0.0, top * (1.0 + 1e-9), s_grid_size)
     for s in grid:
-        if oracle_distribution(x, s) < t:
+        # lambda_s(x): total weight of singular values strictly above s
+        if float(weights[values > s].sum()) < t:
             return float(s)
     return top
 

@@ -6,6 +6,7 @@ import pytest
 
 from ncfourier.campaign import (
     CHECK_DEFAULT_TRIALS,
+    CHECKS,
     MAX_BOUNDED_SLOPE,
     CampaignConfig,
     CheckSpec,
@@ -185,6 +186,55 @@ class TestLoadConfig:
                     {"check": "inversion_plancherel", "instance": "NoSuchGroup"}
                 ),
                 "cannot resolve",
+            ),
+            # malformed types are rejected here, not inside the check
+            (
+                lambda d: d["checks"].append(
+                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, "x"]}}
+                ),
+                "'n_list' must be a list of >= 3 integers",
+            ),
+            (
+                lambda d: d["checks"].append(
+                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": "x"}}
+                ),
+                "'m' must be an integer",
+            ),
+            (
+                lambda d: d["checks"].append(
+                    {
+                        "check": "sharpness",
+                        "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "s_factor": "x"},
+                    }
+                ),
+                "'s_factor' must be a number",
+            ),
+            (
+                lambda d: d["checks"].append(
+                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "growth_window": [4]}}
+                ),
+                "'growth_window' must be a list of 2 integers",
+            ),
+            (
+                lambda d: d["checks"].append(
+                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "m": "big"}}
+                ),
+                "'m' must be an integer",
+            ),
+            (
+                lambda d: d["checks"].append(
+                    {
+                        "check": "growth",
+                        "params": {"num_generators": 2, "m_growth": 5, "p_star": 4.0, "c": "x"},
+                    }
+                ),
+                "'c' must be a number",
+            ),
+            (
+                lambda d: d["checks"].append(
+                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [1, 8, 16]}}
+                ),
+                r"outside allowed range 2 <= n_list\[i\]",
             ),
         ],
     )
@@ -404,6 +454,14 @@ class TestCliMain:
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_param_exits_2_before_any_check(self, tmp_path, capsys):
+        doc = _fast_campaign()
+        doc["checks"].append({"check": "endpoint", "params": {"k_list": [4, 5, 6], "m": "big"}})
+        out = tmp_path / "out"
+        assert main(["run", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_error_exit(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert main(["plot", str(tmp_path / "empty")]) == 2
@@ -444,3 +502,18 @@ class TestCliMain:
             "paley",
             "schur_bound",
         }
+
+    def test_formats_doc_has_registry_table(self):
+        rows = []
+        for name, entry in CHECKS.items():
+            params = []
+            for key, param in entry.params.items():
+                bounds = param.bounds(key)
+                optional = "" if param.required else " (optional)"
+                params.append(f"`{key}`{optional}: {param.kind()}" + (f", {bounds}" if bounds else ""))
+            params += entry.requires
+            trials = "—" if entry.trials is None else entry.trials
+            rows.append(f"| `{name}` | {entry.instance or 'none'} | {'; '.join(params) or '—'} | {trials} |")
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        missing = [row for row in rows if row not in doc]
+        assert not missing, "docs/formats.md lacks these rows:\n" + "\n".join(missing)
