@@ -17,11 +17,15 @@ Outputs under the chosen directory:
   every declared ladder (checks sharing a ``ladder`` label are fit together:
   log max-ratio against log instance size, bounded iff slope <= 0.05);
 * ``plots/*.csv`` (via :func:`emit_plot_data`) - one delimited table per
-  series-bearing report and per ladder, numbers at 12 significant digits.
+  series-bearing report and per ladder.
+
+Every float in these files has 12 significant digits; see
+:func:`_declared_precision`.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import operator
@@ -85,7 +89,7 @@ _TYPE_TESTS = {
     "integer": lambda v: type(v) is int,
     "number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
 }
-_ORDER = {"<": operator.lt, "<=": operator.le}
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "in": lambda a, b: set(a) <= set(b)}
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,8 @@ class Param:
 
     ``type`` is ``"number"`` (a finite int or float) or ``"integer"``; with
     ``length = (min, max)`` (max None: unbounded) the value is a list of that
-    many such entries.  ``lo``/``hi`` bound the value, or each list entry;
-    ``open`` makes both bounds strict.
+    many such entries, strictly increasing if ``increasing``.  ``lo``/``hi``
+    bound the value, or each list entry; ``open`` makes both bounds strict.
     """
 
     type: str = "number"
@@ -104,12 +108,14 @@ class Param:
     hi: float = math.inf
     open: bool = False
     length: tuple[int, int | None] | None = None
+    increasing: bool = False
 
     def kind(self) -> str:
         if self.length is None:
             return "an integer" if self.type == "integer" else "a number"
         lo, hi = self.length
-        return f"a list of {lo if lo == hi else f'>= {lo}'} {self.type}s"
+        order = ", strictly increasing" if self.increasing else ""
+        return f"a list of {lo if lo == hi else f'>= {lo}'} {self.type}s{order}"
 
     def bounds(self, key: str) -> str:
         """The range as an inequality in ``key`` (``key[i]`` for a list); '' when unbounded."""
@@ -123,7 +129,8 @@ class Param:
         items = [value] if self.length is None else value
         min_len, max_len = self.length or (1, 1)
         typed = isinstance(items, list) and all(map(_TYPE_TESTS[self.type], items))
-        if not typed or not min_len <= len(items) <= (max_len or len(items)):
+        ordered = typed and (not self.increasing or all(a < b for a, b in zip(items, items[1:])))
+        if not ordered or not min_len <= len(items) <= (max_len or len(items)):
             raise ConfigError(f"check {check!r}: parameter {key!r} must be {self.kind()}, got {value!r}")
         inside = operator.lt if self.open else operator.le
         if not all(inside(self.lo, v) and inside(v, self.hi) for v in items):
@@ -141,7 +148,9 @@ class CheckEntry:
     gets the resolved instance (``instance`` is ``"pair"``, ``"matrix"`` or
     None), the params, ``trials`` (the default count; None: a fixed-schedule
     check, given none), ``seed`` if ``seeded`` and the estimator settings if
-    ``estimator``.  ``requires`` lists preconditions such as ``"p <= q"``.
+    ``estimator``.  ``requires`` lists preconditions such as ``"p <= q"`` or
+    ``"growth_window in k_list"`` (every entry of one list is in the other);
+    one naming an absent optional parameter is not tested.
     """
 
     function: str
@@ -173,7 +182,7 @@ CHECKS: dict[str, CheckEntry] = {
         params={
             "p": Param(lo=1),
             "q": Param(),
-            "n_list": Param("integer", lo=2, length=(3, None)),
+            "n_list": Param("integer", lo=2, length=(3, None), increasing=True),
             "s_factor": Param(required=False, lo=1, open=True),
             "m": Param("integer", required=False),
             "growth_factor": Param(required=False),
@@ -183,11 +192,12 @@ CHECKS: dict[str, CheckEntry] = {
     "endpoint": CheckEntry(
         "endpoint_experiment",
         params={
-            "k_list": Param("integer", lo=1, length=(1, None)),
+            "k_list": Param("integer", lo=1, length=(1, None), increasing=True),
             "m": Param("integer", required=False),
-            "growth_window": Param("integer", required=False, length=(2, 2)),
+            "growth_window": Param("integer", required=False, length=(2, 2), increasing=True),
             "min_growth": Param(required=False),
         },
+        requires=("growth_window in k_list",),
     ),
     "growth": CheckEntry(
         "growth_symbol_check",
@@ -229,7 +239,7 @@ def _validate_params(check: str, entry: CheckEntry, params: dict) -> None:
             raise ConfigError(f"check {check!r} needs parameter {key!r}")
     for rule in entry.requires:
         a, op, b = rule.split()
-        if not _ORDER[op](params[a], params[b]):
+        if a in params and b in params and not _RELATIONS[op](params[a], params[b]):
             raise ConfigError(f"check {check!r}: need {rule}, got ({params[a]}, {params[b]})")
 
 
@@ -370,8 +380,35 @@ def _run_one(args) -> dict:
     return doc
 
 
+# Report floats carry 12 significant digits, so last-ulp differences between
+# BLAS builds do not reach the bytes.  Lower bounds (estimates, and ratios
+# measured at a concrete input) round toward zero: a printed bound never
+# exceeds the computed one.  Verdicts are decided on the unrounded values.
+_DIGITS = 12
+_LOWER_BOUND_KEYS = frozenset(
+    {"estimate", "ratio", "max_ratio", "max_ratios", "empirical_constant", "max_lr_ratio", "lr_ratio",
+     "identity_ratio"}
+)
+_TOWARD_ZERO = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_DOWN)
+
+
+def _declared_precision(v, toward_zero: bool = False):
+    """``v`` with every finite float rounded to :data:`_DIGITS` significant digits."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            return v
+        if toward_zero:
+            return float(_TOWARD_ZERO.create_decimal_from_float(v))
+        return float(f"{v:.{_DIGITS}g}")
+    if isinstance(v, dict):
+        return {k: _declared_precision(x, k in _LOWER_BOUND_KEYS) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_declared_precision(x, toward_zero) for x in v]
+    return v
+
+
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_declared_precision(doc), indent=2, sort_keys=True) + "\n")
 
 
 def run_campaign(config: CampaignConfig, out_dir, jobs: int = 1):
@@ -458,7 +495,7 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return f"{v:.{_DIGITS}g}"
     if v is None:
         return ""
     return str(v)

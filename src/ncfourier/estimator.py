@@ -20,9 +20,10 @@ Three levels of effort:
   and only allowed when the domain has at most 8 real dimensions, but it has
   no tunable convergence knobs, which is the point.
 
-All inner loops run on batched coordinates with closed-form singular values
-and Schatten gradients for 1x1 and 2x2 blocks, so commutative algebras never
-touch LAPACK.
+All inner loops run on batches of stacked complex coordinates, shape (S, D),
+with the map as a complex D_cod x D_dom matrix and closed-form singular
+values and Schatten gradients for 1x1 and 2x2 blocks, so commutative
+algebras never touch LAPACK.
 """
 
 from __future__ import annotations
@@ -33,14 +34,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, TracialAlgebra, random_element
 from .errors import ParameterError
-from .linmap import (
-    LinearMap,
-    complex_from_real,
-    coordinate_weights,
-    real_from_complex,
-    stack_complex,
-    unstack_complex,
-)
+from .linmap import LinearMap, coordinate_weights, stack_complex, unstack_complex
 from .lorentz import lp_norm
 
 __all__ = [
@@ -241,18 +235,23 @@ def exact_l2_norm(m: LinearMap) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _complex_normals(rng, shape) -> np.ndarray:
+    """Complex Gaussian points: 2D real normals per point, read as ``r[:D] + 1j r[D:]``."""
+    r = rng.standard_normal(shape[:-1] + (2 * shape[-1],))
+    return r[..., : shape[-1]] + 1j * r[..., shape[-1] :]
+
+
 def _l2_maximizer(m: LinearMap, exact: bool):
-    """(sigma, domain real coords of a unit-L2 near-maximizer)."""
+    """(sigma, domain coords of a unit-L2 near-maximizer)."""
     a = _weighted_matrix(m)
     sqrt_wd = np.sqrt(coordinate_weights(m.domain))
     if exact:
         _, svals, vh = np.linalg.svd(a)
-        v = vh[0]
+        v = vh[0].conj()
         sigma = float(svals[0])
     else:
-        rng = np.random.default_rng(0x5EED)
-        v = rng.standard_normal(a.shape[1])
-        gram = a.T @ a
+        v = _complex_normals(np.random.default_rng(0x5EED), (a.shape[1],))
+        gram = a.conj().T @ a
         for _ in range(40):
             v = gram @ v
             nrm = np.linalg.norm(v)
@@ -267,15 +266,6 @@ def _l2_maximizer(m: LinearMap, exact: bool):
 # ascent
 
 
-def _as_complex_batch(zr: np.ndarray) -> np.ndarray:
-    d = zr.shape[1] // 2
-    return zr[:, :d] + 1j * zr[:, d:]
-
-
-def _as_real_batch(zc: np.ndarray) -> np.ndarray:
-    return np.concatenate([zc.real, zc.imag], axis=1)
-
-
 def _check_exponents(p: float, q: float) -> None:
     if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
         raise ParameterError(
@@ -283,14 +273,12 @@ def _check_exponents(p: float, q: float) -> None:
         )
 
 
-def _ratio_gradient(m, adj_t, cod_ops, zr, q, f):
+def _ratio_gradient(m, adj_t, cod_ops, z, q, f):
     """Ascent direction of z -> ||Mz||_q at unit-p z; adj_t = m.weighted_adjoint_matrix().T."""
-    yc = _as_complex_batch(zr @ m.matrix.T)
-    gc = cod_ops.schatten_direction(yc, q)
-    gr = _as_real_batch(gc)
+    g = cod_ops.schatten_direction(z @ m.matrix.T, q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gr = np.where(f[:, None] > _TINY, gr / np.maximum(f, _TINY)[:, None] ** (q - 1.0), 0.0)
-    return gr @ adj_t
+        g = np.where(f[:, None] > _TINY, g / np.maximum(f, _TINY)[:, None] ** (q - 1.0), 0.0)
+    return g @ adj_t
 
 
 def estimate_pq_norm(
@@ -335,38 +323,38 @@ def estimate_pq_norm(
             atom = dom.basis_element(int(weight_order[r]), 0, 0)
         else:
             atom = random_element(dom, np.random.SeedSequence((seed, 2 * r + 1)), "rank_one")
-        inits.append(real_from_complex(stack_complex(atom)))
+        inits.append(stack_complex(atom))
     for r in range(n_gauss):
         elem = random_element(dom, np.random.SeedSequence((seed, 2 * r + 2)), "gaussian")
-        inits.append(real_from_complex(stack_complex(elem)))
+        inits.append(stack_complex(elem))
 
     best_f = -1.0
     best_z = None
     converged = 0
     usable = 0
     for z0 in inits:
-        zr = np.asarray(z0, dtype=float)[None, :]
-        nrm = dom_ops.norm(_as_complex_batch(zr), p)[0]
+        z = np.asarray(z0, dtype=complex)[None, :]
+        nrm = dom_ops.norm(z, p)[0]
         if not np.isfinite(nrm) or nrm <= _TINY:
             continue
         usable += 1
-        zr = zr / nrm
-        f = cod_ops.norm(_as_complex_batch(zr @ m.matrix.T), q)[0]
+        z = z / nrm
+        f = cod_ops.norm(z @ m.matrix.T, q)[0]
         step = base_step
         hit_tol = False
         if f > _TINY:
             for _ in range(max_iters):
-                g = _ratio_gradient(m, adj_t, cod_ops, zr, q, np.array([f]))
+                g = _ratio_gradient(m, adj_t, cod_ops, z, q, np.array([f]))
                 t = step
                 f_try = f
-                z_try = zr
+                z_try = z
                 improved = False
                 for _ in range(50):
-                    cand = zr + t * g
-                    cn = dom_ops.norm(_as_complex_batch(cand), p)[0]
+                    cand = z + t * g
+                    cn = dom_ops.norm(cand, p)[0]
                     if cn > _TINY:
                         cand = cand / cn
-                        fc = cod_ops.norm(_as_complex_batch(cand @ m.matrix.T), q)[0]
+                        fc = cod_ops.norm(cand @ m.matrix.T, q)[0]
                         if fc > f:
                             z_try, f_try, improved = cand, fc, True
                             break
@@ -375,7 +363,7 @@ def estimate_pq_norm(
                     hit_tol = True
                     break
                 rel = (f_try - f) / max(f_try, _TINY)
-                zr, f = z_try, f_try
+                z, f = z_try, f_try
                 step = 2.0 * t
                 if rel < tol:
                     hit_tol = True
@@ -384,13 +372,13 @@ def estimate_pq_norm(
             converged += 1
         if f > best_f:
             best_f = f
-            best_z = zr
+            best_z = z
     degenerate = best_z is None or best_f <= 0.0
     if best_z is None:
-        best_z = np.zeros((1, dom.real_dim))
+        best_z = np.zeros((1, dom.complex_dim), dtype=complex)
         best_z[0, 0] = 1.0
         best_f = 0.0
-    witness = unstack_complex(dom, complex_from_real(best_z[0]))
+    witness = unstack_complex(dom, best_z[0])
     return NormEstimate(
         lower_bound=float(max(best_f, 0.0)),
         witness=witness,
@@ -428,17 +416,16 @@ def brute_force_pq_norm(
 
     dom_ops = _BlockOps(m.domain)
     cod_ops = _BlockOps(m.codomain)
-    rng = np.random.default_rng(seed)
-    zr = rng.standard_normal((samples, m.domain.real_dim))
+    z = _complex_normals(np.random.default_rng(seed), (samples, m.domain.complex_dim))
 
     def normalize(batch):
-        nrm = dom_ops.norm(_as_complex_batch(batch), p)
+        nrm = dom_ops.norm(batch, p)
         good = nrm > _TINY
         batch = np.where(good[:, None], batch / np.maximum(nrm, _TINY)[:, None], 0.0)
         return batch, good
 
-    zr, good = normalize(zr)
-    f = cod_ops.norm(_as_complex_batch(zr @ m.matrix.T), q)
+    z, good = normalize(z)
+    f = cod_ops.norm(z @ m.matrix.T, q)
     f = np.where(good, f, 0.0)
     best = float(f.max(initial=0.0))
 
@@ -446,9 +433,9 @@ def brute_force_pq_norm(
     step = 0.5 / max(sigma, 1e-12)
     adj_t = m.weighted_adjoint_matrix().T
     for _ in range(refine_steps):
-        g = _ratio_gradient(m, adj_t, cod_ops, zr, q, f)
-        zr, good = normalize(zr + step * g)
-        f = cod_ops.norm(_as_complex_batch(zr @ m.matrix.T), q)
+        g = _ratio_gradient(m, adj_t, cod_ops, z, q, f)
+        z, good = normalize(z + step * g)
+        f = cod_ops.norm(z @ m.matrix.T, q)
         f = np.where(good, f, 0.0)
         cur = float(f.max(initial=0.0))
         if cur > best:

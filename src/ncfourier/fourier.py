@@ -87,7 +87,7 @@ class QuantumGroupPair:
         return self.source.total_weight
 
     def as_linear_map(self) -> LinearMap:
-        return LinearMap.from_complex(self.source, self.dual, self.fourier_matrix)
+        return LinearMap(self.source, self.dual, self.fourier_matrix)
 
 
 def _checked_pair(name, source, dual, fmat, identity_index=0) -> QuantumGroupPair:
@@ -185,7 +185,7 @@ def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
     if not symbol.algebra.matches(pair.source):
         raise ShapeMismatchError("multiplier symbol must live on the source algebra")
     cmat = pair.fourier_matrix @ left_multiplication_matrix(symbol) @ pair.inverse_matrix
-    return LinearMap.from_complex(pair.dual, pair.dual, cmat)
+    return LinearMap(pair.dual, pair.dual, cmat)
 
 
 def perturb_fourier_matrix(pair: QuantumGroupPair, scale: float) -> QuantumGroupPair:

@@ -1,16 +1,15 @@
-"""Linear maps between block algebras in explicit real coordinates.
+"""Complex-linear maps between block algebras in stacked coordinates.
 
 Coordinates of an element: blocks raveled row-major in block order into a
-complex vector of length D, then split into a real vector of length 2D as
-``[Re; Im]``.  A linear map is a real ``(2 D_cod) x (2 D_dom)`` matrix acting
-on these coordinates, which accommodates maps that are only real-linear
-(conjugations, real parts); complex-linear maps embed via
-:meth:`LinearMap.from_complex`.
+complex vector of length D (:func:`stack_complex`).  A linear map is a
+complex ``D_cod x D_dom`` matrix acting on these coordinates; every map the
+package builds (Fourier transforms, Fourier and Schur multipliers) is
+complex-linear.
 
-The weighted trace inner products on domain and codomain are diagonal in
-these coordinates; :meth:`LinearMap.weighted_adjoint_matrix` returns the
-adjoint with respect to them, which is what gradient ascent on norm ratios
-needs.
+The weighted trace inner products Re trace(y* x) on domain and codomain are
+diagonal in these coordinates; :meth:`LinearMap.weighted_adjoint_matrix`
+returns the adjoint with respect to them, which is what gradient ascent on
+norm ratios needs.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from .errors import ShapeMismatchError
 __all__ = [
     "stack_complex",
     "unstack_complex",
-    "real_from_complex",
-    "complex_from_real",
-    "real_matrix_from_complex",
     "coordinate_weights",
     "LinearMap",
     "identity_map",
@@ -54,85 +50,45 @@ def unstack_complex(algebra: TracialAlgebra, vec: np.ndarray) -> AlgebraElement:
     return AlgebraElement(algebra, blocks)
 
 
-def real_from_complex(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=complex)
-    return np.concatenate([vec.real, vec.imag], axis=0)
-
-
-def complex_from_real(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    d = vec.shape[0] // 2
-    return vec[:d] + 1j * vec[d:]
-
-
-def real_matrix_from_complex(cmat: np.ndarray) -> np.ndarray:
-    """Real representation [[Re, -Im], [Im, Re]] of a complex-linear matrix."""
-    cmat = np.asarray(cmat, dtype=complex)
-    re, im = cmat.real, cmat.imag
-    top = np.concatenate([re, -im], axis=1)
-    bot = np.concatenate([im, re], axis=1)
-    return np.concatenate([top, bot], axis=0)
-
-
 def coordinate_weights(algebra: TracialAlgebra) -> np.ndarray:
-    """Real-coordinate weights of the trace inner product Re trace(y* x).
+    """Per-coordinate weights of the trace inner product Re trace(y* x).
 
-    Entry (i,j) of block k contributes weight w_k to both its real and
-    imaginary coordinate, so ``<x, y> = sum weights * coords(x) * coords(y)``.
+    Entry (i,j) of block k has weight w_k, so
+    ``<x, y> = Re sum weights * conj(coords(y)) * coords(x)``.
     """
-    per_complex = np.concatenate(
-        [np.full(n * n, w) for n, w in zip(algebra.dims, algebra.weights)]
-    )
-    return np.concatenate([per_complex, per_complex])
+    return np.concatenate([np.full(n * n, w) for n, w in zip(algebra.dims, algebra.weights)])
 
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A real-linear map between two block algebras in real coordinates."""
+    """A complex-linear map between two block algebras in stacked coordinates."""
 
     domain: TracialAlgebra
     codomain: TracialAlgebra
-    matrix: np.ndarray  # float, shape (codomain.real_dim, domain.real_dim)
+    matrix: np.ndarray  # complex, shape (codomain.complex_dim, domain.complex_dim)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        want = (self.codomain.real_dim, self.domain.real_dim)
+        m = np.asarray(self.matrix, dtype=complex)
+        want = (self.codomain.complex_dim, self.domain.complex_dim)
         if m.shape != want:
             raise ShapeMismatchError(
                 f"matrix shape {m.shape} does not match (codomain, domain) "
-                f"real dims {want}"
+                f"complex dims {want}"
             )
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_complex(
-        cls,
-        domain: TracialAlgebra,
-        codomain: TracialAlgebra,
-        cmat: np.ndarray,
-    ) -> "LinearMap":
-        cmat = np.asarray(cmat, dtype=complex)
-        want = (codomain.complex_dim, domain.complex_dim)
-        if cmat.shape != want:
-            raise ShapeMismatchError(
-                f"complex matrix shape {cmat.shape} does not match "
-                f"(codomain, domain) complex dims {want}"
-            )
-        return cls(domain, codomain, real_matrix_from_complex(cmat))
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if not x.algebra.matches(self.domain):
             raise ShapeMismatchError(
                 f"element of {x.algebra} fed to map with domain {self.domain}"
             )
-        zr = self.matrix @ real_from_complex(stack_complex(x))
-        return unstack_complex(self.codomain, complex_from_real(zr))
+        return unstack_complex(self.codomain, self.matrix @ stack_complex(x))
 
     def weighted_adjoint_matrix(self) -> np.ndarray:
-        """Adjoint w.r.t. the weighted trace inner products on both sides."""
+        """Adjoint w.r.t. the weighted trace inner products: diag(1/w_d) M^H diag(w_c)."""
         wd = coordinate_weights(self.domain)
         wc = coordinate_weights(self.codomain)
-        return (self.matrix * wc[:, None]).T / wd[:, None]
+        return (self.matrix * wc[:, None]).conj().T / wd[:, None]
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -145,4 +101,4 @@ class LinearMap:
 
 
 def identity_map(algebra: TracialAlgebra) -> LinearMap:
-    return LinearMap(algebra, algebra, np.eye(algebra.real_dim))
+    return LinearMap(algebra, algebra, np.eye(algebra.complex_dim))

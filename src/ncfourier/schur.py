@@ -63,7 +63,7 @@ def schur_map(a) -> LinearMap:
     """The map x -> a * x (entrywise) on M_n, as an explicit LinearMap."""
     sym = _as_symbol(a)
     alg = schatten_algebra(sym.n)
-    return LinearMap.from_complex(alg, alg, np.diag(sym.matrix.ravel()))
+    return LinearMap(alg, alg, np.diag(sym.matrix.ravel()))
 
 
 def symbol_sequence_norm(a, p: float, q: float | None = None) -> float:

@@ -10,6 +10,7 @@ from ncfourier.campaign import (
     MAX_BOUNDED_SLOPE,
     CampaignConfig,
     CheckSpec,
+    _declared_precision,
     emit_plot_data,
     list_instances,
     load_config,
@@ -236,6 +237,29 @@ class TestLoadConfig:
                 ),
                 r"outside allowed range 2 <= n_list\[i\]",
             ),
+            # orderings and memberships the experiments need, also checked here
+            (
+                lambda d: d["checks"].append(
+                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [8, 4, 16]}}
+                ),
+                "parameter 'n_list' must be .* strictly increasing",
+            ),
+            (
+                lambda d: d["checks"].append({"check": "endpoint", "params": {"k_list": [4, 6, 5]}}),
+                "parameter 'k_list' must be .* strictly increasing",
+            ),
+            (
+                lambda d: d["checks"].append(
+                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "growth_window": [6, 4]}}
+                ),
+                "parameter 'growth_window' must be .* strictly increasing",
+            ),
+            (
+                lambda d: d["checks"].append(
+                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "growth_window": [5, 9]}}
+                ),
+                "need growth_window in k_list",
+            ),
         ],
     )
     def test_rejections(self, tmp_path, mutate, fragment):
@@ -320,6 +344,33 @@ class TestRunCampaign:
         run_campaign(cfg, tmp_path / "a")
         run_campaign(cfg, tmp_path / "b")
         assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+
+    def test_report_floats_at_declared_precision(self, tmp_path):
+        cfg = load_config(_write_config(tmp_path, _fast_campaign()))
+        _, summary = run_campaign(cfg, tmp_path / "out")
+        written = json.loads((tmp_path / "out" / "summary.json").read_text())
+
+        def floats(v):
+            if isinstance(v, float):
+                yield v
+            elif isinstance(v, dict):
+                for x in v.values():
+                    yield from floats(x)
+            elif isinstance(v, list):
+                for x in v:
+                    yield from floats(x)
+
+        for path in [tmp_path / "out" / "summary.json", *sorted((tmp_path / "out" / "reports").glob("*.json"))]:
+            for v in floats(json.loads(path.read_text())):
+                assert float(f"{v:.12g}") == v, (path.name, v)
+        # certified lower bounds round toward zero, everything else to nearest
+        for got, row in zip(written["checks"], summary["checks"]):
+            assert got["max_ratio"] <= row["max_ratio"] <= got["max_ratio"] * (1 + 1e-11)
+        assert _declared_precision({"estimate": 1.23456789012999, "weak_norm": 1.23456789012999}) == {
+            "estimate": 1.23456789012,
+            "weak_norm": 1.23456789013,
+        }
+        assert _declared_precision({"ratio": [-2.00000000000999, 0.0]}) == {"ratio": [-2.0, 0.0]}
 
     def test_seed_changes_results(self, tmp_path):
         base = load_config(_write_config(tmp_path, _fast_campaign(seed=1)))
@@ -449,6 +500,29 @@ class TestCliMain:
         cfg_path = _write_config(tmp_path, _fast_campaign(fault=0.01))
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert "HARD FAILURES: inversion_plancherel[0]" in capsys.readouterr().out
+
+    def test_multiplier_lr_clause_fails_on_fault(self, tmp_path, capsys):
+        # the detuned transform scales one dual coordinate by 1.01, so the
+        # identity symbol's estimate exceeds its L_r norm by about 1%
+        doc = {
+            "seed": 5,
+            "estimator": FAST_ESTIMATOR,
+            "checks": [
+                {
+                    "check": "multiplier_bound",
+                    "instance": {"cyclic": 4, "fault_scale": 0.01},
+                    "params": {"p": 1.5, "q": 3.0},
+                    "trials": 4,
+                }
+            ],
+        }
+        out = tmp_path / "out"
+        assert main(["run", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 1
+        assert "HARD FAILURES: multiplier_bound[0]" in capsys.readouterr().out
+        report = json.loads((out / "reports" / "000_multiplier_bound.json").read_text())
+        assert report["hard"] and not report["passed"]
+        assert report["details"]["max_lr_ratio"] > 1.009
+        assert report["witness"]["lr_ratio"] == report["details"]["max_lr_ratio"]
 
     def test_config_error_exit(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 2

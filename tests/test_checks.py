@@ -165,6 +165,8 @@ class TestMultiplierBound:
         assert rep.max_ratio <= 1.0 + 1e-6
         assert rep.details["identity_ratio"] == pytest.approx(1.0, abs=1e-6)
         assert rep.params["r"] is None
+        assert rep.hard and rep.passed
+        assert all(row["lr_norm"] == row["weak_norm"] for row in rep.series)
 
     def test_identity_ratio_off_diagonal(self):
         rep = check_multiplier_bound(
@@ -177,8 +179,16 @@ class TestMultiplierBound:
         )
         assert rep.details["identity_ratio"] == pytest.approx(1.0, abs=1e-6)
         assert rep.params["r"] == pytest.approx(2.0)
-        assert not rep.hard and rep.passed
+        assert rep.hard and rep.passed
+        assert rep.details["max_lr_ratio"] <= 1.0 + 1e-6
         assert len(rep.series) == rep.trials
+
+    @pytest.mark.parametrize("p, q", [(2.5, 4.0), (1.2, 1.5)])
+    def test_monitored_outside_p_le_2_le_q(self, p, q):
+        rep = check_multiplier_bound(build_finite_abelian([4]), p, q, trials=4, seed=9, estimator=FAST_EST)
+        assert not rep.hard and rep.passed and rep.threshold is None
+        assert "max_lr_ratio" not in rep.details
+        assert all("lr_norm" not in row for row in rep.series)
 
     def test_deterministic(self):
         pair = build_finite_abelian([6])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncfourier.algebra import TracialAlgebra, random_element, trace
+from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError, ShapeMismatchError
 from ncfourier.estimator import (
     brute_force_pq_norm,
@@ -12,11 +13,8 @@ from ncfourier.estimator import (
 from ncfourier.fourier import build_finite_abelian, multiplier_map
 from ncfourier.linmap import (
     LinearMap,
-    complex_from_real,
     coordinate_weights,
     identity_map,
-    real_from_complex,
-    real_matrix_from_complex,
     stack_complex,
     unstack_complex,
 )
@@ -27,9 +25,11 @@ from conftest import dense_coords, random_algebra
 
 def _weighted_inner(algebra, x, y) -> float:
     w = coordinate_weights(algebra)
-    xr = real_from_complex(stack_complex(x))
-    yr = real_from_complex(stack_complex(y))
-    return float(np.sum(w * xr * yr))
+    return float(np.sum(np.conj(stack_complex(y)) * w * stack_complex(x)).real)
+
+
+def _complex_matrix(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestCoordinates:
@@ -40,18 +40,6 @@ class TestCoordinates:
             x = random_element(alg, int(rng.integers(2**32)))
             back = unstack_complex(alg, stack_complex(x))
             assert np.allclose(dense_coords(back), dense_coords(x))
-
-    def test_real_complex_roundtrip(self):
-        rng = np.random.default_rng(61)
-        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert np.allclose(complex_from_real(real_from_complex(v)), v)
-
-    def test_real_matrix_embedding(self):
-        rng = np.random.default_rng(62)
-        c = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        lhs = real_matrix_from_complex(c) @ real_from_complex(v)
-        assert np.allclose(lhs, real_from_complex(c @ v))
 
     def test_coordinate_weights_give_trace_inner_product(self):
         rng = np.random.default_rng(63)
@@ -92,18 +80,16 @@ class TestLinearMap:
     def test_shape_validation(self):
         a = TracialAlgebra([2], [1.0])
         with pytest.raises(ShapeMismatchError):
-            LinearMap(a, a, np.zeros((3, 8)))
+            LinearMap(a, a, np.zeros((3, 4), dtype=complex))
         with pytest.raises(ShapeMismatchError):
-            LinearMap.from_complex(a, a, np.zeros((3, 4)))
+            LinearMap(a, a, np.zeros((8, 8), dtype=complex))
 
     def test_weighted_adjoint(self):
         rng = np.random.default_rng(64)
         for i in range(10):
             dom = random_algebra(rng, max_blocks=2, max_dim=3)
             cod = random_algebra(rng, max_blocks=2, max_dim=3)
-            m = LinearMap(
-                dom, cod, rng.standard_normal((cod.real_dim, dom.real_dim))
-            )
+            m = LinearMap(dom, cod, _complex_matrix(rng, (cod.complex_dim, dom.complex_dim)))
             adj = LinearMap(cod, dom, m.weighted_adjoint_matrix())
             x = random_element(dom, int(rng.integers(2**32)))
             y = random_element(cod, int(rng.integers(2**32)))
@@ -158,6 +144,15 @@ class TestSchattenGradient:
 
 
 class TestExactL2:
+    @pytest.mark.parametrize("name", ["S3", "Q8"])
+    def test_nonabelian_multiplier_is_max_of_symbol(self, name):
+        # F is unitary and the source commutative, so ||m_x||_{2->2} = max_g |x(g)|
+        # with the dual weights d_pi/|G|; Z5 is the abelian case below
+        pair = resolve_instance(name)
+        values = _complex_matrix(np.random.default_rng(68), (pair.source.complex_dim,))
+        m = multiplier_map(pair, unstack_complex(pair.source, values))
+        assert exact_l2_norm(m) == pytest.approx(np.max(np.abs(values)), rel=1e-10)
+
     def test_multiplier_on_abelian_dual(self):
         pair = build_finite_abelian([5])
         sym = pair.source.element(
@@ -194,9 +189,7 @@ class TestEstimatePqNorm:
         for i in range(5):
             dom = random_algebra(rng, max_blocks=2, max_dim=3)
             cod = random_algebra(rng, max_blocks=2, max_dim=3)
-            m = LinearMap(
-                dom, cod, rng.standard_normal((cod.real_dim, dom.real_dim))
-            )
+            m = LinearMap(dom, cod, _complex_matrix(rng, (cod.complex_dim, dom.complex_dim)))
             est = estimate_pq_norm(m, 2.0, 2.0, restarts=3, seed=3)
             assert est.lower_bound == pytest.approx(exact_l2_norm(m), rel=1e-6)
 
@@ -218,7 +211,7 @@ class TestEstimatePqNorm:
 
     def test_zero_map_degenerate(self):
         alg = TracialAlgebra([2], [1.0])
-        m = LinearMap(alg, alg, np.zeros((alg.real_dim, alg.real_dim)))
+        m = LinearMap(alg, alg, np.zeros((alg.complex_dim, alg.complex_dim), dtype=complex))
         est = estimate_pq_norm(m, 2.0, 2.0, restarts=2, seed=6)
         assert est.lower_bound == 0.0
         assert est.degenerate
@@ -272,5 +265,5 @@ class TestBruteForce:
 
     def test_zero_map(self):
         alg = TracialAlgebra([1], [1.0])
-        m = LinearMap(alg, alg, np.zeros((2, 2)))
+        m = LinearMap(alg, alg, np.zeros((1, 1), dtype=complex))
         assert brute_force_pq_norm(m, 2.0, 2.0) == 0.0

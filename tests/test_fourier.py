@@ -181,7 +181,7 @@ class TestMultiplierMap:
     def test_unit_symbol_is_identity(self):
         pair = build_group_vna(builtin_group("S3"))
         m = multiplier_map(pair, pair.source.identity())
-        assert np.allclose(m.matrix, np.eye(pair.dual.real_dim), atol=1e-10)
+        assert np.allclose(m.matrix, np.eye(pair.dual.complex_dim), atol=1e-10)
 
     def test_delta_e_projects_onto_trace_component(self):
         pair = build_group_vna(builtin_group("S3"))
