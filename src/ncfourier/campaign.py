@@ -19,6 +19,9 @@ Outputs under the chosen directory:
 * ``plots/*.csv`` (via :func:`emit_plot_data`) - one delimited table per
   series-bearing report and per ladder.
 
+:func:`diff_outputs` compares two such trees: exactly in structure and in
+every value that is not a float, by relative drift in the floats.
+
 Every float in these files has 12 significant digits; see
 :func:`_declared_precision`.
 """
@@ -50,6 +53,7 @@ __all__ = [
     "resolve_instance",
     "run_campaign",
     "emit_plot_data",
+    "diff_outputs",
     "list_instances",
     "MAX_BOUNDED_SLOPE",
     "CHECKS",
@@ -89,7 +93,15 @@ _TYPE_TESTS = {
     "integer": lambda v: type(v) is int,
     "number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
 }
-_RELATIONS = {"<": operator.lt, "<=": operator.le, "in": lambda a, b: set(a) <= set(b)}
+# every precondition a registry entry may name: the parameters it reads and
+# the test of their values
+_REQUIREMENTS = {
+    "p <= q": (("p", "q"), operator.le),
+    "p < q": (("p", "q"), operator.lt),
+    "growth_window in k_list": (("growth_window", "k_list"), lambda w, k: set(w) <= set(k)),
+    "2 max(n_list) < m": (("n_list", "m"), lambda n, m: 2 * max(n) < m),
+    "2^max(k_list) <= m/4": (("k_list", "m"), lambda k, m: 2 ** max(k) <= m // 4),
+}
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,9 @@ class Param:
     ``length = (min, max)`` (max None: unbounded) the value is a list of that
     many such entries, strictly increasing if ``increasing``.  ``lo``/``hi``
     bound the value, or each list entry; ``open`` makes both bounds strict.
+    ``default`` is the check function's default for an optional parameter,
+    for the preconditions to test when the config leaves it out (None: no
+    default, or one the function derives from other parameters).
     """
 
     type: str = "number"
@@ -109,6 +124,7 @@ class Param:
     open: bool = False
     length: tuple[int, int | None] | None = None
     increasing: bool = False
+    default: object = None
 
     def kind(self) -> str:
         if self.length is None:
@@ -148,9 +164,10 @@ class CheckEntry:
     gets the resolved instance (``instance`` is ``"pair"``, ``"matrix"`` or
     None), the params, ``trials`` (the default count; None: a fixed-schedule
     check, given none), ``seed`` if ``seeded`` and the estimator settings if
-    ``estimator``.  ``requires`` lists preconditions such as ``"p <= q"`` or
-    ``"growth_window in k_list"`` (every entry of one list is in the other);
-    one naming an absent optional parameter is not tested.
+    ``estimator``.  ``requires`` lists preconditions from
+    :data:`_REQUIREMENTS`, such as ``"p <= q"`` or ``"growth_window in
+    k_list"`` (every entry of one list is in the other); one naming an
+    optional parameter that is absent and has no default is not tested.
     """
 
     function: str
@@ -187,17 +204,17 @@ CHECKS: dict[str, CheckEntry] = {
             "m": Param("integer", required=False),
             "growth_factor": Param(required=False),
         },
-        requires=("p < q",),
+        requires=("p < q", "2 max(n_list) < m"),
     ),
     "endpoint": CheckEntry(
         "endpoint_experiment",
         params={
             "k_list": Param("integer", lo=1, length=(1, None), increasing=True),
-            "m": Param("integer", required=False),
-            "growth_window": Param("integer", required=False, length=(2, 2), increasing=True),
+            "m": Param("integer", required=False, default=2**20),
+            "growth_window": Param("integer", required=False, length=(2, 2), increasing=True, default=(8, 16)),
             "min_growth": Param(required=False),
         },
-        requires=("growth_window in k_list",),
+        requires=("growth_window in k_list", "2^max(k_list) <= m/4"),
     ),
     "growth": CheckEntry(
         "growth_symbol_check",
@@ -237,10 +254,13 @@ def _validate_params(check: str, entry: CheckEntry, params: dict) -> None:
             param.validate(check, key, params[key])
         elif param.required:
             raise ConfigError(f"check {check!r} needs parameter {key!r}")
+    values = {key: param.default for key, param in entry.params.items() if param.default is not None}
+    values.update(params)
     for rule in entry.requires:
-        a, op, b = rule.split()
-        if a in params and b in params and not _RELATIONS[op](params[a], params[b]):
-            raise ConfigError(f"check {check!r}: need {rule}, got ({params[a]}, {params[b]})")
+        names, test = _REQUIREMENTS[rule]
+        if all(n in values for n in names) and not test(*(values[n] for n in names)):
+            got = ", ".join(f"{n}={values[n]!r}" + ("" if n in params else " (default)") for n in names)
+            raise ConfigError(f"check {check!r}: need {rule}, got {got}")
 
 
 _INSTANCE_NEEDS = {"pair": "a group/abelian instance", "matrix": "a matrix instance like 'M8'"}
@@ -541,6 +561,89 @@ def emit_plot_data(report_dir, out_dir=None) -> list[str]:
     if not written:
         raise ConfigError(f"no series or ladders found under {report_dir}")
     return written
+
+
+# ---------------------------------------------------------------------------
+# comparing output trees
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _csv_tables(text_a: str, text_b: str):
+    """Both CSV texts as lists of rows; a pair of numeric cells becomes two floats
+    unless both are integer literals (sizes, counts, 0/1 flags)."""
+    rows_a, rows_b = ([line.split(",") for line in t.splitlines()] for t in (text_a, text_b))
+    for row_a, row_b in zip(rows_a, rows_b):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            fx, fy = _number(x), _number(y)
+            if fx is not None and fy is not None and not (x.lstrip("-").isdigit() and y.lstrip("-").isdigit()):
+                row_a[j], row_b[j] = fx, fy
+    return rows_a, rows_b
+
+
+def _drift(a, b, where: str, mismatches: list[str]) -> float:
+    """Largest relative difference between the floats of a and b.
+
+    Any other difference (types, keys, lengths, non-float values, a float
+    that is not finite) is appended to ``mismatches`` under its path.
+    """
+    if type(a) is float and type(b) is float and math.isfinite(a) and math.isfinite(b):
+        return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+    if type(a) is not type(b):
+        mismatches.append(f"{where}: {a!r} != {b!r}")
+        return 0.0
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            mismatches.append(f"{where}: keys differ: {sorted(a.keys() ^ b.keys())}")
+        return max((_drift(a[k], b[k], f"{where}/{k}", mismatches) for k in sorted(a.keys() & b.keys())), default=0.0)
+    if isinstance(a, list):
+        if len(a) != len(b):
+            mismatches.append(f"{where}: length {len(a)} != {len(b)}")
+        return max((_drift(x, y, f"{where}/{i}", mismatches) for i, (x, y) in enumerate(zip(a, b))), default=0.0)
+    if a != b and not (a != a and b != b):  # NaN matches NaN
+        mismatches.append(f"{where}: {a!r} != {b!r}")
+    return 0.0
+
+
+def diff_outputs(dir_a, dir_b) -> tuple[list[str], dict[str, float]]:
+    """Compare two output trees of ``ncfourier run`` (plus ``ncfourier plot``).
+
+    Returns (mismatches, drift).  ``mismatches`` lists every file present in
+    one tree only and, per common file, every difference in JSON or CSV
+    structure or in a value that is not a float; other files must be equal
+    byte for byte.  ``drift`` maps each common file to the largest relative
+    difference |a - b| / max(|a|, |b|) between its floats.  A diagnostic for
+    updating a reference tree: it forgives float drift that a byte
+    comparison would not.
+    """
+    roots = [Path(dir_a), Path(dir_b)]
+    for root in roots:
+        if not root.is_dir():
+            raise ConfigError(f"{root} is not a directory")
+    names = [{str(f.relative_to(root)) for f in root.rglob("*") if f.is_file()} for root in roots]
+    mismatches = [f"{name}: only in {root}" for root, own, other in zip(roots, names, names[::-1])
+                  for name in sorted(own - other)]
+    drift = {}
+    for name in sorted(names[0] & names[1]):
+        a, b = (root / name for root in roots)
+        try:
+            if name.endswith(".json"):
+                docs = json.loads(a.read_text()), json.loads(b.read_text())
+            elif name.endswith(".csv"):
+                docs = _csv_tables(a.read_text(), b.read_text())
+            else:
+                docs = None, None
+                if a.read_bytes() != b.read_bytes():
+                    mismatches.append(f"{name}: bytes differ")
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read {name}: {exc}") from exc
+        drift[name] = _drift(*docs, name, mismatches)
+    return mismatches, drift
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Command line interface.
 
-Three subcommands:
+Four subcommands:
 
 * ``ncfourier run CONFIG [--out DIR] [--seed N] [--jobs N]`` - execute a
   campaign; exit status 0 when every hard check passes, 1 when some hard
@@ -10,6 +10,10 @@ Three subcommands:
 * ``ncfourier instances [--data-dir DIR]`` - list every named instance,
   including group data found in ``--data-dir`` or $NCFOURIER_DATA_DIR, with
   validation status.
+* ``ncfourier diff A B`` - compare two output trees: print the largest
+  relative float drift per file and every other difference; exit status 0
+  when the file sets, structures and non-float values all match, 1 when
+  they do not.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .campaign import emit_plot_data, list_instances, load_config, run_campaign
+from .campaign import diff_outputs, emit_plot_data, list_instances, load_config, run_campaign
 from .errors import NcfourierError
 from .groups import DATA_DIR_ENV
 
@@ -46,6 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"extra group-data directory (default: ${DATA_DIR_ENV} if set)",
     )
+
+    p_diff = sub.add_parser("diff", help="compare two output trees: structure exactly, floats by drift")
+    p_diff.add_argument("a", help="an output directory of `ncfourier run`")
+    p_diff.add_argument("b", help="another one")
     return parser
 
 
@@ -109,6 +117,19 @@ def _cmd_instances(args) -> int:
     return 0
 
 
+def _cmd_diff(args) -> int:
+    mismatches, drift = diff_outputs(args.a, args.b)
+    for name, d in drift.items():
+        print(f"{name}  max relative drift {d:.2g}")
+    for line in mismatches:
+        print(f"MISMATCH {line}")
+    if mismatches:
+        print(f"{len(mismatches)} mismatches")
+        return 1
+    print(f"structures match in all {len(drift)} files")
+    return 0
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -116,6 +137,8 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "plot":
             return _cmd_plot(args)
+        if args.command == "diff":
+            return _cmd_diff(args)
         return _cmd_instances(args)
     except NcfourierError as exc:
         print(f"error: {exc}", file=sys.stderr)

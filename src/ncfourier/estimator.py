@@ -20,10 +20,16 @@ Three levels of effort:
   and only allowed when the domain has at most 8 real dimensions, but it has
   no tunable convergence knobs, which is the point.
 
-All inner loops run on batches of stacked complex coordinates, shape (S, D),
-with the map as a complex D_cod x D_dom matrix and closed-form singular
-values and Schatten gradients for 1x1 and 2x2 blocks, so commutative
-algebras never touch LAPACK.
+Both ascents are one loop, :func:`_ascent`, run on all starting points at
+once as one complex batch of shape (S, D), with the map as a complex
+D_cod x D_dom matrix.  Each row keeps its own step and its image Mz, which
+the next gradient reuses.  In backtracking mode (the restarts of the
+estimator) every row takes the first halving of its step that raises its
+value, the halvings of all rows being evaluated together, and leaves the
+batch once it converges.  In fixed-step mode (the brute-force samples)
+every row takes every step.  Singular values and Schatten gradients have
+closed forms for 1x1 and 2x2 blocks, so commutative algebras never touch
+LAPACK.
 """
 
 from __future__ import annotations
@@ -112,6 +118,14 @@ def _eigh2(h: np.ndarray):
     return lam, v
 
 
+def _as_slice(idx: np.ndarray):
+    """``idx`` as a slice when it is a run of consecutive indices, so that
+    indexing with it takes a view instead of a copy."""
+    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
+
+
 class _BlockOps:
     """Vectorized singular values / Schatten gradients for one algebra.
 
@@ -135,11 +149,9 @@ class _BlockOps:
                 wts2.append(w)
             else:
                 big.append((o, n, w))
-        self.idx1 = np.asarray(idx1, dtype=int)
+        self.idx1 = _as_slice(np.asarray(idx1, dtype=int))
         self.wts1 = np.asarray(wts1, dtype=float)
-        self.idx2 = (
-            np.stack(idx2) if idx2 else np.zeros((0, 4), dtype=int)
-        )
+        self.idx2 = _as_slice(np.ravel(idx2).astype(int))
         self.wts2 = np.asarray(wts2, dtype=float)
         self.big = big
 
@@ -148,11 +160,11 @@ class _BlockOps:
         parts = []
         wparts = []
         s_count = z.shape[0]
-        if self.idx1.size:
+        if self.wts1.size:
             parts.append(np.abs(z[:, self.idx1]))
             wparts.append(self.wts1)
         if self.wts2.size:
-            y = z[:, self.idx2.ravel()].reshape(s_count, -1, 2, 2)
+            y = z[:, self.idx2].reshape(s_count, -1, 2, 2)
             h = np.conj(y.transpose(0, 1, 3, 2)) @ y
             lam, _ = _eigh2(h)
             sv = np.sqrt(np.maximum(lam, 0.0)).reshape(s_count, -1)
@@ -163,6 +175,8 @@ class _BlockOps:
             sv = np.linalg.svd(y, compute_uv=False)
             parts.append(sv)
             wparts.append(np.full(n, w))
+        if len(parts) == 1:
+            return parts[0], wparts[0]
         return np.concatenate(parts, axis=1), np.concatenate(wparts)
 
     def norm(self, z: np.ndarray, p: float) -> np.ndarray:
@@ -175,14 +189,14 @@ class _BlockOps:
         """Blockwise U diag(s^(q-1)) V* of each row (gradient numerator)."""
         s_count = z.shape[0]
         g = np.zeros_like(z)
-        if self.idx1.size:
+        if self.wts1.size:
             v = z[:, self.idx1]
             mag = np.abs(v)
             with np.errstate(divide="ignore", invalid="ignore"):
                 scaled = np.where(mag > _TINY, v * mag ** (q - 2.0), 0.0)
             g[:, self.idx1] = scaled
         if self.wts2.size:
-            y = z[:, self.idx2.ravel()].reshape(s_count, -1, 2, 2)
+            y = z[:, self.idx2].reshape(s_count, -1, 2, 2)
             h = np.conj(y.transpose(0, 1, 3, 2)) @ y
             lam, vmat = _eigh2(h)
             sv = np.sqrt(np.maximum(lam, 0.0))
@@ -191,7 +205,7 @@ class _BlockOps:
                 scale = np.where(sv > _SV_FLOOR * np.maximum(top, _TINY), sv ** (q - 2.0), 0.0)
             w = y @ vmat
             gy = (w * scale[..., None, :]) @ np.conj(vmat.transpose(0, 1, 3, 2))
-            g[:, self.idx2.ravel()] = gy.reshape(s_count, -1)
+            g[:, self.idx2] = gy.reshape(s_count, -1)
         for o, n, _ in self.big:
             y = z[:, o : o + n * n].reshape(s_count, n, n)
             u, sv, vh = np.linalg.svd(y)
@@ -265,6 +279,9 @@ def _l2_maximizer(m: LinearMap, exact: bool):
 # ---------------------------------------------------------------------------
 # ascent
 
+# the backtracking line search tries the steps step * 2^-k for k < _HALVINGS
+_HALVINGS = 50
+
 
 def _check_exponents(p: float, q: float) -> None:
     if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
@@ -273,12 +290,117 @@ def _check_exponents(p: float, q: float) -> None:
         )
 
 
-def _ratio_gradient(m, adj_t, cod_ops, z, q, f):
-    """Ascent direction of z -> ||Mz||_q at unit-p z; adj_t = m.weighted_adjoint_matrix().T."""
-    g = cod_ops.schatten_direction(z @ m.matrix.T, q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(f[:, None] > _TINY, g / np.maximum(f, _TINY)[:, None] ** (q - 1.0), 0.0)
-    return g @ adj_t
+def _backtrack(evaluate, old, new, k, steps, g) -> None:
+    """Line search for the rows whose full step did not raise their value (k < 0).
+
+    ``old`` is (points, values) before the full step, ``new`` (points,
+    images, values) after it.  Each such row tries steps 2^-k for
+    k = 1, ..., 49 and moves to the first candidate that beats its old value;
+    the halvings of all rows still searching are evaluated together, in
+    chunks of 2, 4, 8, ... of them.  A row that none improves gets back its
+    old point and value, with k = -1 (and a stale image: such rows stop).
+    ``new`` and ``k`` are updated in place.
+    """
+    z, f = old
+    d = z.shape[1]
+    pending = np.flatnonzero(k < 0)
+    lo = 1
+    while pending.size and lo < _HALVINGS:
+        ks = np.arange(lo, min(2 * lo + 1, _HALVINGS))
+        t = steps[pending, None] * 0.5**ks
+        cand = z[pending, None, :] + t[..., None] * g[pending, None, :]
+        cz, cmz, cf = evaluate(cand.reshape(-1, d))
+        better = cf.reshape(t.shape) > f[pending, None]
+        hit = better.any(axis=1)
+        first = better.argmax(axis=1)[hit]
+        pick = np.flatnonzero(hit) * ks.size + first
+        rows = pending[hit]
+        k[rows] = ks[first]
+        for a, c in zip(new, (cz, cmz, cf)):
+            a[rows] = c[pick]
+        pending = pending[~hit]
+        lo = ks[-1] + 1
+    new[0][pending], new[2][pending] = z[pending], f[pending]
+
+
+def _ascent(m: LinearMap, p: float, q: float, z: np.ndarray, step: float, iters: int, tol: float | None = None):
+    """Projected gradient ascent of ||Mz||_q on the unit p-sphere, from every row of z at once.
+
+    ``z`` is overwritten.  Its rows are first scaled to unit p-norm; a row
+    whose p-norm vanishes becomes zero with value 0.  A step moves a row
+    along the gradient of ||Mz||_q / ||z||_p and scales it back to the
+    sphere; the image Mz of the new point gives the next gradient.
+
+    * Fixed-step mode (``tol`` None): every row takes all ``iters`` steps of
+      length ``step``.
+    * Backtracking mode (``tol`` given): each row of value above 1e-300
+      starts with step ``step``.  In each of at most ``iters`` iterations it
+      moves to the first of step 2^-k, k = 0, ..., 49, that raises its value
+      (k > 0 through :func:`_backtrack`) and doubles that step.  It stops,
+      converged, when no halving improves or its relative gain falls below
+      ``tol``.
+
+    Returns per row: the last point, the best value along the path (the last
+    one in backtracking mode, where values only grow) and whether the row
+    stopped before ``iters`` iterations.
+    """
+    dom_ops = _BlockOps(m.domain)
+    cod_ops = _BlockOps(m.codomain)
+    mt = m.matrix.T
+    adj_t = m.weighted_adjoint_matrix().T
+
+    def evaluate(cand):
+        """Rows of ``cand`` scaled in place to unit p-norm (zero where it vanishes), images, values."""
+        nrm = dom_ops.norm(cand, p)
+        good = nrm > _TINY
+        np.divide(cand, np.maximum(nrm, _TINY)[:, None], out=cand)
+        np.copyto(cand, 0.0, where=~good[:, None])
+        mz = cand @ mt
+        return cand, mz, np.where(good, cod_ops.norm(mz, q), 0.0)
+
+    z, mz, f = evaluate(z)
+    n = f.size
+    converged = np.zeros(n, dtype=bool)
+    # the rows still ascending: their ids, points, images, values, best values and steps
+    ids, best, steps = np.arange(n), f, np.full(n, float(step))
+    left = []  # (ids, points, values) of the rows that have left
+    if tol is not None and not np.all(f > _TINY):
+        idle = f <= _TINY
+        left.append((ids[idle], z[idle], f[idle]))
+        ids, z, mz, f, best, steps = (a[~idle] for a in (ids, z, mz, f, best, steps))
+    for _ in range(iters):
+        if not ids.size:
+            break
+        g = cod_ops.schatten_direction(mz, q)
+        del mz  # not needed past the gradient; brute force batches have 1e5 rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(f[:, None] > _TINY, g / np.maximum(f, _TINY)[:, None] ** (q - 1.0), 0.0)
+        g = g @ adj_t
+        if tol is None:  # every row moves, in place
+            g *= step
+            z += g
+            z, mz, f = evaluate(z)
+            np.maximum(best, f, out=best)
+            continue
+        z_new, mz, f_new = evaluate(z + steps[:, None] * g)
+        k = np.where(f_new > f, 0, -1)
+        if k.min() < 0:
+            _backtrack(evaluate, (z, f), (z_new, mz, f_new), k, steps, g)
+        gain = (f_new - f) / np.maximum(f_new, _TINY)
+        stop = (k < 0) | (gain < tol)
+        steps = 2.0 * (steps * 0.5**k)  # rows with k = -1 stop here
+        z, f = z_new, f_new
+        best = f
+        if stop.any():
+            converged[ids[stop]] = True
+            left.append((ids[stop], z[stop], f[stop]))
+            ids, z, mz, f, best, steps = (a[~stop] for a in (ids, z, mz, f, best, steps))
+    if not left:  # every row is still here, in order
+        return z, best, converged
+    left.append((ids, z, best))
+    ids, z, f = (np.concatenate(parts) for parts in zip(*left))
+    order = np.argsort(ids)
+    return z[order], f[order], converged
 
 
 def estimate_pq_norm(
@@ -297,7 +419,7 @@ def estimate_pq_norm(
     approximation of it, followed half by Gaussian elements and half by
     rank-one elements; the first rank-one starts are matrix units placed in
     blocks of ascending weight, where extremizers of weighted-norm problems
-    like to live.
+    like to live.  All restarts ascend together in backtracking mode.
     """
     _check_exponents(p, q)
     if restarts < 1:
@@ -306,12 +428,7 @@ def estimate_pq_norm(
         raise ParameterError("max_iters must be >= 1 and tol > 0")
 
     dom = m.domain
-    dom_ops = _BlockOps(dom)
-    cod_ops = _BlockOps(m.codomain)
-
     sigma, warm = _l2_maximizer(m, exact=(p == 2.0 and q == 2.0))
-    adj_t = m.weighted_adjoint_matrix().T
-    base_step = 1.0 / max(sigma, 1e-12)
 
     n_rest = restarts - 1
     n_rank = n_rest // 2
@@ -328,65 +445,24 @@ def estimate_pq_norm(
         elem = random_element(dom, np.random.SeedSequence((seed, 2 * r + 2)), "gaussian")
         inits.append(stack_complex(elem))
 
-    best_f = -1.0
-    best_z = None
-    converged = 0
-    usable = 0
-    for z0 in inits:
-        z = np.asarray(z0, dtype=complex)[None, :]
-        nrm = dom_ops.norm(z, p)[0]
-        if not np.isfinite(nrm) or nrm <= _TINY:
-            continue
-        usable += 1
-        z = z / nrm
-        f = cod_ops.norm(z @ m.matrix.T, q)[0]
-        step = base_step
-        hit_tol = False
-        if f > _TINY:
-            for _ in range(max_iters):
-                g = _ratio_gradient(m, adj_t, cod_ops, z, q, np.array([f]))
-                t = step
-                f_try = f
-                z_try = z
-                improved = False
-                for _ in range(50):
-                    cand = z + t * g
-                    cn = dom_ops.norm(cand, p)[0]
-                    if cn > _TINY:
-                        cand = cand / cn
-                        fc = cod_ops.norm(cand @ m.matrix.T, q)[0]
-                        if fc > f:
-                            z_try, f_try, improved = cand, fc, True
-                            break
-                    t *= 0.5
-                if not improved:
-                    hit_tol = True
-                    break
-                rel = (f_try - f) / max(f_try, _TINY)
-                z, f = z_try, f_try
-                step = 2.0 * t
-                if rel < tol:
-                    hit_tol = True
-                    break
-        if hit_tol:
-            converged += 1
-        if f > best_f:
-            best_f = f
-            best_z = z
-    degenerate = best_z is None or best_f <= 0.0
-    if best_z is None:
-        best_z = np.zeros((1, dom.complex_dim), dtype=complex)
-        best_z[0, 0] = 1.0
-        best_f = 0.0
-    witness = unstack_complex(dom, best_z[0])
+    z = np.array(inits, dtype=complex)
+    nrm = _BlockOps(dom).norm(z, p)
+    usable = np.isfinite(nrm) & (nrm > _TINY)
+    z, f, converged = _ascent(m, p, q, z[usable], 1.0 / max(sigma, 1e-12), max_iters, tol)
+    if f.size:
+        best = int(np.argmax(f))
+        best_z, best_f = z[best], float(f[best])
+    else:
+        best_z, best_f = np.zeros(dom.complex_dim, dtype=complex), 0.0
+        best_z[0] = 1.0
     return NormEstimate(
-        lower_bound=float(max(best_f, 0.0)),
-        witness=witness,
+        lower_bound=max(best_f, 0.0),
+        witness=unstack_complex(dom, best_z),
         p=p,
         q=q,
         restarts_used=len(inits),
-        converged_fraction=converged / max(usable, 1),
-        degenerate=degenerate,
+        converged_fraction=int(converged.sum()) / max(f.size, 1),
+        degenerate=best_f <= 0.0,
     )
 
 
@@ -402,8 +478,8 @@ def brute_force_pq_norm(
 
     Draws uniform points on the Euclidean sphere (at least 1e5 of them),
     renormalizes to the unit p-sphere, and polishes every sample with
-    ``refine_steps`` fixed-step ascent steps, returning the best ratio seen
-    anywhere along the way.
+    ``refine_steps`` steps of the ascent's fixed-step mode, returning the
+    best ratio seen anywhere along the way.
     """
     _check_exponents(p, q)
     if m.domain.real_dim > 8:
@@ -414,30 +490,7 @@ def brute_force_pq_norm(
     if samples < 100_000:
         raise ParameterError(f"need at least 1e5 samples, got {samples}")
 
-    dom_ops = _BlockOps(m.domain)
-    cod_ops = _BlockOps(m.codomain)
-    z = _complex_normals(np.random.default_rng(seed), (samples, m.domain.complex_dim))
-
-    def normalize(batch):
-        nrm = dom_ops.norm(batch, p)
-        good = nrm > _TINY
-        batch = np.where(good[:, None], batch / np.maximum(nrm, _TINY)[:, None], 0.0)
-        return batch, good
-
-    z, good = normalize(z)
-    f = cod_ops.norm(z @ m.matrix.T, q)
-    f = np.where(good, f, 0.0)
-    best = float(f.max(initial=0.0))
-
     sigma, _ = _l2_maximizer(m, exact=False)
-    step = 0.5 / max(sigma, 1e-12)
-    adj_t = m.weighted_adjoint_matrix().T
-    for _ in range(refine_steps):
-        g = _ratio_gradient(m, adj_t, cod_ops, z, q, f)
-        z, good = normalize(z + step * g)
-        f = cod_ops.norm(z @ m.matrix.T, q)
-        f = np.where(good, f, 0.0)
-        cur = float(f.max(initial=0.0))
-        if cur > best:
-            best = cur
-    return best
+    z = _complex_normals(np.random.default_rng(seed), (samples, m.domain.complex_dim))
+    _, best, _ = _ascent(m, p, q, z, 0.5 / max(sigma, 1e-12), refine_steps)
+    return float(best.max(initial=0.0))

@@ -56,7 +56,7 @@ def coordinate_weights(algebra: TracialAlgebra) -> np.ndarray:
     Entry (i,j) of block k has weight w_k, so
     ``<x, y> = Re sum weights * conj(coords(y)) * coords(x)``.
     """
-    return np.concatenate([np.full(n * n, w) for n, w in zip(algebra.dims, algebra.weights)])
+    return np.repeat(algebra.weights, np.square(algebra.dims))
 
 
 @dataclass(frozen=True)

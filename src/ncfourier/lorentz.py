@@ -21,6 +21,7 @@ p-norm, computed directly by :func:`lp_norm`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,15 +129,28 @@ def decreasing_step_function(values, weights) -> SingularFunction:
     return SingularFunction(np.asarray(breakpoints), np.asarray(merged_vals))
 
 
+@functools.lru_cache(maxsize=64)
+def _size_groups(dims: tuple[int, ...]):
+    """Per distinct block size: the blocks of that size and the slots of their values in block order."""
+    starts = np.cumsum(dims) - dims
+    groups = []
+    for n in sorted(set(dims)):
+        ks = tuple(k for k, d in enumerate(dims) if d == n)
+        groups.append((ks, (starts[list(ks), None] + np.arange(n)).ravel()))
+    return tuple(groups)
+
+
 def _singular_values(x: AlgebraElement):
-    """All block singular values with their block weights, unsorted."""
-    vals = []
-    wts = []
-    for w, b in zip(x.algebra.weights, x.blocks):
-        s = np.linalg.svd(b, compute_uv=False)
-        vals.append(s)
-        wts.append(np.full(s.shape, w))
-    return np.concatenate(vals), np.concatenate(wts)
+    """All block singular values with their block weights, unsorted.
+
+    One batched SVD per distinct block size; the values come back in block
+    order, each block's in descending order.
+    """
+    dims = x.algebra.dims
+    vals = np.empty(sum(dims))
+    for ks, slots in _size_groups(dims):
+        vals[slots] = np.linalg.svd(np.stack([x.blocks[k] for k in ks]), compute_uv=False).ravel()
+    return vals, np.repeat(x.algebra.weights, dims)
 
 
 def singular_function(x: AlgebraElement) -> SingularFunction:

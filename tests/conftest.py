@@ -119,3 +119,127 @@ def random_unitary_element(algebra, rng):
         phase = d / np.where(np.abs(d) > 0, np.abs(d), 1.0)
         blocks.append(qmat * phase)
     return AlgebraElement(algebra, blocks)
+
+
+# ---------------------------------------------------------------------------
+# reference ascent: the estimator as a loop over restarts, one 1-row batch
+# each, trying one halving of the step at a time
+
+
+def _reference_gradient(m, adj_t, cod_ops, z, q, f):
+    from ncfourier.estimator import _TINY
+
+    g = cod_ops.schatten_direction(z @ m.matrix.T, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(f[:, None] > _TINY, g / np.maximum(f, _TINY)[:, None] ** (q - 1.0), 0.0)
+    return g @ adj_t
+
+
+def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, seed=0):
+    """``estimate_pq_norm`` restart by restart; returns (estimate, halvings).
+
+    ``halvings`` lists, for every line search, how many halvings it tried
+    before it found an improving step (50 when none of them improves).
+    """
+    from ncfourier.estimator import _TINY, NormEstimate, _BlockOps, _l2_maximizer
+    from ncfourier.linmap import unstack_complex
+
+    dom = m.domain
+    dom_ops = _BlockOps(dom)
+    cod_ops = _BlockOps(m.codomain)
+    sigma, warm = _l2_maximizer(m, exact=(p == 2.0 and q == 2.0))
+    adj_t = m.weighted_adjoint_matrix().T
+    base_step = 1.0 / max(sigma, 1e-12)
+
+    n_rest = restarts - 1
+    n_rank = n_rest // 2
+    inits = [warm]
+    weight_order = np.argsort(dom.weights)
+    for r in range(n_rank):
+        if r < dom.num_blocks:
+            atom = dom.basis_element(int(weight_order[r]), 0, 0)
+        else:
+            atom = random_element(dom, np.random.SeedSequence((seed, 2 * r + 1)), "rank_one")
+        inits.append(stack_complex(atom))
+    for r in range(n_rest - n_rank):
+        inits.append(stack_complex(random_element(dom, np.random.SeedSequence((seed, 2 * r + 2)), "gaussian")))
+
+    best_f, best_z = -1.0, None
+    converged = usable = 0
+    halvings = []
+    for z0 in inits:
+        z = np.asarray(z0, dtype=complex)[None, :]
+        nrm = dom_ops.norm(z, p)[0]
+        if not np.isfinite(nrm) or nrm <= _TINY:
+            continue
+        usable += 1
+        z = z / nrm
+        f = cod_ops.norm(z @ m.matrix.T, q)[0]
+        step = base_step
+        hit_tol = False
+        if f > _TINY:
+            for _ in range(max_iters):
+                g = _reference_gradient(m, adj_t, cod_ops, z, q, np.array([f]))
+                t = step
+                f_try, z_try = f, z
+                improved = False
+                for k in range(50):
+                    cand = z + t * g
+                    cn = dom_ops.norm(cand, p)[0]
+                    if cn > _TINY:
+                        cand = cand / cn
+                        fc = cod_ops.norm(cand @ m.matrix.T, q)[0]
+                        if fc > f:
+                            z_try, f_try, improved = cand, fc, True
+                            break
+                    t *= 0.5
+                halvings.append(k if improved else 50)
+                if not improved:
+                    hit_tol = True
+                    break
+                rel = (f_try - f) / max(f_try, _TINY)
+                z, f = z_try, f_try
+                step = 2.0 * t
+                if rel < tol:
+                    hit_tol = True
+                    break
+        converged += hit_tol
+        if f > best_f:
+            best_f, best_z = f, z
+    estimate = NormEstimate(
+        lower_bound=float(max(best_f, 0.0)),
+        witness=unstack_complex(dom, best_z[0]),
+        p=p,
+        q=q,
+        restarts_used=len(inits),
+        converged_fraction=converged / max(usable, 1),
+        degenerate=best_f <= 0.0,
+    )
+    return estimate, halvings
+
+
+def reference_brute_force_pq_norm(m, p, q, samples=100_000, seed=0, refine_steps=200):
+    """``brute_force_pq_norm`` with the image ``z @ M.T`` recomputed for every gradient."""
+    from ncfourier.estimator import _TINY, _BlockOps, _complex_normals, _l2_maximizer
+
+    dom_ops = _BlockOps(m.domain)
+    cod_ops = _BlockOps(m.codomain)
+    z = _complex_normals(np.random.default_rng(seed), (samples, m.domain.complex_dim))
+
+    def normalize(batch):
+        nrm = dom_ops.norm(batch, p)
+        good = nrm > _TINY
+        return np.where(good[:, None], batch / np.maximum(nrm, _TINY)[:, None], 0.0), good
+
+    z, good = normalize(z)
+    f = np.where(good, cod_ops.norm(z @ m.matrix.T, q), 0.0)
+    best = float(f.max(initial=0.0))
+    sigma, _ = _l2_maximizer(m, exact=False)
+    step = 0.5 / max(sigma, 1e-12)
+    adj_t = m.weighted_adjoint_matrix().T
+    for _ in range(refine_steps):
+        g = _reference_gradient(m, adj_t, cod_ops, z, q, f)
+        z, good = normalize(z + step * g)
+        f = np.where(good, cod_ops.norm(z @ m.matrix.T, q), 0.0)
+        best = max(best, float(f.max(initial=0.0)))
+    return best

@@ -11,6 +11,7 @@ from ncfourier.campaign import (
     CampaignConfig,
     CheckSpec,
     _declared_precision,
+    diff_outputs,
     emit_plot_data,
     list_instances,
     load_config,
@@ -260,6 +261,27 @@ class TestLoadConfig:
                 ),
                 "need growth_window in k_list",
             ),
+            # grid sizes and defaults the experiments need
+            (
+                lambda d: d["checks"].append(
+                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": 32}}
+                ),
+                r"need 2 max\(n_list\) < m, got n_list=\[4, 8, 16\], m=32",
+            ),
+            (
+                lambda d: d["checks"].append({"check": "endpoint", "params": {"k_list": [8, 16, 19]}}),
+                r"need 2\^max\(k_list\) <= m/4, got k_list=\[8, 16, 19\], m=1048576 \(default\)",
+            ),
+            (
+                lambda d: d["checks"].append(
+                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "m": 64, "growth_window": [4, 6]}}
+                ),
+                r"need 2\^max\(k_list\) <= m/4, got k_list=\[4, 5, 6\], m=64",
+            ),
+            (
+                lambda d: d["checks"].append({"check": "endpoint", "params": {"k_list": [4, 5, 6]}}),
+                r"need growth_window in k_list, got growth_window=\(8, 16\) \(default\)",
+            ),
         ],
     )
     def test_rejections(self, tmp_path, mutate, fragment):
@@ -268,6 +290,26 @@ class TestLoadConfig:
         path = _write_config(tmp_path, doc)
         with pytest.raises(ConfigError, match=fragment):
             load_config(path)
+
+    def test_grid_limits_accepted(self, tmp_path):
+        doc = _fast_campaign()
+        doc["checks"] += [
+            {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": 33}},
+            {"check": "endpoint", "params": {"k_list": [8, 16, 18]}},
+            {"check": "endpoint", "params": {"k_list": [4, 5, 6], "m": 256, "growth_window": [4, 6]}},
+        ]
+        assert len(load_config(_write_config(tmp_path, doc)).checks) == 7
+
+    def test_registry_defaults_are_the_check_defaults(self):
+        import inspect
+
+        import ncfourier.checks as checks_mod
+
+        for name, entry in CHECKS.items():
+            signature = inspect.signature(getattr(checks_mod, entry.function)).parameters
+            for key, param in entry.params.items():
+                if param.default is not None:
+                    assert signature[key].default == param.default, (name, key)
 
     def test_schema_rejects_missing_seed(self, tmp_path):
         doc = _fast_campaign()
@@ -591,3 +633,98 @@ class TestCliMain:
         doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
         missing = [row for row in rows if row not in doc]
         assert not missing, "docs/formats.md lacks these rows:\n" + "\n".join(missing)
+
+
+class TestDiffOutputs:
+    @pytest.fixture(scope="class")
+    def tree(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("diff")
+        cfg = load_config(_write_config(root, _fast_campaign()))
+        run_campaign(cfg, root / "out")
+        emit_plot_data(root / "out")
+        return root / "out"
+
+    def _copy(self, tree, tmp_path):
+        import shutil
+
+        return Path(shutil.copytree(tree, tmp_path / "copy"))
+
+    def test_identical_trees(self, tree, tmp_path, capsys):
+        copy = self._copy(tree, tmp_path)
+        mismatches, drift = diff_outputs(tree, copy)
+        assert mismatches == []
+        assert set(drift) == set(_tree_bytes(tree)) and not any(drift.values())
+        assert main(["diff", str(tree), str(copy)]) == 0
+        assert "structures match" in capsys.readouterr().out
+
+    def test_float_drift_is_measured_not_a_mismatch(self, tree, tmp_path, capsys):
+        copy = self._copy(tree, tmp_path)
+        report = copy / "reports" / "001_multiplier_bound.json"
+        doc = json.loads(report.read_text())
+        row = doc["series"][0]
+        row["estimate"] = row["estimate"] * (1 + 1e-9)
+        report.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        csv = copy / "plots" / "001_multiplier_bound.csv"
+        lines = csv.read_text().splitlines()
+        cells = lines[1].split(",")
+        col = lines[0].split(",").index("estimate")
+        cells[col] = "%.12g" % (float(cells[col]) * (1 - 2e-9))
+        csv.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        mismatches, drift = diff_outputs(tree, copy)
+        assert mismatches == []
+        assert drift["reports/001_multiplier_bound.json"] == pytest.approx(1e-9, rel=1e-3)
+        assert drift["plots/001_multiplier_bound.csv"] == pytest.approx(2e-9, rel=1e-2)
+        assert drift["summary.json"] == 0.0
+        assert main(["diff", str(tree), str(copy)]) == 0
+        assert "reports/001_multiplier_bound.json  max relative drift 1e-09" in capsys.readouterr().out
+
+    def test_integer_and_float_cells(self):
+        from ncfourier.campaign import _csv_tables
+
+        a, b = _csv_tables("n,x\n8,1\n", "n,x\n8,0.999999999999\n")
+        assert a == [["n", "x"], ["8", 1.0]] and b == [["n", "x"], ["8", 0.999999999999]]
+        a, b = _csv_tables("n\n8\n", "n\n9\n")
+        assert a != b
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda doc: doc.update(passed=not doc["passed"]), "reports/001_multiplier_bound.json/passed: "),
+            (lambda doc: doc["series"][0].update(input="other"), "reports/001_multiplier_bound.json/series/0/input: "),
+            (lambda doc: doc["series"].pop(), "reports/001_multiplier_bound.json/series: length 7 != 6"),
+            (lambda doc: doc.update(extra=1.0), "reports/001_multiplier_bound.json: keys differ: ['extra']"),
+            (lambda doc: doc.update(max_ratio=None), "reports/001_multiplier_bound.json/max_ratio: "),
+            (lambda doc: doc.update(trials=7.0), "reports/001_multiplier_bound.json/trials: 7 != 7.0"),
+        ],
+    )
+    def test_structure_mismatches(self, tree, tmp_path, capsys, edit, fragment):
+        copy = self._copy(tree, tmp_path)
+        report = copy / "reports" / "001_multiplier_bound.json"
+        doc = json.loads(report.read_text())
+        assert doc["trials"] == 7 and len(doc["series"]) == 7
+        edit(doc)
+        report.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        mismatches, _ = diff_outputs(tree, copy)
+        assert len(mismatches) == 1 and mismatches[0].startswith(fragment)
+        assert main(["diff", str(tree), str(copy)]) == 1
+        assert "MISMATCH " + fragment in capsys.readouterr().out
+
+    def test_file_sets_and_bytes(self, tree, tmp_path):
+        copy = self._copy(tree, tmp_path)
+        (copy / "plots" / "ladder_lad.csv").unlink()
+        (copy / "notes.txt").write_text("x\n")
+        (tree / "notes.txt").write_text("y\n")
+        (copy / "extra.txt").write_text("z\n")
+        try:
+            mismatches, _ = diff_outputs(tree, copy)
+        finally:
+            (tree / "notes.txt").unlink()
+        assert mismatches == [
+            f"plots/ladder_lad.csv: only in {tree}",
+            f"extra.txt: only in {copy}",
+            "notes.txt: bytes differ",
+        ]
+
+    def test_missing_directory_exits_2(self, tree, tmp_path, capsys):
+        assert main(["diff", str(tree), str(tmp_path / "absent")]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ncfourier.algebra import TracialAlgebra, random_element, trace
 from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError, ShapeMismatchError
 from ncfourier.estimator import (
+    _backtrack,
     brute_force_pq_norm,
     estimate_pq_norm,
     exact_l2_norm,
@@ -19,8 +22,14 @@ from ncfourier.linmap import (
     unstack_complex,
 )
 from ncfourier.lorentz import lp_norm
+from ncfourier.schur import schur_map
 
-from conftest import dense_coords, random_algebra
+from conftest import (
+    dense_coords,
+    random_algebra,
+    reference_brute_force_pq_norm,
+    reference_estimate_pq_norm,
+)
 
 
 def _weighted_inner(algebra, x, y) -> float:
@@ -267,3 +276,90 @@ class TestBruteForce:
         alg = TracialAlgebra([1], [1.0])
         m = LinearMap(alg, alg, np.zeros((1, 1), dtype=complex))
         assert brute_force_pq_norm(m, 2.0, 2.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched ascent against the restart-by-restart loop of conftest
+
+PINNED_PAIRS = [(4.0 / 3.0, 4.0), (1.5, 3.0), (2.0, 2.0)]
+# the default settings, the reference campaign's, and a cut-off that leaves
+# most restarts unconverged
+PINNED_SETTINGS = [{}, {"restarts": 4, "max_iters": 60}, {"restarts": 6, "max_iters": 8}]
+
+
+def _pinned_map(name: str, ensemble: str) -> LinearMap:
+    if name.startswith("M"):
+        n = int(name[1:])
+        rng = np.random.default_rng(n)
+        sym = _complex_matrix(rng, (n, n))
+        if ensemble == "sparse":
+            sym = sym * (rng.random((n, n)) < 0.5)
+        return schur_map(sym)
+    pair = resolve_instance(name)
+    return multiplier_map(pair, random_element(pair.source, np.random.SeedSequence((1, 0)), ensemble))
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_runs(name: str):
+    """(map, estimate, reference estimate, reference halvings) per pinned case of one instance."""
+    runs = []
+    for ensemble in ("gaussian", "sparse"):
+        m = _pinned_map(name, ensemble)
+        for p, q in PINNED_PAIRS:
+            for settings in PINNED_SETTINGS:
+                ref, halvings = reference_estimate_pq_norm(m, p, q, seed=3, **settings)
+                runs.append((m, estimate_pq_norm(m, p, q, seed=3, **settings), ref, halvings))
+    return runs
+
+
+PINNED_INSTANCES = ["Z8", "S3", "Q8", "M2", "M4"]
+
+
+class TestAscentEngine:
+    @pytest.mark.parametrize("name", PINNED_INSTANCES)
+    def test_matches_restart_by_restart_loop(self, name):
+        for m, est, ref, _ in _pinned_runs(name):
+            assert est.lower_bound == pytest.approx(ref.lower_bound, rel=1e-12, abs=0.0)
+            assert est.restarts_used == ref.restarts_used
+            assert est.converged_fraction == ref.converged_fraction
+            assert est.certificate_ratio(m) == pytest.approx(est.lower_bound, rel=1e-12)
+
+    def test_pinned_cases_cover_every_line_search_outcome(self):
+        runs = [run for name in PINNED_INSTANCES for run in _pinned_runs(name)]
+        halvings = np.concatenate([h for *_, h in runs])
+        assert np.any(halvings == 0)
+        assert np.any((halvings >= 2) & (halvings < 50))  # several halvings
+        assert np.any(halvings == 50)  # none of the 50 improves
+        assert any(ref.converged_fraction < 1.0 for _, _, ref, _ in runs)
+
+    def test_backtrack_takes_first_improving_halving(self):
+        # row r sits at (0, r) and moves along (1, 0): halving k reaches
+        # (2^-k, r), which beats the row's value 0.5 exactly when k >= want[r]
+        want = np.arange(1, 51)  # 50: no halving improves
+        n = want.size
+        z = np.stack([np.zeros(n), np.arange(n)], axis=1).astype(complex)
+        batches = []
+
+        def evaluate(cand):
+            batches.append(len(cand))
+            k = -np.log2(cand[:, 0].real)
+            return cand, 2 * cand, np.where(k >= want[cand[:, 1].real.astype(int)], 1.0, 0.0)
+
+        old = (z, np.full(n, 0.5))
+        new = (z + 9.0, z + 9.0, np.zeros(n))  # the rejected full steps
+        k = np.full(n, -1)
+        g = np.tile([1.0 + 0j, 0.0], (n, 1))
+        _backtrack(evaluate, old, new, k, np.ones(n), g)
+        hit = want < 50
+        assert np.array_equal(k, np.where(hit, want, -1))
+        assert np.array_equal(new[0][hit, 0], 0.5 ** want[hit]) and np.array_equal(new[0][:, 1], z[:, 1])
+        assert np.array_equal(new[1][hit], 2 * new[0][hit]) and np.array_equal(new[2], np.where(hit, 1.0, 0.5))
+        assert np.array_equal(new[0][~hit], z[~hit])  # back where it was; its image is stale
+        # chunks of halvings 1-2, 3-6, 7-14, 15-30 and 31-49, each for the rows still searching
+        assert batches == [50 * 2, 48 * 4, 44 * 8, 36 * 16, 20 * 19]
+
+    @pytest.mark.parametrize("name", ["Z4", "M2"])
+    def test_brute_force_matches_fixed_step_loop(self, name):
+        m = _pinned_map(name, "gaussian")
+        got = brute_force_pq_norm(m, 4.0 / 3.0, 4.0, seed=5, refine_steps=3)
+        assert got == reference_brute_force_pq_norm(m, 4.0 / 3.0, 4.0, seed=5, refine_steps=3)
