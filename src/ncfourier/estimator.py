@@ -27,9 +27,10 @@ the next gradient reuses.  In backtracking mode (the restarts of the
 estimator) every row takes the first halving of its step that raises its
 value, the halvings of all rows being evaluated together, and leaves the
 batch once it converges.  In fixed-step mode (the brute-force samples)
-every row takes every step.  Singular values and Schatten gradients have
-closed forms for 1x1 and 2x2 blocks, so commutative algebras never touch
-LAPACK.
+every row takes every step.  Singular values and Schatten gradients of 1x1
+and 2x2 blocks are elementwise closed forms on the block entries, so a batch
+of them costs a fixed number of array operations, whatever its size, and
+commutative algebras never touch LAPACK.
 """
 
 from __future__ import annotations
@@ -81,41 +82,28 @@ class NormEstimate:
 # batched blockwise norms and Schatten gradients
 
 
-def _eigh2(h: np.ndarray):
-    """Closed-form eigendecomposition of batched 2x2 Hermitian matrices.
+def _spectrum2(y: np.ndarray):
+    """Closed-form spectral data of 2x2 blocks, ``y[..., :] = (a, b, c, d)`` row-major.
 
-    Returns (lam, v) with lam[..., 0] >= lam[..., 1] and v unitary columns.
+    The Gram matrix y* y is [[h00, h01], [conj(h01), h11]] with
+    h00 = |a|^2 + |c|^2, h11 = |b|^2 + |d|^2 and h01 = conj(a) b + conj(c) d;
+    its eigenvalues are mean +- radius, radius = hypot(delta, |h01|) with
+    delta = (h00 - h11) / 2.  Returns (sv, delta, radius, h01), where
+    sv[..., :] = (s1, s2) are the singular values, s1 >= s2.  s2 is
+    |det y| / s1: sqrt(mean - radius) would lose half the digits of a small
+    singular value to cancellation.
     """
-    a = h[..., 0, 0].real
-    d = h[..., 1, 1].real
-    b = h[..., 0, 1]
-    mean = 0.5 * (a + d)
-    radius = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + np.abs(b) ** 2, 0.0))
-    lam1 = mean + radius
-    lam2 = mean - radius
-
-    v1x = b
-    v1y = (lam1 - a).astype(complex)
-    norm1 = np.sqrt(np.abs(v1x) ** 2 + np.abs(v1y) ** 2)
-    # fall back to a coordinate vector when (b, lam1 - a) degenerates,
-    # which happens exactly when h is (numerically) diagonal
-    scale = np.abs(a) + np.abs(d) + np.abs(b)
-    bad = norm1 <= 1e-14 * np.maximum(scale, _TINY)
-    a_top = a >= d
-    v1x = np.where(bad, np.where(a_top, 1.0 + 0j, 0.0 + 0j), v1x)
-    v1y = np.where(bad, np.where(a_top, 0.0 + 0j, 1.0 + 0j), v1y)
-    norm1 = np.where(bad, 1.0, norm1)
-    v1x = v1x / norm1
-    v1y = v1y / norm1
-    # orthonormal completion
-    v2x = -np.conj(v1y)
-    v2y = np.conj(v1x)
-
-    lam = np.stack([lam1, lam2], axis=-1)
-    v = np.stack(
-        [np.stack([v1x, v2x], axis=-1), np.stack([v1y, v2y], axis=-1)], axis=-2
-    )
-    return lam, v
+    a, b, c, d = (y[..., i] for i in range(4))
+    sq = np.abs(y) ** 2
+    h00 = sq[..., 0] + sq[..., 2]
+    h11 = sq[..., 1] + sq[..., 3]
+    h01 = np.conj(a) * b + np.conj(c) * d
+    delta = 0.5 * (h00 - h11)
+    radius = np.hypot(delta, np.abs(h01))
+    s1 = np.sqrt(0.5 * (h00 + h11) + radius)
+    # |det y| <= s1^2 underflows to 0 wherever s1 < _TINY
+    s2 = np.abs(a * d - b * c) / np.maximum(s1, _TINY)
+    return np.stack([s1, s2], axis=-1), delta, radius, h01
 
 
 def _as_slice(idx: np.ndarray):
@@ -131,7 +119,9 @@ class _BlockOps:
 
     Operates on batches of stacked complex coordinates, shape (S, D).
     Blocks are grouped by size: 1x1 entries are pure elementwise work, 2x2
-    blocks use closed forms, anything larger goes through batched LAPACK.
+    blocks are elementwise closed forms on their four entries (see
+    :func:`_spectrum2`), not stacked 2x2 matrix products, and anything larger
+    goes through batched LAPACK.
     """
 
     def __init__(self, algebra: TracialAlgebra):
@@ -164,11 +154,8 @@ class _BlockOps:
             parts.append(np.abs(z[:, self.idx1]))
             wparts.append(self.wts1)
         if self.wts2.size:
-            y = z[:, self.idx2].reshape(s_count, -1, 2, 2)
-            h = np.conj(y.transpose(0, 1, 3, 2)) @ y
-            lam, _ = _eigh2(h)
-            sv = np.sqrt(np.maximum(lam, 0.0)).reshape(s_count, -1)
-            parts.append(sv)
+            sv, *_ = _spectrum2(z[:, self.idx2].reshape(s_count, -1, 4))
+            parts.append(sv.reshape(s_count, -1))
             wparts.append(np.repeat(self.wts2, 2))
         for o, n, w in self.big:
             y = z[:, o : o + n * n].reshape(s_count, n, n)
@@ -196,15 +183,21 @@ class _BlockOps:
                 scaled = np.where(mag > _TINY, v * mag ** (q - 2.0), 0.0)
             g[:, self.idx1] = scaled
         if self.wts2.size:
-            y = z[:, self.idx2].reshape(s_count, -1, 2, 2)
-            h = np.conj(y.transpose(0, 1, 3, 2)) @ y
-            lam, vmat = _eigh2(h)
-            sv = np.sqrt(np.maximum(lam, 0.0))
-            top = sv[..., :1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(sv > _SV_FLOOR * np.maximum(top, _TINY), sv ** (q - 2.0), 0.0)
-            w = y @ vmat
-            gy = (w * scale[..., None, :]) @ np.conj(vmat.transpose(0, 1, 3, 2))
+            y = z[:, self.idx2].reshape(s_count, -1, 4)
+            sv, delta, radius, h01 = _spectrum2(y)
+            with np.errstate(divide="ignore"):
+                t = np.where(sv > _SV_FLOOR * np.maximum(sv[..., :1], _TINY), sv ** (q - 2.0), 0.0)
+            # U diag(s^(q-1)) V* = y P with P = t2 I + (t1 - t2) (h - s2^2 I) / (2 radius),
+            # the second term being the projection on the top eigenvector of h = y* y;
+            # it vanishes where radius = 0, where h is a multiple of I
+            t2 = t[..., 1]
+            dt = t[..., 0] - t2
+            den = np.where(radius > 0.0, 2.0 * radius, 1.0)
+            p01 = dt * (h01 / den)
+            p_row0 = np.stack([t2 + dt * ((radius + delta) / den), p01], axis=-1)
+            p_row1 = np.stack([np.conj(p01), t2 + dt * ((radius - delta) / den)], axis=-1)
+            y = y.reshape(s_count, -1, 2, 2)
+            gy = y[..., :1] * p_row0[..., None, :] + y[..., 1:] * p_row1[..., None, :]
             g[:, self.idx2] = gy.reshape(s_count, -1)
         for o, n, _ in self.big:
             y = z[:, o : o + n * n].reshape(s_count, n, n)
@@ -323,13 +316,16 @@ def _backtrack(evaluate, old, new, k, steps, g) -> None:
     new[0][pending], new[2][pending] = z[pending], f[pending]
 
 
-def _ascent(m: LinearMap, p: float, q: float, z: np.ndarray, step: float, iters: int, tol: float | None = None):
+def _ascent(
+    m: LinearMap, dom_ops: _BlockOps, p: float, q: float, z: np.ndarray, step: float, iters: int, tol: float | None = None
+):
     """Projected gradient ascent of ||Mz||_q on the unit p-sphere, from every row of z at once.
 
-    ``z`` is overwritten.  Its rows are first scaled to unit p-norm; a row
-    whose p-norm vanishes becomes zero with value 0.  A step moves a row
-    along the gradient of ||Mz||_q / ||z||_p and scales it back to the
-    sphere; the image Mz of the new point gives the next gradient.
+    ``dom_ops`` is ``_BlockOps(m.domain)``, which the caller may have used
+    already.  ``z`` is overwritten.  Its rows are first scaled to unit
+    p-norm; a row whose p-norm vanishes becomes zero with value 0.  A step
+    moves a row along the gradient of ||Mz||_q / ||z||_p and scales it back
+    to the sphere; the image Mz of the new point gives the next gradient.
 
     * Fixed-step mode (``tol`` None): every row takes all ``iters`` steps of
       length ``step``.
@@ -344,7 +340,6 @@ def _ascent(m: LinearMap, p: float, q: float, z: np.ndarray, step: float, iters:
     one in backtracking mode, where values only grow) and whether the row
     stopped before ``iters`` iterations.
     """
-    dom_ops = _BlockOps(m.domain)
     cod_ops = _BlockOps(m.codomain)
     mt = m.matrix.T
     adj_t = m.weighted_adjoint_matrix().T
@@ -446,9 +441,10 @@ def estimate_pq_norm(
         inits.append(stack_complex(elem))
 
     z = np.array(inits, dtype=complex)
-    nrm = _BlockOps(dom).norm(z, p)
+    dom_ops = _BlockOps(dom)
+    nrm = dom_ops.norm(z, p)
     usable = np.isfinite(nrm) & (nrm > _TINY)
-    z, f, converged = _ascent(m, p, q, z[usable], 1.0 / max(sigma, 1e-12), max_iters, tol)
+    z, f, converged = _ascent(m, dom_ops, p, q, z[usable], 1.0 / max(sigma, 1e-12), max_iters, tol)
     if f.size:
         best = int(np.argmax(f))
         best_z, best_f = z[best], float(f[best])
@@ -492,5 +488,5 @@ def brute_force_pq_norm(
 
     sigma, _ = _l2_maximizer(m, exact=False)
     z = _complex_normals(np.random.default_rng(seed), (samples, m.domain.complex_dim))
-    _, best, _ = _ascent(m, p, q, z, 0.5 / max(sigma, 1e-12), refine_steps)
+    _, best, _ = _ascent(m, _BlockOps(m.domain), p, q, z, 0.5 / max(sigma, 1e-12), refine_steps)
     return float(best.max(initial=0.0))

@@ -184,8 +184,16 @@ def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
     """
     if not symbol.algebra.matches(pair.source):
         raise ShapeMismatchError("multiplier symbol must live on the source algebra")
-    cmat = pair.fourier_matrix @ left_multiplication_matrix(symbol) @ pair.inverse_matrix
-    return LinearMap(pair.dual, pair.dual, cmat)
+    # left multiplication by the symbol's block x_k maps the rows of F^{-1}
+    # that hold source block k, read as n_k x (n_k D) matrices, to x_k times
+    # them (a row scaling for 1x1 blocks)
+    alg = pair.source
+    rows = np.empty_like(pair.inverse_matrix)
+    for k, b in enumerate(symbol.blocks):
+        o, n = alg.block_offset(k), alg.dims[k]
+        block_rows = pair.inverse_matrix[o : o + n * n]
+        rows[o : o + n * n] = (b @ block_rows.reshape(n, -1)).reshape(block_rows.shape)
+    return LinearMap(pair.dual, pair.dual, pair.fourier_matrix @ rows)
 
 
 def perturb_fourier_matrix(pair: QuantumGroupPair, scale: float) -> QuantumGroupPair:

@@ -8,6 +8,7 @@ from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError, ShapeMismatchError
 from ncfourier.estimator import (
     _backtrack,
+    _BlockOps,
     brute_force_pq_norm,
     estimate_pq_norm,
     exact_l2_norm,
@@ -150,6 +151,96 @@ class TestSchattenGradient:
             schatten_gradient(alg.identity(), np.inf)
         with pytest.raises(ParameterError):
             schatten_gradient(alg.zero(), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched block kernels against per-block LAPACK
+
+# mixed block sizes, with the 2x2 blocks apart (gathered through an index
+# array) and side by side (read through a slice)
+KERNEL_ALGEBRAS = [
+    TracialAlgebra([2, 1, 3, 2, 1], [0.5, 2.0, 1.0, 0.25, 3.0]),
+    TracialAlgebra([1, 2, 2, 3], [1 / 6, 1 / 3, 0.75, 2.0]),
+]
+KERNEL_Q = [1.5, 2.0, 3.0, 4.5]
+# 2x2 blocks where closed forms break first; the rank-one block has a
+# determinant of exactly 0 in floating point
+SPECIAL_2X2 = {
+    "zero": np.zeros((2, 2)),
+    "diagonal, first larger": np.diag([3.0, 0.5j]),
+    "diagonal, second larger": np.diag([-0.5, 3.0j]),
+    "rank one": np.outer([1.0, 2j], [3.0, 1.0 - 1j]),
+    "scaled unitary": 2.5 / np.sqrt(2.0) * np.array([[1.0, 1j], [1j, 1.0]]),
+}
+
+
+def _kernel_rows(alg, rng, count, blocks2=()):
+    """``count`` complex Gaussian rows of stacked coordinates; row i has
+    ``blocks2[i]`` in each of its 2x2 blocks."""
+    z = _complex_matrix(rng, (count, alg.complex_dim))
+    for i, b in enumerate(blocks2):
+        for k, n in enumerate(alg.dims):
+            if n == 2:
+                o = alg.block_offset(k)
+                z[i, o : o + 4] = b.ravel()
+    return z
+
+
+def _lapack_blocks(alg, z, q):
+    """Per block, in the order of _BlockOps (1x1, then 2x2, then larger
+    blocks, each in block order): offset, size, weight, and for every row the
+    singular values of np.linalg.svd and U diag(s^(q-1)) V*."""
+    out = []
+    for k in sorted(range(alg.num_blocks), key=lambda k: (min(alg.dims[k], 3), k)):
+        o, n = alg.block_offset(k), alg.dims[k]
+        u, s, vh = np.linalg.svd(z[:, o : o + n * n].reshape(-1, n, n))
+        # LAPACK's singular values are good to about eps * s_max; below that
+        # they are noise, which s^(q-1) with q < 2 would magnify past 1e-12
+        s = np.where(s > 8 * np.finfo(float).eps * s[:, :1], s, 0.0)
+        g = (u * s[:, None, :] ** (q - 1.0)) @ vh
+        out.append((o, n, alg.weights[k], s, g.reshape(len(z), -1)))
+    return out
+
+
+def _check_kernels(alg, z, q, rtol=1e-12):
+    """singular_values, norm (at p = q) and schatten_direction of _BlockOps
+    against per-block LAPACK, within rtol of each block's largest singular
+    value (its (q-1)-th power for the direction)."""
+    ops = _BlockOps(alg)
+    ref = _lapack_blocks(alg, z, q)
+    sv, wts = ops.singular_values(z)
+    assert np.array_equal(wts, np.concatenate([np.full(n, w) for _, n, w, _, _ in ref]))
+    want = np.concatenate([s for *_, s, _ in ref], axis=1)
+    top = np.concatenate([np.repeat(s[:, :1], n, axis=1) for _, n, _, s, _ in ref], axis=1)
+    assert np.all(np.abs(sv - want) <= rtol * top)
+    want_norm = sum(w * np.sum(s**q, axis=1) for _, _, w, s, _ in ref) ** (1.0 / q)
+    assert np.all(np.abs(ops.norm(z, q) - want_norm) <= rtol * want_norm)
+    g = ops.schatten_direction(z, q)
+    for o, n, _, s, want_g in ref:
+        assert np.all(np.abs(g[:, o : o + n * n] - want_g) <= rtol * s[:, :1] ** (q - 1.0))
+
+
+class TestBlockKernels:
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS)
+    @pytest.mark.parametrize("q", KERNEL_Q)
+    @pytest.mark.parametrize("case", list(SPECIAL_2X2))
+    def test_single_row(self, alg, q, case):
+        z = _kernel_rows(alg, np.random.default_rng(80), 1, [SPECIAL_2X2[case]])
+        _check_kernels(alg, z, q)
+
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS)
+    @pytest.mark.parametrize("q", KERNEL_Q)
+    def test_large_batch(self, alg, q):
+        z = _kernel_rows(alg, np.random.default_rng(81), 1200, list(SPECIAL_2X2.values()))
+        _check_kernels(alg, z, q)
+
+    # s^q and s^(q-1) of 1e150 leave the double range for q > 2
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS)
+    @pytest.mark.parametrize("q", [1.5, 2.0])
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("count", [1, 1200])
+    def test_extreme_scales(self, alg, q, scale, count):
+        _check_kernels(alg, scale * _kernel_rows(alg, np.random.default_rng(82), count), q)
 
 
 class TestExactL2:

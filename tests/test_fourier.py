@@ -4,6 +4,7 @@ import pytest
 from ncfourier.algebra import TracialAlgebra, random_element, trace
 from ncfourier.errors import ParameterError, ShapeMismatchError
 from ncfourier.fourier import (
+    QuantumGroupPair,
     build_finite_abelian,
     build_group_vna,
     fourier,
@@ -213,6 +214,18 @@ class TestMultiplierMap:
         composed = multiplier_map(pair, x).compose(multiplier_map(pair, y))
         direct = multiplier_map(pair, x * y)
         assert np.allclose(composed.matrix, direct.matrix, atol=1e-10)
+
+    def test_matches_conjugated_left_multiplication(self):
+        # a source with blocks of every kind, which no shipped pair has
+        rng = np.random.default_rng(52)
+        source = TracialAlgebra([1, 2, 3, 1], [1.0, 0.5, 2.0, 0.25])
+        dual = TracialAlgebra([3, 2, 1, 1], [0.5, 1.0, 3.0, 0.25])
+        d = source.complex_dim
+        fmat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        pair = QuantumGroupPair("random", source, dual, fmat, np.linalg.inv(fmat))
+        x = random_element(source, 7)
+        want = pair.fourier_matrix @ left_multiplication_matrix(x) @ pair.inverse_matrix
+        assert np.allclose(multiplier_map(pair, x).matrix, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
     def test_symbol_on_wrong_algebra(self):
         pair = build_finite_abelian([4])
