@@ -49,6 +49,7 @@ from .estimator import (
     NormEstimate,
     brute_force_pq_norm,
     estimate_pq_norm,
+    estimate_pq_norms,
     exact_l2_norm,
     schatten_gradient,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "emit_plot_data",
     "endpoint_experiment",
     "estimate_pq_norm",
+    "estimate_pq_norms",
     "free_group_ball_sizes",
     "exact_l2_norm",
     "fourier",

@@ -26,6 +26,7 @@ scalars act on every block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -112,7 +113,11 @@ class TracialAlgebra:
 
     def matches(self, other: "TracialAlgebra") -> bool:
         """Same block structure and (numerically) the same trace weights."""
-        return self.dims == other.dims and np.allclose(self.weights, other.weights)
+        if self is other:
+            return True
+        if self.dims != other.dims:
+            return False
+        return self.weights == other.weights or bool(np.allclose(self.weights, other.weights))
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(
@@ -271,16 +276,24 @@ def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
 
+def _gaussian_runs(rng: np.random.Generator, dims):
+    """:func:`_gaussian` of every block, as one (m, n, n) stack per run of m equal sizes n.
+
+    One draw of (m, 2, n, n) normals per run reads the stream in the order
+    of m calls of :func:`_gaussian`, real part then imaginary part per block.
+    """
+    for n, run in itertools.groupby(dims):
+        r = rng.standard_normal((len(list(run)), 2, n, n))
+        yield (r[:, 0] + 1j * r[:, 1]) / np.sqrt(2.0)
+
+
 def _random_gaussian(algebra, rng):
-    return AlgebraElement(algebra, [_gaussian(rng, n) for n in algebra.dims])
+    return AlgebraElement(algebra, [b for g in _gaussian_runs(rng, algebra.dims) for b in g])
 
 
 def _random_hermitian(algebra, rng):
-    blocks = []
-    for n in algebra.dims:
-        g = _gaussian(rng, n)
-        blocks.append((g + g.conj().T) / np.sqrt(2.0))
-    return AlgebraElement(algebra, blocks)
+    runs = ((g + np.conj(g).transpose(0, 2, 1)) / np.sqrt(2.0) for g in _gaussian_runs(rng, algebra.dims))
+    return AlgebraElement(algebra, [b for h in runs for b in h])
 
 
 def _random_sparse(algebra, rng, density):

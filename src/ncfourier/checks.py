@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, TracialAlgebra, random_element
 from .errors import ParameterError
-from .estimator import estimate_pq_norm
+from .estimator import estimate_pq_norms
 from .fourier import QuantumGroupPair, fourier, inverse_fourier, multiplier_map
 from .linmap import unstack_complex
 from .lorentz import (
@@ -526,13 +526,16 @@ def check_multiplier_bound(
     betas = _DEFAULT_DECAY if np.isinf(r) else (1.5 / r, 3.0 / r, 6.0 / r)
     battery = _source_battery(pair, trials, rng, decay_betas=betas)
     hard = p <= 2.0 <= q
-    series = []
+    # (kind, symbol, weak norm, estimator seed) of the symbols with a nonzero weak norm
+    kept = []
     for kind, sym in battery:
         weak = lp_norm(sym, np.inf) if np.isinf(r) else lorentz_norm(sym, r, np.inf)
-        if weak == 0.0:
-            continue
-        m = multiplier_map(pair, sym)
-        est = estimate_pq_norm(m, p, q, seed=int(rng.integers(2**62)), **opts)
+        if weak != 0.0:
+            kept.append((kind, sym, weak, int(rng.integers(2**62))))
+    maps = (multiplier_map(pair, sym) for _, sym, _, _ in kept)
+    estimates = estimate_pq_norms(maps, p, q, [s for *_, s in kept], **opts)
+    series = []
+    for (kind, sym, weak, _), est in zip(kept, estimates):
         row = {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "ratio": est.lower_bound / weak}
         if hard:
             row["lr_norm"] = lp_norm(sym, r)
@@ -654,7 +657,8 @@ def check_schur_bound(
     opts = _estimator_opts(estimator)
     rng = np.random.default_rng(seed)
     battery = _schur_battery(n, trials, rng)
-    series = []
+    # (kind, symbol, l_r norm, weak norm, estimator seed) of the symbols with a nonzero weak norm
+    kept = []
     for kind, sym in battery:
         if np.isinf(r):
             lr = float(np.max(np.abs(sym.matrix)))
@@ -662,14 +666,14 @@ def check_schur_bound(
         else:
             lr = symbol_sequence_norm(sym, r)
             weak = symbol_sequence_norm(sym, r, np.inf)
-        if weak == 0.0:
-            continue
-        m = schur_map(sym)
-        est = estimate_pq_norm(m, p, q, seed=int(rng.integers(2**62)), **opts)
-        weak_ratio = est.lower_bound / weak
-        series.append(
-            {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "lr_norm": lr, "ratio": weak_ratio}
-        )
+        if weak != 0.0:
+            kept.append((kind, sym, lr, weak, int(rng.integers(2**62))))
+    maps = (schur_map(sym) for _, sym, _, _, _ in kept)
+    estimates = estimate_pq_norms(maps, p, q, [s for *_, s in kept], **opts)
+    series = [
+        {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "lr_norm": lr, "ratio": est.lower_bound / weak}
+        for (kind, _, lr, weak, _), est in zip(kept, estimates)
+    ]
     max_weak_ratio, _ = _worst((row["input"], row["ratio"]) for row in series)
     max_lr_ratio, witness = _worst(
         ((row["input"], row["estimate"] / row["lr_norm"]) for row in series), key="lr_ratio"

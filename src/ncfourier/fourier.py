@@ -41,7 +41,6 @@ __all__ = [
     "build_group_vna",
     "fourier",
     "inverse_fourier",
-    "left_multiplication_matrix",
     "multiplier_map",
     "perturb_fourier_matrix",
 ]
@@ -159,21 +158,6 @@ def inverse_fourier(pair: QuantumGroupPair, a: AlgebraElement) -> AlgebraElement
             "inverse_fourier: element does not live on the dual algebra"
         )
     return unstack_complex(pair.source, pair.inverse_matrix @ stack_complex(a))
-
-
-def left_multiplication_matrix(x: AlgebraElement) -> np.ndarray:
-    """Matrix of y -> x y on stacked coordinates of x's algebra.
-
-    Row-major raveling turns blockwise left multiplication into a block
-    diagonal of Kronecker products x_k (x) I_{n_k}.
-    """
-    alg = x.algebra
-    out = np.zeros((alg.complex_dim, alg.complex_dim), dtype=complex)
-    for k, b in enumerate(x.blocks):
-        o = alg.block_offset(k)
-        nn = alg.dims[k] ** 2
-        out[o : o + nn, o : o + nn] = np.kron(b, np.eye(alg.dims[k]))
-    return out
 
 
 def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:

@@ -22,6 +22,17 @@ def random_algebra(rng, max_blocks=4, max_dim=5) -> TracialAlgebra:
     return TracialAlgebra(dims, weights)
 
 
+def reference_random_blocks(dims, seed, ensemble):
+    """The blocks of ``random_element``'s "gaussian" or "hermitian" ensemble,
+    drawn block by block: the real part, then the imaginary part."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n in dims:
+        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        blocks.append(g if ensemble == "gaussian" else (g + g.conj().T) / np.sqrt(2.0))
+    return blocks
+
+
 def random_exponent(rng, lo=1.0, hi=6.0) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
@@ -102,6 +113,21 @@ def oracle_entry_lorentz(entries, r: float, w: float) -> float:
     return float(np.sum(mags**w * (k**a - (k - 1) ** a) / a) ** (1.0 / w))
 
 
+def left_multiplication_matrix(x) -> np.ndarray:
+    """Matrix of y -> x y on stacked coordinates of x's algebra.
+
+    Row-major raveling turns blockwise left multiplication into a block
+    diagonal of Kronecker products x_k (x) I_{n_k}.
+    """
+    alg = x.algebra
+    out = np.zeros((alg.complex_dim, alg.complex_dim), dtype=complex)
+    for k, b in enumerate(x.blocks):
+        o = alg.block_offset(k)
+        nn = alg.dims[k] ** 2
+        out[o : o + nn, o : o + nn] = np.kron(b, np.eye(alg.dims[k]))
+    return out
+
+
 def dense_coords(x) -> np.ndarray:
     """Complex coordinate vector of an element (for linear-map oracles)."""
     return stack_complex(x)
@@ -141,13 +167,13 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
     ``halvings`` lists, for every line search, how many halvings it tried
     before it found an improving step (50 when none of them improves).
     """
-    from ncfourier.estimator import _TINY, NormEstimate, _BlockOps, _l2_maximizer
+    from ncfourier.estimator import _TINY, NormEstimate, _BlockOps, _l2_maximizers, _MapStack
     from ncfourier.linmap import unstack_complex
 
     dom = m.domain
     dom_ops = _BlockOps(dom)
     cod_ops = _BlockOps(m.codomain)
-    sigma, warm = _l2_maximizer(m, exact=(p == 2.0 and q == 2.0))
+    sigma, warm = (a[0] for a in _l2_maximizers(_MapStack(m.matrix[None], dom, m.codomain, 1), p == q == 2.0))
     adj_t = m.weighted_adjoint_matrix().T
     base_step = 1.0 / max(sigma, 1e-12)
 
@@ -220,7 +246,7 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
 
 def reference_brute_force_pq_norm(m, p, q, samples=100_000, seed=0, refine_steps=200):
     """``brute_force_pq_norm`` with the image ``z @ M.T`` recomputed for every gradient."""
-    from ncfourier.estimator import _TINY, _BlockOps, _complex_normals, _l2_maximizer
+    from ncfourier.estimator import _TINY, _BlockOps, _complex_normals, _l2_maximizers, _MapStack
 
     dom_ops = _BlockOps(m.domain)
     cod_ops = _BlockOps(m.codomain)
@@ -234,7 +260,7 @@ def reference_brute_force_pq_norm(m, p, q, samples=100_000, seed=0, refine_steps
     z, good = normalize(z)
     f = np.where(good, cod_ops.norm(z @ m.matrix.T, q), 0.0)
     best = float(f.max(initial=0.0))
-    sigma, _ = _l2_maximizer(m, exact=False)
+    sigma = _l2_maximizers(_MapStack(m.matrix[None], m.domain, m.codomain, 1), exact=False)[0][0]
     step = 0.5 / max(sigma, 1e-12)
     adj_t = m.weighted_adjoint_matrix().T
     for _ in range(refine_steps):

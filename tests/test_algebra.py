@@ -4,7 +4,7 @@ import pytest
 from ncfourier.algebra import AlgebraElement, TracialAlgebra, modulus, random_element, trace
 from ncfourier.errors import ParameterError, ShapeMismatchError
 
-from conftest import random_algebra
+from conftest import random_algebra, reference_random_blocks
 
 
 class TestTracialAlgebra:
@@ -42,6 +42,28 @@ class TestTracialAlgebra:
         assert e.blocks[0][0, 0] == 0
         assert e.blocks[1][0, 2] == 1.0
         assert np.count_nonzero(e.blocks[1]) == 1
+
+    # matches: the same object and equal weights return before np.allclose,
+    # which must still decide weights that agree only within its tolerance
+    def test_matches_same_object(self, monkeypatch):
+        alg = TracialAlgebra([1, 2], [1 / 3, 2.0])
+        monkeypatch.setattr(np, "allclose", None)
+        assert alg.matches(alg)
+
+    def test_matches_equal_weights(self, monkeypatch):
+        alg = TracialAlgebra([1, 2], [1 / 3, 2.0])
+        monkeypatch.setattr(np, "allclose", None)
+        assert alg.matches(TracialAlgebra([1, 2], [1 / 3, 2.0]))
+
+    def test_matches_within_tolerance(self):
+        alg = TracialAlgebra([1, 2], [1 / 3, 2.0])
+        assert alg.matches(TracialAlgebra([1, 2], [1 / 3 + 1e-12, 2.0]))
+        assert not alg.matches(TracialAlgebra([1, 2], [0.5, 2.0]))
+
+    def test_matches_needs_equal_dims(self):
+        alg = TracialAlgebra([1, 2], [1 / 3, 2.0])
+        assert not alg.matches(TracialAlgebra([2, 1], [1 / 3, 2.0]))
+        assert not alg.matches(TracialAlgebra([1, 2, 1], [1 / 3, 2.0, 1.0]))
 
     def test_element_shape_check(self):
         alg = TracialAlgebra([2], [1.0])
@@ -185,6 +207,15 @@ class TestRandomElement:
         x = random_element(alg, 42)
         y = random_element(alg, 42)
         assert x.allclose(y, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("ensemble", ["gaussian", "hermitian"])
+    @pytest.mark.parametrize("dims", [[1] * 64, [1] * 512, [1, 1, 2], [2, 2, 3, 1, 1, 4]])
+    def test_stream_matches_block_by_block_draws(self, ensemble, dims):
+        alg = TracialAlgebra(dims, [1.0] * len(dims))
+        for seed in range(5):
+            got = random_element(alg, seed, ensemble).blocks
+            want = reference_random_blocks(dims, seed, ensemble)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_seed_changes_output(self):
         alg = TracialAlgebra([3], [1.0])

@@ -6,11 +6,13 @@ import pytest
 from ncfourier.algebra import TracialAlgebra, random_element, trace
 from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError, ShapeMismatchError
+from ncfourier import estimator
 from ncfourier.estimator import (
     _backtrack,
     _BlockOps,
     brute_force_pq_norm,
     estimate_pq_norm,
+    estimate_pq_norms,
     exact_l2_norm,
     schatten_gradient,
 )
@@ -431,16 +433,18 @@ class TestAscentEngine:
         z = np.stack([np.zeros(n), np.arange(n)], axis=1).astype(complex)
         batches = []
 
-        def evaluate(cand):
+        def evaluate(cand, images):
             batches.append(len(cand))
             k = -np.log2(cand[:, 0].real)
-            return cand, 2 * cand, np.where(k >= want[cand[:, 1].real.astype(int)], 1.0, 0.0)
+            return cand, images, np.where(k >= want[cand[:, 1].real.astype(int)], 1.0, 0.0)
 
-        old = (z, np.full(n, 0.5))
+        # the map is z -> 2 z, so the images of the candidates, found by
+        # linearity from 2 z and 2 g, are twice the candidates
+        old = (z, 2 * z, np.full(n, 0.5))
         new = (z + 9.0, z + 9.0, np.zeros(n))  # the rejected full steps
         k = np.full(n, -1)
         g = np.tile([1.0 + 0j, 0.0], (n, 1))
-        _backtrack(evaluate, old, new, k, np.ones(n), g)
+        _backtrack(evaluate, old, new, k, np.ones(n), g, lambda rows: 2 * g[rows])
         hit = want < 50
         assert np.array_equal(k, np.where(hit, want, -1))
         assert np.array_equal(new[0][hit, 0], 0.5 ** want[hit]) and np.array_equal(new[0][:, 1], z[:, 1])
@@ -454,3 +458,88 @@ class TestAscentEngine:
         m = _pinned_map(name, "gaussian")
         got = brute_force_pq_norm(m, 4.0 / 3.0, 4.0, seed=5, refine_steps=3)
         assert got == reference_brute_force_pq_norm(m, 4.0 / 3.0, 4.0, seed=5, refine_steps=3)
+
+
+# ---------------------------------------------------------------------------
+# estimate_pq_norms: many maps in one batch, each as if it were alone
+
+BATCH_SEEDS = [11, 12, 13, 14]
+
+
+def _batch_maps(name: str) -> list[LinearMap]:
+    """Gaussian, sparse, identity and zero symbols on one instance."""
+    if name.startswith("M"):
+        n = int(name[1:])
+        rng = np.random.default_rng(n)
+        gauss = _complex_matrix(rng, (n, n))
+        sparse = _complex_matrix(rng, (n, n)) * (rng.random((n, n)) < 0.5)
+        return [schur_map(s) for s in (gauss, sparse, np.ones((n, n)), np.zeros((n, n)))]
+    pair = resolve_instance(name)
+    src = pair.source
+    symbols = [random_element(src, np.random.SeedSequence((2, k)), e) for k, e in enumerate(("gaussian", "sparse"))]
+    return [multiplier_map(pair, s) for s in symbols + [src.identity(), src.zero()]]
+
+
+def _same_estimate(a, b) -> bool:
+    return (
+        a.lower_bound == b.lower_bound
+        and np.array_equal(stack_complex(a.witness), stack_complex(b.witness))
+        and (a.restarts_used, a.converged_fraction, a.degenerate) == (b.restarts_used, b.converged_fraction, b.degenerate)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_runs(name: str):
+    """(maps, settings, p, q, estimates of the whole batch) per exponent pair and setting."""
+    maps = _batch_maps(name)
+    return [
+        (maps, settings, p, q, list(estimate_pq_norms(maps, p, q, BATCH_SEEDS, **settings)))
+        for p, q in PINNED_PAIRS
+        for settings in PINNED_SETTINGS
+    ]
+
+
+BATCH_INSTANCES = ["Z8", "S3", "Q8", "M2", "M4"]
+
+
+class TestBatchedEstimates:
+    @pytest.mark.parametrize("name", BATCH_INSTANCES)
+    def test_matches_restart_by_restart_loop(self, name):
+        for maps, settings, p, q, ests in _batch_runs(name):
+            for m, seed, est in zip(maps, BATCH_SEEDS, ests):
+                ref, _ = reference_estimate_pq_norm(m, p, q, seed=seed, **settings)
+                assert est.lower_bound == pytest.approx(ref.lower_bound, rel=1e-12, abs=0.0)
+                assert est.restarts_used == ref.restarts_used
+                assert est.converged_fraction == ref.converged_fraction
+                assert est.degenerate == ref.degenerate
+                assert est.certificate_ratio(m) == pytest.approx(est.lower_bound, rel=1e-12, abs=0.0)
+
+    def test_batch_covers_zero_and_unconverged_maps(self):
+        ests = [est for name in BATCH_INSTANCES for *_, batch in _batch_runs(name) for est in batch]
+        assert any(est.degenerate for est in ests) and not all(est.degenerate for est in ests)
+        assert any(0.0 < est.converged_fraction < 1.0 for est in ests)
+
+    @pytest.mark.parametrize("name", BATCH_INSTANCES)
+    def test_independent_of_position_and_batch_size(self, name, monkeypatch):
+        for maps, settings, p, q, ests in _batch_runs(name)[::4]:
+            backwards = list(estimate_pq_norms(maps[::-1], p, q, BATCH_SEEDS[::-1], **settings))[::-1]
+            alone = [estimate_pq_norm(m, p, q, seed=s, **settings) for m, s in zip(maps, BATCH_SEEDS)]
+            assert all(map(_same_estimate, ests, backwards))
+            assert all(map(_same_estimate, ests, alone))
+        # a byte budget of two maps splits one call into batches of 2
+        m = maps[0]
+        restarts = settings.get("restarts", 8)
+        per_map = m.matrix.itemsize * (m.matrix.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
+        monkeypatch.setattr(estimator, "_BATCH_BYTES", 2 * per_map)
+        pairs = list(estimate_pq_norms(iter(maps), p, q, BATCH_SEEDS, **settings))
+        assert all(map(_same_estimate, ests, pairs))
+
+    def test_maps_and_seeds_must_pair_up(self):
+        maps = _batch_maps("Z8")
+        with pytest.raises(ParameterError, match="fewer maps"):
+            list(estimate_pq_norms(maps[:2], 1.5, 3.0, BATCH_SEEDS[:3]))
+        with pytest.raises(ParameterError, match="more maps"):
+            list(estimate_pq_norms(maps, 1.5, 3.0, BATCH_SEEDS[:3]))
+        other = multiplier_map(build_finite_abelian([4]), build_finite_abelian([4]).source.identity())
+        with pytest.raises(ShapeMismatchError):
+            list(estimate_pq_norms([maps[0], other], 1.5, 3.0, BATCH_SEEDS[:2]))

@@ -9,7 +9,6 @@ from ncfourier.fourier import (
     build_group_vna,
     fourier,
     inverse_fourier,
-    left_multiplication_matrix,
     multiplier_map,
     perturb_fourier_matrix,
 )
@@ -17,7 +16,7 @@ from ncfourier.groups import builtin_group, cyclic_group_data
 from ncfourier.linmap import stack_complex
 from ncfourier.lorentz import lp_norm
 
-from conftest import dense_coords
+from conftest import dense_coords, left_multiplication_matrix
 
 
 def _delta(pair, g: int):
