@@ -112,12 +112,12 @@ class TracialAlgebra:
         return self._offsets[k]
 
     def matches(self, other: "TracialAlgebra") -> bool:
-        """Same block structure and (numerically) the same trace weights."""
+        """Same block structure and the same trace weights, up to relative tolerance 1e-5."""
         if self is other:
             return True
         if self.dims != other.dims:
             return False
-        return self.weights == other.weights or bool(np.allclose(self.weights, other.weights))
+        return self.weights == other.weights or bool(np.allclose(self.weights, other.weights, atol=0.0))
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(

@@ -19,6 +19,9 @@ Outputs under the chosen directory:
 * ``plots/*.csv`` (via :func:`emit_plot_data`) - one delimited table per
   series-bearing report and per ladder.
 
+Wall times are not deterministic, so they stay out of that tree: on request
+:func:`run_campaign` writes them to a sidecar file outside it.
+
 :func:`diff_outputs` compares two such trees: exactly in structure and in
 every value that is not a float, by relative drift in the floats.
 
@@ -32,6 +35,7 @@ import decimal
 import json
 import math
 import operator
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -380,8 +384,9 @@ def resolve_instance(inst):
 # execution
 
 
-def _run_one(args) -> dict:
-    """Worker: run one check spec; returns the report dict."""
+def _run_one(args) -> tuple[dict, float]:
+    """Worker: run one check spec; returns the report dict and the wall seconds it took."""
+    start = time.perf_counter()
     index, spec, seed, estimator = args
     entry = CHECKS[spec.check]
     kwargs = dict(spec.params)
@@ -397,14 +402,18 @@ def _run_one(args) -> dict:
     doc["index"] = index
     doc["ladder"] = spec.ladder
     doc["instance_spec"] = spec.instance
-    return doc
+    return doc, time.perf_counter() - start
 
 
 # Report floats carry 12 significant digits, so last-ulp differences between
 # BLAS builds do not reach the bytes.  Lower bounds (estimates, and ratios
 # measured at a concrete input) round toward zero: a printed bound never
-# exceeds the computed one.  Verdicts are decided on the unrounded values.
+# exceeds the computed one.  Before that round-down they are scaled toward
+# zero by a few ulps, so that a value that is exactly 1 in theory prints the
+# same, 0.999999999999, whether its last bits came out at 1 - 1 ulp, 1 or
+# 1 + 2 ulp.  Verdicts are decided on the unrounded values.
 _DIGITS = 12
+_NUDGE = 1.0 - 2.0**-49  # 8 ulps of 1
 _LOWER_BOUND_KEYS = frozenset(
     {"estimate", "ratio", "max_ratio", "max_ratios", "empirical_constant", "max_lr_ratio", "lr_ratio",
      "identity_ratio"}
@@ -418,7 +427,7 @@ def _declared_precision(v, toward_zero: bool = False):
         if not math.isfinite(v):
             return v
         if toward_zero:
-            return float(_TOWARD_ZERO.create_decimal_from_float(v))
+            return float(_TOWARD_ZERO.create_decimal_from_float(v * _NUDGE))
         return float(f"{v:.{_DIGITS}g}")
     if isinstance(v, dict):
         return {k: _declared_precision(x, k in _LOWER_BOUND_KEYS) for k, x in v.items()}
@@ -431,11 +440,30 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(_declared_precision(doc), indent=2, sort_keys=True) + "\n")
 
 
-def run_campaign(config: CampaignConfig, out_dir, jobs: int = 1):
-    """Execute every check, write reports and summary; returns (exit_code, summary)."""
+def _write_timings(path: Path, results, jobs: int, wall: float) -> None:
+    checks = [
+        {"index": doc["index"], "check": doc["check"], "instance": doc["instance"], "wall_s": seconds}
+        for doc, seconds in results
+    ]
+    doc = {"format_version": 1, "jobs": jobs, "wall_s": wall, "checks": checks}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def run_campaign(config: CampaignConfig, out_dir, jobs: int = 1, timings=None):
+    """Execute every check, write reports and summary; returns (exit_code, summary).
+
+    With ``timings`` (a path outside ``out_dir``), also write the wall seconds
+    of the run and of every check there (see docs/formats.md).
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
+    if timings is not None:
+        timings = Path(timings)
+        if timings.resolve().is_relative_to(out.resolve()):
+            raise ConfigError(f"timings file {timings} must lie outside the output directory {out}")
+    start = time.perf_counter()
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
 
@@ -454,7 +482,7 @@ def run_campaign(config: CampaignConfig, out_dir, jobs: int = 1):
     ladders: dict[str, list[dict]] = {}
     hard_failures = []
     report_files = []
-    for doc in results:
+    for doc, _ in results:
         i = doc["index"]
         fname = f"{i:03d}_{doc['check']}.json"
         _write_json(reports_dir / fname, doc)
@@ -504,6 +532,8 @@ def run_campaign(config: CampaignConfig, out_dir, jobs: int = 1):
         "max_bounded_slope": MAX_BOUNDED_SLOPE,
     }
     _write_json(out / "summary.json", summary)
+    if timings is not None:
+        _write_timings(timings, results, jobs, time.perf_counter() - start)
     return (0 if not hard_failures else 1), summary
 
 

@@ -30,14 +30,15 @@ import numpy as np
 from .algebra import AlgebraElement, TracialAlgebra, random_element
 from .errors import ParameterError
 from .estimator import estimate_pq_norms
-from .fourier import QuantumGroupPair, fourier, inverse_fourier, multiplier_map
-from .linmap import unstack_complex
+from .fourier import QuantumGroupPair, multiplier_map
+from .linmap import stack_complex, unstack_complex
 from .lorentz import (
+    _block_ops,
     decreasing_step_function,
-    lorentz_norm,
     lorentz_norm_of_step,
-    lp_norm,
-    singular_function,
+    lorentz_norms,
+    lp_norms,
+    singular_functions,
 )
 from .schur import SchurSymbol, schur_map, symbol_sequence_norm
 from .torus import cosine_profile, riemann_lp
@@ -265,12 +266,16 @@ def _worst(scores, key: str = "ratio", **tag) -> tuple[float, dict | None]:
     return best, witness
 
 
-def _ratios(battery, numerator, denominator):
-    """``(name, numerator(x) / denominator(x))`` over a battery, skipping zero denominators."""
-    for name, x in battery:
-        denom = denominator(x)
+def _stack(algebra: TracialAlgebra, battery) -> np.ndarray:
+    """The elements of a battery as the rows of one (S, D) array of stacked coordinates."""
+    return np.array([stack_complex(x) for _, x in battery]).reshape(len(battery), algebra.complex_dim)
+
+
+def _ratios(battery, numerators, denominators):
+    """``(name, numerator / denominator)`` over a battery, skipping zero denominators."""
+    for (name, _), num, denom in zip(battery, numerators, denominators):
         if denom != 0.0:
-            yield name, numerator(x) / denom
+            yield name, num / denom
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +325,8 @@ def check_lemma_constants(trials: int = 1000, seed: int = 0) -> CheckReport:
         alg = TracialAlgebra(dims, weights)
         x = random_element(alg, np.random.SeedSequence((seed, case, 0)))
         y = random_element(alg, np.random.SeedSequence((seed, case, 1)))
-
-        mu_x = singular_function(x)
-        mu_y = singular_function(y)
-        mu_xy = singular_function(x * y)
+        # every norm below is read off these three step functions
+        mu_x, mu_y, mu_xy = singular_functions(alg, np.array([stack_complex(e) for e in (x, y, x * y)]))
         s_grid = _interior_grid(mu_x)
         t_grid = _interior_grid(mu_y)
         lhs = mu_xy(s_grid[:, None] + t_grid[None, :])
@@ -336,14 +339,14 @@ def check_lemma_constants(trials: int = 1000, seed: int = 0) -> CheckReport:
         q = float(np.exp(rng.uniform(np.log(0.4), np.log(3.0))))
         r = np.inf if rng.random() < 0.3 else q * float(np.exp(rng.uniform(0.02, 1.5)))
         const = (q / p) ** (1.0 / q - (0.0 if np.isinf(r) else 1.0 / r))
-        denom = const * lorentz_norm(x, p, q)
-        r_nest = lorentz_norm(x, p, r) / denom if denom > 0 else 0.0
+        denom = const * lorentz_norm_of_step(mu_x, p, q)
+        r_nest = lorentz_norm_of_step(mu_x, p, r) / denom if denom > 0 else 0.0
 
         p0 = float(np.exp(rng.uniform(np.log(0.6), np.log(4.0))))
         p1 = float(np.exp(rng.uniform(np.log(0.6), np.log(4.0))))
         ph = 1.0 / (1.0 / p0 + 1.0 / p1)
-        denom = 2.0 ** (1.0 / ph) * lorentz_norm(x, p0, np.inf) * lorentz_norm(y, p1, np.inf)
-        r_hold = lorentz_norm(x * y, ph, np.inf) / denom if denom > 0 else 0.0
+        denom = 2.0 ** (1.0 / ph) * lorentz_norm_of_step(mu_x, p0, np.inf) * lorentz_norm_of_step(mu_y, p1, np.inf)
+        r_hold = lorentz_norm_of_step(mu_xy, ph, np.inf) / denom if denom > 0 else 0.0
 
         case_worst = {
             "submultiplicativity": (r_sub, 1.0 + _SUBMULT_TOL),
@@ -383,8 +386,9 @@ def check_hausdorff_young(pair: QuantumGroupPair, p: float, trials: int = 1000, 
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
     battery = _source_battery(pair, trials, rng)
+    z = _stack(pair.source, battery)
     max_ratio, witness = _worst(
-        _ratios(battery, lambda x: lp_norm(fourier(pair, x), pc), lambda x: lp_norm(x, p))
+        _ratios(battery, lp_norms(pair.dual, z @ pair.fourier_matrix.T, pc), lp_norms(pair.source, z, p))
     )
     return CheckReport(
         check="hausdorff_young",
@@ -417,15 +421,17 @@ def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 100
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
     battery = _source_battery(pair, trials, rng)
+    z = _stack(pair.source, battery)
     fwd_max, fwd_witness = _worst(
-        _ratios(battery, lambda x: lp_norm(fourier(pair, x), pc), lambda x: lorentz_norm(x, p, pc)),
+        _ratios(battery, lp_norms(pair.dual, z @ pair.fourier_matrix.T, pc), lorentz_norms(pair.source, z, p, pc)),
         direction="forward",
     )
     dual_batt = [("identity", pair.dual.identity())] + _random_sources(
         pair.dual, max(trials // 2, 1), rng, ("gaussian", "rank_one")
     )
+    a = _stack(pair.dual, dual_batt)
     inv_max, inv_witness = _worst(
-        _ratios(dual_batt, lambda a: lp_norm(inverse_fourier(pair, a), pc), lambda a: lorentz_norm(a, p, pc)),
+        _ratios(dual_batt, lp_norms(pair.source, a @ pair.inverse_matrix.T, pc), lorentz_norms(pair.dual, a, p, pc)),
         direction="inverse",
     )
     max_ratio = max(fwd_max, inv_max)
@@ -453,15 +459,13 @@ def check_inversion_plancherel(pair: QuantumGroupPair, trials: int = 1000, seed:
         raise ParameterError("inversion check needs at least one trial")
     rng = np.random.default_rng(seed)
     battery = _source_battery(pair, trials, rng)
-
-    def residual(x):
-        l2 = lp_norm(x, 2)
-        fx = fourier(pair, x)
-        rt = lp_norm(inverse_fourier(pair, fx) - x, 2)
-        pl = abs(lp_norm(fx, 2) - l2)
-        return max(rt, pl) / (1.0 + l2)
-
-    worst, witness = _worst(((kind, residual(x)) for kind, x in battery), key="residual")
+    z = _stack(pair.source, battery)
+    fz = z @ pair.fourier_matrix.T
+    l2 = lp_norms(pair.source, z, 2)
+    round_trip = lp_norms(pair.source, fz @ pair.inverse_matrix.T - z, 2)
+    plancherel = np.abs(lp_norms(pair.dual, fz, 2) - l2)
+    residuals = np.maximum(round_trip, plancherel) / (1.0 + l2)
+    worst, witness = _worst(((kind, res) for (kind, _), res in zip(battery, residuals)), key="residual")
     return CheckReport(
         check="inversion_plancherel",
         instance=pair.name,
@@ -526,19 +530,22 @@ def check_multiplier_bound(
     betas = _DEFAULT_DECAY if np.isinf(r) else (1.5 / r, 3.0 / r, 6.0 / r)
     battery = _source_battery(pair, trials, rng, decay_betas=betas)
     hard = p <= 2.0 <= q
-    # (kind, symbol, weak norm, estimator seed) of the symbols with a nonzero weak norm
-    kept = []
-    for kind, sym in battery:
-        weak = lp_norm(sym, np.inf) if np.isinf(r) else lorentz_norm(sym, r, np.inf)
-        if weak != 0.0:
-            kept.append((kind, sym, weak, int(rng.integers(2**62))))
-    maps = (multiplier_map(pair, sym) for _, sym, _, _ in kept)
+    z = _stack(pair.source, battery)
+    weak_norms = lp_norms(pair.source, z, np.inf) if np.isinf(r) else lorentz_norms(pair.source, z, r, np.inf)
+    lr_norms = lp_norms(pair.source, z, r)  # reported for the hard clause only
+    # (kind, symbol, weak norm, L_r norm, estimator seed) of the symbols with a nonzero weak norm
+    kept = [
+        (kind, sym, weak, lr, int(rng.integers(2**62)))
+        for (kind, sym), weak, lr in zip(battery, weak_norms, lr_norms)
+        if weak != 0.0
+    ]
+    maps = (multiplier_map(pair, sym) for _, sym, *_ in kept)
     estimates = estimate_pq_norms(maps, p, q, [s for *_, s in kept], **opts)
     series = []
-    for (kind, sym, weak, _), est in zip(kept, estimates):
+    for (kind, _, weak, lr, _), est in zip(kept, estimates):
         row = {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "ratio": est.lower_bound / weak}
         if hard:
-            row["lr_norm"] = lp_norm(sym, r)
+            row["lr_norm"] = lr
         series.append(row)
     max_ratio, witness = _worst((row["input"], row["ratio"]) for row in series)
     identity_ratio = next((row["ratio"] for row in series if row["input"] == "identity"), None)
@@ -585,16 +592,14 @@ def check_paley(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int 
     structured = [("identity", dual.identity()), ("atom_min_weight", dual.basis_element(min_block, 0, 0))]
     n_rand = max(trials - len(structured), 1)
     a_batt = structured + _random_sources(dual, n_rand, rng, ("gaussian", "rank_one", "sparse"))
-
-    def ratios():
-        for i, (kind, a) in enumerate(a_batt):
-            x = random_element(pair.source, np.random.SeedSequence((seed, i, 7)))
-            weak = lp_norm(a, np.inf) if np.isinf(s) else lorentz_norm(a, s, np.inf)
-            denom = weak * lp_norm(x, p)
-            if denom != 0.0:
-                yield kind, lp_norm(a * fourier(pair, x), p) / denom
-
-    max_ratio, witness = _worst(ratios())
+    a = _stack(dual, a_batt)
+    # row i: the source element paired with the i-th symbol
+    x = np.array(
+        [stack_complex(random_element(pair.source, np.random.SeedSequence((seed, i, 7)))) for i in range(len(a))]
+    )
+    weak = lp_norms(dual, a, np.inf) if np.isinf(s) else lorentz_norms(dual, a, s, np.inf)
+    images = _block_ops(dual).product(a, x @ pair.fourier_matrix.T)
+    max_ratio, witness = _worst(_ratios(a_batt, lp_norms(dual, images, p), weak * lp_norms(pair.source, x, p)))
     return CheckReport(
         check="paley",
         instance=pair.name,

@@ -2,9 +2,10 @@
 
 Four subcommands:
 
-* ``ncfourier run CONFIG [--out DIR] [--seed N] [--jobs N]`` - execute a
-  campaign; exit status 0 when every hard check passes, 1 when some hard
-  check fails, 2 on configuration or data errors.
+* ``ncfourier run CONFIG [--out DIR] [--seed N] [--jobs N] [--timings FILE]``
+  - execute a campaign; exit status 0 when every hard check passes, 1 when
+  some hard check fails, 2 on configuration or data errors.  ``--timings``
+  writes the wall seconds of every check to FILE, outside DIR.
 * ``ncfourier plot REPORT_DIR [--out DIR]`` - turn the reports of a finished
   campaign into comma-delimited plot tables.
 * ``ncfourier instances [--data-dir DIR]`` - list every named instance,
@@ -39,6 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="campaign_out", help="output directory (default: %(default)s)")
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed in the config")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default: 1)")
+    p_run.add_argument(
+        "--timings",
+        default=None,
+        metavar="FILE",
+        help="write per-check wall seconds to FILE, a JSON file outside --out",
+    )
 
     p_plot = sub.add_parser("plot", help="emit CSV plot tables from a report directory")
     p_plot.add_argument("report_dir", help="directory written by `ncfourier run`")
@@ -61,7 +68,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=int(args.seed))
-    exit_code, summary = run_campaign(config, args.out, jobs=args.jobs)
+    exit_code, summary = run_campaign(config, args.out, jobs=args.jobs, timings=args.timings)
     for row in summary["checks"]:
         status = "ok " if row["passed"] else "FAIL"
         kind = "hard" if row["hard"] else "mon."
@@ -80,6 +87,8 @@ def _cmd_run(args) -> int:
         names = ", ".join(f"{f['check']}[{f['index']}]" for f in summary["hard_failures"])
         print(f"HARD FAILURES: {names}")
     print(f"reports written to {args.out}")
+    if args.timings is not None:
+        print(f"timings written to {args.timings}")
     return exit_code
 
 

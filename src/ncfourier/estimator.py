@@ -39,10 +39,12 @@ or its relative gain falls below the tolerance, and at the end every
 value is recomputed at its point by a product, so that it is certified.
 In fixed-step mode (the brute-force samples) every row takes every step.
 Products, reductions and warm starts are done map by map or row by row,
-so a map's estimate has the same bits in any batch.  Singular values and
-Schatten gradients of 1x1 and 2x2 blocks are elementwise closed forms on
-the block entries, so a batch of them costs a fixed number of array
-operations, whatever its size, and commutative algebras never touch LAPACK.
+so a map's estimate has the same bits in any batch.  Norms, singular values
+and Schatten gradients come from the package's one block-spectrum kernel,
+``lorentz._BlockOps``: on 1x1 and 2x2 blocks they are elementwise closed
+forms on the block entries, so a batch of them costs a fixed number of
+array operations, whatever its size, and commutative algebras never touch
+LAPACK.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import numpy as np
 from .algebra import AlgebraElement, TracialAlgebra, random_element
 from .errors import ParameterError, ShapeMismatchError
 from .linmap import LinearMap, coordinate_weights, stack_complex, unstack_complex
-from .lorentz import lp_norm
+from .lorentz import _TINY, _block_ops, _BlockOps, lp_norm
 
 __all__ = [
     "NormEstimate",
@@ -65,12 +67,6 @@ __all__ = [
     "estimate_pq_norms",
     "brute_force_pq_norm",
 ]
-
-_TINY = 1e-300
-# singular values this far (relatively) below the block's largest are
-# treated as exactly zero inside gradient formulas
-_SV_FLOOR = 1e-100
-
 
 @dataclass
 class NormEstimate:
@@ -93,155 +89,7 @@ class NormEstimate:
 
 
 # ---------------------------------------------------------------------------
-# batched blockwise norms and Schatten gradients
-
-
-def _spectrum2(y: np.ndarray):
-    """Closed-form spectral data of 2x2 blocks, ``y[..., :] = (a, b, c, d)`` row-major.
-
-    The Gram matrix y* y is [[h00, h01], [conj(h01), h11]] with
-    h00 = |a|^2 + |c|^2, h11 = |b|^2 + |d|^2 and h01 = conj(a) b + conj(c) d;
-    its eigenvalues are mean +- radius, radius = hypot(delta, |h01|) with
-    delta = (h00 - h11) / 2.  Returns (sv, delta, radius, h01), where
-    sv[..., :] = (s1, s2) are the singular values, s1 >= s2.  s2 is
-    |det y| / s1: sqrt(mean - radius) would lose half the digits of a small
-    singular value to cancellation.
-    """
-    a, b, c, d = (y[..., i] for i in range(4))
-    sq = np.abs(y) ** 2
-    h00 = sq[..., 0] + sq[..., 2]
-    h11 = sq[..., 1] + sq[..., 3]
-    h01 = np.conj(a) * b + np.conj(c) * d
-    delta = 0.5 * (h00 - h11)
-    radius = np.hypot(delta, np.abs(h01))
-    s1 = np.sqrt(0.5 * (h00 + h11) + radius)
-    # |det y| <= s1^2 underflows to 0 wherever s1 < _TINY
-    s2 = np.abs(a * d - b * c) / np.maximum(s1, _TINY)
-    return np.stack([s1, s2], axis=-1), delta, radius, h01
-
-
-def _as_slice(idx: np.ndarray):
-    """``idx`` as a slice when it is a run of consecutive indices, so that
-    indexing with it takes a view instead of a copy."""
-    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        return slice(int(idx[0]), int(idx[0]) + idx.size)
-    return idx
-
-
-class _BlockOps:
-    """Vectorized singular values / Schatten gradients for one algebra.
-
-    Operates on batches of stacked complex coordinates, shape (S, D).
-    Blocks are grouped by size: 1x1 entries are pure elementwise work, 2x2
-    blocks are elementwise closed forms on their four entries (see
-    :func:`_spectrum2`), not stacked 2x2 matrix products, and anything larger
-    goes through batched LAPACK.
-    """
-
-    def __init__(self, algebra: TracialAlgebra):
-        self.algebra = algebra
-        idx1, wts1 = [], []
-        idx2, wts2 = [], []
-        big = []
-        for k, (n, w) in enumerate(zip(algebra.dims, algebra.weights)):
-            o = algebra.block_offset(k)
-            if n == 1:
-                idx1.append(o)
-                wts1.append(w)
-            elif n == 2:
-                idx2.append(np.arange(o, o + 4))
-                wts2.append(w)
-            else:
-                big.append((o, n, w))
-        self.idx1 = _as_slice(np.asarray(idx1, dtype=int))
-        self.wts1 = np.asarray(wts1, dtype=float)
-        self.idx2 = _as_slice(np.ravel(idx2).astype(int))
-        self.wts2 = np.asarray(wts2, dtype=float)
-        self.big = big
-        self.wts = np.concatenate(
-            [self.wts1, np.repeat(self.wts2, 2)] + [np.full(n, w) for _, n, w in big]
-        )
-
-    def spectrum(self, z: np.ndarray):
-        """Per-row singular values, in the order of ``self.wts``, and the block data
-        :meth:`schatten_direction` builds on; z has shape (S, D).
-
-        The data are |z| on the 1x1 entries and the four arrays of
-        :func:`_spectrum2` on the 2x2 blocks.  Larger blocks keep nothing: their
-        directions need U and V, which the singular values alone do not give.
-        """
-        s_count = z.shape[0]
-        parts = []
-        data = ()
-        if self.wts1.size:
-            mag = np.abs(z[:, self.idx1])
-            parts.append(mag)
-            data += (mag,)
-        if self.wts2.size:
-            spec2 = _spectrum2(z[:, self.idx2].reshape(s_count, -1, 4))
-            parts.append(spec2[0].reshape(s_count, -1))
-            data += spec2
-        for o, n, _ in self.big:
-            parts.append(np.linalg.svd(z[:, o : o + n * n].reshape(s_count, n, n), compute_uv=False))
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), data
-
-    def singular_values(self, z: np.ndarray):
-        """Per-row singular values and their weights; z has shape (S, D)."""
-        return self.spectrum(z)[0], self.wts
-
-    def value(self, sv: np.ndarray, p: float) -> np.ndarray:
-        """Per-row p-norms from the singular values of :meth:`spectrum`.
-
-        Each row is summed on its own (not by a BLAS matrix-vector product,
-        whose bits for one row depend on the others), so a row's value does
-        not depend on the batch it is in.
-        """
-        if np.isinf(p):
-            return sv.max(axis=1)
-        return np.einsum("ij,j->i", sv**p, self.wts) ** (1.0 / p)
-
-    def norm(self, z: np.ndarray, p: float) -> np.ndarray:
-        return self.value(self.spectrum(z)[0], p)
-
-    def schatten_direction(self, z: np.ndarray, q: float, data: tuple | None = None) -> np.ndarray:
-        """Blockwise U diag(s^(q-1)) V* of each row (gradient numerator).
-
-        ``data`` is the block data of :meth:`spectrum` for the same rows, when
-        the caller has it.
-        """
-        if data is None:
-            data = self.spectrum(z)[1]
-        s_count = z.shape[0]
-        g = np.zeros_like(z)
-        if self.wts1.size:
-            mag, *data = data
-            v = z[:, self.idx1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scaled = np.where(mag > _TINY, v * mag ** (q - 2.0), 0.0)
-            g[:, self.idx1] = scaled
-        if self.wts2.size:
-            y = z[:, self.idx2].reshape(s_count, -1, 4)
-            sv, delta, radius, h01 = data
-            with np.errstate(divide="ignore"):
-                t = np.where(sv > _SV_FLOOR * np.maximum(sv[..., :1], _TINY), sv ** (q - 2.0), 0.0)
-            # U diag(s^(q-1)) V* = y P with P = t2 I + (t1 - t2) (h - s2^2 I) / (2 radius),
-            # the second term being the projection on the top eigenvector of h = y* y;
-            # it vanishes where radius = 0, where h is a multiple of I
-            t2 = t[..., 1]
-            dt = t[..., 0] - t2
-            den = np.where(radius > 0.0, 2.0 * radius, 1.0)
-            p01 = dt * (h01 / den)
-            p_row0 = np.stack([t2 + dt * ((radius + delta) / den), p01], axis=-1)
-            p_row1 = np.stack([np.conj(p01), t2 + dt * ((radius - delta) / den)], axis=-1)
-            y = y.reshape(s_count, -1, 2, 2)
-            gy = y[..., :1] * p_row0[..., None, :] + y[..., 1:] * p_row1[..., None, :]
-            g[:, self.idx2] = gy.reshape(s_count, -1)
-        for o, n, _ in self.big:
-            y = z[:, o : o + n * n].reshape(s_count, n, n)
-            u, sv, vh = np.linalg.svd(y)
-            gy = (u * sv[..., None, :] ** (q - 1.0)) @ vh
-            g[:, o : o + n * n] = gy.reshape(s_count, -1)
-        return g
+# Schatten gradients
 
 
 def schatten_gradient(x: AlgebraElement, q: float) -> AlgebraElement:
@@ -255,12 +103,8 @@ def schatten_gradient(x: AlgebraElement, q: float) -> AlgebraElement:
     nrm = lp_norm(x, q)
     if nrm == 0.0:
         raise ParameterError("Schatten gradient is undefined at the zero element")
-    blocks = []
-    for b in x.blocks:
-        u, sv, vh = np.linalg.svd(b)
-        blocks.append((u * sv ** (q - 1.0)) @ vh)
-    g = AlgebraElement(x.algebra, blocks)
-    return g * (nrm ** (1.0 - q))
+    g = _block_ops(x.algebra).schatten_direction(stack_complex(x)[None], q)[0]
+    return unstack_complex(x.algebra, g * (nrm ** (1.0 - q)))
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,29 @@ def oracle_lorentz(x, p: float, q: float, points_per_step: int = 4000) -> float:
     return float(total ** (1.0 / q))
 
 
+def reference_decreasing_step_function(values, weights):
+    """(breakpoints, values) of ``decreasing_step_function``, value by value.
+
+    In decreasing order (ties in input order) a value joins the current step
+    when it is within relative tolerance 1e-12 of the step's first value, and
+    starts a new step otherwise; zeros are dropped.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    weights = np.asarray(weights, dtype=float).ravel()
+    order = np.argsort(-values, kind="stable")
+    merged_vals: list[float] = []
+    merged_wts: list[float] = []
+    for v, w in zip(values[order], weights[order]):
+        if v == 0.0:
+            continue
+        if merged_vals and merged_vals[-1] - v <= 1e-12 * merged_vals[-1]:
+            merged_wts[-1] += w
+        else:
+            merged_vals.append(float(v))
+            merged_wts.append(float(w))
+    return np.cumsum(merged_wts), np.asarray(merged_vals)
+
+
 def oracle_entry_lorentz(entries, r: float, w: float) -> float:
     """Lorentz norm of a plain sequence under counting measure."""
     mags = np.sort(np.abs(np.asarray(entries).ravel()))[::-1]
@@ -153,7 +176,7 @@ def random_unitary_element(algebra, rng):
 
 
 def _reference_gradient(m, adj_t, cod_ops, z, q, f):
-    from ncfourier.estimator import _TINY
+    from ncfourier.lorentz import _TINY
 
     g = cod_ops.schatten_direction(z @ m.matrix.T, q)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -167,7 +190,8 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
     ``halvings`` lists, for every line search, how many halvings it tried
     before it found an improving step (50 when none of them improves).
     """
-    from ncfourier.estimator import _TINY, NormEstimate, _BlockOps, _l2_maximizers, _MapStack
+    from ncfourier.estimator import NormEstimate, _l2_maximizers, _MapStack
+    from ncfourier.lorentz import _TINY, _BlockOps
     from ncfourier.linmap import unstack_complex
 
     dom = m.domain
@@ -246,7 +270,8 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
 
 def reference_brute_force_pq_norm(m, p, q, samples=100_000, seed=0, refine_steps=200):
     """``brute_force_pq_norm`` with the image ``z @ M.T`` recomputed for every gradient."""
-    from ncfourier.estimator import _TINY, _BlockOps, _complex_normals, _l2_maximizers, _MapStack
+    from ncfourier.estimator import _complex_normals, _l2_maximizers, _MapStack
+    from ncfourier.lorentz import _TINY, _BlockOps
 
     dom_ops = _BlockOps(m.domain)
     cod_ops = _BlockOps(m.codomain)
@@ -269,3 +294,82 @@ def reference_brute_force_pq_norm(m, p, q, samples=100_000, seed=0, refine_steps
         f = np.where(good, cod_ops.norm(z @ m.matrix.T, q), 0.0)
         best = max(best, float(f.max(initial=0.0)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference battery checks: one element at a time, each norm by its own call,
+# each transform by a matrix-vector product; each returns (max ratio, witness)
+
+
+def reference_hausdorff_young(pair, p, trials, seed):
+    from ncfourier.checks import _source_battery, _worst, conjugate_exponent
+    from ncfourier.fourier import fourier
+    from ncfourier.lorentz import lp_norm
+
+    pc = conjugate_exponent(p)
+    scores = []
+    for name, x in _source_battery(pair, trials, np.random.default_rng(seed)):
+        denom = lp_norm(x, p)
+        if denom != 0.0:
+            scores.append((name, lp_norm(fourier(pair, x), pc) / denom))
+    return _worst(scores)
+
+
+def reference_real_interpolation(pair, p, trials, seed):
+    from ncfourier.checks import _random_sources, _source_battery, _worst, conjugate_exponent
+    from ncfourier.fourier import fourier, inverse_fourier
+    from ncfourier.lorentz import lorentz_norm, lp_norm
+
+    pc = conjugate_exponent(p)
+    rng = np.random.default_rng(seed)
+
+    def scores(battery, transform):
+        for name, x in battery:
+            denom = lorentz_norm(x, p, pc)
+            if denom != 0.0:
+                yield name, lp_norm(transform(pair, x), pc) / denom
+
+    fwd = _worst(scores(_source_battery(pair, trials, rng), fourier), direction="forward")
+    dual_batt = [("identity", pair.dual.identity())] + _random_sources(
+        pair.dual, max(trials // 2, 1), rng, ("gaussian", "rank_one")
+    )
+    inv = _worst(scores(dual_batt, inverse_fourier), direction="inverse")
+    return fwd if fwd[0] >= inv[0] else inv
+
+
+def reference_inversion_plancherel(pair, trials, seed):
+    from ncfourier.checks import _source_battery, _worst
+    from ncfourier.fourier import fourier, inverse_fourier
+    from ncfourier.lorentz import lp_norm
+
+    scores = []
+    for name, x in _source_battery(pair, trials, np.random.default_rng(seed)):
+        l2 = lp_norm(x, 2)
+        fx = fourier(pair, x)
+        rt = lp_norm(inverse_fourier(pair, fx) - x, 2)
+        pl = abs(lp_norm(fx, 2) - l2)
+        scores.append((name, max(rt, pl) / (1.0 + l2)))
+    return _worst(scores, key="residual")
+
+
+def reference_paley(pair, p, trials, seed):
+    from ncfourier.checks import _random_sources, _worst, one_sided_exponent
+    from ncfourier.fourier import fourier
+    from ncfourier.lorentz import lorentz_norm, lp_norm
+
+    s = one_sided_exponent(p)
+    rng = np.random.default_rng(seed)
+    dual = pair.dual
+    min_block = int(np.argmin(dual.weights))
+    structured = [("identity", dual.identity()), ("atom_min_weight", dual.basis_element(min_block, 0, 0))]
+    a_batt = structured + _random_sources(
+        dual, max(trials - len(structured), 1), rng, ("gaussian", "rank_one", "sparse")
+    )
+    scores = []
+    for i, (name, a) in enumerate(a_batt):
+        x = random_element(pair.source, np.random.SeedSequence((seed, i, 7)))
+        weak = lp_norm(a, np.inf) if np.isinf(s) else lorentz_norm(a, s, np.inf)
+        denom = weak * lp_norm(x, p)
+        if denom != 0.0:
+            scores.append((name, lp_norm(a * fourier(pair, x), p) / denom))
+    return _worst(scores)

@@ -60,6 +60,12 @@ class TestTracialAlgebra:
         assert alg.matches(TracialAlgebra([1, 2], [1 / 3 + 1e-12, 2.0]))
         assert not alg.matches(TracialAlgebra([1, 2], [0.5, 2.0]))
 
+    def test_matches_small_weights_by_relative_tolerance(self):
+        # weights of 1e-9 and 2e-9 are within np.allclose's default atol of 1e-8
+        alg = TracialAlgebra([1, 1], [1e-9, 1.0])
+        assert not alg.matches(TracialAlgebra([1, 1], [2e-9, 1.0]))
+        assert alg.matches(TracialAlgebra([1, 1], [1e-9 * (1 + 1e-12), 1.0]))
+
     def test_matches_needs_equal_dims(self):
         alg = TracialAlgebra([1, 2], [1 / 3, 2.0])
         assert not alg.matches(TracialAlgebra([2, 1], [1 / 3, 2.0]))

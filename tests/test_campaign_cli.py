@@ -414,6 +414,12 @@ class TestRunCampaign:
         }
         assert _declared_precision({"ratio": [-2.00000000000999, 0.0]}) == {"ratio": [-2.0, 0.0]}
 
+    def test_round_down_is_stable_at_one(self):
+        # 1 - 1 ulp, 1 and 1 + 2 ulp print alike, never above the computed value
+        near_one = [np.nextafter(1.0, 0.0), 1.0, 1.0 + 2 * np.finfo(float).eps]
+        assert _declared_precision({"ratio": near_one}) == {"ratio": [0.999999999999] * 3}
+        assert _declared_precision({"weak_norm": near_one}) == {"weak_norm": [1.0] * 3}
+
     def test_seed_changes_results(self, tmp_path):
         base = load_config(_write_config(tmp_path, _fast_campaign(seed=1)))
         other = load_config(_write_config(tmp_path, _fast_campaign(seed=2), "c2.json"))
@@ -474,7 +480,8 @@ class TestEmitPlotData:
         series = (tmp_path / "out" / "plots" / "003_growth.csv").read_text()
         rows = series.splitlines()
         assert rows[0] == "ball_size,n,ratio,violated"  # report keys are sorted
-        assert rows[1] == "1,0,1,0"  # bools flatten to 0/1
+        # bools flatten to 0/1; the ratio 1 is a lower bound, nudged below 1 before its round-down
+        assert rows[1] == "1,0,0.999999999999,0"
 
     def test_explicit_out_dir(self, tmp_path):
         cfg = load_config(_write_config(tmp_path, _fast_campaign()))
@@ -598,6 +605,30 @@ class TestCliMain:
         main(["run", str(cfg_path), "--out", str(tmp_path / "j1"), "--jobs", "1"])
         main(["run", str(cfg_path), "--out", str(tmp_path / "j2"), "--jobs", "2"])
         assert _tree_bytes(tmp_path / "j1") == _tree_bytes(tmp_path / "j2")
+
+    def test_timings_sidecar(self, tmp_path):
+        # the reference campaign, with and without --timings, at one and two jobs
+        repo = Path(__file__).resolve().parents[1]
+        config = repo / "campaigns" / "reference.json"
+        names = [spec.check for spec in load_config(config).checks]
+        for jobs in ("1", "2"):
+            plain, timed, sidecar = tmp_path / f"plain{jobs}", tmp_path / f"timed{jobs}", tmp_path / f"t{jobs}.json"
+            assert main(["run", str(config), "--out", str(plain), "--jobs", jobs]) == 0
+            assert main(["run", str(config), "--out", str(timed), "--jobs", jobs, "--timings", str(sidecar)]) == 0
+            assert _tree_bytes(plain) == _tree_bytes(timed)
+            doc = json.loads(sidecar.read_text())
+            assert doc["jobs"] == int(jobs) and doc["wall_s"] > 0
+            assert [(row["index"], row["check"]) for row in doc["checks"]] == list(enumerate(names))
+            assert len(doc["checks"]) == 14
+            assert all(row["wall_s"] > 0 for row in doc["checks"])
+            assert doc["checks"][1]["instance"] == "Z8"
+
+    def test_timings_inside_out_dir_exits_2(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, _fast_campaign())
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out), "--timings", str(out / "t.json")]) == 2
+        assert "outside the output directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_instances_data_dir(self, tmp_path, capsys):
         save_group_file(tmp_path / "Z11.json", cyclic_group_data(11))

@@ -26,6 +26,13 @@ from ncfourier.fourier import build_finite_abelian, build_group_vna, perturb_fou
 from ncfourier.groups import builtin_group
 from ncfourier.torus import cosine_profile, riemann_lp
 
+from conftest import (
+    reference_hausdorff_young,
+    reference_inversion_plancherel,
+    reference_paley,
+    reference_real_interpolation,
+)
+
 FAST_EST = {"restarts": 3, "max_iters": 40, "tol": 1e-6}
 
 
@@ -153,6 +160,52 @@ class TestInversionPlancherel:
         assert not rep.passed
         assert rep.max_ratio > 1e-4
         assert rep.instance.endswith("!fault")
+
+
+BATTERY_PAIRS = ["Z8", "S3", "Q8"]
+
+
+def _pair(name):
+    return build_finite_abelian([8], name="Z8") if name == "Z8" else build_group_vna(builtin_group(name))
+
+
+def _same_worst(report, reference, key="ratio", **tol):
+    """The batched report and the per-element reference agree on the max and on the witness's value."""
+    ref_max, ref_witness = reference
+    assert report.max_ratio == pytest.approx(ref_max, **tol)
+    assert report.witness[key] == pytest.approx(ref_witness[key], **tol)
+
+
+class TestBatchedBatteries:
+    """Each battery check, which stacks its battery and takes every norm with one
+    kernel call, against the same battery one element at a time."""
+
+    @pytest.mark.parametrize("name", BATTERY_PAIRS)
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
+    def test_hausdorff_young(self, name, p):
+        pair = _pair(name)
+        rep = check_hausdorff_young(pair, p, trials=40, seed=3)
+        _same_worst(rep, reference_hausdorff_young(pair, p, 40, 3), rel=1e-12)
+
+    @pytest.mark.parametrize("name", BATTERY_PAIRS)
+    @pytest.mark.parametrize("p", [1.25, 1.5])
+    def test_real_interpolation(self, name, p):
+        pair = _pair(name)
+        rep = check_real_interpolation(pair, p, trials=40, seed=4)
+        _same_worst(rep, reference_real_interpolation(pair, p, 40, 4), rel=1e-12)
+
+    # the residuals are rounding errors, so they agree in absolute terms only
+    @pytest.mark.parametrize("name", BATTERY_PAIRS)
+    def test_inversion_plancherel(self, name):
+        pair = _pair(name)
+        rep = check_inversion_plancherel(pair, trials=40, seed=5)
+        _same_worst(rep, reference_inversion_plancherel(pair, 40, 5), key="residual", abs=1e-12)
+
+    @pytest.mark.parametrize("name", BATTERY_PAIRS)
+    @pytest.mark.parametrize("p", [1.25, 2.0])
+    def test_paley(self, name, p):
+        pair = _pair(name)
+        _same_worst(check_paley(pair, p, trials=40, seed=6), reference_paley(pair, p, 40, 6), rel=1e-12)
 
 
 class TestMultiplierBound:

@@ -9,7 +9,6 @@ from ncfourier.errors import ParameterError, ShapeMismatchError
 from ncfourier import estimator
 from ncfourier.estimator import (
     _backtrack,
-    _BlockOps,
     brute_force_pq_norm,
     estimate_pq_norm,
     estimate_pq_norms,
@@ -24,7 +23,7 @@ from ncfourier.linmap import (
     stack_complex,
     unstack_complex,
 )
-from ncfourier.lorentz import lp_norm
+from ncfourier.lorentz import _BlockOps, lp_norm
 from ncfourier.schur import schur_map
 
 from conftest import (

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from ncfourier.algebra import TracialAlgebra, random_element
-from ncfourier.errors import ParameterError
+from ncfourier.campaign import resolve_instance
+from ncfourier.errors import ParameterError, ShapeMismatchError
+from ncfourier.linmap import stack_complex
 from ncfourier.lorentz import (
     SingularFunction,
+    _BlockOps,
     decreasing_step_function,
     distribution_function,
+    distribution_functions,
     lorentz_norm,
     lorentz_norm_of_step,
+    lorentz_norms,
     lp_norm,
+    lp_norms,
     singular_function,
+    singular_functions,
 )
 
 from conftest import (
@@ -19,6 +26,7 @@ from conftest import (
     random_algebra,
     random_exponent,
     random_unitary_element,
+    reference_decreasing_step_function,
 )
 
 
@@ -92,6 +100,141 @@ class TestSingularFunction:
             SingularFunction(np.array([2.0, 1.0]), np.array([2.0, 1.0]))  # decreasing breaks
         with pytest.raises(ParameterError):
             decreasing_step_function([1.0], [-1.0])
+
+
+def _near_tie_chain(rng, n, spacing):
+    """n values 1, 1 - spacing, 1 - 2 spacing, ... (relative), in random order."""
+    return rng.permutation(1.0 - spacing * np.arange(n)) * rng.choice([1.0, 3.7e-5, 2.5e8])
+
+
+def _step_inputs():
+    rng = np.random.default_rng(60)
+    cases = {
+        "empty": [],
+        "all_zeros": [0.0, 0.0, 0.0],
+        "single": [2.5],
+        "single_zero": [0.0],
+        "zeros_among_values": [0.0, 3.0, 0.0, 1.0, 3.0],
+        "exact_duplicates": [2.0] * 9 + [1.0] * 20,
+        "duplicate_pairs": np.repeat(rng.random(12), 2),
+        "tie_chain_within_tolerance": 1.0 - 1e-13 * np.arange(8),
+        "tie_chain_across_tolerance": 1.0 - 4e-13 * np.arange(12),
+        "two_tie_chains": np.concatenate([2.0 - 7e-13 * np.arange(9), 1.0 - 3e-13 * np.arange(9), [0.0]]),
+    }
+    for i in range(12):
+        cases[f"random_chain_{i}"] = _near_tie_chain(rng, int(rng.integers(2, 40)), rng.choice([1e-13, 5e-13, 2e-12]))
+    for i in range(12):
+        values = rng.choice([0.0, 1.0, 1.0 - 6e-13, 1.0 - 1.2e-12, 0.5, rng.random()], size=int(rng.integers(1, 30)))
+        cases[f"random_mix_{i}"] = values
+    return {
+        name: (np.asarray(v, dtype=float), rng.random(len(v)) * rng.choice([1e-3, 1.0, 7.0], len(v)) + 1e-3)
+        for name, v in cases.items()
+    }
+
+
+STEP_INPUTS = _step_inputs()
+
+
+class TestStepFunctionOracle:
+    """The vectorized merge against the value-by-value loop in conftest, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(STEP_INPUTS))
+    def test_bit_equal_to_sequential_merge(self, name):
+        values, weights = STEP_INPUTS[name]
+        sf = decreasing_step_function(values, weights)
+        breakpoints, steps = reference_decreasing_step_function(values, weights)
+        assert np.array_equal(sf.breakpoints, breakpoints)
+        assert np.array_equal(sf.values, steps)
+
+    def test_chain_across_tolerance_splits(self):
+        # each value is within 1e-12 of its neighbour, but not of the first of its step
+        sf = decreasing_step_function(1.0 - 4e-13 * np.arange(12), np.ones(12))
+        assert 1 < len(sf.values) < 12
+
+
+# the algebras of the batched-norm tests: Z8 (commutative), the duals of S3
+# and Q8 (1x1 and 2x2 blocks), M4 (one 4x4 block), a mixed algebra with
+# blocks of every kind and a random one
+BATCH_ALGEBRAS = {
+    "Z8": resolve_instance("Z8").source,
+    "S3_dual": resolve_instance("S3").dual,
+    "Q8_dual": resolve_instance("Q8").dual,
+    "M4": TracialAlgebra([4], [1.0]),
+    "mixed": TracialAlgebra([1, 3, 2, 1, 2], [0.5, 1.25, 0.3, 2.0, 0.3]),
+    "random": random_algebra(np.random.default_rng(66), max_blocks=5, max_dim=4),
+}
+
+
+def _batch(alg):
+    """Elements of several ensembles, with the zero and identity elements, as elements and as rows."""
+    elems = [alg.zero(), alg.identity()] + [
+        random_element(alg, np.random.SeedSequence((61, i)), kind)
+        for i, kind in enumerate(["gaussian", "hermitian", "sparse", "rank_one"] * 3)
+    ]
+    return elems, np.array([stack_complex(x) for x in elems])
+
+
+class TestBatchedNorms:
+    """Each batched norm, row by row, equals its per-element function bit for bit,
+    in the batch's order and reversed."""
+
+    @pytest.mark.parametrize("name", list(BATCH_ALGEBRAS))
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_lp_norms(self, name, p):
+        alg = BATCH_ALGEBRAS[name]
+        elems, z = _batch(alg)
+        want = [lp_norm(x, p) for x in elems]
+        assert lp_norms(alg, z, p).tolist() == want
+        assert lp_norms(alg, z[::-1], p).tolist() == want[::-1]
+
+    @pytest.mark.parametrize("name", list(BATCH_ALGEBRAS))
+    @pytest.mark.parametrize("p, q", [(1.5, 3.0), (2.0, 1.0), (0.7, 0.4), (3.0, np.inf), (1.2, np.inf)])
+    def test_lorentz_norms(self, name, p, q):
+        alg = BATCH_ALGEBRAS[name]
+        elems, z = _batch(alg)
+        want = [lorentz_norm(x, p, q) for x in elems]
+        assert lorentz_norms(alg, z, p, q).tolist() == want
+        assert lorentz_norms(alg, z[::-1], p, q).tolist() == want[::-1]
+        assert [lorentz_norm_of_step(singular_function(x), p, q) for x in elems] == want
+
+    @pytest.mark.parametrize("name", list(BATCH_ALGEBRAS))
+    def test_singular_functions(self, name):
+        alg = BATCH_ALGEBRAS[name]
+        elems, z = _batch(alg)
+        for got, x in zip(singular_functions(alg, z), elems):
+            want = singular_function(x)
+            assert np.array_equal(got.breakpoints, want.breakpoints)
+            assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("name", list(BATCH_ALGEBRAS))
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
+    def test_distribution_functions(self, name, s):
+        alg = BATCH_ALGEBRAS[name]
+        elems, z = _batch(alg)
+        assert distribution_functions(alg, z, s).tolist() == [distribution_function(x, s) for x in elems]
+
+    def test_rows_must_fit_the_algebra(self):
+        alg = BATCH_ALGEBRAS["S3_dual"]
+        with pytest.raises(ShapeMismatchError):
+            lp_norms(alg, np.zeros((2, alg.complex_dim + 1)), 2.0)
+        with pytest.raises(ShapeMismatchError):
+            lorentz_norms(alg, np.zeros(alg.complex_dim), 2.0, 1.0)
+
+
+class TestSpectrum2x2:
+    @pytest.mark.parametrize("name", ["S3_dual", "Q8_dual", "mixed", "random"])
+    def test_agrees_with_lapack(self, name):
+        # relative to each block's largest singular value: LAPACK's smaller one
+        # is itself only that accurate
+        alg = BATCH_ALGEBRAS[name]
+        z = _batch(alg)[1][2:]
+        ops = _BlockOps(alg)
+        sv = ops.singular_values(z)[0]
+        got = sv[:, ops.wts1.size : ops.wts1.size + 2 * ops.wts2.size].reshape(len(z), -1, 2)
+        offsets = [alg.block_offset(k) for k, n in enumerate(alg.dims) if n == 2]
+        blocks = np.stack([z[:, o : o + 4].reshape(len(z), 2, 2) for o in offsets], axis=1)
+        want = np.linalg.svd(blocks, compute_uv=False)
+        assert np.all(np.abs(got - want) <= 1e-15 * want[..., :1])
 
 
 class TestDistributionFunction:
