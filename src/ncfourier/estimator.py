@@ -12,35 +12,37 @@ Three levels of effort:
 
 * :func:`exact_l2_norm` - the p = q = 2 case is a weighted singular value,
   computed exactly.
-* :func:`estimate_pq_norm` - projected gradient ascent on the unit p-sphere
-  with backtracking line search and a deterministic ladder of restarts
-  (Gaussian, rank-one atoms, and the L2 maximizer as warm start).
-  :func:`estimate_pq_norms` does the same for many maps with one domain and
-  one codomain, such as the symbols of one check, all in one ascent.
+* :func:`estimate_pq_norm` - Boyd's power iteration on the unit p-sphere
+  from a deterministic ladder of restarts (Gaussian, rank-one atoms, and the
+  L2 maximizer as warm start).  :func:`estimate_pq_norms` does the same for
+  many maps with one domain and one codomain, such as the symbols of one
+  check, all in one batch.
 * :func:`brute_force_pq_norm` - a sampling oracle for tiny domains: at least
-  1e5 uniform sphere points, every one polished by fixed-step ascent.  Slow
+  1e5 uniform sphere points, every one polished by the same iteration.  Slow
   and only allowed when the domain has at most 8 real dimensions, but it has
-  no tunable convergence knobs, which is the point.
+  no convergence test, which is the point.
 
-Both ascents are one engine, :func:`_ascent`.  It runs on a stack of T maps,
+Both run one engine, :func:`_ascent`.  It runs on a stack of T maps,
 complex D_cod x D_dom matrices in one (T, D_cod, D_dom) array, and on all
 their starting points at once, as one complex batch of rows of length
 D_dom; each row belongs to one map.  An estimate is the case T = 1, whose
-stack is a view of its matrix, and brute force is the fixed-step mode of
-that case.  A batch of maps holds at most ``_BATCH_BYTES`` of matrices and
-rows, so long lists of maps ascend in several batches.
+stack is a view of its matrix.  A batch of maps holds at most
+``_BATCH_BYTES`` of matrices and rows, so long lists of maps ascend in
+several batches, and so do the samples of brute force.
 
-Each row keeps its own step, its image Mz and the spectral data behind its
-value, from which the next gradient is built.  In backtracking mode (the
-restarts of the estimators) every row takes the first halving of its step
-that raises its value, the halvings of all rows being evaluated together,
-with images by linearity; a row leaves the batch when no halving improves
-or its relative gain falls below the tolerance, and at the end every
-value is recomputed at its point by a product, so that it is certified.
-In fixed-step mode (the brute-force samples) every row takes every step.
-Products, reductions and warm starts are done map by map or row by row,
-so a map's estimate has the same bits in any batch.  Norms, singular values
-and Schatten gradients come from the package's one block-spectrum kernel,
+A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method
+for l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
+matrix p-norm", Numer. Math. 62, 1992), carried over to weighted Schatten
+norms by duality: z <- psi_p'(M* psi_q(Mz)), scaled to unit p-norm, where
+psi_r is the duality direction U diag(s^(r-1)) V* of L_r and M* the weighted
+adjoint.  By Hoelder's inequality the value ||Mz||_q never falls, so the
+step needs no step size and no line search, and its fixed points are the
+stationary points of ||Mz||_q / ||z||_p.  An estimate's row stops when its
+value stops rising; a brute-force row takes every step.  Every estimate is
+recomputed at its point by a product, so that it is certified.  Products,
+reductions and warm starts are done map by map or row by row, so a map's
+estimate has the same bits in any batch.  Norms, singular values and
+duality directions come from the package's one block-spectrum kernel,
 ``lorentz._BlockOps``: on 1x1 and 2x2 blocks they are elementwise closed
 forms on the block entries, so a batch of them costs a fixed number of
 array operations, whatever its size, and commutative algebras never touch
@@ -111,8 +113,8 @@ def schatten_gradient(x: AlgebraElement, q: float) -> AlgebraElement:
 # stacks of maps, exact L2 and warm starts
 
 # What one batch of estimate_pq_norms may hold: the matrices of its maps with
-# a point and an image per restart, and the candidates of one chunk of a line
-# search.  Results do not depend on it.
+# a point and an image per restart; and one batch of brute-force samples: a
+# point and an image per sample.  Results do not depend on it.
 _BATCH_BYTES = 1 << 19
 
 
@@ -175,45 +177,30 @@ def _complex_normals(rng, shape) -> np.ndarray:
     return r[..., : shape[-1]] + 1j * r[..., shape[-1] :]
 
 
-def _l2_maximizers(maps: _MapStack, exact: bool):
-    """(sigma, domain coords of a unit-L2 near-maximizer) of every map of a stack.
+def _l2_maximizers(maps: _MapStack, exact: bool) -> np.ndarray:
+    """Domain coords of a unit-L2 near-maximizer of every map of a stack.
 
-    Both are the top singular pair of the weighted matrix D_c M D_d^{-1}: by
-    an SVD, one map at a time, when ``exact``; otherwise by 40 power steps
-    v <- A* A v, made of products with the stack itself, so that no map is
-    copied.
+    It is the top right singular vector of the weighted matrix
+    D_c M D_d^{-1}: by an SVD, one map at a time, when ``exact``; otherwise
+    by 40 power steps v <- M* M v with the weighted adjoint, made of
+    products with the stack itself, so that no map is copied.
     """
-    sqrt_wd, sqrt_wc = np.sqrt(maps.wd), np.sqrt(maps.wc)
+    t = len(maps.mats)
     if exact:
-        sigma = np.empty(len(maps.mats))
-        v = np.empty((len(maps.mats), maps.domain.complex_dim), dtype=complex)
+        v = np.empty((t, maps.domain.complex_dim), dtype=complex)
         for i, mat in enumerate(maps.mats):
-            _, s, vh = np.linalg.svd(_weighted(mat, maps.domain, maps.codomain))
-            sigma[i], v[i] = s[0], vh[0].conj()
-        return sigma, v / sqrt_wd
-    mt = maps.mats.transpose(0, 2, 1)
-
-    def weighted(v):  # A v, each map on its own row
-        return (v[:, None, :] / sqrt_wd @ mt)[:, 0] * sqrt_wc
-
-    v = np.tile(_complex_normals(np.random.default_rng(0x5EED), (maps.domain.complex_dim,)), (len(mt), 1))
-    live = np.ones(len(mt), dtype=bool)  # a map whose power iterate vanishes stops there
+            v[i] = np.linalg.svd(_weighted(mat, maps.domain, maps.codomain))[2][0].conj()
+        return v / np.sqrt(maps.wd)
+    one_each, rows = _MapStack(maps.mats, maps.domain, maps.codomain, 1), np.arange(t)
+    v = np.tile(_complex_normals(np.random.default_rng(0x5EED), (maps.domain.complex_dim,)), (t, 1))
     for _ in range(40):
-        w = np.conj(np.conj(weighted(v) * sqrt_wc)[:, None, :] @ maps.mats)[:, 0] / sqrt_wd
-        nrm = np.linalg.norm(w, axis=1)
-        v = np.where(live[:, None], w, v)
-        live &= nrm > _TINY
-        if not live.any():
-            break
-        v = np.where(live[:, None], v / np.maximum(nrm, _TINY)[:, None], v)
-    return np.linalg.norm(weighted(v), axis=1), v / sqrt_wd
+        v = one_each.adjoint(one_each.apply(v, rows), rows)
+        v *= _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, maps.wd)))[:, None]
+    return v
 
 
 # ---------------------------------------------------------------------------
 # ascent
-
-# the backtracking line search tries the steps step * 2^-k for k < _HALVINGS
-_HALVINGS = 50
 
 
 def _check_exponents(p: float, q: float) -> None:
@@ -223,47 +210,6 @@ def _check_exponents(p: float, q: float) -> None:
         )
 
 
-def _backtrack(evaluate, old, new, k, steps, g, images_of) -> None:
-    """Line search for the rows whose full step did not raise their value (k < 0).
-
-    ``old`` and ``new`` are the rows' states (points, images, values, then the
-    block data of the images) before and after the full step along ``g``, and
-    ``images_of(rows)`` returns M g for an array of row indices.  Each such
-    row tries the steps 2^-k for k = 1, ..., 49 and moves to the first
-    candidate that beats its old value.  A candidate's image comes from
-    linearity, M(z + t g) = Mz + t Mg, so no map is applied to it.  The
-    halvings of all rows still searching are evaluated together, in chunks
-    of 2, 4, 8, ... of them, cut so that the points and images of a chunk
-    take at most a quarter of _BATCH_BYTES (their evaluation makes about as
-    many temporaries again).  A row that none improves gets back its old point
-    and value, with k = -1 (and a stale image: such rows stop).  ``new`` and
-    ``k`` are updated in place.
-    """
-    z, mz, f = old[:3]
-    d, c = z.shape[1], mz.shape[1]
-    cap = max(1, _BATCH_BYTES // (4 * z.itemsize * (d + c)))
-    pending = np.flatnonzero(k < 0)
-    mg = images_of(pending)
-    lo = 1
-    while pending.size and lo < _HALVINGS:
-        ks = np.arange(lo, lo + min(lo + 1, _HALVINGS - lo, max(1, cap // pending.size)))
-        t = (steps[pending, None] * 0.5**ks)[..., None]
-        cand = z[pending, None, :] + t * g[pending, None, :]
-        images = mz[pending, None, :] + t * mg[:, None, :]
-        found = evaluate(cand.reshape(-1, d), images=images.reshape(-1, c))
-        better = found[2].reshape(t.shape[:2]) > f[pending, None]
-        hit = better.any(axis=1)
-        first = better.argmax(axis=1)[hit]
-        pick = np.flatnonzero(hit) * ks.size + first
-        rows = pending[hit]
-        k[rows] = ks[first]
-        for a, b in zip(new, found):
-            a[rows] = b[pick]
-        pending, mg = pending[~hit], mg[~hit]
-        lo = ks[-1] + 1
-    new[0][pending], new[2][pending] = z[pending], f[pending]
-
-
 def _ascent(
     maps: _MapStack,
     slots: np.ndarray,
@@ -271,100 +217,88 @@ def _ascent(
     p: float,
     q: float,
     z: np.ndarray,
-    steps: float | np.ndarray,
     iters: int,
     tol: float | None = None,
 ):
-    """Projected gradient ascent of ||M_t z||_q on the unit p-sphere, from every row of z at once.
+    """Boyd's power iteration for ||M_t z||_q on the unit p-sphere, from every row of z at once.
 
     Row i belongs to slot ``slots[i]`` of ``maps`` (increasing), so to map
-    ``slots[i] // maps.rows_per_map``.
-    ``dom_ops`` is ``_BlockOps(maps.domain)``, which the caller may have used
-    already.  ``z`` is overwritten.  Its rows are first scaled to unit
-    p-norm; a row whose p-norm vanishes becomes zero with value 0.  A step
-    moves a row along the gradient of ||Mz||_q / ||z||_p and scales it back
-    to the sphere.  The image Mz of the new point and the spectral data
-    that gave its value give the next gradient.
+    ``slots[i] // maps.rows_per_map``.  ``dom_ops`` is
+    ``_BlockOps(maps.domain)``, which the caller may have used already.
+    ``z`` is overwritten.  Its rows are first scaled to unit p-norm; a row
+    whose p-norm vanishes becomes zero with value 0.  A step is
+    z <- psi_p'(M* psi_q(Mz)) at unit p-norm (see the module docstring);
+    for p = 1, psi_inf(w) is U diag([s == max s]) V* over the row's largest
+    singular values.  The p-norm of psi_p'(w) is read from the spectrum of
+    w, so a step takes one spectrum on each side.
 
-    * Fixed-step mode (``tol`` None): every row takes all ``iters`` steps of
-      length ``steps``, a number.
-    * Backtracking mode (``tol`` given): each row of value above 1e-300 takes
-      at most ``iters`` steps, the first of length ``steps[i]`` for row i.
-      In each it moves to the first of its step
-      times 2^-k, k = 0, ..., 49, that raises its value (k > 0 through
-      :func:`_backtrack`) and doubles that step.  It stops, converged, when
-      no halving improves or its relative gain falls below ``tol``.
+    * Brute force (``tol`` None): every row takes all ``iters`` steps.
+    * Estimates (``tol`` given): each row of value above 1e-300 takes at
+      most ``iters`` steps.  It stops, converged, when its value does not
+      rise (it keeps its previous point) or rises by less than ``tol``
+      relatively.
 
-    Returns per row: the last point, the best value along the path (the last
-    one in backtracking mode, where values only grow, recomputed at the
-    point by a product, since a halving finds it by linearity) and whether
-    the row stopped before ``iters`` iterations.
+    Returns per row: the last point, the best value along the path (for
+    estimates the last one, recomputed at the point by a product, so that it
+    is certified) and whether the row stopped before ``iters`` steps.
     """
     cod_ops = _BlockOps(maps.codomain)
+    p_dual = np.inf if p == 1.0 else p / (p - 1.0)
 
-    def evaluate(cand, at=None, images=None):
-        """Rows of ``cand`` scaled in place to unit p-norm (zero where it vanishes), their images,
-        values and block data.  ``images`` are the images of the unscaled rows, scaled in place
-        too, when the caller has them; otherwise they are products at the slots ``at``."""
-        nrm = dom_ops.norm(cand, p)
-        good = nrm > _TINY
-        scale = np.maximum(nrm, _TINY)[:, None]
-        np.divide(cand, scale, out=cand)
-        np.copyto(cand, 0.0, where=~good[:, None])
-        if images is None:
-            images = maps.apply(cand, at)
-        else:
-            np.divide(images, scale, out=images)
-            np.copyto(images, 0.0, where=~good[:, None])
-        sv, data = cod_ops.spectrum(images)
-        return (cand, images, np.where(good, cod_ops.value(sv, q), 0.0)) + data
+    def image(z, at):
+        """Images of the rows, their q-norms and the spectra behind them."""
+        mz = maps.apply(z, at)
+        sv, data = cod_ops.spectrum(mz, vectors=True)
+        return mz, cod_ops.value(sv, q), sv, data
 
-    state = evaluate(z, slots)
-    n = len(z)
-    converged = np.zeros(n, dtype=bool)
-    # the rows still ascending: their ids, slots, states (points, images,
-    # values, block data) and steps, and the best values of fixed-step mode
-    ids, at, best = np.arange(n), slots, state[2]
-    left = []  # (ids, points) of the rows that have left
-    if tol is not None and not np.all(best > _TINY):
-        idle = best <= _TINY
-        left.append((ids[idle], state[0][idle]))
-        ids, at, steps = ids[~idle], at[~idle], steps[~idle]
-        state = tuple(a[~idle] for a in state)
-    for _ in range(iters):
-        if not ids.size:
-            break
-        z, mz, f, *data = state
-        g = cod_ops.schatten_direction(mz, q, data)
-        g /= np.maximum(f, _TINY)[:, None] ** (q - 1.0)
-        np.copyto(g, 0.0, where=(f <= _TINY)[:, None])
-        g = maps.adjoint(g, at)
-        if tol is None:  # every row moves, in place
-            del state, mz, data  # brute force batches have 1e5 rows
-            g *= steps
-            z += g
-            state = evaluate(z, slots)
-            np.maximum(best, state[2], out=best)
-            continue
-        new = evaluate(z + steps[:, None] * g, at)
-        k = np.where(new[2] > f, 0, -1)
-        if k.min() < 0:
-            _backtrack(evaluate, state, new, k, steps, g, lambda rows: maps.apply(g[rows], at[rows]))
-        gain = (new[2] - f) / np.maximum(new[2], _TINY)
-        stop = (k < 0) | (gain < tol)
-        steps = 2.0 * (steps * 0.5**k)  # rows with k = -1 stop here
-        state = new
-        if stop.any():
-            converged[ids[stop]] = True
-            left.append((ids[stop], state[0][stop]))
-            ids, at, steps = ids[~stop], at[~stop], steps[~stop]
-            state = tuple(a[~stop] for a in state)
+    def step(at, mz, f, sv, data):
+        """The next points, psi_p'(M* psi_q(Mz)) at unit p-norm, from the images and their spectra."""
+        inv = _inverse(f)[:, None]
+        # psi_q(Mz) / ||Mz||_q^q, whose weighted adjoint w has dual norm at least 1
+        w = maps.adjoint(cod_ops.direction(mz, cod_ops.powers(sv * inv, q) * inv, data), at)
+        sv, data = dom_ops.spectrum(w, vectors=True)
+        g = dom_ops.powers(sv, p_dual)
+        return dom_ops.direction(w, g * _inverse(dom_ops.value(g, p))[:, None], data)
+
+    z *= _inverse(dom_ops.norm(z, p))[:, None]
+    mz, f, sv, data = image(z, slots)
+    converged = np.zeros(len(z), dtype=bool)
     if tol is None:
-        return state[0], best, converged
+        best = f.copy()
+        for _ in range(iters):
+            z = step(slots, mz, f, sv, data)
+            mz, f, sv, data = image(z, slots)
+            np.maximum(best, f, out=best)
+        return z, best, converged
+    # the rows still ascending: their ids, slots and states (points, images,
+    # values, singular values and block data)
+    ids, at = np.arange(len(z)), slots
+    state = (z, mz, f, sv, data)
+    left = []  # (ids, points) of the rows that have left
+    stop = f <= _TINY  # these leave at once, unconverged
+    for i in range(iters + 1):
+        if stop.any():
+            left.append((ids[stop], state[0][stop]))
+            ids, at = ids[~stop], at[~stop]
+            state = tuple(a[~stop] for a in state[:4]) + (tuple(a[~stop] for a in state[4]),)
+        if i == iters or not ids.size:
+            break
+        z, _, f = state[:3]
+        new = step(at, *state[1:])
+        state = (new,) + image(new, at)
+        rise = state[2] > f
+        stop = ~rise | ((state[2] - f) / np.maximum(state[2], _TINY) < tol)
+        converged[ids[stop]] = True
+        new[~rise] = z[~rise]  # a row whose value does not rise keeps its point
     left.append((ids, state[0]))
     ids, z = (np.concatenate(parts) for parts in zip(*left))
     z = z[np.argsort(ids)]
-    return z, cod_ops.norm(maps.apply(z, slots), q), converged
+    return z, cod_ops.norm(maps.apply(z, slots), q) * _inverse(dom_ops.norm(z, p)), converged
+
+
+def _inverse(x: np.ndarray) -> np.ndarray:
+    """1 / x, with 0 where x <= 1e-300."""
+    return np.where(x > _TINY, 1.0 / np.maximum(x, _TINY), 0.0)
 
 
 def estimate_pq_norm(
@@ -376,14 +310,18 @@ def estimate_pq_norm(
     tol: float = 1e-7,
     seed: int = 0,
 ) -> NormEstimate:
-    """Certified lower bound for ||M||_{p->q} by multi-start gradient ascent.
+    """Certified lower bound for ||M||_{p->q} by a multi-start power iteration.
 
     Deterministic: restart r draws from SeedSequence((seed, r)).  The restart
     ladder is the exact L2 maximizer (when p = q = 2) or a power-method
     approximation of it, followed half by Gaussian elements and half by
     rank-one elements; the first rank-one starts are matrix units placed in
     blocks of ascending weight, where extremizers of weighted-norm problems
-    like to live.  All restarts ascend together in backtracking mode.
+    like to live.  All restarts iterate together (see :func:`_ascent`), each
+    for at most ``max_iters`` steps: a restart stops, converged, when its
+    value does not rise or rises by less than ``tol`` relatively.  p = 1 is
+    handled exactly: a step goes to the rank-one point of the largest
+    singular value of M* psi_q(Mz).
     """
     return next(estimate_pq_norms([m], p, q, [seed], restarts, max_iters, tol))
 
@@ -453,9 +391,8 @@ def _estimate_stack(maps: _MapStack, p: float, q: float, seeds: list[int], max_i
     """The estimates of the maps of one stack, one seed each, from one ascent of all their restarts."""
     t, r = len(maps.mats), maps.rows_per_map
     dom = maps.domain
-    sigma, warm = _l2_maximizers(maps, exact=(p == 2.0 and q == 2.0))
     z = np.empty((t, r, dom.complex_dim), dtype=complex)
-    z[:, 0] = warm
+    z[:, 0] = _l2_maximizers(maps, exact=(p == 2.0 and q == 2.0))
     n_rank = (r - 1) // 2
     weight_order = np.argsort(dom.weights)
     for j in range(min(n_rank, dom.num_blocks)):  # matrix units, the same for every map
@@ -471,8 +408,7 @@ def _estimate_stack(maps: _MapStack, p: float, q: float, seeds: list[int], max_i
     nrm = dom_ops.norm(z, p)
     slots = np.flatnonzero(np.isfinite(nrm) & (nrm > _TINY))
     owner = slots // r
-    steps = 1.0 / np.maximum(sigma, 1e-12)
-    z[slots], values, converged = _ascent(maps, slots, dom_ops, p, q, z[slots], steps[owner], max_iters, tol)
+    z[slots], values, converged = _ascent(maps, slots, dom_ops, p, q, z[slots], max_iters, tol)
     f = np.full(t * r, -np.inf)  # the values of the slots, -inf for unusable starts
     f[slots] = values
     best = np.arange(t) * r + f.reshape(t, r).argmax(axis=1)  # the first best slot of each map
@@ -511,8 +447,8 @@ def brute_force_pq_norm(
 
     Draws uniform points on the Euclidean sphere (at least 1e5 of them),
     renormalizes to the unit p-sphere, and polishes every sample with
-    ``refine_steps`` steps of the ascent's fixed-step mode, returning the
-    best ratio seen anywhere along the way.
+    ``refine_steps`` steps of the estimator's power iteration, with no
+    convergence test, returning the best ratio seen anywhere along the way.
     """
     _check_exponents(p, q)
     if m.domain.real_dim > 8:
@@ -523,9 +459,13 @@ def brute_force_pq_norm(
     if samples < 100_000:
         raise ParameterError(f"need at least 1e5 samples, got {samples}")
 
-    maps = _MapStack(m.matrix[None], m.domain, m.codomain, samples)
-    sigma, _ = _l2_maximizers(maps, exact=False)
     z = _complex_normals(np.random.default_rng(seed), (samples, m.domain.complex_dim))
-    step = 0.5 / max(float(sigma[0]), 1e-12)
-    _, best, _ = _ascent(maps, np.arange(samples), _BlockOps(m.domain), p, q, z, step, refine_steps)
-    return float(best.max(initial=0.0))
+    dom_ops = _BlockOps(m.domain)
+    best = 0.0
+    # independent samples, in batches of points and images small enough to stay in cache
+    rows = max(1, _BATCH_BYTES // (z.itemsize * (z.shape[1] + m.codomain.complex_dim)))
+    for start in range(0, samples, rows):
+        batch = z[start : start + rows]
+        maps = _MapStack(m.matrix[None], m.domain, m.codomain, len(batch))
+        best = max(best, float(_ascent(maps, np.arange(len(batch)), dom_ops, p, q, batch, refine_steps)[1].max()))
+    return best

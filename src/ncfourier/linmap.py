@@ -8,8 +8,8 @@ complex-linear.
 
 The weighted trace inner products Re trace(y* x) on domain and codomain are
 diagonal in these coordinates; :meth:`LinearMap.weighted_adjoint_matrix`
-returns the adjoint with respect to them, which is what gradient ascent on
-norm ratios needs.
+returns the adjoint with respect to them, which is what the power iteration
+for norm ratios needs.
 """
 
 from __future__ import annotations

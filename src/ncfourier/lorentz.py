@@ -59,8 +59,8 @@ __all__ = [
 _MERGE_RTOL = 1e-12
 
 _TINY = 1e-300
-# singular values this far (relatively) below the block's largest are
-# treated as exactly zero inside gradient formulas
+# singular values this far (relatively) below the row's largest are treated
+# as exactly zero in the L_1 duality direction U V*
 _SV_FLOOR = 1e-100
 
 
@@ -74,10 +74,10 @@ def _spectrum2(y: np.ndarray):
     The Gram matrix y* y is [[h00, h01], [conj(h01), h11]] with
     h00 = |a|^2 + |c|^2, h11 = |b|^2 + |d|^2 and h01 = conj(a) b + conj(c) d;
     its eigenvalues are mean +- radius, radius = hypot(delta, |h01|) with
-    delta = (h00 - h11) / 2.  Returns (sv, delta, radius, h01), where
-    sv[..., :] = (s1, s2) are the singular values, s1 >= s2.  s2 is
-    |det y| / s1: sqrt(mean - radius) would lose half the digits of a small
-    singular value to cancellation.
+    delta = (h00 - h11) / 2.  Returns (sv, delta, radius, h01, det), where
+    sv[..., :] = (s1, s2) are the singular values, s1 >= s2, and det = ad - bc.
+    s2 is |det| / s1: sqrt(mean - radius) would lose half the digits of a
+    small singular value to cancellation.
     """
     a, b, c, d = (y[..., i] for i in range(4))
     sq = np.abs(y) ** 2
@@ -87,9 +87,48 @@ def _spectrum2(y: np.ndarray):
     delta = 0.5 * (h00 - h11)
     radius = np.hypot(delta, np.abs(h01))
     s1 = np.sqrt(0.5 * (h00 + h11) + radius)
+    det = a * d - b * c
     # |det y| <= s1^2 underflows to 0 wherever s1 < _TINY
-    s2 = np.abs(a * d - b * c) / np.maximum(s1, _TINY)
-    return np.stack([s1, s2], axis=-1), delta, radius, h01
+    s2 = np.abs(det) / np.maximum(s1, _TINY)
+    return np.stack([s1, s2], axis=-1), delta, radius, h01, det
+
+
+def _direction2(y: np.ndarray, g: np.ndarray, data) -> np.ndarray:
+    """U diag(g1, g2) V* of 2x2 blocks ``y`` (..., 4), from the data of :func:`_spectrum2`.
+
+    It is g1 E1 + g2 E2 with E_i = u_i v_i*, where
+    E1 = y (h - s2^2 I) / (s1 (s1^2 - s2^2)), h - s2^2 I = 2 radius times the
+    projection on the top eigenvector of h = y* y, and E2 = (K - s2 E1) / s1
+    with K = adj(y)* det/|det| = U diag(s2, s1) V*.  Both are accurate to
+    rounding whatever s2 / s1; a form built on g2 / s2 would cancel terms
+    of size g1 (s1 / s2)^(2 - q) for g = s^(q-1), q < 2.  Where radius = 0,
+    y is s1 times a unitary, K = y and E1 drops out.
+    """
+    sv, delta, radius, h01, det = data
+    s1, s2 = sv[..., 0], sv[..., 1]
+    g1, g2 = g[..., 0], g[..., 1]
+    inv = 1.0 / np.maximum(s1, _TINY)
+    c1 = (g1 - g2 * s2 * inv) * inv
+    half = np.divide(0.5, radius, out=np.zeros_like(radius), where=radius > 0.0)
+    # det / |det| part by part: numpy divides a complex number by a subnormal
+    # real one through its reciprocal, which overflows
+    mag = np.abs(det)
+    re, im = (np.divide(part, mag, out=np.zeros_like(mag), where=mag > 0.0) for part in (det.real, det.imag))
+    c2 = (re + 1j * im) * (g2 * inv)
+    # out = c1 y (h - s2^2 I) / (2 radius) + c2 adj(y)*, entry by entry;
+    # adj(y)* of (a, b, c, d) is (conj d, -conj c, -conj b, conj a)
+    p00 = c1 * ((radius + delta) * half)
+    p11 = c1 * ((radius - delta) * half)
+    p01 = c1 * (half * h01)
+    p10 = np.conj(p01)
+    yc = np.conj(y)
+    out = np.empty_like(y)
+    for k, (i, pi, pj, adj) in enumerate(((0, p00, p10, c2), (0, p01, p11, -c2), (2, p00, p10, -c2), (2, p01, p11, c2))):
+        o = out[..., k]
+        np.multiply(y[..., i], pi, out=o)
+        o += y[..., i + 1] * pj
+        o += adj * yc[..., 3 - k]
+    return out
 
 
 def _as_slice(idx: np.ndarray):
@@ -101,13 +140,13 @@ def _as_slice(idx: np.ndarray):
 
 
 class _BlockOps:
-    """Vectorized singular values / Schatten gradients for one algebra.
+    """Vectorized singular values / Schatten directions for one algebra.
 
     Operates on batches of stacked complex coordinates, shape (S, D).
     Blocks are grouped by size: 1x1 entries are pure elementwise work, 2x2
     blocks are elementwise closed forms on their four entries (see
-    :func:`_spectrum2`), not stacked 2x2 matrix products, and anything larger
-    goes through batched LAPACK.
+    :func:`_spectrum2` and :func:`_direction2`), not stacked 2x2 matrix
+    products, and anything larger goes through batched LAPACK.
     """
 
     def __init__(self, algebra: TracialAlgebra):
@@ -134,13 +173,13 @@ class _BlockOps:
             [self.wts1, np.repeat(self.wts2, 2)] + [np.full(n, w) for _, n, w in big]
         )
 
-    def spectrum(self, z: np.ndarray):
+    def spectrum(self, z: np.ndarray, vectors: bool = False):
         """Per-row singular values, in the order of ``self.wts``, and the block data
-        :meth:`schatten_direction` builds on; z has shape (S, D).
+        :meth:`direction` builds on; z has shape (S, D).
 
-        The data are |z| on the 1x1 entries and the four arrays of
-        :func:`_spectrum2` on the 2x2 blocks.  Larger blocks keep nothing: their
-        directions need U and V, which the singular values alone do not give.
+        The data are |z| on the 1x1 entries and the five arrays of
+        :func:`_spectrum2` on the 2x2 blocks.  Larger blocks add (U, V*) of
+        their SVD when ``vectors``, and nothing otherwise.
         """
         s_count = z.shape[0]
         parts = []
@@ -154,7 +193,13 @@ class _BlockOps:
             parts.append(spec2[0].reshape(s_count, -1))
             data += spec2
         for o, n, _ in self.big:
-            parts.append(np.linalg.svd(z[:, o : o + n * n].reshape(s_count, n, n), compute_uv=False))
+            y = z[:, o : o + n * n].reshape(s_count, n, n)
+            if vectors:
+                u, sv, vh = np.linalg.svd(y)
+                data += (u, vh)
+            else:
+                sv = np.linalg.svd(y, compute_uv=False)
+            parts.append(sv)
         return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), data
 
     def singular_values(self, z: np.ndarray):
@@ -187,45 +232,48 @@ class _BlockOps:
             out[:, idx] = (a[:, idx].reshape(shape) @ b[:, idx].reshape(shape)).reshape(s_count, -1)
         return out
 
-    def schatten_direction(self, z: np.ndarray, q: float, data: tuple | None = None) -> np.ndarray:
-        """Blockwise U diag(s^(q-1)) V* of each row (gradient numerator).
+    @staticmethod
+    def powers(sv: np.ndarray, r: float) -> np.ndarray:
+        """The singular values of the duality direction of L_r, 1 <= r <= inf, per row.
 
-        ``data`` is the block data of :meth:`spectrum` for the same rows, when
-        the caller has it.
+        s^(r-1) for 1 < r < inf; for r = 1, 1 on the singular values above
+        _SV_FLOOR times the row's largest; for r = inf, 1 on the row's
+        largest (nonzero) singular values; 0 elsewhere.  The L_r' norm of
+        U diag(g) V*, r' = r / (r - 1), is then ``value(g, r')``.
         """
-        if data is None:
-            data = self.spectrum(z)[1]
+        if r > 1.0 and np.isfinite(r):
+            return sv ** (r - 1.0)
+        top = sv.max(axis=1, keepdims=True)
+        if r == 1.0:
+            return (sv > _SV_FLOOR * top).astype(float)
+        return ((sv == top) & (sv > 0.0)).astype(float)
+
+    def direction(self, z: np.ndarray, g: np.ndarray, data: tuple) -> np.ndarray:
+        """Blockwise U diag(g) V* of each row, ``g`` laid out like the singular values.
+
+        ``data`` is the block data of :meth:`spectrum` for the same rows, with
+        vectors when the algebra has blocks larger than 2x2.
+        """
         s_count = z.shape[0]
-        g = np.zeros_like(z)
-        if self.wts1.size:
+        out = np.empty_like(z)
+        n1, n2 = self.wts1.size, 2 * self.wts2.size
+        if n1:
             mag, *data = data
-            v = z[:, self.idx1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scaled = np.where(mag > _TINY, v * mag ** (q - 2.0), 0.0)
-            g[:, self.idx1] = scaled
-        if self.wts2.size:
-            y = z[:, self.idx2].reshape(s_count, -1, 4)
-            sv, delta, radius, h01 = data
-            with np.errstate(divide="ignore"):
-                t = np.where(sv > _SV_FLOOR * np.maximum(sv[..., :1], _TINY), sv ** (q - 2.0), 0.0)
-            # U diag(s^(q-1)) V* = y P with P = t2 I + (t1 - t2) (h - s2^2 I) / (2 radius),
-            # the second term being the projection on the top eigenvector of h = y* y;
-            # it vanishes where radius = 0, where h is a multiple of I
-            t2 = t[..., 1]
-            dt = t[..., 0] - t2
-            den = np.where(radius > 0.0, 2.0 * radius, 1.0)
-            p01 = dt * (h01 / den)
-            p_row0 = np.stack([t2 + dt * ((radius + delta) / den), p01], axis=-1)
-            p_row1 = np.stack([np.conj(p01), t2 + dt * ((radius - delta) / den)], axis=-1)
-            y = y.reshape(s_count, -1, 2, 2)
-            gy = y[..., :1] * p_row0[..., None, :] + y[..., 1:] * p_row1[..., None, :]
-            g[:, self.idx2] = gy.reshape(s_count, -1)
-        for o, n, _ in self.big:
-            y = z[:, o : o + n * n].reshape(s_count, n, n)
-            u, sv, vh = np.linalg.svd(y)
-            gy = (u * sv[..., None, :] ** (q - 1.0)) @ vh
-            g[:, o : o + n * n] = gy.reshape(s_count, -1)
-        return g
+            out[:, self.idx1] = z[:, self.idx1] * np.divide(g[:, :n1], mag, out=np.zeros_like(mag), where=mag > 0.0)
+        if n2:
+            spec2, data = data[:5], data[5:]
+            g2 = g[:, n1 : n1 + n2].reshape(s_count, -1, 2)
+            out[:, self.idx2] = _direction2(z[:, self.idx2].reshape(s_count, -1, 4), g2, spec2).reshape(s_count, -1)
+        col = n1 + n2
+        for (o, n, _), u, vh in zip(self.big, data[::2], data[1::2]):
+            out[:, o : o + n * n] = ((u * g[:, None, col : col + n]) @ vh).reshape(s_count, -1)
+            col += n
+        return out
+
+    def schatten_direction(self, z: np.ndarray, q: float) -> np.ndarray:
+        """Blockwise U diag(s^(q-1)) V* of each row (gradient numerator)."""
+        sv, data = self.spectrum(z, vectors=True)
+        return self.direction(z, self.powers(sv, q), data)
 
 
 # one kernel per algebra: the checks and the per-element functions use each

@@ -100,6 +100,43 @@ def oracle_lorentz(x, p: float, q: float, points_per_step: int = 4000) -> float:
     return float(total ** (1.0 / q))
 
 
+def _oracle_blocks(algebra, coords):
+    """(weight, block) pairs of a coordinate vector, cut out by hand."""
+    for k, n in enumerate(algebra.dims):
+        o = algebra.block_offset(k)
+        yield algebra.weights[k], np.asarray(coords)[o : o + n * n].reshape(n, n)
+
+
+def oracle_schatten_norm(algebra, coords, p):
+    """Weighted Schatten p-norm of a coordinate vector, by np.linalg.svd per block."""
+    total = sum(w * np.sum(np.linalg.svd(b, compute_uv=False) ** p) for w, b in _oracle_blocks(algebra, coords))
+    return float(total ** (1.0 / p))
+
+
+def oracle_duality_direction(algebra, coords, r):
+    """Blockwise U diag(s^(r-1)) V* of a coordinate vector, by np.linalg.svd per block."""
+    out = []
+    for _, b in _oracle_blocks(algebra, coords):
+        u, s, vh = np.linalg.svd(b)
+        out.append(((u * s ** (r - 1.0)) @ vh).ravel())
+    return np.concatenate(out)
+
+
+def oracle_stationarity_residual(m, z, p, q):
+    """||M* psi_q(Mz) / f^(q-1) - f psi_p(z)||_p' / f at z scaled to unit p-norm, f = ||Mz||_q.
+
+    M* psi_q(Mz) / f^(q-1) is the gradient of ||Mz||_q and psi_p(z) that of
+    ||z||_p, so the residual vanishes exactly at the stationary points of
+    ||Mz||_q / ||z||_p.  M* is ``m.weighted_adjoint_matrix()``.
+    """
+    z = np.asarray(z) / oracle_schatten_norm(m.domain, z, p)
+    mz = m.matrix @ z
+    f = oracle_schatten_norm(m.codomain, mz, q)
+    grad = m.weighted_adjoint_matrix() @ oracle_duality_direction(m.codomain, mz, q) / f ** (q - 1.0)
+    residual = grad - f * oracle_duality_direction(m.domain, z, p)
+    return oracle_schatten_norm(m.domain, residual, p / (p - 1.0)) / f
+
+
 def reference_decreasing_step_function(values, weights):
     """(breakpoints, values) of ``decreasing_step_function``, value by value.
 
@@ -171,35 +208,45 @@ def random_unitary_element(algebra, rng):
 
 
 # ---------------------------------------------------------------------------
-# reference ascent: the estimator as a loop over restarts, one 1-row batch
-# each, trying one halving of the step at a time
+# reference ascent: Boyd's power iteration restart by restart, one 1-row
+# batch each, with the maps applied as dense matrix products
 
 
-def _reference_gradient(m, adj_t, cod_ops, z, q, f):
-    from ncfourier.lorentz import _TINY
+def _reference_value(m, z, q):
+    """||M z||_q of the rows of z."""
+    from ncfourier.lorentz import _BlockOps
 
-    g = cod_ops.schatten_direction(z @ m.matrix.T, q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(f[:, None] > _TINY, g / np.maximum(f, _TINY)[:, None] ** (q - 1.0), 0.0)
-    return g @ adj_t
+    cod_ops = _BlockOps(m.codomain)
+    return cod_ops.value(cod_ops.spectrum(z @ m.matrix.T, vectors=True)[0], q)
+
+
+def _reference_power_step(m, z, p, q):
+    """Boyd's step z -> psi_p'(M* psi_q(Mz)) of the rows of z, at unit p-norm."""
+    from ncfourier.lorentz import _TINY, _BlockOps
+
+    dom_ops, cod_ops = _BlockOps(m.domain), _BlockOps(m.codomain)
+
+    def inverse(x):
+        return np.where(x > _TINY, 1.0 / np.maximum(x, _TINY), 0.0)[:, None]
+
+    mz = z @ m.matrix.T
+    sv, data = cod_ops.spectrum(mz, vectors=True)
+    inv = inverse(cod_ops.value(sv, q))
+    w = cod_ops.direction(mz, cod_ops.powers(sv * inv, q) * inv, data) @ m.weighted_adjoint_matrix().T
+    sv, data = dom_ops.spectrum(w, vectors=True)
+    g = dom_ops.powers(sv, np.inf if p == 1.0 else p / (p - 1.0))
+    return dom_ops.direction(w, g * inverse(dom_ops.value(g, p)), data)
 
 
 def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, seed=0):
-    """``estimate_pq_norm`` restart by restart; returns (estimate, halvings).
-
-    ``halvings`` lists, for every line search, how many halvings it tried
-    before it found an improving step (50 when none of them improves).
-    """
+    """``estimate_pq_norm`` restart by restart."""
     from ncfourier.estimator import NormEstimate, _l2_maximizers, _MapStack
     from ncfourier.lorentz import _TINY, _BlockOps
     from ncfourier.linmap import unstack_complex
 
     dom = m.domain
     dom_ops = _BlockOps(dom)
-    cod_ops = _BlockOps(m.codomain)
-    sigma, warm = (a[0] for a in _l2_maximizers(_MapStack(m.matrix[None], dom, m.codomain, 1), p == q == 2.0))
-    adj_t = m.weighted_adjoint_matrix().T
-    base_step = 1.0 / max(sigma, 1e-12)
+    warm = _l2_maximizers(_MapStack(m.matrix[None], dom, m.codomain, 1), p == q == 2.0)[0]
 
     n_rest = restarts - 1
     n_rank = n_rest // 2
@@ -216,47 +263,29 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
 
     best_f, best_z = -1.0, None
     converged = usable = 0
-    halvings = []
     for z0 in inits:
         z = np.asarray(z0, dtype=complex)[None, :]
         nrm = dom_ops.norm(z, p)[0]
         if not np.isfinite(nrm) or nrm <= _TINY:
             continue
         usable += 1
-        z = z / nrm
-        f = cod_ops.norm(z @ m.matrix.T, q)[0]
-        step = base_step
-        hit_tol = False
+        z = z * (1.0 / nrm)
+        f = _reference_value(m, z, q)[0]
+        stopped = False
         if f > _TINY:
             for _ in range(max_iters):
-                g = _reference_gradient(m, adj_t, cod_ops, z, q, np.array([f]))
-                t = step
-                f_try, z_try = f, z
-                improved = False
-                for k in range(50):
-                    cand = z + t * g
-                    cn = dom_ops.norm(cand, p)[0]
-                    if cn > _TINY:
-                        cand = cand / cn
-                        fc = cod_ops.norm(cand @ m.matrix.T, q)[0]
-                        if fc > f:
-                            z_try, f_try, improved = cand, fc, True
-                            break
-                    t *= 0.5
-                halvings.append(k if improved else 50)
-                if not improved:
-                    hit_tol = True
+                z_new = _reference_power_step(m, z, p, q)
+                f_new = _reference_value(m, z_new, q)[0]
+                stopped = not f_new > f or (f_new - f) / f_new < tol
+                if f_new > f:
+                    z, f = z_new, f_new
+                if stopped:
                     break
-                rel = (f_try - f) / max(f_try, _TINY)
-                z, f = z_try, f_try
-                step = 2.0 * t
-                if rel < tol:
-                    hit_tol = True
-                    break
-        converged += hit_tol
+        converged += stopped
+        f = _reference_value(m, z, q)[0] / dom_ops.norm(z, p)[0]
         if f > best_f:
             best_f, best_z = f, z
-    estimate = NormEstimate(
+    return NormEstimate(
         lower_bound=float(max(best_f, 0.0)),
         witness=unstack_complex(dom, best_z[0]),
         p=p,
@@ -265,34 +294,20 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
         converged_fraction=converged / max(usable, 1),
         degenerate=best_f <= 0.0,
     )
-    return estimate, halvings
 
 
 def reference_brute_force_pq_norm(m, p, q, samples=100_000, seed=0, refine_steps=200):
-    """``brute_force_pq_norm`` with the image ``z @ M.T`` recomputed for every gradient."""
-    from ncfourier.estimator import _complex_normals, _l2_maximizers, _MapStack
+    """``brute_force_pq_norm`` with the maps applied as dense matrix products."""
+    from ncfourier.estimator import _complex_normals
     from ncfourier.lorentz import _TINY, _BlockOps
 
-    dom_ops = _BlockOps(m.domain)
-    cod_ops = _BlockOps(m.codomain)
     z = _complex_normals(np.random.default_rng(seed), (samples, m.domain.complex_dim))
-
-    def normalize(batch):
-        nrm = dom_ops.norm(batch, p)
-        good = nrm > _TINY
-        return np.where(good[:, None], batch / np.maximum(nrm, _TINY)[:, None], 0.0), good
-
-    z, good = normalize(z)
-    f = np.where(good, cod_ops.norm(z @ m.matrix.T, q), 0.0)
-    best = float(f.max(initial=0.0))
-    sigma = _l2_maximizers(_MapStack(m.matrix[None], m.domain, m.codomain, 1), exact=False)[0][0]
-    step = 0.5 / max(sigma, 1e-12)
-    adj_t = m.weighted_adjoint_matrix().T
+    nrm = _BlockOps(m.domain).norm(z, p)
+    z = z * np.where(nrm > _TINY, 1.0 / np.maximum(nrm, _TINY), 0.0)[:, None]
+    best = float(_reference_value(m, z, q).max(initial=0.0))
     for _ in range(refine_steps):
-        g = _reference_gradient(m, adj_t, cod_ops, z, q, f)
-        z, good = normalize(z + step * g)
-        f = np.where(good, cod_ops.norm(z @ m.matrix.T, q), 0.0)
-        best = max(best, float(f.max(initial=0.0)))
+        z = _reference_power_step(m, z, p, q)
+        best = max(best, float(_reference_value(m, z, q).max(initial=0.0)))
     return best
 
 
