@@ -69,6 +69,11 @@ DEFAULT_ESTIMATOR = {"restarts": 6, "max_iters": 80, "tol": 1e-7}
 _HARD_TOL = 1e-9
 _SUBMULT_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
+# inversion_plancherel rounds its residuals up to multiples of this before
+# taking the max: on an exact transform they are rounding errors of about
+# 1e-16 whose order moves with any change in the arithmetic, so the report
+# reads one grid step, an upper bound, at the battery's first input
+_RESIDUAL_GRID = 1e-13
 
 
 @dataclass
@@ -454,7 +459,12 @@ def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 100
 
 
 def check_inversion_plancherel(pair: QuantumGroupPair, trials: int = 1000, seed: int = 0) -> CheckReport:
-    """Round trip F^{-1}(F x) = x and isometry ||F x||_2 = ||x||_2 (hard)."""
+    """Round trip F^{-1}(F x) = x and isometry ||F x||_2 = ||x||_2 (hard).
+
+    The residual of an input is the larger of the two defects over
+    1 + ||x||_2, rounded up to a multiple of ``_RESIDUAL_GRID``; the witness
+    is the first input at the largest residual.
+    """
     if trials < 1:
         raise ParameterError("inversion check needs at least one trial")
     rng = np.random.default_rng(seed)
@@ -464,7 +474,7 @@ def check_inversion_plancherel(pair: QuantumGroupPair, trials: int = 1000, seed:
     l2 = lp_norms(pair.source, z, 2)
     round_trip = lp_norms(pair.source, fz @ pair.inverse_matrix.T - z, 2)
     plancherel = np.abs(lp_norms(pair.dual, fz, 2) - l2)
-    residuals = np.maximum(round_trip, plancherel) / (1.0 + l2)
+    residuals = np.ceil(np.maximum(round_trip, plancherel) / (1.0 + l2) / _RESIDUAL_GRID) * _RESIDUAL_GRID
     worst, witness = _worst(((kind, res) for (kind, _), res in zip(battery, residuals)), key="residual")
     return CheckReport(
         check="inversion_plancherel",
@@ -491,6 +501,12 @@ def _estimator_opts(estimator: dict | None) -> dict:
     if estimator:
         opts.update(estimator)
     return opts
+
+
+def _trust(est) -> dict:
+    """How far an estimate can be trusted, for its series row: the share of
+    its restarts that converged, and whether every restart found only 0."""
+    return {"converged_fraction": est.converged_fraction, "degenerate": est.degenerate}
 
 
 def check_multiplier_bound(
@@ -543,7 +559,8 @@ def check_multiplier_bound(
     estimates = estimate_pq_norms(maps, p, q, [s for *_, s in kept], **opts)
     series = []
     for (kind, _, weak, lr, _), est in zip(kept, estimates):
-        row = {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "ratio": est.lower_bound / weak}
+        row = {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "ratio": est.lower_bound / weak,
+               **_trust(est)}
         if hard:
             row["lr_norm"] = lr
         series.append(row)
@@ -676,7 +693,8 @@ def check_schur_bound(
     maps = (schur_map(sym) for _, sym, _, _, _ in kept)
     estimates = estimate_pq_norms(maps, p, q, [s for *_, s in kept], **opts)
     series = [
-        {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "lr_norm": lr, "ratio": est.lower_bound / weak}
+        {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "lr_norm": lr, "ratio": est.lower_bound / weak,
+         **_trust(est)}
         for (kind, _, lr, weak, _), est in zip(kept, estimates)
     ]
     max_weak_ratio, _ = _worst((row["input"], row["ratio"]) for row in series)

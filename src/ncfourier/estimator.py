@@ -22,13 +22,19 @@ Three levels of effort:
   and only allowed when the domain has at most 8 real dimensions, but it has
   no convergence test, which is the point.
 
-Both run one engine, :func:`_ascent`.  It runs on a stack of T maps,
-complex D_cod x D_dom matrices in one (T, D_cod, D_dom) array, and on all
-their starting points at once, as one complex batch of rows of length
-D_dom; each row belongs to one map.  An estimate is the case T = 1, whose
-stack is a view of its matrix.  A batch of maps holds at most
-``_BATCH_BYTES`` of matrices and rows, so long lists of maps ascend in
-several batches, and so do the samples of brute force.
+Both run one engine, :func:`_ascent`.  It runs on a stack of T maps that
+share a domain and a codomain, and on all their starting points at once, as
+one complex batch of rows of length D_dom; each row belongs to one map.
+Maps built diagonal in a known basis (Schur multipliers, and the Fourier
+multipliers of finite abelian pairs; see ``linmap.Diagonal``) are stacked
+as their (T, D) values, and a product with a batch of rows is
+``z * v[owner]`` or ``fft(v[owner] * ifft(z))``, the weighted adjoint the
+same with conj(v); no D x D matrix is built.  Every other map is stacked
+as its D_cod x D_dom matrix, in one (T, D_cod, D_dom) array.  An estimate
+is the case T = 1.  A batch of maps holds at most ``_BATCH_BYTES`` of
+matrices or values and rows, so long lists of maps ascend in several
+batches, and so do the samples of brute force, which always multiplies by
+the matrix: its domains have at most four coordinates.
 
 A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method
 for l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
@@ -58,7 +64,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, TracialAlgebra, random_element
 from .errors import ParameterError, ShapeMismatchError
-from .linmap import LinearMap, coordinate_weights, stack_complex, unstack_complex
+from .linmap import LinearMap, coordinate_weights, diagonal_product, from_basis, stack_complex, to_basis, unstack_complex
 from .lorentz import _TINY, _block_ops, _BlockOps, lp_norm
 
 __all__ = [
@@ -137,6 +143,9 @@ class _MapStack:
         self.wd = coordinate_weights(domain)
         self.wc = coordinate_weights(codomain)
 
+    def __len__(self) -> int:
+        return len(self.mats)
+
     def _product(self, rows: np.ndarray, slots: np.ndarray, mats: np.ndarray) -> np.ndarray:
         size = len(mats) * self.rows_per_map
         block = rows
@@ -160,13 +169,63 @@ class _MapStack:
         return out
 
 
+class _DiagonalStack:
+    """T maps diagonal in one basis (``linmap.Diagonal``), as their (T, D) values.
+
+    Domain and codomain are one algebra with uniform weights, so the
+    weighted adjoint of a map is the map with the conjugate values.  The
+    rows of a batch are tagged with slots as in :class:`_MapStack`; a row
+    is multiplied by the values of the map that owns it, on its own, so its
+    bits do not depend on the batch.
+    """
+
+    def __init__(self, values: np.ndarray, orders, algebra: TracialAlgebra, rows_per_map: int):
+        self.values = values
+        self.orders = orders
+        self.domain = self.codomain = algebra
+        self.rows_per_map = rows_per_map
+        self.wd = coordinate_weights(algebra)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def apply(self, z: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Images M_t z of rows in domain coordinates."""
+        return diagonal_product(self.orders, self.values[slots // self.rows_per_map], z)
+
+    def adjoint(self, y: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Weighted adjoints M_t* y of rows in codomain coordinates: the product with conj(v)."""
+        return diagonal_product(self.orders, self.values[slots // self.rows_per_map].conj(), y)
+
+    def l2_maximizers(self, start: np.ndarray, exact: bool) -> np.ndarray:
+        """:func:`_l2_maximizers` of the maps, in their basis B, where M* M is diag(|v|^2).
+
+        Exact: the basis vector B e_g of the largest |v_g|.  Otherwise the
+        40 power steps from ``start`` in one: B ((|v| / max |v|)^80 B^{-1} start).
+        """
+        mags = np.abs(self.values)
+        if exact:
+            u = np.zeros(self.values.shape, dtype=complex)
+            u[np.arange(len(u)), mags.argmax(axis=1)] = 1.0
+        else:
+            u = to_basis(self.orders, start) * (mags * _inverse(mags.max(axis=1))[:, None]) ** 80
+        v = from_basis(self.orders, u)
+        return v * _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, self.wd)))[:, None]
+
+
 def _weighted(mats: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra) -> np.ndarray:
     """D_c M D_d^{-1} of each matrix, the square roots of the coordinate weights on the diagonals."""
     return np.sqrt(coordinate_weights(codomain))[:, None] * mats / np.sqrt(coordinate_weights(domain))
 
 
 def exact_l2_norm(m: LinearMap) -> float:
-    """||M||_{2->2} with weighted norms: top singular value of D_c M D_d^{-1}."""
+    """||M||_{2->2} with weighted norms: top singular value of D_c M D_d^{-1}.
+
+    For a diagonal map it is the largest |value|: the basis is orthogonal
+    for the uniform weights.
+    """
+    if m.diagonal is not None:
+        return float(np.abs(m.diagonal.values).max())
     a = _weighted(m.matrix, m.domain, m.codomain)
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
@@ -177,22 +236,26 @@ def _complex_normals(rng, shape) -> np.ndarray:
     return r[..., : shape[-1]] + 1j * r[..., shape[-1] :]
 
 
-def _l2_maximizers(maps: _MapStack, exact: bool) -> np.ndarray:
+def _l2_maximizers(maps, exact: bool) -> np.ndarray:
     """Domain coords of a unit-L2 near-maximizer of every map of a stack.
 
     It is the top right singular vector of the weighted matrix
     D_c M D_d^{-1}: by an SVD, one map at a time, when ``exact``; otherwise
     by 40 power steps v <- M* M v with the weighted adjoint, made of
-    products with the stack itself, so that no map is copied.
+    products with the stack itself, so that no map is copied.  Diagonal
+    maps take both in their basis (:meth:`_DiagonalStack.l2_maximizers`).
     """
-    t = len(maps.mats)
+    t = len(maps)
+    start = _complex_normals(np.random.default_rng(0x5EED), (maps.domain.complex_dim,))
+    if isinstance(maps, _DiagonalStack):
+        return maps.l2_maximizers(start, exact)
     if exact:
         v = np.empty((t, maps.domain.complex_dim), dtype=complex)
         for i, mat in enumerate(maps.mats):
             v[i] = np.linalg.svd(_weighted(mat, maps.domain, maps.codomain))[2][0].conj()
         return v / np.sqrt(maps.wd)
     one_each, rows = _MapStack(maps.mats, maps.domain, maps.codomain, 1), np.arange(t)
-    v = np.tile(_complex_normals(np.random.default_rng(0x5EED), (maps.domain.complex_dim,)), (t, 1))
+    v = np.tile(start, (t, 1))
     for _ in range(40):
         v = one_each.adjoint(one_each.apply(v, rows), rows)
         v *= _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, maps.wd)))[:, None]
@@ -211,7 +274,7 @@ def _check_exponents(p: float, q: float) -> None:
 
 
 def _ascent(
-    maps: _MapStack,
+    maps: _MapStack | _DiagonalStack,
     slots: np.ndarray,
     dom_ops: _BlockOps,
     p: float,
@@ -354,10 +417,13 @@ def estimate_pq_norms(
 
 def _estimates(maps, p, q, seeds, restarts, max_iters, tol):
     """The estimates of :func:`estimate_pq_norms`, a batch at a time."""
-    done = 0
+    done, carried = 0, None
     while done < len(seeds):
-        stack = _next_stack(maps, len(seeds) - done, restarts)
-        count = len(stack.mats)
+        first = carried if carried is not None else next(maps, None)
+        if first is None:
+            raise ParameterError("fewer maps than seeds")
+        stack, carried = _next_stack(first, maps, len(seeds) - done, restarts)
+        count = len(stack)
         yield from _estimate_stack(stack, p, q, seeds[done : done + count], max_iters, tol)
         del stack  # before the next batch is copied
         done += count
@@ -365,31 +431,53 @@ def _estimates(maps, p, q, seeds, restarts, max_iters, tol):
         raise ParameterError(f"more maps than the {len(seeds)} seeds")
 
 
-def _next_stack(maps, count: int, restarts: int) -> _MapStack:
-    """The next batch of at most ``count`` maps, copied into one stack of at most _BATCH_BYTES."""
-    first = next(maps, None)
-    if first is None:
-        raise ParameterError("fewer maps than seeds")
-    dom, cod = first.domain, first.codomain
-    per_map = first.matrix.itemsize * (first.matrix.size + restarts * (dom.complex_dim + cod.complex_dim))
-    count = min(count, max(1, _BATCH_BYTES // per_map))
-    if count == 1:
-        return _MapStack(first.matrix[None], dom, cod, restarts)
-    mats = np.empty((count,) + first.matrix.shape, dtype=complex)
-    mats[0] = first.matrix
+def _held(m: LinearMap) -> np.ndarray:
+    """What a stack holds of a map: its diagonal values, or its matrix."""
+    return m.matrix if m.diagonal is None else m.diagonal.values
+
+
+def _form(m: LinearMap):
+    """The form a map is stacked in: "matrix", or the basis of its diagonal values (``Diagonal.orders``)."""
+    return "matrix" if m.diagonal is None else m.diagonal.orders
+
+
+def _map_bytes(m: LinearMap, restarts: int) -> int:
+    """Bytes one map takes in a batch: its matrix or values, and a point and an image per restart."""
+    held = _held(m)
+    return held.itemsize * (held.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
+
+
+def _next_stack(first: LinearMap, maps, count: int, restarts: int):
+    """The next batch of at most ``count`` maps, from ``first`` on, copied into one stack of at most _BATCH_BYTES.
+
+    A batch holds maps of one form (see :func:`_form`).  Returns the stack
+    and the map that ended the batch by its form, None if no map did.
+    """
+    dom, cod, form = first.domain, first.codomain, _form(first)
+    count = min(count, max(1, _BATCH_BYTES // _map_bytes(first, restarts)))
+    held = _held(first)[None]
+    if count > 1:
+        held = np.empty((count,) + held.shape[1:], dtype=complex)
+        held[0] = _held(first)
+    carried = None
     for i in range(1, count):
         m = next(maps, None)
         if m is None:
             raise ParameterError("fewer maps than seeds")
         if not (m.domain.matches(dom) and m.codomain.matches(cod)):
             raise ShapeMismatchError("maps estimated together must share a domain and a codomain")
-        mats[i] = m.matrix
-    return _MapStack(mats, dom, cod, restarts)
+        if _form(m) != form:
+            held, carried = held[:i], m
+            break
+        held[i] = _held(m)
+    if form == "matrix":
+        return _MapStack(held, dom, cod, restarts), carried
+    return _DiagonalStack(held, form, dom, restarts), carried
 
 
-def _estimate_stack(maps: _MapStack, p: float, q: float, seeds: list[int], max_iters: int, tol: float):
+def _estimate_stack(maps, p: float, q: float, seeds: list[int], max_iters: int, tol: float):
     """The estimates of the maps of one stack, one seed each, from one ascent of all their restarts."""
-    t, r = len(maps.mats), maps.rows_per_map
+    t, r = len(maps), maps.rows_per_map
     dom = maps.domain
     z = np.empty((t, r, dom.complex_dim), dtype=complex)
     z[:, 0] = _l2_maximizers(maps, exact=(p == 2.0 and q == 2.0))

@@ -20,12 +20,16 @@ L2(source) to L2(dual) and contractive from L1(source) to L-infinity(dual):
 Both directions are stored as explicit complex matrices on stacked
 coordinates, so a transform is one matvec.  Multipliers are built by
 conjugating a pointwise (left-multiplication) action on the source through
-the transform: :func:`multiplier_map`.
+the transform: :func:`multiplier_map`.  On a pair from
+:func:`build_finite_abelian` the transform is the DFT over the factor
+orders, so a multiplier is diagonal in that basis and is built as its
+symbol values, applied by FFT (``linmap.diagonal_map``); every other pair,
+a fault-injected one included, gives the dense matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +37,7 @@ import numpy as np
 from .algebra import AlgebraElement, TracialAlgebra
 from .errors import ParameterError, ShapeMismatchError
 from .groups import FiniteGroupData, validate_group_data
-from .linmap import LinearMap, stack_complex, unstack_complex
+from .linmap import LinearMap, diagonal_map, stack_complex, unstack_complex
 
 __all__ = [
     "QuantumGroupPair",
@@ -55,7 +59,10 @@ class QuantumGroupPair:
     deliberately corrupted transform (for fault-injection runs) keeps a
     consistent object shape while failing the round-trip checks.
     ``identity_index`` is the source coordinate of the group identity, where
-    point masses with known transforms sit.
+    point masses with known transforms sit.  ``dft_orders`` marks a pair
+    whose ``fourier_matrix`` is the DFT over these factor orders; only
+    :func:`build_finite_abelian` sets it, and ``dataclasses.replace`` clears
+    it, so a pair with a replaced transform is never taken for the DFT.
     """
 
     name: str
@@ -64,6 +71,7 @@ class QuantumGroupPair:
     fourier_matrix: np.ndarray
     inverse_matrix: np.ndarray
     identity_index: int = 0
+    dft_orders: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = np.asarray(self.fourier_matrix, dtype=complex)
@@ -127,7 +135,9 @@ def build_finite_abelian(orders: Sequence[int], name: str | None = None) -> Quan
     fmat = np.exp(-2j * np.pi * phase)  # F[k, g] = conj(chi_k(g))
     if name is None:
         name = "x".join(f"Z{o}" for o in orders)
-    return _checked_pair(name, source, dual, fmat, identity_index=0)
+    pair = _checked_pair(name, source, dual, fmat, identity_index=0)
+    object.__setattr__(pair, "dft_orders", orders)
+    return pair
 
 
 def build_group_vna(data: FiniteGroupData, name: str | None = None) -> QuantumGroupPair:
@@ -161,13 +171,17 @@ def inverse_fourier(pair: QuantumGroupPair, a: AlgebraElement) -> AlgebraElement
 
 
 def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
-    """The dual-side map a -> F(symbol * F^{-1}(a)) as an explicit LinearMap.
+    """The dual-side map a -> F(symbol * F^{-1}(a)) as a LinearMap.
 
     The symbol lives on the source algebra; for commutative sources this is
-    the pointwise multiplier with those symbol values.
+    the pointwise multiplier with those symbol values.  On a DFT pair (see
+    :class:`QuantumGroupPair`) the map is diagonal in the DFT basis with the
+    symbol's values; otherwise it is the dense matrix F (symbol) F^{-1}.
     """
     if not symbol.algebra.matches(pair.source):
         raise ShapeMismatchError("multiplier symbol must live on the source algebra")
+    if pair.dft_orders is not None:
+        return diagonal_map(pair.dual, stack_complex(symbol), pair.dft_orders)
     # left multiplication by the symbol's block x_k maps the rows of F^{-1}
     # that hold source block k, read as n_k x (n_k D) matrices, to x_k times
     # them (a row scaling for 1x1 blocks)
@@ -185,7 +199,9 @@ def perturb_fourier_matrix(pair: QuantumGroupPair, scale: float) -> QuantumGroup
 
     The first row of the Fourier matrix is multiplied by ``1 + scale`` while
     the stored inverse is left untouched, so both the unitarity and the
-    round-trip invariants fail by about ``scale``.
+    round-trip invariants fail by about ``scale``.  The copy is no DFT
+    pair (``replace`` clears ``dft_orders``), so its multipliers are built
+    from the corrupted matrix and carry the fault.
     """
     f = pair.fourier_matrix.copy()
     f[0, :] *= 1.0 + scale

@@ -3,7 +3,8 @@
 A symbol is an n x n complex matrix ``a``; the Schur multiplier sends
 ``x -> a * x`` entrywise.  The carrying algebra is the single matrix block
 M_n with weight 1, so L_p norms are plain Schatten norms and the multiplier
-is a diagonal matrix in stacked coordinates.
+is diagonal in stacked coordinates: it is held as its n^2 values
+(``linmap.diagonal_map``), and a product with it is entrywise.
 
 Symbols are also read as sequences of n^2 entries with counting measure;
 :func:`symbol_sequence_norm` evaluates their little-Lorentz norms through
@@ -18,7 +19,7 @@ import numpy as np
 
 from .algebra import TracialAlgebra
 from .errors import ParameterError
-from .linmap import LinearMap
+from .linmap import LinearMap, diagonal_map
 from .lorentz import decreasing_step_function, lorentz_norm_of_step
 
 __all__ = [
@@ -60,10 +61,9 @@ def _as_symbol(a) -> SchurSymbol:
 
 
 def schur_map(a) -> LinearMap:
-    """The map x -> a * x (entrywise) on M_n, as an explicit LinearMap."""
+    """The map x -> a * x (entrywise) on M_n, diagonal in stacked coordinates."""
     sym = _as_symbol(a)
-    alg = schatten_algebra(sym.n)
-    return LinearMap(alg, alg, np.diag(sym.matrix.ravel()))
+    return diagonal_map(schatten_algebra(sym.n), sym.matrix.ravel())
 
 
 def symbol_sequence_norm(a, p: float, q: float | None = None) -> float:

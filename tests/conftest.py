@@ -5,6 +5,8 @@ from their definitions (dense grids, raw numpy decompositions) without
 touching the closed-form production code, so agreement is meaningful.
 """
 
+import math
+
 import numpy as np
 
 from ncfourier.algebra import TracialAlgebra, random_element
@@ -353,7 +355,8 @@ def reference_real_interpolation(pair, p, trials, seed):
 
 
 def reference_inversion_plancherel(pair, trials, seed):
-    from ncfourier.checks import _source_battery, _worst
+    """The residuals element by element, each rounded up to the grid by ``math.ceil``."""
+    from ncfourier.checks import _RESIDUAL_GRID, _source_battery, _worst
     from ncfourier.fourier import fourier, inverse_fourier
     from ncfourier.lorentz import lp_norm
 
@@ -363,7 +366,7 @@ def reference_inversion_plancherel(pair, trials, seed):
         fx = fourier(pair, x)
         rt = lp_norm(inverse_fourier(pair, fx) - x, 2)
         pl = abs(lp_norm(fx, 2) - l2)
-        scores.append((name, max(rt, pl) / (1.0 + l2)))
+        scores.append((name, math.ceil(max(rt, pl) / (1.0 + l2) / _RESIDUAL_GRID) * _RESIDUAL_GRID))
     return _worst(scores, key="residual")
 
 

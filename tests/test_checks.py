@@ -166,7 +166,7 @@ BATTERY_PAIRS = ["Z8", "S3", "Q8"]
 
 
 def _pair(name):
-    return build_finite_abelian([8], name="Z8") if name == "Z8" else build_group_vna(builtin_group(name))
+    return build_finite_abelian([int(name[1:])], name=name) if name[0] == "Z" else build_group_vna(builtin_group(name))
 
 
 def _same_worst(report, reference, key="ratio", **tol):
@@ -194,12 +194,13 @@ class TestBatchedBatteries:
         rep = check_real_interpolation(pair, p, trials=40, seed=4)
         _same_worst(rep, reference_real_interpolation(pair, p, 40, 4), rel=1e-12)
 
-    # the residuals are rounding errors, so they agree in absolute terms only
-    @pytest.mark.parametrize("name", BATTERY_PAIRS)
+    # the residuals are rounding errors, but rounded up to the grid they
+    # agree bit for bit, and so does the witness
+    @pytest.mark.parametrize("name", BATTERY_PAIRS + ["Z1", "Z5", "D4"])
     def test_inversion_plancherel(self, name):
         pair = _pair(name)
         rep = check_inversion_plancherel(pair, trials=40, seed=5)
-        _same_worst(rep, reference_inversion_plancherel(pair, 40, 5), key="residual", abs=1e-12)
+        assert (rep.max_ratio, rep.witness) == reference_inversion_plancherel(pair, 40, 5)
 
     @pytest.mark.parametrize("name", BATTERY_PAIRS)
     @pytest.mark.parametrize("p", [1.25, 2.0])

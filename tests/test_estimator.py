@@ -18,6 +18,7 @@ from ncfourier.fourier import build_finite_abelian, multiplier_map
 from ncfourier.linmap import (
     LinearMap,
     coordinate_weights,
+    diagonal_map,
     identity_map,
     stack_complex,
     unstack_complex,
@@ -94,6 +95,17 @@ class TestLinearMap:
             LinearMap(a, a, np.zeros((3, 4), dtype=complex))
         with pytest.raises(ShapeMismatchError):
             LinearMap(a, a, np.zeros((8, 8), dtype=complex))
+
+    def test_diagonal_validation(self):
+        four = TracialAlgebra([1] * 4, [0.25] * 4)
+        with pytest.raises(ShapeMismatchError):
+            diagonal_map(four, np.ones(3))
+        with pytest.raises(ShapeMismatchError):
+            diagonal_map(four, np.ones(4), (2, 3))
+        with pytest.raises(ShapeMismatchError):
+            diagonal_map(TracialAlgebra([1, 1], [1.0, 0.5]), np.ones(2))
+        m = diagonal_map(four, np.arange(4.0), [2, 2])
+        assert m.diagonal.orders == (2, 2) and m.diagonal.values.dtype == complex
 
     def test_weighted_adjoint(self):
         rng = np.random.default_rng(64)
@@ -298,6 +310,38 @@ class TestExactL2:
     def test_weights_cancel_for_identity(self):
         alg = TracialAlgebra([1, 3], [0.1, 7.0])
         assert exact_l2_norm(identity_map(alg)) == pytest.approx(1.0, rel=1e-12)
+
+    # diagonal maps read max |v| and the basis vector at its argmax, against
+    # the SVD of the materialized weighted matrix
+    @pytest.mark.parametrize("name", ["Z8", "Z2xZ4", "M3"])
+    def test_diagonal_maps_against_svd(self, name):
+        m = _diagonal_map(name, 31)
+        l2 = exact_l2_norm(m)
+        v = estimator._l2_maximizers(estimator._next_stack(m, iter([]), 1, 1)[0], exact=True)[0]
+        assert "matrix" not in vars(m)
+        w = coordinate_weights(m.domain)
+        _, sv, vh = np.linalg.svd(np.sqrt(w)[:, None] * m.matrix / np.sqrt(w))
+        assert l2 == pytest.approx(sv[0], rel=1e-12, abs=0.0)
+        top = vh[0].conj() / np.sqrt(w)  # the top right singular vector, at unit weighted L2 norm
+        assert np.sqrt(np.sum(w * np.abs(v) ** 2)) == pytest.approx(1.0, rel=1e-12)
+        assert abs(np.sum(w * np.conj(top) * v)) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["Z8", "Z2xZ4", "M3"])
+    def test_diagonal_warm_start_is_the_dense_power_method(self, name):
+        m = _diagonal_map(name, 32)
+        stack, _ = estimator._next_stack(m, iter([]), 1, 1)
+        dense = estimator._MapStack(m.matrix[None], m.domain, m.codomain, 1)
+        got, want = (estimator._l2_maximizers(s, exact=False)[0] for s in (stack, dense))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def _diagonal_map(name: str, seed: int) -> LinearMap:
+    """A Gaussian Schur map on M<n>, or a Gaussian multiplier of the DFT pair Z<a>xZ<b>..."""
+    rng = np.random.default_rng(seed)
+    if name.startswith("M"):
+        return schur_map(_complex_matrix(rng, (int(name[1:]),) * 2))
+    pair = build_finite_abelian([int(o) for o in name[1:].split("xZ")])
+    return multiplier_map(pair, unstack_complex(pair.source, _complex_matrix(rng, (pair.source.complex_dim,))))
 
 
 class TestEstimatePqNorm:
@@ -518,6 +562,19 @@ def _same_estimate(a, b) -> bool:
     )
 
 
+def _batch_sizes(monkeypatch) -> list[int]:
+    """The number of maps in each batch the estimator ascends from now on, as it goes."""
+    sizes = []
+    estimate_stack = estimator._estimate_stack
+
+    def counted(stack, *args):
+        sizes.append(len(stack))
+        return estimate_stack(stack, *args)
+
+    monkeypatch.setattr(estimator, "_estimate_stack", counted)
+    return sizes
+
+
 @functools.lru_cache(maxsize=None)
 def _batch_runs(name: str):
     """(maps, settings, p, q, estimates of the whole batch) per exponent pair and setting."""
@@ -530,6 +587,8 @@ def _batch_runs(name: str):
 
 
 BATCH_INSTANCES = ["Z8", "S3", "Q8", "M2", "M4"]
+# maps whose dense matrices filled a batch alone; their values share one
+LARGE_BATCH_INSTANCES = ["Z128", "M16"]
 
 
 class TestBatchedEstimates:
@@ -549,20 +608,48 @@ class TestBatchedEstimates:
         assert any(est.degenerate for est in ests) and not all(est.degenerate for est in ests)
         assert any(0.0 < est.converged_fraction < 1.0 for est in ests)
 
-    @pytest.mark.parametrize("name", BATCH_INSTANCES)
+    @pytest.mark.parametrize("name", BATCH_INSTANCES + LARGE_BATCH_INSTANCES)
     def test_independent_of_position_and_batch_size(self, name, monkeypatch):
         for maps, settings, p, q, ests in _batch_runs(name)[::4]:
             backwards = list(estimate_pq_norms(maps[::-1], p, q, BATCH_SEEDS[::-1], **settings))[::-1]
             alone = [estimate_pq_norm(m, p, q, seed=s, **settings) for m, s in zip(maps, BATCH_SEEDS)]
             assert all(map(_same_estimate, ests, backwards))
             assert all(map(_same_estimate, ests, alone))
-        # a byte budget of two maps splits one call into batches of 2
-        m = maps[0]
+        # a byte budget of two maps, as the estimator counts them, splits one
+        # call into batches of 2
         restarts = settings.get("restarts", 8)
-        per_map = m.matrix.itemsize * (m.matrix.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
-        monkeypatch.setattr(estimator, "_BATCH_BYTES", 2 * per_map)
+        monkeypatch.setattr(estimator, "_BATCH_BYTES", 2 * estimator._map_bytes(maps[0], restarts))
+        sizes = _batch_sizes(monkeypatch)
         pairs = list(estimate_pq_norms(iter(maps), p, q, BATCH_SEEDS, **settings))
+        assert sizes == [2, 2]
         assert all(map(_same_estimate, ests, pairs))
+
+    def test_one_batch_per_form(self, monkeypatch):
+        # Z6 and Z2 x Z3 multipliers share their dual algebra but not their
+        # DFT basis; a dense map on it stacks as its matrix
+        z6, z2z3 = resolve_instance("Z6"), resolve_instance({"abelian": [2, 3]})
+        maps = [
+            multiplier_map(z6, random_element(z6.source, 41, "gaussian")),
+            multiplier_map(z6, random_element(z6.source, 42, "gaussian")),
+            identity_map(z6.dual),
+            multiplier_map(z2z3, random_element(z2z3.source, 43, "gaussian")),
+            multiplier_map(z6, random_element(z6.source, 44, "gaussian")),
+        ]
+        sizes = _batch_sizes(monkeypatch)
+        seeds = list(range(5))
+        ests = list(estimate_pq_norms(iter(maps), 1.5, 3.0, seeds, restarts=4, max_iters=30))
+        assert sizes == [2, 1, 1, 1]
+        alone = [estimate_pq_norm(m, 1.5, 3.0, restarts=4, max_iters=30, seed=s) for m, s in zip(maps, seeds)]
+        assert all(map(_same_estimate, ests, alone))
+
+    @pytest.mark.parametrize("name", ["Z512", "M16"])
+    def test_diagonal_maps_build_no_matrix(self, name):
+        maps = [_diagonal_map(name, seed) for seed in (51, 52)]
+        est = estimate_pq_norm(maps[0], 4.0 / 3.0, 4.0, restarts=4, max_iters=10)
+        list(estimate_pq_norms(maps, 2.0, 2.0, [1, 2], restarts=4, max_iters=10))
+        assert est.certificate_ratio(maps[0]) == pytest.approx(est.lower_bound, rel=1e-12)
+        assert exact_l2_norm(maps[1]) > 0.0
+        assert not any("matrix" in vars(m) for m in maps)
 
     def test_maps_and_seeds_must_pair_up(self):
         maps = _batch_maps("Z8")

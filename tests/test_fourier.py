@@ -13,7 +13,8 @@ from ncfourier.fourier import (
     perturb_fourier_matrix,
 )
 from ncfourier.groups import builtin_group, cyclic_group_data
-from ncfourier.linmap import stack_complex
+from ncfourier.estimator import _next_stack
+from ncfourier.linmap import LinearMap, identity_map, stack_complex
 from ncfourier.lorentz import lp_norm
 
 from conftest import dense_coords, left_multiplication_matrix
@@ -246,3 +247,77 @@ class TestFaultInjection:
         pair = build_finite_abelian([4])
         same = perturb_fourier_matrix(pair, 0.0)
         assert np.allclose(same.fourier_matrix, pair.fourier_matrix)
+
+
+# ---------------------------------------------------------------------------
+# the diagonal form: multipliers of DFT pairs as symbol values, applied by FFT
+
+DFT_ORDERS = [(1,), (2,), (3,), (8,), (128,), (2, 4), (3, 5)]
+
+
+def _dense_multiplier(pair, x) -> np.ndarray:
+    """F diag(x) F^{-1} from the pair's stored matrices."""
+    return pair.fourier_matrix @ (stack_complex(x)[:, None] * pair.inverse_matrix)
+
+
+def _rel_err(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestDiagonalForm:
+    @pytest.mark.parametrize("orders", DFT_ORDERS, ids=lambda o: "x".join(f"Z{n}" for n in o))
+    def test_row_products_match_dense(self, orders):
+        pair = build_finite_abelian(orders)
+        x = random_element(pair.source, np.random.SeedSequence((9, len(orders))), "gaussian")
+        m = multiplier_map(pair, x)
+        assert m.diagonal is not None and m.diagonal.orders == orders
+        rng = np.random.default_rng(sum(orders))
+        d = pair.dual.complex_dim
+        z = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+        stack, _ = _next_stack(m, iter([]), 1, 5)
+        slots = np.arange(5)
+        dense = _dense_multiplier(pair, x)
+        adjoint = LinearMap(pair.dual, pair.dual, dense).weighted_adjoint_matrix()
+        assert _rel_err(stack.apply(z, slots), z @ dense.T) <= 1e-12
+        assert _rel_err(stack.adjoint(z.copy(), slots), z @ adjoint.T) <= 1e-12
+        assert "matrix" not in vars(m)  # the products built no matrix
+        assert _rel_err(m.matrix, dense) <= 1e-12
+
+    def test_compose_and_scaled_keep_the_form(self):
+        pair = build_finite_abelian([2, 3])
+        x, y = (random_element(pair.source, s, "gaussian") for s in (21, 22))
+        mx, my = multiplier_map(pair, x), multiplier_map(pair, y)
+        composed, scaled = mx.compose(my), mx.scaled(-2.5)
+        assert composed.diagonal.orders == scaled.diagonal.orders == (2, 3)
+        assert np.array_equal(composed.diagonal.values, stack_complex(x * y))
+        assert _rel_err(composed.matrix, _dense_multiplier(pair, x * y)) <= 1e-12
+        assert _rel_err(scaled.matrix, -2.5 * _dense_multiplier(pair, x)) <= 1e-12
+
+    def test_compose_across_bases_is_dense(self):
+        # the duals of Z6 and Z2 x Z3 are the same algebra, in different DFT bases
+        z6, z2z3 = build_finite_abelian([6]), build_finite_abelian([2, 3])
+        a = multiplier_map(z6, random_element(z6.source, 23, "gaussian"))
+        b = multiplier_map(z2z3, random_element(z2z3.source, 24, "gaussian"))
+        for composed, want in [
+            (a.compose(b), a.matrix @ b.matrix),
+            (a.compose(identity_map(z6.dual)), a.matrix),
+            (identity_map(z6.dual).compose(b), b.matrix),
+        ]:
+            assert composed.diagonal is None
+            assert np.allclose(composed.matrix, want, rtol=0.0, atol=1e-12)
+
+    def test_nonabelian_pair_is_dense(self):
+        pair = build_group_vna(builtin_group("S3"))
+        assert pair.dft_orders is None
+        assert multiplier_map(pair, random_element(pair.source, 25)).diagonal is None
+
+    def test_perturbed_pair_keeps_its_fault(self):
+        pair = build_finite_abelian([8])
+        bad = perturb_fourier_matrix(pair, 0.05)
+        assert bad.dft_orders is None
+        x = random_element(pair.source, 26, "gaussian")
+        m = multiplier_map(bad, x)
+        assert m.diagonal is None
+        want = bad.fourier_matrix @ np.diag(stack_complex(x)) @ bad.inverse_matrix
+        assert _rel_err(m.matrix, want) <= 1e-12
+        assert _rel_err(m.matrix, multiplier_map(pair, x).matrix) > 1e-3

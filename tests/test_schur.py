@@ -3,7 +3,8 @@ import pytest
 
 from ncfourier.algebra import random_element
 from ncfourier.errors import ParameterError
-from ncfourier.estimator import estimate_pq_norm, exact_l2_norm
+from ncfourier.estimator import _next_stack, estimate_pq_norm, exact_l2_norm
+from ncfourier.linmap import LinearMap
 from ncfourier.lorentz import lp_norm
 from ncfourier.schur import (
     SchurSymbol,
@@ -72,6 +73,34 @@ class TestSchurMap:
     def test_diagonal_symbol_l2(self):
         a = np.diag([3.0, 1.0])
         assert exact_l2_norm(schur_map(a)) == pytest.approx(3.0)
+
+
+class TestDiagonalForm:
+    """Schur maps are held as their n^2 values and multiplied entrywise."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_row_products_match_dense(self, n):
+        rng = np.random.default_rng(80 + n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = schur_map(a)
+        assert m.diagonal is not None and m.diagonal.orders is None
+        z = rng.standard_normal((4, n * n)) + 1j * rng.standard_normal((4, n * n))
+        stack, _ = _next_stack(m, iter([]), 1, 4)
+        slots = np.arange(4)
+        dense = np.diag(a.ravel())
+        adjoint = LinearMap(m.domain, m.codomain, dense).weighted_adjoint_matrix()
+        assert np.allclose(stack.apply(z, slots), z @ dense.T, rtol=1e-12, atol=0.0)
+        assert np.allclose(stack.adjoint(z.copy(), slots), z @ adjoint.T, rtol=1e-12, atol=0.0)
+        assert "matrix" not in vars(m)
+        assert np.array_equal(m.matrix, dense)
+
+    def test_compose_and_scaled_keep_the_form(self):
+        rng = np.random.default_rng(84)
+        a, b = rng.standard_normal((2, 3, 3))
+        composed, scaled = schur_map(a).compose(schur_map(b)), schur_map(a).scaled(0.5)
+        assert composed.diagonal is not None and scaled.diagonal is not None
+        assert np.array_equal(composed.matrix, schur_map(a * b).matrix)
+        assert np.array_equal(scaled.matrix, schur_map(0.5 * a).matrix)
 
 
 class TestSymbolValidation:
