@@ -1,14 +1,15 @@
 """Campaign configuration, execution, and report emission.
 
 A campaign is a JSON file: a master seed, optional estimator settings, and a
-list of check specifications.  Configurations are validated twice before
-anything runs: against the shipped JSON schema (shape) and then against the
-check registry :data:`CHECKS` (known check names, the instance kind each
-check needs, every parameter's type and range, preconditions across
-parameters, resolvable instances).  Execution derives one seed per check from
-the master seed and the check's position, so results are independent of
-`--jobs` and regenerable from the config alone; reports carry no timestamps
-or machine-dependent content.
+list of check specifications.  Configurations are validated before anything
+runs, by one kind of rule, :class:`Param`: tables of the keys of the file,
+of its estimator settings, of each check and of an instance, and the check
+registry :data:`CHECKS` (known check names, the instance kind each check
+needs, every parameter's type and range, preconditions across parameters,
+resolvable instances).  Execution derives one seed per check from the master
+seed and the check's position, so results are independent of `--jobs` and
+regenerable from the config alone; reports carry no timestamps or
+machine-dependent content.
 
 Outputs under the chosen directory:
 
@@ -38,10 +39,8 @@ import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import checks as checks_mod
@@ -82,6 +81,10 @@ class CampaignConfig:
     checks: tuple[CheckSpec, ...]
     estimator: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # also checks a seed given in place of the file's, as by `run --seed`
+        _CONFIG_KEYS["seed"].validate("campaign: key", "seed", self.seed)
+
     def check_seed(self, index: int) -> int:
         return int(
             np.random.SeedSequence((self.seed, index)).generate_state(1, dtype=np.uint64)[0]
@@ -96,6 +99,9 @@ class CampaignConfig:
 _TYPE_TESTS = {
     "integer": lambda v: type(v) is int,
     "number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+    "string": lambda v: type(v) is str and v != "",
+    "object": lambda v: type(v) is dict,
+    "instance": lambda v: type(v) is dict or type(v) is str and v != "",
 }
 # every precondition a registry entry may name: the parameters it reads and
 # the test of their values
@@ -110,9 +116,11 @@ _REQUIREMENTS = {
 
 @dataclass(frozen=True)
 class Param:
-    """One accepted check parameter: its type, whether required, and its range.
+    """One accepted key of a config object: its type, whether required, and its range.
 
-    ``type`` is ``"number"`` (a finite int or float) or ``"integer"``; with
+    ``type`` names a test in :data:`_TYPE_TESTS`: ``"number"`` (a finite int
+    or float), ``"integer"``, ``"string"`` (non-empty), ``"object"`` or
+    ``"instance"`` (a string or an object); with
     ``length = (min, max)`` (max None: unbounded) the value is a list of that
     many such entries, strictly increasing if ``increasing``.  ``lo``/``hi``
     bound the value, or each list entry; ``open`` makes both bounds strict.
@@ -132,7 +140,7 @@ class Param:
 
     def kind(self) -> str:
         if self.length is None:
-            return "an integer" if self.type == "integer" else "a number"
+            return f"{'an' if self.type[0] in 'aeiou' else 'a'} {self.type}"
         lo, hi = self.length
         order = ", strictly increasing" if self.increasing else ""
         return f"a list of {lo if lo == hi else f'>= {lo}'} {self.type}s{order}"
@@ -145,18 +153,17 @@ class Param:
         hi = f" {op} {self.hi:g}" if self.hi < math.inf else ""
         return f"{lo}{symbol}{hi}" if lo or hi else ""
 
-    def validate(self, check: str, key: str, value) -> None:
+    def validate(self, where: str, key: str, value) -> None:
+        """Raise ConfigError, its message led by ``where`` (as "check 'x': parameter"), unless valid."""
         items = [value] if self.length is None else value
         min_len, max_len = self.length or (1, 1)
         typed = isinstance(items, list) and all(map(_TYPE_TESTS[self.type], items))
         ordered = typed and (not self.increasing or all(a < b for a, b in zip(items, items[1:])))
         if not ordered or not min_len <= len(items) <= (max_len or len(items)):
-            raise ConfigError(f"check {check!r}: parameter {key!r} must be {self.kind()}, got {value!r}")
+            raise ConfigError(f"{where} {key!r} must be {self.kind()}, got {value!r}")
         inside = operator.lt if self.open else operator.le
-        if not all(inside(self.lo, v) and inside(v, self.hi) for v in items):
-            raise ConfigError(
-                f"check {check!r}: parameter {key!r}={value!r} outside allowed range {self.bounds(key)}"
-            )
+        if self.bounds(key) and not all(inside(self.lo, v) and inside(v, self.hi) for v in items):
+            raise ConfigError(f"{where} {key!r}={value!r} outside allowed range {self.bounds(key)}")
 
 
 @dataclass(frozen=True)
@@ -233,81 +240,113 @@ CHECKS: dict[str, CheckEntry] = {
     ),
 }
 
-KNOWN_CHECKS = frozenset(CHECKS)
 CHECK_DEFAULT_TRIALS = {name: e.trials for name, e in CHECKS.items() if e.trials is not None}
+
+# the keys of a campaign file, of its estimator settings and of each check;
+# a check's params are those of its registry entry
+_CONFIG_KEYS = {
+    "format_version": Param("integer", required=False, lo=1, hi=1),
+    "seed": Param("integer", lo=0),
+    "estimator": Param("object", required=False),
+    "checks": Param("object", length=(1, None)),
+}
+_ESTIMATOR_KEYS = {
+    "restarts": Param("integer", required=False, lo=1),
+    "max_iters": Param("integer", required=False, lo=1),
+    "tol": Param(required=False, lo=0, open=True),
+}
+_CHECK_KEYS = {
+    "check": Param("string"),
+    "instance": Param("instance", required=False),
+    "params": Param("object", required=False),
+    "trials": Param("integer", required=False, lo=1),
+    "ladder": Param("string", required=False),
+}
+# the keys of an instance object and the builder each names: exactly one
+# builder, and a pair may add fault_scale.  "M8", "Z8" and "S3" stand for
+# {"matrix": 8}, {"cyclic": 8} and {"group": "S3"}.
+_INSTANCE_KEYS = {
+    "cyclic": (Param("integer", required=False, lo=1), lambda n: build_finite_abelian([n])),
+    "abelian": (Param("integer", required=False, lo=1, length=(1, None)), build_finite_abelian),
+    "group": (Param("string", required=False), lambda name: build_group_vna(resolve_group(name))),
+    "group_file": (Param("string", required=False), lambda path: build_group_vna(load_group_file(path))),
+    "matrix": (Param("integer", required=False, lo=1), int),
+    "fault_scale": (Param(required=False), None),
+}
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _schema() -> dict:
-    path = resources.files("ncfourier").joinpath("data", "campaign.schema.json")
-    return json.loads(path.read_text())
-
-
-def _validate_params(check: str, entry: CheckEntry, params: dict) -> None:
-    extra = set(params) - set(entry.params)
+def _validate_object(doc, table: dict[str, Param], where: str, noun: str = "key") -> None:
+    """Raise ConfigError, led by ``where``, unless ``doc`` is an object with valid keys from ``table``."""
+    if type(doc) is not dict:
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    extra = set(doc) - set(table)
     if extra:
-        raise ConfigError(
-            f"check {check!r} does not accept parameters {sorted(extra)}; "
-            f"allowed: {sorted(entry.params)}"
-        )
-    for key, param in entry.params.items():
-        if key in params:
-            param.validate(check, key, params[key])
+        raise ConfigError(f"{where} does not accept {noun}s {sorted(extra)}; allowed: {sorted(table)}")
+    for key, param in table.items():
+        if key in doc:
+            param.validate(f"{where}: {noun}", key, doc[key])
         elif param.required:
-            raise ConfigError(f"check {check!r} needs parameter {key!r}")
+            raise ConfigError(f"{where} needs {noun} {key!r}")
+
+
+def _validate_params(where: str, entry: CheckEntry, params: dict) -> None:
+    _validate_object(params, entry.params, where, "parameter")
     values = {key: param.default for key, param in entry.params.items() if param.default is not None}
     values.update(params)
     for rule in entry.requires:
         names, test = _REQUIREMENTS[rule]
         if all(n in values for n in names) and not test(*(values[n] for n in names)):
             got = ", ".join(f"{n}={values[n]!r}" + ("" if n in params else " (default)") for n in names)
-            raise ConfigError(f"check {check!r}: need {rule}, got {got}")
+            raise ConfigError(f"{where}: need {rule}, got {got}")
+
+
+def _instance_spec(inst, where: str) -> tuple[str, dict]:
+    """The builder key and the object form of a valid instance spec."""
+    spec = inst
+    if isinstance(inst, str):
+        key = {"M": "matrix", "Z": "cyclic"}.get(inst[:1]) if inst[1:].isdigit() else None
+        spec = {key: int(inst[1:])} if key else {"group": inst}
+    _validate_object(spec, {key: param for key, (param, _) in _INSTANCE_KEYS.items()}, where)
+    builders = sorted(set(spec) - {"fault_scale"})
+    if len(builders) != 1 or builders == ["matrix"] and "fault_scale" in spec:
+        names = "/".join(key for key, (_, build) in _INSTANCE_KEYS.items() if build)
+        raise ConfigError(f"{where} must name exactly one of {names}, and a matrix no fault_scale")
+    return builders[0], spec
 
 
 _INSTANCE_NEEDS = {"pair": "a group/abelian instance", "matrix": "a matrix instance like 'M8'"}
 
 
-def _validate_instance(spec: CheckSpec, entry: CheckEntry, index: int) -> None:
-    check = spec.check
-    inst = spec.instance
-    if entry.instance is None:
-        if inst is not None:
-            raise ConfigError(f"checks[{index}]: {check!r} takes no instance, got {inst!r}")
-        return
-    if inst is None:
-        raise ConfigError(f"checks[{index}]: {check!r} requires an instance")
-    if _instance_kind(inst) != entry.instance:
-        raise ConfigError(
-            f"checks[{index}]: {check!r} needs {_INSTANCE_NEEDS[entry.instance]}, got {inst!r}"
-        )
-    # resolve eagerly so a bad group file fails before any check runs
-    try:
-        resolve_instance(inst)
-    except (NcfourierError, ValueError) as exc:
-        raise ConfigError(f"checks[{index}]: cannot resolve instance: {exc}") from exc
-
-
-def _instance_kind(inst) -> str:
-    """'matrix' or 'pair'; raises ConfigError on unparseable specs."""
-    if isinstance(inst, str):
-        if inst.startswith("M") and inst[1:].isdigit():
-            return "matrix"
-        return "pair"
-    if isinstance(inst, dict):
-        if "matrix" in inst:
-            if len(set(inst) - {"matrix"}) > 0:
-                raise ConfigError(f"matrix instance takes no other keys, got {inst!r}")
-            return "matrix"
-        builders = {"cyclic", "abelian", "group", "group_file"} & set(inst)
-        if len(builders) != 1:
-            raise ConfigError(
-                f"instance {inst!r} must name exactly one of cyclic/abelian/group/group_file"
-            )
-        return "pair"
-    raise ConfigError(f"unintelligible instance spec {inst!r}")
+def _check_spec(index: int, item: dict) -> CheckSpec:
+    """One entry of ``checks``, validated."""
+    where = f"checks[{index}]"
+    _validate_object(item, _CHECK_KEYS, where)
+    name, inst = item["check"], item.get("instance")
+    entry = CHECKS.get(name)
+    if entry is None:
+        raise ConfigError(f"{where}: unknown check {name!r}; known: {sorted(CHECKS)}")
+    if "trials" in item and entry.trials is None:
+        raise ConfigError(f"{where}: {name!r} does not take a trial count")
+    if entry.instance is None and inst is not None:
+        raise ConfigError(f"{where}: {name!r} takes no instance, got {inst!r}")
+    if entry.instance is not None and inst is None:
+        raise ConfigError(f"{where}: {name!r} requires an instance")
+    if inst is not None:
+        key, _ = _instance_spec(inst, f"{where}: instance {inst!r}")
+        if ("matrix" if key == "matrix" else "pair") != entry.instance:
+            raise ConfigError(f"{where}: {name!r} needs {_INSTANCE_NEEDS[entry.instance]}, got {inst!r}")
+        # resolve eagerly so a bad group file fails before any check runs
+        try:
+            resolve_instance(inst)
+        except (NcfourierError, ValueError) as exc:
+            raise ConfigError(f"{where}: cannot resolve instance: {exc}") from exc
+    params = dict(item.get("params", {}))
+    _validate_params(f"{where}: check {name!r}", entry, params)
+    return CheckSpec(name, inst, params, item.get("trials"), item.get("ladder"))
 
 
 def load_config(path) -> CampaignConfig:
@@ -317,36 +356,12 @@ def load_config(path) -> CampaignConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read campaign config {path}: {exc}") from exc
     try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config {path} rejected at {where}: {exc.message}") from exc
-    specs = []
-    for i, item in enumerate(raw["checks"]):
-        name = item["check"]
-        entry = CHECKS.get(name)
-        if entry is None:
-            raise ConfigError(f"checks[{i}]: unknown check {name!r}; known: {sorted(CHECKS)}")
-        spec = CheckSpec(
-            check=name,
-            instance=item.get("instance"),
-            params=dict(item.get("params", {})),
-            trials=item.get("trials"),
-            ladder=item.get("ladder"),
-        )
-        if spec.trials is not None and entry.trials is None:
-            raise ConfigError(f"checks[{i}]: {name!r} does not take a trial count")
-        _validate_instance(spec, entry, i)
-        try:
-            _validate_params(name, entry, spec.params)
-        except ConfigError as exc:
-            raise ConfigError(f"checks[{i}]: {exc}") from exc
-        specs.append(spec)
-    return CampaignConfig(
-        seed=int(raw["seed"]),
-        checks=tuple(specs),
-        estimator=dict(raw.get("estimator", {})),
-    )
+        _validate_object(raw, _CONFIG_KEYS, "top level")
+        _validate_object(raw.get("estimator", {}), _ESTIMATOR_KEYS, "estimator")
+        checks = tuple(_check_spec(i, item) for i, item in enumerate(raw["checks"]))
+    except ConfigError as exc:
+        raise ConfigError(f"config {path} rejected: {exc}") from exc
+    return CampaignConfig(seed=raw["seed"], checks=checks, estimator=dict(raw.get("estimator", {})))
 
 
 # ---------------------------------------------------------------------------
@@ -355,29 +370,10 @@ def load_config(path) -> CampaignConfig:
 
 def resolve_instance(inst):
     """Turn an instance spec into a QuantumGroupPair or a matrix size int."""
-    if isinstance(inst, str):
-        if inst.startswith("M") and inst[1:].isdigit():
-            return int(inst[1:])
-        if inst.startswith("Z") and inst[1:].isdigit():
-            return build_finite_abelian([int(inst[1:])], name=inst)
-        return build_group_vna(resolve_group(inst))
-    if isinstance(inst, dict):
-        _instance_kind(inst)  # shape validation
-        fault = inst.get("fault_scale")
-        if "matrix" in inst:
-            return int(inst["matrix"])
-        if "cyclic" in inst:
-            pair = build_finite_abelian([int(inst["cyclic"])])
-        elif "abelian" in inst:
-            pair = build_finite_abelian([int(o) for o in inst["abelian"]])
-        elif "group" in inst:
-            pair = build_group_vna(resolve_group(inst["group"]))
-        else:
-            pair = build_group_vna(load_group_file(inst["group_file"]))
-        if fault is not None:
-            pair = perturb_fourier_matrix(pair, float(fault))
-        return pair
-    raise ConfigError(f"unintelligible instance spec {inst!r}")
+    key, spec = _instance_spec(inst, f"instance {inst!r}")
+    built = _INSTANCE_KEYS[key][1](spec[key])
+    fault = spec.get("fault_scale")
+    return built if fault is None else perturb_fourier_matrix(built, float(fault))
 
 
 # ---------------------------------------------------------------------------

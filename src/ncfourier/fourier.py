@@ -93,9 +93,6 @@ class QuantumGroupPair:
         """Instance size used for scaling ladders: total source weight."""
         return self.source.total_weight
 
-    def as_linear_map(self) -> LinearMap:
-        return LinearMap(self.source, self.dual, self.fourier_matrix)
-
 
 def _checked_pair(name, source, dual, fmat, identity_index=0) -> QuantumGroupPair:
     fmat = np.asarray(fmat, dtype=complex)

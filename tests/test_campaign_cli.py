@@ -1,4 +1,8 @@
+import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,10 @@ from ncfourier.campaign import (
     MAX_BOUNDED_SLOPE,
     CampaignConfig,
     CheckSpec,
+    _CHECK_KEYS,
+    _CONFIG_KEYS,
+    _ESTIMATOR_KEYS,
+    _INSTANCE_KEYS,
     _declared_precision,
     diff_outputs,
     emit_plot_data,
@@ -66,6 +74,82 @@ def _tree_bytes(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def _set(*path_and_value):
+    """A mutation setting doc[k1][k2]... to the last argument."""
+    *path, value = path_and_value
+
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+
+    return mutate
+
+
+def _instance(value):
+    return _set("checks", 0, "instance", value)
+
+
+# one mutation of _fast_campaign() per rule of the JSON Schema that once
+# checked the shape of a config; each is rejected at load time
+_SCHEMA_RULE_CASES = {
+    "root_not_object": lambda d: [d],
+    "seed_missing": _drop("seed"),
+    "seed_negative": _set("seed", -1),
+    "seed_string": _set("seed", "11"),
+    "seed_bool": _set("seed", True),
+    "top_level_extra_key": _set("extra", 1),
+    "format_version_2": _set("format_version", 2),
+    "estimator_not_object": _set("estimator", [2, 30]),
+    "estimator_extra_key": _set("estimator", "step", 0.1),
+    "restarts_0": _set("estimator", "restarts", 0),
+    "max_iters_0": _set("estimator", "max_iters", 0),
+    "tol_0": _set("estimator", "tol", 0),
+    "checks_missing": _drop("checks"),
+    "checks_empty": _set("checks", []),
+    "checks_not_list": _set("checks", {"check": "lemma_constants"}),
+    "check_not_object": _set("checks", 0, "inversion_plancherel"),
+    "check_name_missing": _drop("checks", 0, "check"),
+    "check_name_empty": _set("checks", 0, "check", ""),
+    "check_extra_key": _set("checks", 0, "seed", 3),
+    "trials_0": _set("checks", 0, "trials", 0),
+    "ladder_empty": _set("checks", 1, "ladder", ""),
+    "ladder_not_string": _set("checks", 1, "ladder", 7),
+    "params_not_object": _set("checks", 1, "params", [1.5, 3.0]),
+    "instance_empty_string": _instance(""),
+    "instance_empty_object": _instance({}),
+    "instance_unknown_key": _instance({"cyclic": 4, "order": 4}),
+    "instance_number": _instance(4),
+    "instance_list": _instance(["Z4"]),
+    "cyclic_0": _instance({"cyclic": 0}),
+    "abelian_empty": _instance({"abelian": []}),
+    "abelian_entry_0": _instance({"abelian": [2, 0]}),
+    "group_not_string": _instance({"group": 8}),
+    "matrix_0": _set("checks", 0, {"check": "schur_bound", "instance": {"matrix": 0}, "params": {"p": 1.5, "q": 3.0}}),
+    "fault_scale_string": _instance({"cyclic": 4, "fault_scale": "0.01"}),
+    "fault_scale_alone": _instance({"fault_scale": 0.01}),
+}
+# rejected since the registry's Param checks the whole file
+_NEW_REJECTION_CASES = {
+    "matrix_string_M0": _set("checks", 0, {"check": "schur_bound", "instance": "M0", "params": {"p": 1.5, "q": 3.0}}),
+    "seed_1.0": _set("seed", 1.0),
+    "trials_5.0": _set("checks", 0, "trials", 5.0),
+    "restarts_4.0": _set("estimator", "restarts", 4.0),
+    "cyclic_4.0": _instance({"cyclic": 4.0}),
+    "tol_nan": _set("estimator", "tol", float("nan")),
+    "fault_scale_nan": _instance({"cyclic": 4, "fault_scale": float("nan")}),
+}
 
 
 class TestLoadConfig:
@@ -316,6 +400,20 @@ class TestLoadConfig:
         del doc["seed"]
         with pytest.raises(ConfigError, match="rejected"):
             load_config(_write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "mutate", [pytest.param(m, id=name) for name, m in {**_SCHEMA_RULE_CASES, **_NEW_REJECTION_CASES}.items()]
+    )
+    def test_malformed_config_rejected_before_any_check(self, tmp_path, capsys, mutate):
+        doc = copy.deepcopy(_fast_campaign())  # which shares FAST_ESTIMATOR
+        doc = mutate(doc) or doc
+        path = _write_config(tmp_path, doc)
+        with pytest.raises(ConfigError):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -600,6 +698,14 @@ class TestCliMain:
         doc = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert doc["seed"] == 99
 
+    def test_bad_seed_override_exits_2_before_any_check(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path, _fast_campaign())
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'seed'=-1 outside allowed range 0 <= seed" in err
+        assert not out.exists()
+
     def test_jobs_flag_identical_output(self, tmp_path):
         cfg_path = _write_config(tmp_path, _fast_campaign())
         main(["run", str(cfg_path), "--out", str(tmp_path / "j1"), "--jobs", "1"])
@@ -639,6 +745,13 @@ class TestCliMain:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_import_loads_no_jsonschema(self):
+        # in a fresh interpreter, so that no other test's imports count
+        code = "import ncfourier, ncfourier.cli, sys; print(sorted(m for m in sys.modules if m.startswith('jsonschema')))"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_check_default_trials_cover_batch_checks(self):
         assert set(CHECK_DEFAULT_TRIALS) == {
             "lemma_constants",
@@ -651,16 +764,27 @@ class TestCliMain:
         }
 
     def test_formats_doc_has_registry_table(self):
-        rows = []
-        for name, entry in CHECKS.items():
-            params = []
-            for key, param in entry.params.items():
+        def described(table):
+            cells = []
+            for key, param in table.items():
                 bounds = param.bounds(key)
                 optional = "" if param.required else " (optional)"
-                params.append(f"`{key}`{optional}: {param.kind()}" + (f", {bounds}" if bounds else ""))
-            params += entry.requires
+                cells.append(f"`{key}`{optional}: {param.kind()}" + (f", {bounds}" if bounds else ""))
+            return cells
+
+        rows = []
+        for name, entry in CHECKS.items():
+            params = described(entry.params) + list(entry.requires)
             trials = "—" if entry.trials is None else entry.trials
             rows.append(f"| `{name}` | {entry.instance or 'none'} | {'; '.join(params) or '—'} | {trials} |")
+        instance_keys = {key: param for key, (param, _) in _INSTANCE_KEYS.items()}
+        for name, table in [
+            ("top level", _CONFIG_KEYS),
+            ("`estimator`", _ESTIMATOR_KEYS),
+            ("each entry of `checks`", _CHECK_KEYS),
+            ("instance object", instance_keys),
+        ]:
+            rows.append(f"| {name} | {'; '.join(described(table))} |")
         doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
         missing = [row for row in rows if row not in doc]
         assert not missing, "docs/formats.md lacks these rows:\n" + "\n".join(missing)
