@@ -26,7 +26,9 @@ scalars act on every block.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -40,6 +42,7 @@ __all__ = [
     "trace",
     "modulus",
     "random_element",
+    "random_row",
     "RANDOM_ENSEMBLES",
 ]
 
@@ -74,15 +77,14 @@ class TracialAlgebra:
             )
         if any(n < 1 for n in dims):
             raise ParameterError(f"block dims must be positive, got {dims}")
-        if not all(np.isfinite(w) and w > 0 for w in weights):
+        if not all(math.isfinite(w) and w > 0 for w in weights):
             raise ParameterError(
                 f"trace weights must be strictly positive and finite, got {weights}"
             )
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "weights", weights)
         # offsets of each block inside the stacked complex coordinate vector
-        sizes = [n * n for n in dims]
-        offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(sizes)]))
+        offsets = tuple(itertools.accumulate((n * n for n in dims), initial=0))
         object.__setattr__(self, "_offsets", offsets)
 
     @property
@@ -276,55 +278,65 @@ def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
 
 
-def _gaussian_runs(rng: np.random.Generator, dims):
-    """:func:`_gaussian` of every block, as one (m, n, n) stack per run of m equal sizes n.
+@functools.lru_cache(maxsize=1024)
+def _gaussian_layout(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the parts of each stacked coordinate sit in one draw of 2D normals.
 
-    One draw of (m, 2, n, n) normals per run reads the stream in the order
-    of m calls of :func:`_gaussian`, real part then imaginary part per block.
+    The draw reads the stream in the order of one :func:`_gaussian` call
+    per block: the block's real parts, then its imaginary parts.  Returns the
+    positions of the real and the imaginary parts of every coordinate, and
+    the coordinate of its transpose, entry (j, i) of its block.
     """
-    for n, run in itertools.groupby(dims):
-        r = rng.standard_normal((len(list(run)), 2, n, n))
-        yield (r[:, 0] + 1j * r[:, 1]) / np.sqrt(2.0)
+    sizes = np.square(dims)
+    n = np.repeat(dims, sizes)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # the offset of each coordinate's block
+    within = np.arange(n.size) - start
+    real = start + np.arange(n.size)
+    return real, real + n * n, start + (within % n) * n + within // n
 
 
 def _random_gaussian(algebra, rng):
-    return AlgebraElement(algebra, [b for g in _gaussian_runs(rng, algebra.dims) for b in g])
+    real, imag, _ = _gaussian_layout(algebra.dims)
+    r = rng.standard_normal(2 * algebra.complex_dim)
+    return (r[real] + 1j * r[imag]) / np.sqrt(2.0)
 
 
 def _random_hermitian(algebra, rng):
-    runs = ((g + np.conj(g).transpose(0, 2, 1)) / np.sqrt(2.0) for g in _gaussian_runs(rng, algebra.dims))
-    return AlgebraElement(algebra, [b for h in runs for b in h])
+    g = _random_gaussian(algebra, rng)
+    return (g + np.conj(g)[_gaussian_layout(algebra.dims)[2]]) / np.sqrt(2.0)
 
 
 def _random_sparse(algebra, rng, density):
     blocks = []
     for n in algebra.dims:
         mask = rng.random((n, n)) < density
-        blocks.append(_gaussian(rng, n) * mask)
-    return AlgebraElement(algebra, blocks)
+        blocks.append((_gaussian(rng, n) * mask).ravel())
+    return np.concatenate(blocks)
 
 
 def _random_rank_one(algebra, rng):
     # choose the block first so the draw count elsewhere never shifts it
     k = int(rng.integers(algebra.num_blocks))
-    x = algebra.zero()
-    n = algebra.dims[k]
+    row = np.zeros(algebra.complex_dim, dtype=complex)
+    n, o = algebra.dims[k], algebra.block_offset(k)
     u = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
     v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    x.blocks[k][:, :] = np.outer(u, v.conj())
-    return x
+    row[o : o + n * n] = np.outer(u, v.conj()).ravel()
+    return row
 
 
 RANDOM_ENSEMBLES = ("gaussian", "hermitian", "sparse", "rank_one")
 
 
-def random_element(
+def random_row(
     algebra: TracialAlgebra,
     seed,
     ensemble: str = "gaussian",
     density: float = 0.25,
-) -> AlgebraElement:
-    """Draw a random element; identical seed and parameters give identical output.
+) -> np.ndarray:
+    """The stacked complex coordinates (blocks raveled row-major, in block
+    order) of :func:`random_element` with the same arguments, drawn without
+    building the element.
 
     Ensembles: ``gaussian`` (iid standard complex Gaussian entries),
     ``hermitian`` (Gaussian symmetrized, self-adjoint), ``sparse``
@@ -345,3 +357,18 @@ def random_element(
     raise ParameterError(
         f"unknown ensemble {ensemble!r}; choose from {RANDOM_ENSEMBLES}"
     )
+
+
+def random_element(
+    algebra: TracialAlgebra,
+    seed,
+    ensemble: str = "gaussian",
+    density: float = 0.25,
+) -> AlgebraElement:
+    """Draw a random element; identical seed and parameters give identical output.
+
+    The ensembles are those of :func:`random_row`, whose row holds the
+    element's blocks.
+    """
+    row = random_row(algebra, seed, ensemble, density)
+    return AlgebraElement(algebra, [row[o : o + n * n].reshape(n, n) for o, n in zip(algebra._offsets, algebra.dims)])

@@ -62,7 +62,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import AlgebraElement, TracialAlgebra, random_element
+from .algebra import AlgebraElement, TracialAlgebra, random_row
 from .errors import ParameterError, ShapeMismatchError
 from .linmap import LinearMap, coordinate_weights, diagonal_product, from_basis, stack_complex, to_basis, unstack_complex
 from .lorentz import _TINY, _block_ops, _BlockOps, lp_norm
@@ -484,13 +484,13 @@ def _estimate_stack(maps, p: float, q: float, seeds: list[int], max_iters: int, 
     n_rank = (r - 1) // 2
     weight_order = np.argsort(dom.weights)
     for j in range(min(n_rank, dom.num_blocks)):  # matrix units, the same for every map
-        z[:, 1 + j] = stack_complex(dom.basis_element(int(weight_order[j]), 0, 0))
+        z[:, 1 + j] = 0.0
+        z[:, 1 + j, dom.block_offset(int(weight_order[j]))] = 1.0
     for i, seed in enumerate(seeds):
         for j in range(dom.num_blocks, n_rank):
-            z[i, 1 + j] = stack_complex(random_element(dom, np.random.SeedSequence((seed, 2 * j + 1)), "rank_one"))
+            z[i, 1 + j] = random_row(dom, np.random.SeedSequence((seed, 2 * j + 1)), "rank_one")
         for j in range(r - 1 - n_rank):
-            elem = random_element(dom, np.random.SeedSequence((seed, 2 * j + 2)), "gaussian")
-            z[i, 1 + n_rank + j] = stack_complex(elem)
+            z[i, 1 + n_rank + j] = random_row(dom, np.random.SeedSequence((seed, 2 * j + 2)), "gaussian")
     z = z.reshape(t * r, -1)
     dom_ops = _BlockOps(dom)
     nrm = dom_ops.norm(z, p)

@@ -177,17 +177,22 @@ def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
     """
     if not symbol.algebra.matches(pair.source):
         raise ShapeMismatchError("multiplier symbol must live on the source algebra")
+    return _multiplier_map(pair, stack_complex(symbol))
+
+
+def _multiplier_map(pair: QuantumGroupPair, values: np.ndarray) -> LinearMap:
+    """:func:`multiplier_map` of the symbol with stacked coordinates ``values``, shape (D,)."""
     if pair.dft_orders is not None:
-        return diagonal_map(pair.dual, stack_complex(symbol), pair.dft_orders)
+        return diagonal_map(pair.dual, values, pair.dft_orders)
     # left multiplication by the symbol's block x_k maps the rows of F^{-1}
     # that hold source block k, read as n_k x (n_k D) matrices, to x_k times
     # them (a row scaling for 1x1 blocks)
     alg = pair.source
     rows = np.empty_like(pair.inverse_matrix)
-    for k, b in enumerate(symbol.blocks):
-        o, n = alg.block_offset(k), alg.dims[k]
+    for k, n in enumerate(alg.dims):
+        o = alg.block_offset(k)
         block_rows = pair.inverse_matrix[o : o + n * n]
-        rows[o : o + n * n] = (b @ block_rows.reshape(n, -1)).reshape(block_rows.shape)
+        rows[o : o + n * n] = (values[o : o + n * n].reshape(n, n) @ block_rows.reshape(n, -1)).reshape(block_rows.shape)
     return LinearMap(pair.dual, pair.dual, pair.fourier_matrix @ rows)
 
 

@@ -22,11 +22,13 @@ This module holds the package's one block-spectrum kernel, :class:`_BlockOps`.
 It works on batches of S elements in stacked complex coordinates, an (S, D)
 array: singular values of 1x1 blocks are |z|, those of 2x2 blocks closed
 forms on their four entries (:func:`_spectrum2`), and only larger blocks go
-through LAPACK.  The estimator ascends with it, and every functional here is
-built on it in a batched form (:func:`lp_norms`, :func:`lorentz_norms`,
-:func:`singular_functions`, :func:`distribution_functions`) whose S = 1 case
-is the per-element function.  A row's result does not depend on the other
-rows of its batch, bit for bit.
+through LAPACK, the blocks of each size in one batched call.  The estimator
+ascends with it, and every functional here is built on it in a batched form
+(:func:`lp_norms`, :func:`lorentz_norms`, :func:`singular_functions`,
+:func:`distribution_functions`) whose S = 1 case is the per-element
+function.  A row's result does not depend on the other rows of its batch,
+bit for bit, and a block's singular values do not depend on the other
+blocks of its algebra.
 """
 
 from __future__ import annotations
@@ -132,9 +134,9 @@ def _direction2(y: np.ndarray, g: np.ndarray, data) -> np.ndarray:
 
 
 def _as_slice(idx: np.ndarray):
-    """``idx`` as a slice when it is a run of consecutive indices, so that
-    indexing with it takes a view instead of a copy."""
-    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+    """Strictly increasing indices ``idx`` as a slice when they are a run of
+    consecutive ones, so that indexing with them takes a view instead of a copy."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
         return slice(int(idx[0]), int(idx[0]) + idx.size)
     return idx
 
@@ -146,61 +148,67 @@ class _BlockOps:
     Blocks are grouped by size: 1x1 entries are pure elementwise work, 2x2
     blocks are elementwise closed forms on their four entries (see
     :func:`_spectrum2` and :func:`_direction2`), not stacked 2x2 matrix
-    products, and anything larger goes through batched LAPACK.
+    products, and the blocks of each larger size go through one batched
+    LAPACK call.  Singular values are laid out 1x1 entries first, then the
+    2x2 blocks, then the larger blocks, each part in block order; ``wts``
+    holds their block weights and ``block_index`` their blocks.
     """
 
     def __init__(self, algebra: TracialAlgebra):
         self.algebra = algebra
-        idx1, wts1 = [], []
-        idx2, wts2 = [], []
-        big = []
-        for k, (n, w) in enumerate(zip(algebra.dims, algebra.weights)):
-            o = algebra.block_offset(k)
-            if n == 1:
-                idx1.append(o)
-                wts1.append(w)
-            elif n == 2:
-                idx2.append(np.arange(o, o + 4))
-                wts2.append(w)
-            else:
-                big.append((o, n, w))
-        self.idx1 = _as_slice(np.asarray(idx1, dtype=int))
-        self.wts1 = np.asarray(wts1, dtype=float)
-        self.idx2 = _as_slice(np.ravel(idx2).astype(int))
-        self.wts2 = np.asarray(wts2, dtype=float)
-        self.big = big
-        self.wts = np.concatenate(
-            [self.wts1, np.repeat(self.wts2, 2)] + [np.full(n, w) for _, n, w in big]
-        )
+        dims = algebra.dims
+        offsets = [algebra.block_offset(k) for k in range(algebra.num_blocks)]
+        ones = [k for k, n in enumerate(dims) if n == 1]
+        twos = [k for k, n in enumerate(dims) if n == 2]
+        big = [k for k, n in enumerate(dims) if n > 2]
+        self.block_index = np.array(ones + [k for k in twos for _ in range(2)] + [k for k in big for _ in range(dims[k])])
+        self.wts = np.asarray(algebra.weights)[self.block_index]
+        self.n1, self.n2 = len(ones), 2 * len(twos)
+        self.idx1 = _as_slice(np.array([offsets[k] for k in ones], dtype=int))
+        self.idx2 = _as_slice(np.array([offsets[k] + i for k in twos for i in range(4)], dtype=int))
+        # (n, block count, coordinate indices, singular value columns) per size n > 2
+        first_col = dict(zip(big, np.cumsum([self.n1 + self.n2] + [dims[k] for k in big]).tolist()))
+        self.big = []
+        for n in dict.fromkeys(dims[k] for k in big):
+            ks = [k for k in big if dims[k] == n]
+            idx = np.array([offsets[k] + i for k in ks for i in range(n * n)])
+            cols = np.array([first_col[k] + i for k in ks for i in range(n)])
+            self.big.append((n, len(ks), _as_slice(idx), _as_slice(cols)))
 
     def spectrum(self, z: np.ndarray, vectors: bool = False):
         """Per-row singular values, in the order of ``self.wts``, and the block data
         :meth:`direction` builds on; z has shape (S, D).
 
         The data are |z| on the 1x1 entries and the five arrays of
-        :func:`_spectrum2` on the 2x2 blocks.  Larger blocks add (U, V*) of
-        their SVD when ``vectors``, and nothing otherwise.
+        :func:`_spectrum2` on the 2x2 blocks.  Each size of larger blocks
+        adds (U, V*) of their SVD, shape (S, blocks, n, n), when ``vectors``,
+        and nothing otherwise.
         """
         s_count = z.shape[0]
-        parts = []
+        parts = []  # (singular value columns, values)
         data = ()
-        if self.wts1.size:
+        if self.n1:
             mag = np.abs(z[:, self.idx1])
-            parts.append(mag)
+            parts.append((slice(0, self.n1), mag))
             data += (mag,)
-        if self.wts2.size:
+        if self.n2:
             spec2 = _spectrum2(z[:, self.idx2].reshape(s_count, -1, 4))
-            parts.append(spec2[0].reshape(s_count, -1))
+            parts.append((slice(self.n1, self.n1 + self.n2), spec2[0].reshape(s_count, -1)))
             data += spec2
-        for o, n, _ in self.big:
-            y = z[:, o : o + n * n].reshape(s_count, n, n)
+        for n, m, idx, cols in self.big:
+            y = z[:, idx].reshape(s_count, m, n, n)
             if vectors:
                 u, sv, vh = np.linalg.svd(y)
                 data += (u, vh)
             else:
                 sv = np.linalg.svd(y, compute_uv=False)
-            parts.append(sv)
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), data
+            parts.append((cols, sv.reshape(s_count, -1)))
+        if len(parts) == 1:
+            return parts[0][1], data
+        sv = np.empty((s_count, self.wts.size))
+        for cols, values in parts:
+            sv[:, cols] = values
+        return sv, data
 
     def singular_values(self, z: np.ndarray):
         """Per-row singular values and their weights; z has shape (S, D)."""
@@ -221,13 +229,17 @@ class _BlockOps:
         return self.value(self.spectrum(z)[0], p)
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Blockwise matrix products a_k b_k of paired rows of a and b, shape (S, D)."""
+        """Blockwise matrix products a_k b_k of paired rows of a and b, shape (S, D).
+
+        1x1 blocks multiply elementwise; the last bit of that can differ
+        from a 1x1 matrix product with ``@``.
+        """
         s_count = a.shape[0]
         out = np.empty(a.shape, dtype=complex)
-        if self.wts1.size:
+        if self.n1:
             out[:, self.idx1] = a[:, self.idx1] * b[:, self.idx1]
-        blocks = [(self.idx2, 2)] if self.wts2.size else []
-        for idx, n in blocks + [(slice(o, o + n * n), n) for o, n, _ in self.big]:
+        blocks = [(self.idx2, 2)] if self.n2 else []
+        for idx, n in blocks + [(idx, n) for n, _, idx, _ in self.big]:
             shape = (s_count, -1, n, n)
             out[:, idx] = (a[:, idx].reshape(shape) @ b[:, idx].reshape(shape)).reshape(s_count, -1)
         return out
@@ -256,7 +268,7 @@ class _BlockOps:
         """
         s_count = z.shape[0]
         out = np.empty_like(z)
-        n1, n2 = self.wts1.size, 2 * self.wts2.size
+        n1, n2 = self.n1, self.n2
         if n1:
             mag, *data = data
             out[:, self.idx1] = z[:, self.idx1] * np.divide(g[:, :n1], mag, out=np.zeros_like(mag), where=mag > 0.0)
@@ -264,10 +276,9 @@ class _BlockOps:
             spec2, data = data[:5], data[5:]
             g2 = g[:, n1 : n1 + n2].reshape(s_count, -1, 2)
             out[:, self.idx2] = _direction2(z[:, self.idx2].reshape(s_count, -1, 4), g2, spec2).reshape(s_count, -1)
-        col = n1 + n2
-        for (o, n, _), u, vh in zip(self.big, data[::2], data[1::2]):
-            out[:, o : o + n * n] = ((u * g[:, None, col : col + n]) @ vh).reshape(s_count, -1)
-            col += n
+        for (n, m, idx, cols), u, vh in zip(self.big, data[::2], data[1::2]):
+            gk = g[:, cols].reshape(s_count, m, 1, n)
+            out[:, idx] = ((u * gk) @ vh).reshape(s_count, -1)
         return out
 
     def schatten_direction(self, z: np.ndarray, q: float) -> np.ndarray:
@@ -353,7 +364,8 @@ class SingularFunction:
 def _steps(values: np.ndarray, weights: np.ndarray):
     """The rearrangement steps of every row of nonnegative ``values`` (S, n).
 
-    ``weights`` (n,) are the masses of the columns, the same in every row.
+    ``weights`` are the masses of the columns: (n,), the same in every row,
+    or (S, n), one row of masses per row of values.
     The rule is sequential: in decreasing order (ties in input order) a value
     joins the current step when it is within relative tolerance 1e-12 of the
     step's first value, and starts a new step otherwise; zeros are dropped.
@@ -369,7 +381,7 @@ def _steps(values: np.ndarray, weights: np.ndarray):
     s_count, n = values.shape
     order = np.argsort(-values, axis=1, kind="stable")
     v = np.take_along_axis(values, order, axis=1).ravel()
-    w = weights[order].ravel()
+    w = np.take_along_axis(np.broadcast_to(weights, values.shape), order, axis=1).ravel()
     # values are sorted decreasing, so the nonzero ones of a row are its first ones
     pos = np.flatnonzero(v)
     v, w = v[pos], w[pos]
@@ -478,21 +490,22 @@ def _check_lorentz_indices(p: float, q: float) -> None:
         raise ParameterError(f"second Lorentz index must be positive, got {q}")
 
 
-def _lorentz(breakpoints: np.ndarray, steps: np.ndarray, p: float, q: float) -> np.ndarray:
+def _lorentz(breakpoints: np.ndarray, steps: np.ndarray, p, q) -> np.ndarray:
     """Closed-form Lorentz (p,q)-functionals of the step rows of :func:`_steps`.
 
-    A row is summed in order, by a running sum, so that its zero padding
-    leaves its bits alone.
+    ``p`` and ``q`` are numbers, or (S, 1) columns with one index per row;
+    q is infinite in every row or in none.  A row is summed in order, by a
+    running sum, so that its zero padding leaves its bits alone.
     """
     if not steps.shape[1]:
         return np.zeros(len(steps))
-    if np.isinf(q):
+    if np.all(np.isinf(q)):
         return np.max(breakpoints ** (1.0 / p) * steps, axis=1)
     e = q / p
     increments = breakpoints**e
     increments[:, 1:] -= breakpoints[:, :-1] ** e
     terms = steps**q * (p / q) * increments
-    return np.cumsum(terms, axis=1)[:, -1] ** (1.0 / q)
+    return (np.cumsum(terms, axis=1)[:, -1:] ** (1.0 / q))[:, 0]
 
 
 def lorentz_norm_of_step(mu: SingularFunction, p: float, q: float) -> float:

@@ -24,13 +24,31 @@ def random_algebra(rng, max_blocks=4, max_dim=5) -> TracialAlgebra:
     return TracialAlgebra(dims, weights)
 
 
-def reference_random_blocks(dims, seed, ensemble):
-    """The blocks of ``random_element``'s "gaussian" or "hermitian" ensemble,
-    drawn block by block: the real part, then the imaginary part."""
+def reference_random_blocks(dims, seed, ensemble, density=0.25):
+    """The blocks of ``random_element``, drawn block by block.
+
+    A Gaussian block is its real part, then its imaginary part; a sparse
+    block draws its mask first.  A rank-one element draws its block, then
+    the two vectors.
+    """
     rng = np.random.default_rng(seed)
+
+    def gaussian(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    if ensemble == "rank_one":
+        k = int(rng.integers(len(dims)))
+        blocks = [np.zeros((n, n), dtype=complex) for n in dims]
+        u, v = gaussian(dims[k]), gaussian(dims[k])
+        blocks[k][:, :] = np.outer(u, v.conj())
+        return blocks
     blocks = []
     for n in dims:
-        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        if ensemble == "sparse":
+            mask = rng.random((n, n)) < density
+            blocks.append(gaussian((n, n)) * mask)
+            continue
+        g = gaussian((n, n))
         blocks.append(g if ensemble == "gaussian" else (g + g.conj().T) / np.sqrt(2.0))
     return blocks
 
@@ -319,13 +337,13 @@ def reference_brute_force_pq_norm(m, p, q, samples=100_000, seed=0, refine_steps
 
 
 def reference_hausdorff_young(pair, p, trials, seed):
-    from ncfourier.checks import _source_battery, _worst, conjugate_exponent
+    from ncfourier.checks import _worst, conjugate_exponent
     from ncfourier.fourier import fourier
     from ncfourier.lorentz import lp_norm
 
     pc = conjugate_exponent(p)
     scores = []
-    for name, x in _source_battery(pair, trials, np.random.default_rng(seed)):
+    for name, x in reference_source_battery(pair, trials, np.random.default_rng(seed)):
         denom = lp_norm(x, p)
         if denom != 0.0:
             scores.append((name, lp_norm(fourier(pair, x), pc) / denom))
@@ -333,7 +351,7 @@ def reference_hausdorff_young(pair, p, trials, seed):
 
 
 def reference_real_interpolation(pair, p, trials, seed):
-    from ncfourier.checks import _random_sources, _source_battery, _worst, conjugate_exponent
+    from ncfourier.checks import _worst, conjugate_exponent
     from ncfourier.fourier import fourier, inverse_fourier
     from ncfourier.lorentz import lorentz_norm, lp_norm
 
@@ -346,8 +364,8 @@ def reference_real_interpolation(pair, p, trials, seed):
             if denom != 0.0:
                 yield name, lp_norm(transform(pair, x), pc) / denom
 
-    fwd = _worst(scores(_source_battery(pair, trials, rng), fourier), direction="forward")
-    dual_batt = [("identity", pair.dual.identity())] + _random_sources(
+    fwd = _worst(scores(reference_source_battery(pair, trials, rng), fourier), direction="forward")
+    dual_batt = [("identity", pair.dual.identity())] + reference_random_sources(
         pair.dual, max(trials // 2, 1), rng, ("gaussian", "rank_one")
     )
     inv = _worst(scores(dual_batt, inverse_fourier), direction="inverse")
@@ -356,12 +374,12 @@ def reference_real_interpolation(pair, p, trials, seed):
 
 def reference_inversion_plancherel(pair, trials, seed):
     """The residuals element by element, each rounded up to the grid by ``math.ceil``."""
-    from ncfourier.checks import _RESIDUAL_GRID, _source_battery, _worst
+    from ncfourier.checks import _RESIDUAL_GRID, _worst
     from ncfourier.fourier import fourier, inverse_fourier
     from ncfourier.lorentz import lp_norm
 
     scores = []
-    for name, x in _source_battery(pair, trials, np.random.default_rng(seed)):
+    for name, x in reference_source_battery(pair, trials, np.random.default_rng(seed)):
         l2 = lp_norm(x, 2)
         fx = fourier(pair, x)
         rt = lp_norm(inverse_fourier(pair, fx) - x, 2)
@@ -371,7 +389,7 @@ def reference_inversion_plancherel(pair, trials, seed):
 
 
 def reference_paley(pair, p, trials, seed):
-    from ncfourier.checks import _random_sources, _worst, one_sided_exponent
+    from ncfourier.checks import _worst, one_sided_exponent
     from ncfourier.fourier import fourier
     from ncfourier.lorentz import lorentz_norm, lp_norm
 
@@ -380,7 +398,7 @@ def reference_paley(pair, p, trials, seed):
     dual = pair.dual
     min_block = int(np.argmin(dual.weights))
     structured = [("identity", dual.identity()), ("atom_min_weight", dual.basis_element(min_block, 0, 0))]
-    a_batt = structured + _random_sources(
+    a_batt = structured + reference_random_sources(
         dual, max(trials - len(structured), 1), rng, ("gaussian", "rank_one", "sparse")
     )
     scores = []
@@ -391,3 +409,129 @@ def reference_paley(pair, p, trials, seed):
         if denom != 0.0:
             scores.append((name, lp_norm(a * fourier(pair, x), p) / denom))
     return _worst(scores)
+
+
+# ---------------------------------------------------------------------------
+# reference batteries: the inputs as elements, drawn one by one
+
+
+def reference_random_sources(algebra, count, rng, ensembles=("gaussian",)):
+    """``(name, element)`` pairs of ``checks._random_sources``."""
+    out = []
+    for i in range(count):
+        kind = ensembles[i % len(ensembles)]
+        out.append((f"{kind}_{i}", random_element(algebra, np.random.SeedSequence((int(rng.integers(2**32)), i)), kind)))
+    return out
+
+
+def reference_source_battery(pair, trials, rng, decay_betas=(0.5, 1.0, 2.0)):
+    """``(name, element)`` pairs of ``checks._source_battery``."""
+    from ncfourier.linmap import unstack_complex
+
+    src = pair.source
+
+    def point_mass(index):
+        vec = np.zeros(src.complex_dim, dtype=complex)
+        vec[index] = 1.0
+        return unstack_complex(src, vec)
+
+    out = [("identity", src.identity()), ("point_mass_e", point_mass(pair.identity_index))]
+    if src.is_commutative:
+        n = src.num_blocks
+        if n > 1:
+            out.append(("point_mass_mid", point_mass((pair.identity_index + n // 2) % n)))
+        dist = np.minimum(np.arange(n), n - np.arange(n))
+        for beta in decay_betas:
+            out.append((f"decay_{beta:.3g}", unstack_complex(src, (1.0 + dist) ** (-beta))))
+        lac = np.zeros(n)
+        k = 1
+        while k < n:
+            lac[k] = 1.0
+            k *= 2
+        if lac.any():
+            out.append(("lacunary", unstack_complex(src, lac)))
+    return out + reference_random_sources(
+        src, max(trials - len(out), 0), rng, ("gaussian", "sparse", "hermitian")
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference lemma check: trial by trial, each through its own algebra's
+# singular functions
+
+
+def _reference_interior_grid(mu):
+    """Points at fractions 0.05, 0.3 and 0.8 of every step cell of a singular function."""
+    left = np.concatenate([[0.0], mu.breakpoints[:-1]])
+    widths = mu.breakpoints - left
+    fracs = np.array([0.05, 0.3, 0.8])
+    return (left[:, None] + widths[:, None] * fracs[None, :]).ravel()
+
+
+def reference_lemma_constants(trials, seed):
+    """``check_lemma_constants`` one trial at a time."""
+    from ncfourier.checks import _HARD_TOL, _SUBMULT_TOL, CheckReport
+    from ncfourier.lorentz import lorentz_norm_of_step, singular_functions
+
+    rng = np.random.default_rng(seed)
+    worst = {"submultiplicativity": 0.0, "nesting": 0.0, "weak_hoelder": 0.0}
+    witness = None
+    violations = 0
+    for case in range(trials):
+        nb = int(rng.integers(1, 5))
+        dims = [int(rng.integers(1, 6)) for _ in range(nb)]
+        weights = np.exp(rng.uniform(np.log(0.25), np.log(4.0), nb))
+        alg = TracialAlgebra(dims, weights)
+        x = random_element(alg, np.random.SeedSequence((seed, case, 0)))
+        y = random_element(alg, np.random.SeedSequence((seed, case, 1)))
+        mu_x, mu_y, mu_xy = singular_functions(alg, np.array([stack_complex(e) for e in (x, y, x * y)]))
+        s_grid = _reference_interior_grid(mu_x)
+        t_grid = _reference_interior_grid(mu_y)
+        lhs = mu_xy(s_grid[:, None] + t_grid[None, :])
+        rhs = mu_x(s_grid)[:, None] * mu_y(t_grid)[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.where(lhs > 0, np.inf, 0.0))
+        r_sub = float(ratios.max(initial=0.0))
+
+        p = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
+        q = float(np.exp(rng.uniform(np.log(0.4), np.log(3.0))))
+        r = np.inf if rng.random() < 0.3 else q * float(np.exp(rng.uniform(0.02, 1.5)))
+        const = (q / p) ** (1.0 / q - (0.0 if np.isinf(r) else 1.0 / r))
+        denom = const * lorentz_norm_of_step(mu_x, p, q)
+        r_nest = lorentz_norm_of_step(mu_x, p, r) / denom if denom > 0 else 0.0
+
+        p0 = float(np.exp(rng.uniform(np.log(0.6), np.log(4.0))))
+        p1 = float(np.exp(rng.uniform(np.log(0.6), np.log(4.0))))
+        ph = 1.0 / (1.0 / p0 + 1.0 / p1)
+        denom = 2.0 ** (1.0 / ph) * lorentz_norm_of_step(mu_x, p0, np.inf) * lorentz_norm_of_step(mu_y, p1, np.inf)
+        r_hold = lorentz_norm_of_step(mu_xy, ph, np.inf) / denom if denom > 0 else 0.0
+
+        case_worst = {
+            "submultiplicativity": (r_sub, 1.0 + _SUBMULT_TOL),
+            "nesting": (r_nest, 1.0 + _HARD_TOL),
+            "weak_hoelder": (r_hold, 1.0 + _HARD_TOL),
+        }
+        for fam, (val, thr) in case_worst.items():
+            if val > thr:
+                violations += 1
+                if witness is None or val > witness["ratio"]:
+                    witness = {"case": case, "family": fam, "ratio": val, "dims": dims}
+            if val > worst[fam]:
+                worst[fam] = val
+
+    max_ratio = max(worst.values())
+    return CheckReport(
+        check="lemma_constants",
+        instance=None,
+        instance_size=None,
+        params={},
+        trials=trials,
+        seed=seed,
+        hard=True,
+        passed=violations == 0,
+        threshold=1.0 + _HARD_TOL,
+        max_ratio=max_ratio,
+        empirical_constant=max_ratio,
+        witness=witness,
+        details={"worst_by_family": worst, "violations": violations},
+    )

@@ -54,7 +54,7 @@ from ncfourier.fourier import multiplier_map
 from ncfourier.lorentz import lp_norm
 from ncfourier.schur import SchurSymbol, schatten_algebra, schur_map, symbol_sequence_norm
 
-from conftest import random_algebra
+from conftest import random_algebra, reference_lemma_constants
 
 # every instance the package ships with a name
 SHIPPED = ("Z2", "Z3", "Z4", "Z8", "Z16", "Z64", "Z2xZ2", "S3", "D4", "Q8")
@@ -124,11 +124,13 @@ def test_criterion_02_hausdorff_young():
 def test_criterion_03_lemma_constants():
     rep = check_lemma_constants(trials=10_000, seed=331)
     violations = rep.details["violations"]
+    # the batched check against the trial-by-trial reference, bit for bit
+    same = rep.to_dict() == reference_lemma_constants(10_000, 331).to_dict()
     _verdict(
         3,
         "submultiplicativity, norm comparison, Holder at 10^4 cases",
-        rep.passed and violations == 0,
-        f"{violations} violations, worst by family "
+        rep.passed and violations == 0 and same,
+        f"{violations} violations, {'equal to' if same else 'NOT equal to'} the trial-by-trial report, worst by family "
         + ", ".join(f"{k}={v:.10f}" for k, v in rep.details["worst_by_family"].items()),
     )
 

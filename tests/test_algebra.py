@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ncfourier.algebra import AlgebraElement, TracialAlgebra, modulus, random_element, trace
+from ncfourier.algebra import RANDOM_ENSEMBLES, AlgebraElement, TracialAlgebra, modulus, random_element, random_row, trace
+from ncfourier.campaign import resolve_instance
+from ncfourier.linmap import stack_complex
 from ncfourier.errors import ParameterError, ShapeMismatchError
 
 from conftest import random_algebra, reference_random_blocks
@@ -222,6 +224,20 @@ class TestRandomElement:
             got = random_element(alg, seed, ensemble).blocks
             want = reference_random_blocks(dims, seed, ensemble)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("ensemble", RANDOM_ENSEMBLES)
+    @pytest.mark.parametrize("name", ["Z8", "S3", "M3", "mixed"])
+    def test_row_matches_block_by_block_draws(self, ensemble, name):
+        alg = {
+            "Z8": resolve_instance("Z8").source,
+            "S3": resolve_instance("S3").dual,
+            "M3": TracialAlgebra([3], [1.0]),
+            "mixed": TracialAlgebra([2, 2, 3, 1, 1, 4], [1.0, 0.5, 2.0, 1.0, 0.25, 1.5]),
+        }[name]
+        for seed in [0, 1, 2, 3, np.random.SeedSequence((4, 3))]:
+            want = stack_complex(AlgebraElement(alg, reference_random_blocks(alg.dims, seed, ensemble)))
+            assert np.array_equal(random_row(alg, seed, ensemble), want)
+            assert np.array_equal(stack_complex(random_element(alg, seed, ensemble)), want)
 
     def test_seed_changes_output(self):
         alg = TracialAlgebra([3], [1.0])

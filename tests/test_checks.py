@@ -21,16 +21,24 @@ from ncfourier.checks import (
     sharpness_experiment,
     symmetric_exponent,
 )
+from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError
 from ncfourier.fourier import build_finite_abelian, build_group_vna, perturb_fourier_matrix
 from ncfourier.groups import builtin_group
 from ncfourier.torus import cosine_profile, riemann_lp
 
+from ncfourier.checks import _random_sources, _source_battery
+from ncfourier.linmap import stack_complex
+from ncfourier.lorentz import _block_ops
+
 from conftest import (
     reference_hausdorff_young,
     reference_inversion_plancherel,
+    reference_lemma_constants,
     reference_paley,
+    reference_random_sources,
     reference_real_interpolation,
+    reference_source_battery,
 )
 
 FAST_EST = {"restarts": 3, "max_iters": 40, "tol": 1e-6}
@@ -99,6 +107,37 @@ class TestLemmaConstants:
     def test_trials_validation(self):
         with pytest.raises(ParameterError):
             check_lemma_constants(trials=0)
+
+    # 45 trials end on a partial chunk
+    @pytest.mark.parametrize("trials, seed", [(1, 0), (60, 1), (300, 12345), (45, 2)])
+    def test_matches_trial_by_trial_reference(self, trials, seed):
+        cached = _block_ops.cache_info().currsize
+        got = check_lemma_constants(trials=trials, seed=seed).to_dict()
+        assert _block_ops.cache_info().currsize == cached
+        assert got == reference_lemma_constants(trials, seed).to_dict()
+
+
+class TestBatteries:
+    """The row batteries keep the names, the order and the bits of the element batteries."""
+
+    @pytest.mark.parametrize("instance", ["Z8", "Z2xZ2", "S3", "D4"])
+    @pytest.mark.parametrize("trials", [1, 12, 40])
+    def test_source_battery(self, instance, trials):
+        pair = resolve_instance(instance)
+        for betas in [(0.5, 1.0, 2.0), (0.75, 1.5)]:
+            names, rows = _source_battery(pair, trials, np.random.default_rng(trials), betas)
+            want = reference_source_battery(pair, trials, np.random.default_rng(trials), betas)
+            assert names == [name for name, _ in want]
+            assert np.array_equal(rows, np.array([stack_complex(x) for _, x in want]))
+
+    @pytest.mark.parametrize("instance", ["Z8", "S3"])
+    @pytest.mark.parametrize("ensembles", [("gaussian",), ("gaussian", "rank_one"), ("gaussian", "rank_one", "sparse")])
+    def test_random_sources(self, instance, ensembles):
+        for alg in (resolve_instance(instance).source, resolve_instance(instance).dual):
+            names, rows = _random_sources(alg, 7, np.random.default_rng(8), ensembles)
+            want = reference_random_sources(alg, 7, np.random.default_rng(8), ensembles)
+            assert names == [name for name, _ in want]
+            assert np.array_equal(rows, np.array([stack_complex(x) for _, x in want]))
 
 
 class TestHausdorffYoung:

@@ -8,6 +8,8 @@ from ncfourier.linmap import stack_complex
 from ncfourier.lorentz import (
     SingularFunction,
     _BlockOps,
+    _direction2,
+    _spectrum2,
     decreasing_step_function,
     distribution_function,
     distribution_functions,
@@ -230,11 +232,113 @@ class TestSpectrum2x2:
         z = _batch(alg)[1][2:]
         ops = _BlockOps(alg)
         sv = ops.singular_values(z)[0]
-        got = sv[:, ops.wts1.size : ops.wts1.size + 2 * ops.wts2.size].reshape(len(z), -1, 2)
+        got = sv[:, ops.n1 : ops.n1 + ops.n2].reshape(len(z), -1, 2)
         offsets = [alg.block_offset(k) for k, n in enumerate(alg.dims) if n == 2]
         blocks = np.stack([z[:, o : o + 4].reshape(len(z), 2, 2) for o in offsets], axis=1)
         want = np.linalg.svd(blocks, compute_uv=False)
         assert np.all(np.abs(got - want) <= 1e-15 * want[..., :1])
+
+
+class TestBlockOpsGrouping:
+    """Blocks of one size go through one stacked call, with the bits of a per-block loop."""
+
+    ALG = TracialAlgebra((3, 1, 4, 3, 2, 3, 4), np.exp(np.random.default_rng(71).uniform(-1.0, 1.0, 7)))
+
+    def _rows(self):
+        rng = np.random.default_rng(72)
+        d = self.ALG.complex_dim
+        return (rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))) / np.sqrt(2.0)
+
+    def _blocks(self, z):
+        """(k, n, (S, n, n) block) of every block, in block order."""
+        for k, n in enumerate(self.ALG.dims):
+            o = self.ALG.block_offset(k)
+            yield k, n, z[:, o : o + n * n].reshape(len(z), n, n)
+
+    def _loop_spectrum(self, z, vectors=False):
+        """Singular values block by block, 1x1 first, then 2x2, then larger, each in block order.
+
+        LAPACK's singular values can differ in the last bit with and without vectors.
+        """
+        blocks = list(self._blocks(z))
+        parts = [np.abs(b[:, 0, :1]) for _, n, b in blocks if n == 1]
+        parts += [_spectrum2(b.reshape(len(z), 1, 4))[0][:, 0] for _, n, b in blocks if n == 2]
+        parts += [np.linalg.svd(b)[1] if vectors else np.linalg.svd(b, compute_uv=False) for _, n, b in blocks if n > 2]
+        return np.concatenate(parts, axis=1)
+
+    def _loop_direction(self, z, g):
+        """U diag(g) V* block by block, ``g`` laid out like the singular values."""
+        out = np.empty_like(z)
+        cols = np.cumsum([0] + [1] * self.ALG.dims.count(1) + [2] * self.ALG.dims.count(2)
+                         + [n for n in self.ALG.dims if n > 2])
+        order = ([k for k, n in enumerate(self.ALG.dims) if n == 1] + [k for k, n in enumerate(self.ALG.dims) if n == 2]
+                 + [k for k, n in enumerate(self.ALG.dims) if n > 2])
+        blocks = {k: (n, b) for k, n, b in self._blocks(z)}
+        for j, k in enumerate(order):
+            n, b = blocks[k]
+            o = self.ALG.block_offset(k)
+            gk = g[:, cols[j] : cols[j + 1]]
+            if n == 1:
+                mag = np.abs(b[:, 0, :1])
+                out[:, o : o + 1] = b[:, 0, :1] * np.divide(gk, mag, out=np.zeros_like(mag), where=mag > 0.0)
+            elif n == 2:
+                y = b.reshape(len(z), 1, 4)
+                out[:, o : o + 4] = _direction2(y, gk[:, None, :], _spectrum2(y))[:, 0]
+            else:
+                u, _, vh = np.linalg.svd(b)
+                out[:, o : o + n * n] = ((u * gk[:, None, :]) @ vh).reshape(len(z), -1)
+        return out
+
+    def test_layout(self):
+        ops = _BlockOps(self.ALG)
+        assert ops.block_index.tolist() == [1, 4, 4, 0, 0, 0, 2, 2, 2, 2, 3, 3, 3, 5, 5, 5, 6, 6, 6, 6]
+        assert ops.wts.tolist() == [self.ALG.weights[k] for k in ops.block_index]
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_spectrum(self, vectors, monkeypatch):
+        z = self._rows()
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        sv, data = _BlockOps(self.ALG).spectrum(z, vectors=vectors)
+        monkeypatch.undo()
+        # one call per size above 2: three 3x3 blocks and two 4x4 ones
+        assert calls == [(5, 3, 3, 3), (5, 2, 4, 4)]
+        assert np.array_equal(sv, self._loop_spectrum(z, vectors))
+        if vectors:
+            for (u, vh), n in zip(zip(data[-4::2], data[-3::2]), (3, 4)):
+                want = [svd(b) for _, m, b in self._blocks(z) if m == n]
+                assert np.array_equal(u, np.stack([w[0] for w in want], axis=1))
+                assert np.array_equal(vh, np.stack([w[2] for w in want], axis=1))
+
+    def test_direction(self):
+        z = self._rows()
+        ops = _BlockOps(self.ALG)
+        sv, data = ops.spectrum(z, vectors=True)
+        g = sv**0.7
+        assert np.array_equal(ops.direction(z, g, data), self._loop_direction(z, g))
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, np.inf])
+    def test_schatten_direction(self, q):
+        z = self._rows()
+        g = _BlockOps.powers(self._loop_spectrum(z, vectors=True), q)
+        assert np.array_equal(_BlockOps(self.ALG).schatten_direction(z, q), self._loop_direction(z, g))
+
+    def test_product(self):
+        z = self._rows()
+        a, b = z, z[::-1]
+        want = np.empty_like(a)
+        for k, n in enumerate(self.ALG.dims):
+            o = self.ALG.block_offset(k)
+            x = a[:, o : o + n * n].reshape(len(a), n, n)
+            y = b[:, o : o + n * n].reshape(len(b), n, n)
+            want[:, o : o + n * n] = (x * y if n == 1 else x @ y).reshape(len(a), -1)
+        assert np.array_equal(_BlockOps(self.ALG).product(a, b), want)
 
 
 class TestDistributionFunction:
