@@ -1,7 +1,8 @@
 """Fourier transforms on finite abelian groups and group von Neumann algebras.
 
-Every instance is a pair of tracial algebras (source, dual) with an
-explicit transform matrix between their coordinates.  For Z_N the source
+Every instance is a pair of tracial algebras (source, dual) with a
+transform between their coordinates: the FFT for abelian groups, a dense
+matrix and the inversion formula for the others.  For Z_N the source
 is N scalar blocks of weight 1 (functions on the group with counting
 measure) and the dual is N scalar blocks of weight 1/N (the normalization
 that makes the transform a unitary between the two L_2 spaces).  For a

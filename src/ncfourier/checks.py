@@ -469,7 +469,7 @@ def check_hausdorff_young(pair: QuantumGroupPair, p: float, trials: int = 1000, 
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
     max_ratio, witness = _worst(
-        _ratios(names, lp_norms(pair.dual, z @ pair.fourier_matrix.T, pc), lp_norms(pair.source, z, p))
+        _ratios(names, lp_norms(pair.dual, pair.forward(z), pc), lp_norms(pair.source, z, p))
     )
     return CheckReport(
         check="hausdorff_young",
@@ -503,14 +503,14 @@ def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 100
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
     fwd_max, fwd_witness = _worst(
-        _ratios(names, lp_norms(pair.dual, z @ pair.fourier_matrix.T, pc), lorentz_norms(pair.source, z, p, pc)),
+        _ratios(names, lp_norms(pair.dual, pair.forward(z), pc), lorentz_norms(pair.source, z, p, pc)),
         direction="forward",
     )
     dual_names, a = _random_sources(pair.dual, max(trials // 2, 1), rng, ("gaussian", "rank_one"))
     dual_names = ["identity"] + dual_names
     a = np.concatenate([_identity_row(pair.dual)[None], a])
     inv_max, inv_witness = _worst(
-        _ratios(dual_names, lp_norms(pair.source, a @ pair.inverse_matrix.T, pc), lorentz_norms(pair.dual, a, p, pc)),
+        _ratios(dual_names, lp_norms(pair.source, pair.inverse(a), pc), lorentz_norms(pair.dual, a, p, pc)),
         direction="inverse",
     )
     max_ratio = max(fwd_max, inv_max)
@@ -543,9 +543,9 @@ def check_inversion_plancherel(pair: QuantumGroupPair, trials: int = 1000, seed:
         raise ParameterError("inversion check needs at least one trial")
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
-    fz = z @ pair.fourier_matrix.T
+    fz = pair.forward(z)
     l2 = lp_norms(pair.source, z, 2)
-    round_trip = lp_norms(pair.source, fz @ pair.inverse_matrix.T - z, 2)
+    round_trip = lp_norms(pair.source, pair.inverse(fz) - z, 2)
     plancherel = np.abs(lp_norms(pair.dual, fz, 2) - l2)
     residuals = np.ceil(np.maximum(round_trip, plancherel) / (1.0 + l2) / _RESIDUAL_GRID) * _RESIDUAL_GRID
     worst, witness = _worst(zip(names, residuals), key="residual")
@@ -684,7 +684,7 @@ def check_paley(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int 
     # row i: the source element paired with the i-th symbol
     x = np.array([random_row(pair.source, np.random.SeedSequence((seed, i, 7))) for i in range(len(a))])
     weak = lp_norms(dual, a, np.inf) if np.isinf(s) else lorentz_norms(dual, a, s, np.inf)
-    images = _block_ops(dual).product(a, x @ pair.fourier_matrix.T)
+    images = _block_ops(dual).product(a, pair.forward(x))
     max_ratio, witness = _worst(_ratios(names, lp_norms(dual, images, p), weak * lp_norms(pair.source, x, p)))
     return CheckReport(
         check="paley",

@@ -17,19 +17,20 @@ L2(source) to L2(dual) and contractive from L1(source) to L-infinity(dual):
   irreducible representation pi with weight dim(pi)/|G|.  The transform is
   F(f)_pi = sum_g f(g) pi(g).
 
-Both directions are stored as explicit complex matrices on stacked
-coordinates, so a transform is one matvec.  Multipliers are built by
-conjugating a pointwise (left-multiplication) action on the source through
-the transform: :func:`multiplier_map`.  On a pair from
-:func:`build_finite_abelian` the transform is the DFT over the factor
-orders, so a multiplier is diagonal in that basis and is built as its
-symbol values, applied by FFT (``linmap.diagonal_map``); every other pair,
-a fault-injected one included, gives the dense matrix.
+A pair holds its transform as an operator on stacked coordinates:
+``pair.forward(rows)`` and ``pair.inverse(rows)`` map a stack (S, D) of rows.
+Abelian pairs apply the DFT by FFT both ways (:class:`DFT`, after Cooley and
+Tukey, 1965) with no D x D table, and their multipliers are diagonal in it,
+held as the symbol's values (``linmap.diagonal_map``).  Group pairs hold the
+dense forward matrix and invert it by the inversion formula
+(:class:`DenseTransform`), so the round trip F^{-1} F stays independent of
+the isometry.  Their multipliers, and those of a fault-injected pair
+(:func:`perturb_fourier_matrix`), are dense matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,9 +38,12 @@ import numpy as np
 from .algebra import AlgebraElement, TracialAlgebra
 from .errors import ParameterError, ShapeMismatchError
 from .groups import FiniteGroupData, validate_group_data
-from .linmap import LinearMap, diagonal_map, stack_complex, unstack_complex
+from .linmap import LinearMap, coordinate_weights, diagonal_map, from_basis, stack_complex, to_basis, unstack_complex
 
 __all__ = [
+    "DFT",
+    "DenseTransform",
+    "PerturbedTransform",
     "QuantumGroupPair",
     "build_finite_abelian",
     "build_group_vna",
@@ -51,66 +55,97 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class DFT:
+    """The DFT over Z_{o_1} x ... x Z_{o_d}, F[k, g] = conj(chi_k(g)), by FFT both ways.
+
+    Elements g and characters k are multi-indices in row-major order, and
+    chi_k(g) = exp(2 pi i sum_j k_j g_j / o_j).
+    """
+
+    orders: tuple[int, ...]
+    kind = "dft"
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        return from_basis(self.orders, rows)
+
+    def inverse(self, rows: np.ndarray) -> np.ndarray:
+        return to_basis(self.orders, rows)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseTransform:
+    """A transform unitary from L2(source) to L2(dual), held as its matrix (D_dual, D_source).
+
+    The inverse is the weighted adjoint diag(1/w_source) F^H diag(w_dual),
+    with the coordinate weights of the two algebras; for a group algebra this
+    is the inversion formula f(g) = sum_pi (d_pi/|G|) tr(pi(g)* F_pi).
+    """
+
+    matrix: np.ndarray
+    source_weights: np.ndarray
+    dual_weights: np.ndarray
+    kind = "dense"
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        return rows @ self.matrix.T
+
+    def inverse(self, rows: np.ndarray) -> np.ndarray:
+        return (rows * self.dual_weights) @ self.matrix.conj() / self.source_weights
+
+
+@dataclass(frozen=True)
+class PerturbedTransform:
+    """``base`` with output coordinate 0 of the forward transform scaled by ``1 + scale``, and ``base``'s inverse."""
+
+    base: DFT | DenseTransform
+    scale: float
+    kind = "perturbed"
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        out = self.base.forward(rows)
+        out[..., 0] *= 1.0 + self.scale
+        return out
+
+    def inverse(self, rows: np.ndarray) -> np.ndarray:
+        return self.base.inverse(rows)
+
+
+@dataclass(frozen=True)
 class QuantumGroupPair:
     """A source algebra, its Fourier-dual algebra, and the transform between them.
 
-    ``fourier_matrix`` maps stacked source coordinates to stacked dual
-    coordinates; ``inverse_matrix`` is its inverse, stored explicitly so a
-    deliberately corrupted transform (for fault-injection runs) keeps a
-    consistent object shape while failing the round-trip checks.
-    ``identity_index`` is the source coordinate of the group identity, where
-    point masses with known transforms sit.  ``dft_orders`` marks a pair
-    whose ``fourier_matrix`` is the DFT over these factor orders; only
-    :func:`build_finite_abelian` sets it, and ``dataclasses.replace`` clears
-    it, so a pair with a replaced transform is never taken for the DFT.
+    ``transform`` maps stacked source coordinates to stacked dual ones
+    (``forward``) and back (``inverse``), on stacks (S, D) of rows; its
+    ``kind`` ("dft", "dense" or "perturbed") decides the form of the pair's
+    multipliers.  ``identity_index`` is the source coordinate of the group
+    identity, where point masses with known transforms sit.
     """
 
     name: str
     source: TracialAlgebra
     dual: TracialAlgebra
-    fourier_matrix: np.ndarray
-    inverse_matrix: np.ndarray
+    transform: DFT | DenseTransform | PerturbedTransform
     identity_index: int = 0
-    dft_orders: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f = np.asarray(self.fourier_matrix, dtype=complex)
-        finv = np.asarray(self.inverse_matrix, dtype=complex)
-        want = (self.dual.complex_dim, self.source.complex_dim)
-        if f.shape != want:
+        if self.source.complex_dim != self.dual.complex_dim:
             raise ShapeMismatchError(
-                f"fourier matrix shape {f.shape}, expected {want}"
+                f"transform must be square on stacked coordinates, got source dimension "
+                f"{self.source.complex_dim} and dual dimension {self.dual.complex_dim}"
             )
-        if finv.shape != want[::-1]:
-            raise ShapeMismatchError(
-                f"inverse matrix shape {finv.shape}, expected {want[::-1]}"
-            )
-        object.__setattr__(self, "fourier_matrix", f)
-        object.__setattr__(self, "inverse_matrix", finv)
 
     @property
     def size(self) -> float:
         """Instance size used for scaling ladders: total source weight."""
         return self.source.total_weight
 
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        """Stacked dual coordinates of the transforms of the source rows (S, D)."""
+        return self.transform.forward(rows)
 
-def _checked_pair(name, source, dual, fmat, identity_index=0) -> QuantumGroupPair:
-    fmat = np.asarray(fmat, dtype=complex)
-    if fmat.shape[0] != fmat.shape[1]:
-        raise ShapeMismatchError(
-            f"transform must be square on stacked coordinates, got {fmat.shape}"
-        )
-    # fail fast on a structurally broken construction; the analytic
-    # invariants (isometry, contraction) are exercised by the checks layer
-    finv = np.linalg.inv(fmat)
-    return QuantumGroupPair(
-        name=name,
-        source=source,
-        dual=dual,
-        fourier_matrix=fmat,
-        inverse_matrix=finv,
-        identity_index=identity_index,
-    )
+    def inverse(self, rows: np.ndarray) -> np.ndarray:
+        """Stacked source coordinates of the inverse transforms of the dual rows (S, D)."""
+        return self.transform.inverse(rows)
 
 
 def build_finite_abelian(orders: Sequence[int], name: str | None = None) -> QuantumGroupPair:
@@ -121,20 +156,9 @@ def build_finite_abelian(orders: Sequence[int], name: str | None = None) -> Quan
     n = int(np.prod(orders))
     source = TracialAlgebra([1] * n, [1.0] * n)
     dual = TracialAlgebra([1] * n, [1.0 / n] * n)
-    # element g <-> multi-index (g_1, ..., g_d) in row-major order; same for
-    # characters k.  chi_k(g) = exp(2 pi i sum_j k_j g_j / o_j).
-    grids = np.stack(
-        np.meshgrid(*[np.arange(o) for o in orders], indexing="ij"), axis=-1
-    ).reshape(n, len(orders))
-    phase = np.zeros((n, n))
-    for j, o in enumerate(orders):
-        phase += np.outer(grids[:, j], grids[:, j]) * (1.0 / o)
-    fmat = np.exp(-2j * np.pi * phase)  # F[k, g] = conj(chi_k(g))
     if name is None:
         name = "x".join(f"Z{o}" for o in orders)
-    pair = _checked_pair(name, source, dual, fmat, identity_index=0)
-    object.__setattr__(pair, "dft_orders", orders)
-    return pair
+    return QuantumGroupPair(name, source, dual, DFT(orders))
 
 
 def build_group_vna(data: FiniteGroupData, name: str | None = None) -> QuantumGroupPair:
@@ -145,17 +169,16 @@ def build_group_vna(data: FiniteGroupData, name: str | None = None) -> QuantumGr
     dims = data.irrep_dims
     dual = TracialAlgebra(list(dims), [d / n for d in dims])
     # column g of the transform is the stacked blocks (pi(g))_pi
-    fmat = np.concatenate([rep.reshape(n, -1).T for rep in data.irreps])
-    return _checked_pair(
-        name or data.name, source, dual, fmat, identity_index=data.identity
-    )
+    fmat = np.concatenate([rep.reshape(n, -1).T for rep in data.irreps]).astype(complex)
+    transform = DenseTransform(fmat, coordinate_weights(source), coordinate_weights(dual))
+    return QuantumGroupPair(name or data.name, source, dual, transform, identity_index=data.identity)
 
 
 def fourier(pair: QuantumGroupPair, x: AlgebraElement) -> AlgebraElement:
     """Transform a source element to the dual algebra."""
     if not x.algebra.matches(pair.source):
         raise ShapeMismatchError("fourier: element does not live on the source algebra")
-    return unstack_complex(pair.dual, pair.fourier_matrix @ stack_complex(x))
+    return unstack_complex(pair.dual, pair.forward(stack_complex(x)[None])[0])
 
 
 def inverse_fourier(pair: QuantumGroupPair, a: AlgebraElement) -> AlgebraElement:
@@ -164,15 +187,15 @@ def inverse_fourier(pair: QuantumGroupPair, a: AlgebraElement) -> AlgebraElement
         raise ShapeMismatchError(
             "inverse_fourier: element does not live on the dual algebra"
         )
-    return unstack_complex(pair.source, pair.inverse_matrix @ stack_complex(a))
+    return unstack_complex(pair.source, pair.inverse(stack_complex(a)[None])[0])
 
 
 def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
     """The dual-side map a -> F(symbol * F^{-1}(a)) as a LinearMap.
 
     The symbol lives on the source algebra; for commutative sources this is
-    the pointwise multiplier with those symbol values.  On a DFT pair (see
-    :class:`QuantumGroupPair`) the map is diagonal in the DFT basis with the
+    the pointwise multiplier with those symbol values.  On a pair whose
+    transform is the DFT the map is diagonal in the DFT basis with the
     symbol's values; otherwise it is the dense matrix F (symbol) F^{-1}.
     """
     if not symbol.algebra.matches(pair.source):
@@ -182,29 +205,28 @@ def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
 
 def _multiplier_map(pair: QuantumGroupPair, values: np.ndarray) -> LinearMap:
     """:func:`multiplier_map` of the symbol with stacked coordinates ``values``, shape (D,)."""
-    if pair.dft_orders is not None:
-        return diagonal_map(pair.dual, values, pair.dft_orders)
+    if pair.transform.kind == "dft":
+        return diagonal_map(pair.dual, values, pair.transform.orders)
     # left multiplication by the symbol's block x_k maps the rows of F^{-1}
     # that hold source block k, read as n_k x (n_k D) matrices, to x_k times
     # them (a row scaling for 1x1 blocks)
     alg = pair.source
-    rows = np.empty_like(pair.inverse_matrix)
+    finv = pair.inverse(np.eye(pair.dual.complex_dim, dtype=complex)).T
+    rows = np.empty_like(finv)
     for k, n in enumerate(alg.dims):
         o = alg.block_offset(k)
-        block_rows = pair.inverse_matrix[o : o + n * n]
+        block_rows = finv[o : o + n * n]
         rows[o : o + n * n] = (values[o : o + n * n].reshape(n, n) @ block_rows.reshape(n, -1)).reshape(block_rows.shape)
-    return LinearMap(pair.dual, pair.dual, pair.fourier_matrix @ rows)
+    return LinearMap(pair.dual, pair.dual, pair.forward(rows.T).T)
 
 
 def perturb_fourier_matrix(pair: QuantumGroupPair, scale: float) -> QuantumGroupPair:
     """Deliberately corrupt the transform (for fault-injection campaigns).
 
-    The first row of the Fourier matrix is multiplied by ``1 + scale`` while
-    the stored inverse is left untouched, so both the unitarity and the
-    round-trip invariants fail by about ``scale``.  The copy is no DFT
-    pair (``replace`` clears ``dft_orders``), so its multipliers are built
-    from the corrupted matrix and carry the fault.
+    The forward transform's output coordinate 0 is multiplied by
+    ``1 + scale`` while the inverse is left untouched, so both the unitarity
+    and the round-trip invariants fail by about ``scale``.  The copy's
+    transform is of kind "perturbed", so its multipliers are dense matrices
+    built from the corrupted forward transform, and carry the fault.
     """
-    f = pair.fourier_matrix.copy()
-    f[0, :] *= 1.0 + scale
-    return replace(pair, name=f"{pair.name}!fault", fourier_matrix=f)
+    return replace(pair, name=f"{pair.name}!fault", transform=PerturbedTransform(pair.transform, float(scale)))

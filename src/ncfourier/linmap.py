@@ -9,11 +9,13 @@ complex-linear.
 A map holds one of two forms.  A dense map holds its matrix.  A map that is
 diagonal in a known basis (:func:`diagonal_map`) holds only its D values
 and the basis: either the stacked coordinates themselves (Schur
-multipliers) or the DFT over the factor orders of a finite abelian group
-(Fourier multipliers of ``build_finite_abelian`` pairs), so that a product
-with it is ``values * z`` or ``fft(values * ifft(z))``
-(:func:`diagonal_product`, after Cooley and Tukey, 1965).  Its ``matrix`` is
-derived on first use.
+multipliers) or the DFT over the factor orders of a finite abelian group,
+so that a product with it is ``values * z`` or ``fft(values * ifft(z))``
+(:func:`diagonal_product`, after Cooley and Tukey, 1965).  The DFT basis is
+the transform of the pairs from ``fourier.build_finite_abelian``, which
+apply it with the same :func:`from_basis` and :func:`to_basis`, so their
+Fourier multipliers are diagonal in it.  Its ``matrix`` is derived on
+first use.
 
 The weighted trace inner products Re trace(y* x) on domain and codomain are
 diagonal in these coordinates; :meth:`LinearMap.weighted_adjoint_matrix`

@@ -208,6 +208,30 @@ def left_multiplication_matrix(x) -> np.ndarray:
     return out
 
 
+def reference_dft_matrix(orders) -> np.ndarray:
+    """The DFT over Z_{o_1} x ... x Z_{o_d} from its phase table, F[k, g] = conj(chi_k(g)).
+
+    Elements g and characters k are multi-indices in row-major order, and
+    chi_k(g) = exp(2 pi i sum_j k_j g_j / o_j).
+    """
+    n = int(np.prod(orders))
+    grids = np.stack(np.meshgrid(*[np.arange(o) for o in orders], indexing="ij"), axis=-1).reshape(n, len(orders))
+    phase = np.zeros((n, n))
+    for j, o in enumerate(orders):
+        phase += np.outer(grids[:, j], grids[:, j]) * (1.0 / o)
+    return np.exp(-2j * np.pi * phase)
+
+
+def forward_matrix(pair) -> np.ndarray:
+    """The pair's forward transform as a dense matrix, column g the transform of the g-th unit row."""
+    return pair.forward(np.eye(pair.source.complex_dim, dtype=complex)).T
+
+
+def inverse_matrix(pair) -> np.ndarray:
+    """The pair's inverse transform as a dense matrix, column k the inverse of the k-th unit row."""
+    return pair.inverse(np.eye(pair.dual.complex_dim, dtype=complex)).T
+
+
 def dense_coords(x) -> np.ndarray:
     """Complex coordinate vector of an element (for linear-map oracles)."""
     return stack_complex(x)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")
 
+    def test_large_abelian_instance_loads_quickly(self, tmp_path):
+        # load_config builds each instance to validate it; a Z4096 pair holds no D x D tables
+        doc = {"seed": 1, "checks": [{"check": "inversion_plancherel", "instance": {"cyclic": 4096}, "trials": 20}]}
+        path = _write_config(tmp_path, doc)
+        start = time.perf_counter()
+        config = load_config(path)
+        assert time.perf_counter() - start < 0.5
+        assert config.checks[0].instance == {"cyclic": 4096}
+
 
 class TestResolveInstance:
     def test_strings(self):
@@ -727,6 +737,7 @@ class TestCliMain:
             assert [(row["index"], row["check"]) for row in doc["checks"]] == list(enumerate(names))
             assert len(doc["checks"]) == 14
             assert all(row["wall_s"] > 0 for row in doc["checks"])
+            assert all(0 <= row["build_s"] <= row["wall_s"] for row in doc["checks"])
             assert doc["checks"][1]["instance"] == "Z8"
 
     def test_timings_inside_out_dir_exits_2(self, tmp_path, capsys):

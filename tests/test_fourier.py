@@ -1,9 +1,14 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ncfourier.algebra import TracialAlgebra, random_element, trace
+from ncfourier.checks import check_hausdorff_young, check_inversion_plancherel
 from ncfourier.errors import ParameterError, ShapeMismatchError
 from ncfourier.fourier import (
+    DenseTransform,
     QuantumGroupPair,
     build_finite_abelian,
     build_group_vna,
@@ -12,12 +17,12 @@ from ncfourier.fourier import (
     multiplier_map,
     perturb_fourier_matrix,
 )
-from ncfourier.groups import builtin_group, cyclic_group_data
+from ncfourier.groups import builtin_group, builtin_group_names, cyclic_group_data
 from ncfourier.estimator import _next_stack
-from ncfourier.linmap import LinearMap, identity_map, stack_complex
+from ncfourier.linmap import LinearMap, coordinate_weights, identity_map, stack_complex
 from ncfourier.lorentz import lp_norm
 
-from conftest import dense_coords, left_multiplication_matrix
+from conftest import dense_coords, forward_matrix, inverse_matrix, left_multiplication_matrix, reference_dft_matrix
 
 
 def _delta(pair, g: int):
@@ -51,7 +56,7 @@ class TestAbelianConstruction:
 
     def test_z2xz2_fourth_power(self):
         pair = build_finite_abelian([2, 2])
-        f4 = np.linalg.matrix_power(pair.fourier_matrix, 4)
+        f4 = np.linalg.matrix_power(forward_matrix(pair), 4)
         assert np.allclose(f4, 16.0 * np.eye(4), atol=1e-12)
 
     def test_z4_character_column(self):
@@ -76,7 +81,7 @@ class TestGroupConstruction:
     def test_z2_matches_abelian(self):
         via_group = build_group_vna(cyclic_group_data(2))
         via_abelian = build_finite_abelian([2])
-        assert np.allclose(via_group.fourier_matrix, via_abelian.fourier_matrix)
+        assert np.allclose(forward_matrix(via_group), forward_matrix(via_abelian))
         assert via_group.dual.weights == pytest.approx(via_abelian.dual.weights)
 
     def test_s3_identity_transform(self):
@@ -221,10 +226,14 @@ class TestMultiplierMap:
         source = TracialAlgebra([1, 2, 3, 1], [1.0, 0.5, 2.0, 0.25])
         dual = TracialAlgebra([3, 2, 1, 1], [0.5, 1.0, 3.0, 0.25])
         d = source.complex_dim
-        fmat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        pair = QuantumGroupPair("random", source, dual, fmat, np.linalg.inv(fmat))
+        # a random transform unitary from L2(source) to L2(dual), so that its
+        # weighted adjoint is its inverse
+        unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        ws, wd = coordinate_weights(source), coordinate_weights(dual)
+        fmat = unitary * np.sqrt(ws) / np.sqrt(wd)[:, None]
+        pair = QuantumGroupPair("random", source, dual, DenseTransform(fmat, ws, wd))
         x = random_element(source, 7)
-        want = pair.fourier_matrix @ left_multiplication_matrix(x) @ pair.inverse_matrix
+        want = fmat @ left_multiplication_matrix(x) @ np.linalg.inv(fmat)
         assert np.allclose(multiplier_map(pair, x).matrix, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
     def test_symbol_on_wrong_algebra(self):
@@ -246,7 +255,7 @@ class TestFaultInjection:
     def test_zero_scale_is_harmless(self):
         pair = build_finite_abelian([4])
         same = perturb_fourier_matrix(pair, 0.0)
-        assert np.allclose(same.fourier_matrix, pair.fourier_matrix)
+        assert np.allclose(forward_matrix(same), forward_matrix(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +265,9 @@ DFT_ORDERS = [(1,), (2,), (3,), (8,), (128,), (2, 4), (3, 5)]
 
 
 def _dense_multiplier(pair, x) -> np.ndarray:
-    """F diag(x) F^{-1} from the pair's stored matrices."""
-    return pair.fourier_matrix @ (stack_complex(x)[:, None] * pair.inverse_matrix)
+    """F diag(x) F^{-1} with F the phase-table DFT over the pair's factor orders."""
+    fmat = reference_dft_matrix(pair.transform.orders)
+    return fmat @ (stack_complex(x)[:, None] * np.linalg.inv(fmat))
 
 
 def _rel_err(got, want) -> float:
@@ -308,16 +318,81 @@ class TestDiagonalForm:
 
     def test_nonabelian_pair_is_dense(self):
         pair = build_group_vna(builtin_group("S3"))
-        assert pair.dft_orders is None
+        assert pair.transform.kind == "dense"
         assert multiplier_map(pair, random_element(pair.source, 25)).diagonal is None
 
     def test_perturbed_pair_keeps_its_fault(self):
         pair = build_finite_abelian([8])
         bad = perturb_fourier_matrix(pair, 0.05)
-        assert bad.dft_orders is None
+        assert bad.transform.kind == "perturbed"
         x = random_element(pair.source, 26, "gaussian")
         m = multiplier_map(bad, x)
         assert m.diagonal is None
-        want = bad.fourier_matrix @ np.diag(stack_complex(x)) @ bad.inverse_matrix
+        fmat = reference_dft_matrix((8,))
+        faulty = fmat * np.where(np.arange(8) == 0, 1.05, 1.0)[:, None]
+        want = faulty @ np.diag(stack_complex(x)) @ np.linalg.inv(fmat)
         assert _rel_err(m.matrix, want) <= 1e-12
         assert _rel_err(m.matrix, multiplier_map(pair, x).matrix) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# transforms as operators on stacked rows, against independent oracles
+
+ORACLE_ORDERS = [(1,), (2,), (6,), (2, 4), (3, 5), (2, 2, 2)]
+
+
+def _gaussian_rows(rng, count, d) -> np.ndarray:
+    return rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+
+
+class TestTransformOracles:
+    @pytest.mark.parametrize("orders", ORACLE_ORDERS, ids=lambda o: "x".join(f"Z{n}" for n in o))
+    def test_dft_matches_phase_table(self, orders):
+        pair = build_finite_abelian(orders)
+        assert pair.transform.kind == "dft"
+        fmat = reference_dft_matrix(orders)
+        z = _gaussian_rows(np.random.default_rng(len(fmat)), 7, len(fmat))
+        assert _rel_err(pair.forward(z), z @ fmat.T) <= 1e-12
+        assert _rel_err(pair.inverse(z), z @ np.linalg.inv(fmat).T) <= 1e-12
+
+    @pytest.mark.parametrize("name", builtin_group_names())
+    def test_inversion_formula_matches_matrix_inverse(self, name):
+        pair = build_group_vna(builtin_group(name))
+        assert pair.transform.kind == "dense"
+        assert _rel_err(inverse_matrix(pair), np.linalg.inv(forward_matrix(pair))) <= 1e-12
+
+    @pytest.mark.parametrize("orders", [(8,), (2, 4), (3, 5), (2, 2, 2)], ids=lambda o: "x".join(f"Z{n}" for n in o))
+    def test_row_has_the_same_bits_in_a_batch(self, orders):
+        pair = build_finite_abelian(orders)
+        z = _gaussian_rows(np.random.default_rng(3), 300, pair.source.complex_dim)
+        forward, inverse = pair.forward(z), pair.inverse(z)
+        for i in (0, 1, 150, 299):
+            assert np.array_equal(pair.forward(z[i : i + 1])[0], forward[i])
+            assert np.array_equal(pair.inverse(z[i : i + 1])[0], inverse[i])
+
+    def test_replace_keeps_the_dft(self):
+        # replacing any other field keeps the transform, so multipliers stay diagonal
+        pair = build_finite_abelian([2, 3])
+        renamed = dataclasses.replace(pair, name="renamed")
+        m = multiplier_map(renamed, random_element(pair.source, 27, "gaussian"))
+        assert renamed.transform.kind == "dft"
+        assert m.diagonal is not None and m.diagonal.orders == (2, 3)
+
+
+class TestLargeAbelianPair:
+    def test_z4096_builds_without_tables(self):
+        # two stored 4096 x 4096 complex tables would take 512 MB
+        tracemalloc.start()
+        try:
+            pair = build_finite_abelian([4096])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        z = _gaussian_rows(np.random.default_rng(4096), 8, 4096)
+        assert _rel_err(pair.inverse(pair.forward(z)), z) <= 1e-12
+
+    def test_z4096_transform_checks_pass(self):
+        pair = build_finite_abelian([4096])
+        assert check_inversion_plancherel(pair, trials=20, seed=1).passed
+        assert check_hausdorff_young(pair, 4.0 / 3.0, trials=20, seed=2).passed
