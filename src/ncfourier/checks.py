@@ -41,7 +41,7 @@ from .lorentz import (
     lorentz_norms,
     lp_norms,
 )
-from .schur import SchurSymbol, schur_map, symbol_sequence_norm
+from .schur import schur_pair
 from .torus import cosine_profile, riemann_lp
 
 __all__ = [
@@ -576,10 +576,34 @@ def _estimator_opts(estimator: dict | None) -> dict:
     return opts
 
 
-def _trust(est) -> dict:
-    """How far an estimate can be trusted, for its series row: the share of
-    its restarts that converged, and whether every restart found only 0."""
-    return {"converged_fraction": est.converged_fraction, "degenerate": est.degenerate}
+def _bound_series(pair: QuantumGroupPair, names, z: np.ndarray, p: float, q: float, rng, opts: dict):
+    """Estimates of the multipliers of a battery: symbols ``names`` with rows ``z`` on the pair's source.
+
+    Returns a series row per symbol of nonzero weak L_r norm, 1/r = 1/p - 1/q:
+    the estimate of ||m_x||_{p->q}, the weak L_r and L_r norms, the weak
+    ratio, and how far the estimate can be trusted (the share of restarts
+    that converged, and whether every restart found only 0).  Then the
+    largest weak and L_r ratios with their witnesses (:func:`_worst`).  Each
+    kept symbol draws its estimator seed from ``rng``, in battery order.
+    """
+    r = difference_exponent(p, q)
+    weak_norms = lp_norms(pair.source, z, np.inf) if np.isinf(r) else lorentz_norms(pair.source, z, r, np.inf)
+    lr_norms = lp_norms(pair.source, z, r)
+    # (name, symbol row, weak norm, L_r norm, estimator seed) of the symbols with a nonzero weak norm
+    kept = [
+        (name, sym, weak, lr, int(rng.integers(2**62)))
+        for name, sym, weak, lr in zip(names, z, weak_norms, lr_norms)
+        if weak != 0.0
+    ]
+    maps = (_multiplier_map(pair, sym) for _, sym, *_ in kept)
+    estimates = estimate_pq_norms(maps, p, q, [s for *_, s in kept], **opts)
+    series = [
+        {"input": name, "estimate": est.lower_bound, "weak_norm": weak, "lr_norm": lr,
+         "ratio": est.lower_bound / weak, "converged_fraction": est.converged_fraction, "degenerate": est.degenerate}
+        for (name, _, weak, lr, _), est in zip(kept, estimates)
+    ]
+    lr_ratios = ((row["input"], row["estimate"] / row["lr_norm"]) for row in series)
+    return series, _worst((row["input"], row["ratio"]) for row in series), _worst(lr_ratios, key="lr_ratio")
 
 
 def check_multiplier_bound(
@@ -619,33 +643,17 @@ def check_multiplier_bound(
     betas = _DEFAULT_DECAY if np.isinf(r) else (1.5 / r, 3.0 / r, 6.0 / r)
     names, z = _source_battery(pair, trials, rng, decay_betas=betas)
     hard = p <= 2.0 <= q
-    weak_norms = lp_norms(pair.source, z, np.inf) if np.isinf(r) else lorentz_norms(pair.source, z, r, np.inf)
-    lr_norms = lp_norms(pair.source, z, r)  # reported for the hard clause only
-    # (kind, symbol row, weak norm, L_r norm, estimator seed) of the symbols with a nonzero weak norm
-    kept = [
-        (kind, sym, weak, lr, int(rng.integers(2**62)))
-        for kind, sym, weak, lr in zip(names, z, weak_norms, lr_norms)
-        if weak != 0.0
-    ]
-    maps = (_multiplier_map(pair, sym) for _, sym, *_ in kept)
-    estimates = estimate_pq_norms(maps, p, q, [s for *_, s in kept], **opts)
-    series = []
-    for (kind, _, weak, lr, _), est in zip(kept, estimates):
-        row = {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "ratio": est.lower_bound / weak,
-               **_trust(est)}
-        if hard:
-            row["lr_norm"] = lr
-        series.append(row)
-    max_ratio, witness = _worst((row["input"], row["ratio"]) for row in series)
+    series, (max_ratio, witness), (max_lr_ratio, lr_witness) = _bound_series(pair, names, z, p, q, rng, opts)
     identity_ratio = next((row["ratio"] for row in series if row["input"] == "identity"), None)
     details = {"identity_ratio": identity_ratio, "estimator": opts}
     passed = True
     if hard:
-        details["max_lr_ratio"], lr_witness = _worst(
-            ((row["input"], row["estimate"] / row["lr_norm"]) for row in series), key="lr_ratio"
-        )
-        passed = details["max_lr_ratio"] <= 1.0 + 1e-6
+        details["max_lr_ratio"] = max_lr_ratio
+        passed = max_lr_ratio <= 1.0 + 1e-6
         witness = witness if passed else lr_witness
+    else:  # the L_r norm is reported for the hard clause only
+        for row in series:
+            del row["lr_norm"]
     return CheckReport(
         check="multiplier_bound",
         instance=pair.name,
@@ -702,27 +710,24 @@ def check_paley(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int 
     )
 
 
-def _schur_battery(n: int, trials: int, rng) -> list[tuple[str, SchurSymbol]]:
+def _schur_battery(n: int, trials: int, rng) -> tuple[list[str], np.ndarray]:
+    """Structured plus random n x n symbols, at least ``trials`` in total: their names and their entries as rows (S, n^2)."""
     idx = np.arange(n)
     dist = np.abs(idx[:, None] - idx[None, :])
-    atom = np.zeros((n, n), dtype=complex)
+    atom = np.zeros((n, n))
     atom[0, 0] = 1.0
-    out = [
-        ("atom_11", SchurSymbol(atom)),
-        ("all_ones", SchurSymbol(np.ones((n, n)))),
-        ("diagonal", SchurSymbol(np.eye(n))),
-        ("alternating", SchurSymbol((-1.0) ** (idx[:, None] + idx[None, :]))),
-    ]
-    for beta in (0.5, 1.0, 2.0):
-        out.append((f"band_decay_{beta}", SchurSymbol((1.0 + dist) ** (-beta))))
+    names = ["atom_11", "all_ones", "diagonal", "alternating"] + [f"band_decay_{beta}" for beta in (0.5, 1.0, 2.0)]
+    symbols = [atom, np.ones((n, n)), np.eye(n), (-1.0) ** (idx[:, None] + idx[None, :])]
+    symbols += [(1.0 + dist) ** (-beta) for beta in (0.5, 1.0, 2.0)]
     i = 0
-    while len(out) < trials:
+    while len(names) < trials:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if i % 2:
             g = g * (rng.random((n, n)) < 0.3)
-        out.append((f"random_{i}", SchurSymbol(g / np.sqrt(2.0))))
+        names.append(f"random_{i}")
+        symbols.append(g / np.sqrt(2.0))
         i += 1
-    return out
+    return names, np.array(symbols, dtype=complex).reshape(len(names), n * n)
 
 
 def check_schur_bound(
@@ -735,41 +740,21 @@ def check_schur_bound(
 ) -> CheckReport:
     """Entrywise multipliers S_p -> S_q against entry sequence norms.
 
-    Hard clause (constant 1): the estimated norm never exceeds the plain
-    little-l_r norm of the symbol entries, 1/r = 1/p - 1/q, for
-    p <= 2 <= q.  Monitored clause: the ratio against the weak l_{r,inf}
-    norm, whose sharp constant is what the campaign ladders track.
+    The multipliers are those of :func:`schur.schur_pair`, estimated like
+    :func:`check_multiplier_bound`'s.  Hard clause (constant 1): the
+    estimated norm never exceeds the plain little-l_r norm of the symbol
+    entries, 1/r = 1/p - 1/q, for p <= 2 <= q; the witness is the input of
+    the largest L_r ratio.  Monitored clause: the ratio against the weak
+    l_{r,inf} norm, whose sharp constant is what the campaign ladders track.
     """
     if not (1.0 <= p <= 2.0 <= q < np.inf):
         raise ParameterError(f"entrywise bound needs 1 <= p <= 2 <= q < inf, got ({p}, {q})")
-    if n < 1:
-        raise ParameterError(f"matrix size must be positive, got {n}")
+    pair = schur_pair(n)  # raises for n < 1
     r = difference_exponent(p, q)
     opts = _estimator_opts(estimator)
     rng = np.random.default_rng(seed)
-    battery = _schur_battery(n, trials, rng)
-    # (kind, symbol, l_r norm, weak norm, estimator seed) of the symbols with a nonzero weak norm
-    kept = []
-    for kind, sym in battery:
-        if np.isinf(r):
-            lr = float(np.max(np.abs(sym.matrix)))
-            weak = lr
-        else:
-            lr = symbol_sequence_norm(sym, r)
-            weak = symbol_sequence_norm(sym, r, np.inf)
-        if weak != 0.0:
-            kept.append((kind, sym, lr, weak, int(rng.integers(2**62))))
-    maps = (schur_map(sym) for _, sym, _, _, _ in kept)
-    estimates = estimate_pq_norms(maps, p, q, [s for *_, s in kept], **opts)
-    series = [
-        {"input": kind, "estimate": est.lower_bound, "weak_norm": weak, "lr_norm": lr, "ratio": est.lower_bound / weak,
-         **_trust(est)}
-        for (kind, _, lr, weak, _), est in zip(kept, estimates)
-    ]
-    max_weak_ratio, _ = _worst((row["input"], row["ratio"]) for row in series)
-    max_lr_ratio, witness = _worst(
-        ((row["input"], row["estimate"] / row["lr_norm"]) for row in series), key="lr_ratio"
-    )
+    names, z = _schur_battery(n, trials, rng)
+    series, (max_weak_ratio, _), (max_lr_ratio, witness) = _bound_series(pair, names, z, p, q, rng, opts)
     return CheckReport(
         check="schur_bound",
         instance=f"M{n}",

@@ -25,12 +25,12 @@ Three levels of effort:
 Both run one engine, :func:`_ascent`.  It runs on a stack of T maps that
 share a domain and a codomain, and on all their starting points at once, as
 one complex batch of rows of length D_dom; each row belongs to one map.
-Maps built diagonal in a known basis (Schur multipliers, and the Fourier
-multipliers of finite abelian pairs; see ``linmap.Diagonal``) are stacked
-as their (T, D) values, and a product with a batch of rows is
-``z * v[owner]`` or ``fft(v[owner] * ifft(z))``, the weighted adjoint the
-same with conj(v); no D x D matrix is built.  Every other map is stacked
-as its D_cod x D_dom matrix, in one (T, D_cod, D_dom) array.  An estimate
+Multipliers held as their symbol (``linmap.Diagonal``: the values v of a
+map diagonal in a unitary basis B, the transform of its pair) are stacked
+as their (T, D) values with the one basis they share, and a product with a
+batch of rows is ``B(B^{-1} z * v[owner])``, the weighted adjoint the same
+with conj(v); no D x D matrix is built.  Every other map is stacked as its
+D_cod x D_dom matrix, in one (T, D_cod, D_dom) array.  An estimate
 is the case T = 1.  A batch of maps holds at most ``_BATCH_BYTES`` of
 matrices or values and rows, so long lists of maps ascend in several
 batches, and so do the samples of brute force, which always multiplies by
@@ -64,7 +64,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, TracialAlgebra, random_row
 from .errors import ParameterError, ShapeMismatchError
-from .linmap import LinearMap, coordinate_weights, diagonal_product, from_basis, stack_complex, to_basis, unstack_complex
+from .linmap import LinearMap, coordinate_weights, diagonal_product, stack_complex, unstack_complex
 from .lorentz import _TINY, _block_ops, _BlockOps, lp_norm
 
 __all__ = [
@@ -170,18 +170,18 @@ class _MapStack:
 
 
 class _DiagonalStack:
-    """T maps diagonal in one basis (``linmap.Diagonal``), as their (T, D) values.
+    """T maps diagonal in one unitary basis (``linmap.Diagonal``), as their (T, D) values.
 
-    Domain and codomain are one algebra with uniform weights, so the
-    weighted adjoint of a map is the map with the conjugate values.  The
-    rows of a batch are tagged with slots as in :class:`_MapStack`; a row
-    is multiplied by the values of the map that owns it, on its own, so its
-    bits do not depend on the batch.
+    Domain and codomain are one algebra, and the weighted adjoint of a map
+    is the map with the conjugate values.  The rows of a batch are tagged
+    with slots as in :class:`_MapStack`; a row is multiplied by the values
+    of the map that owns it, on its own, so its bits do not depend on the
+    batch.
     """
 
-    def __init__(self, values: np.ndarray, orders, algebra: TracialAlgebra, rows_per_map: int):
+    def __init__(self, values: np.ndarray, basis, algebra: TracialAlgebra, rows_per_map: int):
         self.values = values
-        self.orders = orders
+        self.basis = basis
         self.domain = self.codomain = algebra
         self.rows_per_map = rows_per_map
         self.wd = coordinate_weights(algebra)
@@ -191,14 +191,14 @@ class _DiagonalStack:
 
     def apply(self, z: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Images M_t z of rows in domain coordinates."""
-        return diagonal_product(self.orders, self.values[slots // self.rows_per_map], z)
+        return diagonal_product(self.values[slots // self.rows_per_map], self.basis, z)
 
     def adjoint(self, y: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Weighted adjoints M_t* y of rows in codomain coordinates: the product with conj(v)."""
-        return diagonal_product(self.orders, self.values[slots // self.rows_per_map].conj(), y)
+        return diagonal_product(self.values[slots // self.rows_per_map].conj(), self.basis, y)
 
     def l2_maximizers(self, start: np.ndarray, exact: bool) -> np.ndarray:
-        """:func:`_l2_maximizers` of the maps, in their basis B, where M* M is diag(|v|^2).
+        """:func:`_l2_maximizers` of the maps, in their basis B, where M* M is B diag(|v|^2) B^{-1}.
 
         Exact: the basis vector B e_g of the largest |v_g|.  Otherwise the
         40 power steps from ``start`` in one: B ((|v| / max |v|)^80 B^{-1} start).
@@ -208,8 +208,8 @@ class _DiagonalStack:
             u = np.zeros(self.values.shape, dtype=complex)
             u[np.arange(len(u)), mags.argmax(axis=1)] = 1.0
         else:
-            u = to_basis(self.orders, start) * (mags * _inverse(mags.max(axis=1))[:, None]) ** 80
-        v = from_basis(self.orders, u)
+            u = self.basis.inverse(start) * (mags * _inverse(mags.max(axis=1))[:, None]) ** 80
+        v = self.basis.forward(u)
         return v * _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, self.wd)))[:, None]
 
 
@@ -221,8 +221,8 @@ def _weighted(mats: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra
 def exact_l2_norm(m: LinearMap) -> float:
     """||M||_{2->2} with weighted norms: top singular value of D_c M D_d^{-1}.
 
-    For a diagonal map it is the largest |value|: the basis is orthogonal
-    for the uniform weights.
+    For a map held as its symbol it is the largest |value|: the basis is
+    unitary.
     """
     if m.diagonal is not None:
         return float(np.abs(m.diagonal.values).max())
@@ -431,19 +431,14 @@ def _estimates(maps, p, q, seeds, restarts, max_iters, tol):
         raise ParameterError(f"more maps than the {len(seeds)} seeds")
 
 
-def _held(m: LinearMap) -> np.ndarray:
-    """What a stack holds of a map: its diagonal values, or its matrix."""
-    return m.matrix if m.diagonal is None else m.diagonal.values
-
-
 def _form(m: LinearMap):
-    """The form a map is stacked in: "matrix", or the basis of its diagonal values (``Diagonal.orders``)."""
-    return "matrix" if m.diagonal is None else m.diagonal.orders
+    """The form a map is stacked in, "matrix" or the basis of its values, and what a stack holds of it."""
+    return ("matrix", m.matrix) if m.diagonal is None else (m.diagonal.basis, m.diagonal.values)
 
 
 def _map_bytes(m: LinearMap, restarts: int) -> int:
     """Bytes one map takes in a batch: its matrix or values, and a point and an image per restart."""
-    held = _held(m)
+    held = _form(m)[1]
     return held.itemsize * (held.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
 
 
@@ -453,12 +448,13 @@ def _next_stack(first: LinearMap, maps, count: int, restarts: int):
     A batch holds maps of one form (see :func:`_form`).  Returns the stack
     and the map that ended the batch by its form, None if no map did.
     """
-    dom, cod, form = first.domain, first.codomain, _form(first)
+    dom, cod = first.domain, first.codomain
+    form, first_held = _form(first)
     count = min(count, max(1, _BATCH_BYTES // _map_bytes(first, restarts)))
-    held = _held(first)[None]
+    held = first_held[None]
     if count > 1:
-        held = np.empty((count,) + held.shape[1:], dtype=complex)
-        held[0] = _held(first)
+        held = np.empty((count,) + first_held.shape, dtype=complex)
+        held[0] = first_held
     carried = None
     for i in range(1, count):
         m = next(maps, None)
@@ -466,10 +462,11 @@ def _next_stack(first: LinearMap, maps, count: int, restarts: int):
             raise ParameterError("fewer maps than seeds")
         if not (m.domain.matches(dom) and m.codomain.matches(cod)):
             raise ShapeMismatchError("maps estimated together must share a domain and a codomain")
-        if _form(m) != form:
+        m_form, m_held = _form(m)
+        if m_form != form:
             held, carried = held[:i], m
             break
-        held[i] = _held(m)
+        held[i] = m_held
     if form == "matrix":
         return _MapStack(held, dom, cod, restarts), carried
     return _DiagonalStack(held, form, dom, restarts), carried

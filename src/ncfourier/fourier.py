@@ -18,18 +18,21 @@ L2(source) to L2(dual) and contractive from L1(source) to L-infinity(dual):
   F(f)_pi = sum_g f(g) pi(g).
 
 A pair holds its transform as an operator on stacked coordinates:
-``pair.forward(rows)`` and ``pair.inverse(rows)`` map a stack (S, D) of rows.
-Abelian pairs apply the DFT by FFT both ways (:class:`DFT`, after Cooley and
-Tukey, 1965) with no D x D table, and their multipliers are diagonal in it,
-held as the symbol's values (``linmap.diagonal_map``).  Group pairs hold the
-dense forward matrix and invert it by the inversion formula
+``pair.forward(rows)`` and ``pair.inverse(rows)`` map a stack (S, D) of rows,
+each row on its own.  Abelian pairs apply the DFT by FFT both ways
+(:class:`DFT`, after Cooley and Tukey, 1965) with no D x D table.  Group
+pairs hold the dense forward matrix and invert it by the inversion formula
 (:class:`DenseTransform`), so the round trip F^{-1} F stays independent of
-the isometry.  Their multipliers, and those of a fault-injected pair
-(:func:`perturb_fourier_matrix`), are dense matrices.
+the isometry.  Schur pairs (``schur.schur_pair``) use the identity.  A
+multiplier F x F^{-1} is held as the symbol's values with the transform as
+their basis (``linmap.diagonal_map``); only a fault-injected pair
+(:func:`perturb_fourier_matrix`) or a noncommutative source gets a dense
+matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -38,11 +41,13 @@ import numpy as np
 from .algebra import AlgebraElement, TracialAlgebra
 from .errors import ParameterError, ShapeMismatchError
 from .groups import FiniteGroupData, validate_group_data
-from .linmap import LinearMap, coordinate_weights, diagonal_map, from_basis, stack_complex, to_basis, unstack_complex
+from .linmap import LinearMap, coordinate_weights, diagonal_map, stack_complex, unstack_complex
+from .lorentz import _block_ops
 
 __all__ = [
     "DFT",
     "DenseTransform",
+    "IdentityTransform",
     "PerturbedTransform",
     "QuantumGroupPair",
     "build_finite_abelian",
@@ -65,11 +70,22 @@ class DFT:
     orders: tuple[int, ...]
     kind = "dft"
 
+    @property
+    def dim(self) -> int:
+        return math.prod(self.orders)
+
     def forward(self, rows: np.ndarray) -> np.ndarray:
-        return from_basis(self.orders, rows)
+        return self._along_factors(rows, np.fft.fft)
 
     def inverse(self, rows: np.ndarray) -> np.ndarray:
-        return to_basis(self.orders, rows)
+        return self._along_factors(rows, np.fft.ifft)
+
+    def _along_factors(self, rows: np.ndarray, transform) -> np.ndarray:
+        """``transform`` (np.fft.fft or ifft) along each factor axis of the rows, read as arrays of shape ``orders``."""
+        z = rows.reshape(rows.shape[:-1] + self.orders)
+        for axis in range(-len(self.orders), 0):
+            z = transform(z, axis=axis)
+        return z.reshape(rows.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +94,8 @@ class DenseTransform:
 
     The inverse is the weighted adjoint diag(1/w_source) F^H diag(w_dual),
     with the coordinate weights of the two algebras; for a group algebra this
-    is the inversion formula f(g) = sum_pi (d_pi/|G|) tr(pi(g)* F_pi).
+    is the inversion formula f(g) = sum_pi (d_pi/|G|) tr(pi(g)* F_pi).  Each
+    row is one vector-matrix product, so its bits do not depend on the batch.
     """
 
     matrix: np.ndarray
@@ -86,23 +103,41 @@ class DenseTransform:
     dual_weights: np.ndarray
     kind = "dense"
 
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
     def forward(self, rows: np.ndarray) -> np.ndarray:
-        return rows @ self.matrix.T
+        return (rows[..., None, :] @ self.matrix.T)[..., 0, :]
 
     def inverse(self, rows: np.ndarray) -> np.ndarray:
-        return (rows * self.dual_weights) @ self.matrix.conj() / self.source_weights
+        return ((rows * self.dual_weights)[..., None, :] @ self.matrix.conj())[..., 0, :] / self.source_weights
+
+
+@dataclass(frozen=True)
+class IdentityTransform:
+    """The identity on ``dim`` stacked coordinates, both ways."""
+
+    dim: int
+    kind = "identity"
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        return rows
+
+    def inverse(self, rows: np.ndarray) -> np.ndarray:
+        return rows
 
 
 @dataclass(frozen=True)
 class PerturbedTransform:
     """``base`` with output coordinate 0 of the forward transform scaled by ``1 + scale``, and ``base``'s inverse."""
 
-    base: DFT | DenseTransform
+    base: DFT | DenseTransform | IdentityTransform
     scale: float
     kind = "perturbed"
 
     def forward(self, rows: np.ndarray) -> np.ndarray:
-        out = self.base.forward(rows)
+        out = self.base.forward(rows).copy()  # the identity returns its input
         out[..., 0] *= 1.0 + self.scale
         return out
 
@@ -116,15 +151,16 @@ class QuantumGroupPair:
 
     ``transform`` maps stacked source coordinates to stacked dual ones
     (``forward``) and back (``inverse``), on stacks (S, D) of rows; its
-    ``kind`` ("dft", "dense" or "perturbed") decides the form of the pair's
-    multipliers.  ``identity_index`` is the source coordinate of the group
-    identity, where point masses with known transforms sit.
+    ``kind`` ("dft", "dense", "identity" or "perturbed") and the source's
+    commutativity decide the form of the pair's multipliers.
+    ``identity_index`` is the source coordinate of the group identity, where
+    point masses with known transforms sit.
     """
 
     name: str
     source: TracialAlgebra
     dual: TracialAlgebra
-    transform: DFT | DenseTransform | PerturbedTransform
+    transform: DFT | DenseTransform | IdentityTransform | PerturbedTransform
     identity_index: int = 0
 
     def __post_init__(self):
@@ -194,9 +230,9 @@ def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
     """The dual-side map a -> F(symbol * F^{-1}(a)) as a LinearMap.
 
     The symbol lives on the source algebra; for commutative sources this is
-    the pointwise multiplier with those symbol values.  On a pair whose
-    transform is the DFT the map is diagonal in the DFT basis with the
-    symbol's values; otherwise it is the dense matrix F (symbol) F^{-1}.
+    the pointwise multiplier with those symbol values, held as the values in
+    the basis F when F is unitary (every transform but a fault-injected
+    one).  Otherwise it is the dense matrix F (symbol) F^{-1}.
     """
     if not symbol.algebra.matches(pair.source):
         raise ShapeMismatchError("multiplier symbol must live on the source algebra")
@@ -205,19 +241,12 @@ def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
 
 def _multiplier_map(pair: QuantumGroupPair, values: np.ndarray) -> LinearMap:
     """:func:`multiplier_map` of the symbol with stacked coordinates ``values``, shape (D,)."""
-    if pair.transform.kind == "dft":
-        return diagonal_map(pair.dual, values, pair.transform.orders)
-    # left multiplication by the symbol's block x_k maps the rows of F^{-1}
-    # that hold source block k, read as n_k x (n_k D) matrices, to x_k times
-    # them (a row scaling for 1x1 blocks)
-    alg = pair.source
-    finv = pair.inverse(np.eye(pair.dual.complex_dim, dtype=complex)).T
-    rows = np.empty_like(finv)
-    for k, n in enumerate(alg.dims):
-        o = alg.block_offset(k)
-        block_rows = finv[o : o + n * n]
-        rows[o : o + n * n] = (values[o : o + n * n].reshape(n, n) @ block_rows.reshape(n, -1)).reshape(block_rows.shape)
-    return LinearMap(pair.dual, pair.dual, pair.forward(rows.T).T)
+    if pair.source.is_commutative and pair.transform.kind != "perturbed":
+        return diagonal_map(pair.dual, values, pair.transform)
+    # column j is F(symbol F^{-1} e_j), the symbol acting by left multiplication
+    inverses = pair.inverse(np.eye(pair.dual.complex_dim, dtype=complex))
+    images = _block_ops(pair.source).product(np.broadcast_to(values, inverses.shape), inverses)
+    return LinearMap(pair.dual, pair.dual, pair.forward(images).T)
 
 
 def perturb_fourier_matrix(pair: QuantumGroupPair, scale: float) -> QuantumGroupPair:

@@ -1,14 +1,13 @@
 """Schur (entrywise) multipliers on Schatten classes.
 
 A symbol is an n x n complex matrix ``a``; the Schur multiplier sends
-``x -> a * x`` entrywise.  The carrying algebra is the single matrix block
-M_n with weight 1, so L_p norms are plain Schatten norms and the multiplier
-is diagonal in stacked coordinates: it is held as its n^2 values
-(``linmap.diagonal_map``), and a product with it is entrywise.
-
-Symbols are also read as sequences of n^2 entries with counting measure;
-:func:`symbol_sequence_norm` evaluates their little-Lorentz norms through
-the same step-function machinery used for spectra.
+``x -> a * x`` entrywise on M_n with weight 1, whose L_p norms are plain
+Schatten norms.  It is the Fourier multiplier of the entries of ``a`` on
+:func:`schur_pair`, whose transform is the identity (unitary: the
+Hilbert-Schmidt norm is the l_2 norm of the entries).  So, like every
+multiplier, it is held as its n^2 values, and a product with it is
+entrywise.  :func:`symbol_sequence_norm` reads the entries as a sequence
+under counting measure, the pair's source.
 """
 
 from __future__ import annotations
@@ -19,13 +18,15 @@ import numpy as np
 
 from .algebra import TracialAlgebra
 from .errors import ParameterError
-from .linmap import LinearMap, diagonal_map
-from .lorentz import decreasing_step_function, lorentz_norm_of_step
+from .fourier import IdentityTransform, QuantumGroupPair, _multiplier_map
+from .linmap import LinearMap
+from .lorentz import lorentz_norms
 
 __all__ = [
     "SchurSymbol",
     "schatten_algebra",
     "schur_map",
+    "schur_pair",
     "symbol_sequence_norm",
 ]
 
@@ -35,6 +36,16 @@ def schatten_algebra(n: int) -> TracialAlgebra:
     if n < 1:
         raise ParameterError(f"matrix size must be positive, got {n}")
     return TracialAlgebra([n], [1.0])
+
+
+def schur_pair(n: int) -> QuantumGroupPair:
+    """The pair "M<n>" whose multipliers are the Schur multipliers on M_n.
+
+    Source: the n^2 entries in row-major order, points of weight 1.  Dual:
+    :func:`schatten_algebra`.  Transform: the identity on stacked coordinates.
+    """
+    dual = schatten_algebra(n)
+    return QuantumGroupPair(f"M{n}", TracialAlgebra([1] * (n * n), [1.0] * (n * n)), dual, IdentityTransform(n * n))
 
 
 @dataclass(frozen=True)
@@ -61,9 +72,9 @@ def _as_symbol(a) -> SchurSymbol:
 
 
 def schur_map(a) -> LinearMap:
-    """The map x -> a * x (entrywise) on M_n, diagonal in stacked coordinates."""
+    """The map x -> a * x (entrywise) on M_n: the multiplier of the entries of ``a`` on :func:`schur_pair`."""
     sym = _as_symbol(a)
-    return diagonal_map(schatten_algebra(sym.n), sym.matrix.ravel())
+    return _multiplier_map(schur_pair(sym.n), sym.matrix.ravel())
 
 
 def symbol_sequence_norm(a, p: float, q: float | None = None) -> float:
@@ -71,10 +82,7 @@ def symbol_sequence_norm(a, p: float, q: float | None = None) -> float:
 
     ``q`` defaults to ``p`` (the plain entrywise p-norm); ``q = inf`` gives
     the weak norm sup_k k^(1/p) a*_k over the decreasing rearrangement a*.
+    It is ``lorentz_norms`` on the source of :func:`schur_pair`.
     """
     sym = _as_symbol(a)
-    if q is None:
-        q = p
-    vals = np.abs(sym.matrix.ravel())
-    mu = decreasing_step_function(vals, np.ones_like(vals))
-    return lorentz_norm_of_step(mu, p, q)
+    return float(lorentz_norms(schur_pair(sym.n).source, sym.matrix.ravel()[None], p, p if q is None else q)[0])

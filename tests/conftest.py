@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from ncfourier.algebra import TracialAlgebra, random_element
-from ncfourier.linmap import stack_complex
+from ncfourier.linmap import coordinate_weights, stack_complex
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +142,24 @@ def oracle_duality_direction(algebra, coords, r):
     return np.concatenate(out)
 
 
+def weighted_adjoint_matrix(m) -> np.ndarray:
+    """Adjoint of a LinearMap w.r.t. the weighted trace inner products: diag(1/w_d) M^H diag(w_c)."""
+    wd = coordinate_weights(m.domain)
+    wc = coordinate_weights(m.codomain)
+    return (m.matrix * wc[:, None]).conj().T / wd[:, None]
+
+
 def oracle_stationarity_residual(m, z, p, q):
     """||M* psi_q(Mz) / f^(q-1) - f psi_p(z)||_p' / f at z scaled to unit p-norm, f = ||Mz||_q.
 
     M* psi_q(Mz) / f^(q-1) is the gradient of ||Mz||_q and psi_p(z) that of
     ||z||_p, so the residual vanishes exactly at the stationary points of
-    ||Mz||_q / ||z||_p.  M* is ``m.weighted_adjoint_matrix()``.
+    ||Mz||_q / ||z||_p.  M* is ``weighted_adjoint_matrix(m)``.
     """
     z = np.asarray(z) / oracle_schatten_norm(m.domain, z, p)
     mz = m.matrix @ z
     f = oracle_schatten_norm(m.codomain, mz, q)
-    grad = m.weighted_adjoint_matrix() @ oracle_duality_direction(m.codomain, mz, q) / f ** (q - 1.0)
+    grad = weighted_adjoint_matrix(m) @ oracle_duality_direction(m.codomain, mz, q) / f ** (q - 1.0)
     residual = grad - f * oracle_duality_direction(m.domain, z, p)
     return oracle_schatten_norm(m.domain, residual, p / (p - 1.0)) / f
 
@@ -276,7 +283,7 @@ def _reference_power_step(m, z, p, q):
     mz = z @ m.matrix.T
     sv, data = cod_ops.spectrum(mz, vectors=True)
     inv = inverse(cod_ops.value(sv, q))
-    w = cod_ops.direction(mz, cod_ops.powers(sv * inv, q) * inv, data) @ m.weighted_adjoint_matrix().T
+    w = cod_ops.direction(mz, cod_ops.powers(sv * inv, q) * inv, data) @ weighted_adjoint_matrix(m).T
     sv, data = dom_ops.spectrum(w, vectors=True)
     g = dom_ops.powers(sv, np.inf if p == 1.0 else p / (p - 1.0))
     return dom_ops.direction(w, g * inverse(dom_ops.value(g, p)), data)

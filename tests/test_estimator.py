@@ -14,12 +14,12 @@ from ncfourier.estimator import (
     exact_l2_norm,
     schatten_gradient,
 )
-from ncfourier.fourier import build_finite_abelian, multiplier_map
+from ncfourier.fourier import DFT, IdentityTransform, build_finite_abelian, build_group_vna, multiplier_map
+from ncfourier.groups import builtin_group
 from ncfourier.linmap import (
     LinearMap,
     coordinate_weights,
     diagonal_map,
-    identity_map,
     stack_complex,
     unstack_complex,
 )
@@ -32,6 +32,7 @@ from conftest import (
     random_algebra,
     reference_brute_force_pq_norm,
     reference_estimate_pq_norm,
+    weighted_adjoint_matrix,
 )
 
 
@@ -42,6 +43,10 @@ def _weighted_inner(algebra, x, y) -> float:
 
 def _complex_matrix(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _identity(algebra) -> LinearMap:
+    return LinearMap(algebra, algebra, np.eye(algebra.complex_dim))
 
 
 class TestCoordinates:
@@ -71,7 +76,7 @@ class TestCoordinates:
 class TestLinearMap:
     def test_identity_map(self):
         alg = TracialAlgebra([2, 1], [0.5, 2.0])
-        m = identity_map(alg)
+        m = _identity(alg)
         x = random_element(alg, 1)
         assert np.allclose(dense_coords(m.apply(x)), dense_coords(x))
         assert exact_l2_norm(m) == pytest.approx(1.0)
@@ -79,15 +84,9 @@ class TestLinearMap:
     def test_apply_checks_domain(self):
         alg = TracialAlgebra([2], [1.0])
         other = TracialAlgebra([2], [0.5])
-        m = identity_map(alg)
+        m = _identity(alg)
         with pytest.raises(ShapeMismatchError):
             m.apply(other.identity())
-
-    def test_compose_checks_algebras(self):
-        a = TracialAlgebra([2], [1.0])
-        b = TracialAlgebra([1, 1], [1.0, 1.0])
-        with pytest.raises(ShapeMismatchError):
-            identity_map(a).compose(identity_map(b))
 
     def test_shape_validation(self):
         a = TracialAlgebra([2], [1.0])
@@ -97,15 +96,19 @@ class TestLinearMap:
             LinearMap(a, a, np.zeros((8, 8), dtype=complex))
 
     def test_diagonal_validation(self):
+        # the values, the algebra and the basis's source must have one dimension
         four = TracialAlgebra([1] * 4, [0.25] * 4)
         with pytest.raises(ShapeMismatchError):
-            diagonal_map(four, np.ones(3))
+            diagonal_map(four, np.ones(3), DFT((4,)))
         with pytest.raises(ShapeMismatchError):
-            diagonal_map(four, np.ones(4), (2, 3))
+            diagonal_map(four, np.ones(4), DFT((2, 3)))
         with pytest.raises(ShapeMismatchError):
-            diagonal_map(TracialAlgebra([1, 1], [1.0, 0.5]), np.ones(2))
-        m = diagonal_map(four, np.arange(4.0), [2, 2])
-        assert m.diagonal.orders == (2, 2) and m.diagonal.values.dtype == complex
+            diagonal_map(four, np.ones(6), IdentityTransform(6))
+        m = diagonal_map(four, np.arange(4.0), DFT((2, 2)))
+        assert m.diagonal.basis == DFT((2, 2)) and m.diagonal.values.dtype == complex
+        # a dual with unequal weights: the basis is unitary, the symbol held
+        s3 = build_group_vna(builtin_group("S3"))
+        assert diagonal_map(s3.dual, np.arange(6.0), s3.transform).diagonal is not None
 
     def test_weighted_adjoint(self):
         rng = np.random.default_rng(64)
@@ -113,7 +116,7 @@ class TestLinearMap:
             dom = random_algebra(rng, max_blocks=2, max_dim=3)
             cod = random_algebra(rng, max_blocks=2, max_dim=3)
             m = LinearMap(dom, cod, _complex_matrix(rng, (cod.complex_dim, dom.complex_dim)))
-            adj = LinearMap(cod, dom, m.weighted_adjoint_matrix())
+            adj = LinearMap(cod, dom, weighted_adjoint_matrix(m))
             x = random_element(dom, int(rng.integers(2**32)))
             y = random_element(cod, int(rng.integers(2**32)))
             assert _weighted_inner(cod, m.apply(x), y) == pytest.approx(
@@ -122,7 +125,7 @@ class TestLinearMap:
 
     def test_scaled(self):
         alg = TracialAlgebra([2], [1.0])
-        m = identity_map(alg).scaled(-3.0)
+        m = LinearMap(alg, alg, -3.0 * np.eye(alg.complex_dim))
         assert exact_l2_norm(m) == pytest.approx(3.0)
 
 
@@ -309,7 +312,7 @@ class TestExactL2:
 
     def test_weights_cancel_for_identity(self):
         alg = TracialAlgebra([1, 3], [0.1, 7.0])
-        assert exact_l2_norm(identity_map(alg)) == pytest.approx(1.0, rel=1e-12)
+        assert exact_l2_norm(_identity(alg)) == pytest.approx(1.0, rel=1e-12)
 
     # diagonal maps read max |v| and the basis vector at its argmax, against
     # the SVD of the materialized weighted matrix
@@ -356,7 +359,7 @@ class TestEstimatePqNorm:
 
     def test_equal_weight_closed_form(self):
         alg = TracialAlgebra([1] * 6, [1.0 / 6] * 6)
-        m = identity_map(alg)
+        m = _identity(alg)
         for p, q in [(1.0, 2.0), (1.5, 4.0), (2.0, 6.0)]:
             est = estimate_pq_norm(m, p, q, restarts=4, seed=2)
             want = (1.0 / 6.0) ** (1.0 / q - 1.0 / p)
@@ -382,9 +385,9 @@ class TestEstimatePqNorm:
 
     def test_homogeneity(self):
         pair = build_finite_abelian([3])
-        m = multiplier_map(pair, random_element(pair.source, 12))
-        a = estimate_pq_norm(m, 1.5, 2.5, restarts=4, seed=5).lower_bound
-        b = estimate_pq_norm(m.scaled(-2.0), 1.5, 2.5, restarts=4, seed=5).lower_bound
+        sym = random_element(pair.source, 12)
+        a = estimate_pq_norm(multiplier_map(pair, sym), 1.5, 2.5, restarts=4, seed=5).lower_bound
+        b = estimate_pq_norm(multiplier_map(pair, -2.0 * sym), 1.5, 2.5, restarts=4, seed=5).lower_bound
         assert b == pytest.approx(2.0 * a, rel=1e-9)
 
     def test_zero_map_degenerate(self):
@@ -396,7 +399,7 @@ class TestEstimatePqNorm:
 
     def test_parameter_validation(self):
         alg = TracialAlgebra([1], [1.0])
-        m = identity_map(alg)
+        m = _identity(alg)
         with pytest.raises(ParameterError):
             estimate_pq_norm(m, 0.5, 2.0)
         with pytest.raises(ParameterError):
@@ -455,12 +458,12 @@ class TestBruteForce:
     def test_domain_size_guard(self):
         alg = TracialAlgebra([1] * 5, [1.0] * 5)  # 10 real dims
         with pytest.raises(ParameterError, match="8 real"):
-            brute_force_pq_norm(identity_map(alg), 2.0, 2.0)
+            brute_force_pq_norm(_identity(alg), 2.0, 2.0)
 
     def test_sample_floor(self):
         alg = TracialAlgebra([2], [1.0])
         with pytest.raises(ParameterError, match="1e5"):
-            brute_force_pq_norm(identity_map(alg), 2.0, 2.0, samples=10)
+            brute_force_pq_norm(_identity(alg), 2.0, 2.0, samples=10)
 
     def test_zero_map(self):
         alg = TracialAlgebra([1], [1.0])
@@ -631,7 +634,7 @@ class TestBatchedEstimates:
         maps = [
             multiplier_map(z6, random_element(z6.source, 41, "gaussian")),
             multiplier_map(z6, random_element(z6.source, 42, "gaussian")),
-            identity_map(z6.dual),
+            _identity(z6.dual),
             multiplier_map(z2z3, random_element(z2z3.source, 43, "gaussian")),
             multiplier_map(z6, random_element(z6.source, 44, "gaussian")),
         ]

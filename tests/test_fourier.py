@@ -8,6 +8,7 @@ from ncfourier.algebra import TracialAlgebra, random_element, trace
 from ncfourier.checks import check_hausdorff_young, check_inversion_plancherel
 from ncfourier.errors import ParameterError, ShapeMismatchError
 from ncfourier.fourier import (
+    DFT,
     DenseTransform,
     QuantumGroupPair,
     build_finite_abelian,
@@ -18,11 +19,19 @@ from ncfourier.fourier import (
     perturb_fourier_matrix,
 )
 from ncfourier.groups import builtin_group, builtin_group_names, cyclic_group_data
-from ncfourier.estimator import _next_stack
-from ncfourier.linmap import LinearMap, coordinate_weights, identity_map, stack_complex
+from ncfourier.estimator import _next_stack, estimate_pq_norm, exact_l2_norm
+from ncfourier.linmap import LinearMap, coordinate_weights, stack_complex
 from ncfourier.lorentz import lp_norm
+from ncfourier.schur import schur_pair
 
-from conftest import dense_coords, forward_matrix, inverse_matrix, left_multiplication_matrix, reference_dft_matrix
+from conftest import (
+    dense_coords,
+    forward_matrix,
+    inverse_matrix,
+    left_multiplication_matrix,
+    reference_dft_matrix,
+    weighted_adjoint_matrix,
+)
 
 
 def _delta(pair, g: int):
@@ -216,9 +225,9 @@ class TestMultiplierMap:
         pair = build_finite_abelian([2, 3])
         x = random_element(pair.source, 8)
         y = random_element(pair.source, 9)
-        composed = multiplier_map(pair, x).compose(multiplier_map(pair, y))
+        composed = multiplier_map(pair, x).matrix @ multiplier_map(pair, y).matrix
         direct = multiplier_map(pair, x * y)
-        assert np.allclose(composed.matrix, direct.matrix, atol=1e-10)
+        assert np.allclose(composed, direct.matrix, atol=1e-10)
 
     def test_matches_conjugated_left_multiplication(self):
         # a source with blocks of every kind, which no shipped pair has
@@ -257,6 +266,16 @@ class TestFaultInjection:
         same = perturb_fourier_matrix(pair, 0.0)
         assert np.allclose(forward_matrix(same), forward_matrix(pair))
 
+    def test_perturbed_identity_leaves_its_input(self):
+        # the identity transform returns its input, which the fault must not scale
+        bad = perturb_fourier_matrix(schur_pair(2), 0.1)
+        z = np.random.default_rng(8).standard_normal((3, 4)) + 0j
+        before = z.copy()
+        out = bad.forward(z)
+        assert np.array_equal(z, before)
+        assert np.array_equal(out[:, 0], before[:, 0] * 1.1)
+        assert np.array_equal(out[:, 1:], before[:, 1:])
+
 
 # ---------------------------------------------------------------------------
 # the diagonal form: multipliers of DFT pairs as symbol values, applied by FFT
@@ -280,46 +299,24 @@ class TestDiagonalForm:
         pair = build_finite_abelian(orders)
         x = random_element(pair.source, np.random.SeedSequence((9, len(orders))), "gaussian")
         m = multiplier_map(pair, x)
-        assert m.diagonal is not None and m.diagonal.orders == orders
+        assert m.diagonal is not None and m.diagonal.basis == DFT(orders)
         rng = np.random.default_rng(sum(orders))
         d = pair.dual.complex_dim
         z = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
         stack, _ = _next_stack(m, iter([]), 1, 5)
         slots = np.arange(5)
         dense = _dense_multiplier(pair, x)
-        adjoint = LinearMap(pair.dual, pair.dual, dense).weighted_adjoint_matrix()
+        adjoint = weighted_adjoint_matrix(LinearMap(pair.dual, pair.dual, dense))
         assert _rel_err(stack.apply(z, slots), z @ dense.T) <= 1e-12
         assert _rel_err(stack.adjoint(z.copy(), slots), z @ adjoint.T) <= 1e-12
         assert "matrix" not in vars(m)  # the products built no matrix
         assert _rel_err(m.matrix, dense) <= 1e-12
 
-    def test_compose_and_scaled_keep_the_form(self):
-        pair = build_finite_abelian([2, 3])
-        x, y = (random_element(pair.source, s, "gaussian") for s in (21, 22))
-        mx, my = multiplier_map(pair, x), multiplier_map(pair, y)
-        composed, scaled = mx.compose(my), mx.scaled(-2.5)
-        assert composed.diagonal.orders == scaled.diagonal.orders == (2, 3)
-        assert np.array_equal(composed.diagonal.values, stack_complex(x * y))
-        assert _rel_err(composed.matrix, _dense_multiplier(pair, x * y)) <= 1e-12
-        assert _rel_err(scaled.matrix, -2.5 * _dense_multiplier(pair, x)) <= 1e-12
-
-    def test_compose_across_bases_is_dense(self):
-        # the duals of Z6 and Z2 x Z3 are the same algebra, in different DFT bases
-        z6, z2z3 = build_finite_abelian([6]), build_finite_abelian([2, 3])
-        a = multiplier_map(z6, random_element(z6.source, 23, "gaussian"))
-        b = multiplier_map(z2z3, random_element(z2z3.source, 24, "gaussian"))
-        for composed, want in [
-            (a.compose(b), a.matrix @ b.matrix),
-            (a.compose(identity_map(z6.dual)), a.matrix),
-            (identity_map(z6.dual).compose(b), b.matrix),
-        ]:
-            assert composed.diagonal is None
-            assert np.allclose(composed.matrix, want, rtol=0.0, atol=1e-12)
-
-    def test_nonabelian_pair_is_dense(self):
+    def test_nonabelian_pair_is_symbol_held(self):
         pair = build_group_vna(builtin_group("S3"))
         assert pair.transform.kind == "dense"
-        assert multiplier_map(pair, random_element(pair.source, 25)).diagonal is None
+        m = multiplier_map(pair, random_element(pair.source, 25))
+        assert m.diagonal is not None and m.diagonal.basis is pair.transform
 
     def test_perturbed_pair_keeps_its_fault(self):
         pair = build_finite_abelian([8])
@@ -376,7 +373,79 @@ class TestTransformOracles:
         renamed = dataclasses.replace(pair, name="renamed")
         m = multiplier_map(renamed, random_element(pair.source, 27, "gaussian"))
         assert renamed.transform.kind == "dft"
-        assert m.diagonal is not None and m.diagonal.orders == (2, 3)
+        assert m.diagonal is not None and m.diagonal.basis is pair.transform
+
+
+# ---------------------------------------------------------------------------
+# one multiplier form: group-algebra multipliers held as their symbol in the
+# basis F, against the dense F diag(x) F^{-1}
+
+GROUPS = ["S3", "D4", "Q8", "Z2xZ2"]
+
+
+def _group_multiplier(name: str, seed: int):
+    """A group pair, a Gaussian symbol on it, its multiplier and the dense F diag(x) F^{-1}."""
+    pair = build_group_vna(builtin_group(name))
+    x = random_element(pair.source, seed, "gaussian")
+    dense = forward_matrix(pair) @ np.diag(stack_complex(x)) @ inverse_matrix(pair)
+    return pair, x, multiplier_map(pair, x), dense
+
+
+class TestSymbolHeldGroupMultipliers:
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_held_as_the_symbol(self, name):
+        pair, x, m, _ = _group_multiplier(name, 61)
+        assert m.diagonal is not None and m.diagonal.basis is pair.transform
+        assert np.array_equal(m.diagonal.values, stack_complex(x))
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_row_products_match_dense(self, name):
+        pair, _, m, dense = _group_multiplier(name, 62)
+        z = _gaussian_rows(np.random.default_rng(62), 5, pair.dual.complex_dim)
+        stack, _ = _next_stack(m, iter([]), 1, 5)
+        slots = np.arange(5)
+        adjoint = weighted_adjoint_matrix(LinearMap(pair.dual, pair.dual, dense))
+        assert _rel_err(stack.apply(z, slots), z @ dense.T) <= 1e-12
+        assert _rel_err(stack.adjoint(z.copy(), slots), z @ adjoint.T) <= 1e-12
+        assert "matrix" not in vars(m)  # the products built no matrix
+        assert _rel_err(m.matrix, dense) <= 1e-12
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_exact_l2_norm_is_the_largest_value(self, name):
+        _, x, m, _ = _group_multiplier(name, 63)
+        assert exact_l2_norm(m) == np.abs(stack_complex(x)).max()
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_estimate_matches_the_dense_map(self, name):
+        pair, _, m, _ = _group_multiplier(name, 64)
+        dense = LinearMap(pair.dual, pair.dual, m.matrix)
+        for p, q in [(4.0 / 3.0, 4.0), (1.5, 2.0)]:
+            held = estimate_pq_norm(m, p, q, restarts=4, max_iters=60, seed=5)
+            want = estimate_pq_norm(dense, p, q, restarts=4, max_iters=60, seed=5)
+            assert held.lower_bound == pytest.approx(want.lower_bound, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_row_has_the_same_bits_in_a_batch(self, name):
+        pair, _, m, _ = _group_multiplier(name, 65)
+        z = _gaussian_rows(np.random.default_rng(65), 300, pair.dual.complex_dim)
+        batch, _ = _next_stack(m, iter([]), 1, 300)
+        alone, _ = _next_stack(m, iter([]), 1, 1)
+        images, adjoints = batch.apply(z, np.arange(300)), batch.adjoint(z.copy(), np.arange(300))
+        for i in (0, 1, 150, 299):
+            assert np.array_equal(alone.apply(z[i : i + 1], np.arange(1))[0], images[i])
+            assert np.array_equal(alone.adjoint(z[i : i + 1].copy(), np.arange(1))[0], adjoints[i])
+
+    def test_z128_multiplier_holds_no_matrix(self):
+        pair = build_group_vna(cyclic_group_data(128))
+        x = random_element(pair.source, 66, "gaussian")
+        tracemalloc.start()
+        try:
+            m = multiplier_map(pair, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.diagonal is not None
+        assert peak < 64 * 2**10  # one 128 x 128 complex matrix takes 256 KiB
 
 
 class TestLargeAbelianPair:

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from ncfourier.algebra import random_element
+from ncfourier.checks import check_hausdorff_young, check_inversion_plancherel
 from ncfourier.errors import ParameterError
 from ncfourier.estimator import _next_stack, estimate_pq_norm, exact_l2_norm
 from ncfourier.linmap import LinearMap
-from ncfourier.lorentz import lp_norm
+from ncfourier.lorentz import lorentz_norms, lp_norm
 from ncfourier.schur import (
     SchurSymbol,
     schatten_algebra,
     schur_map,
+    schur_pair,
     symbol_sequence_norm,
 )
 
-from conftest import dense_coords, oracle_entry_lorentz
+from conftest import dense_coords, oracle_entry_lorentz, weighted_adjoint_matrix
 
 
 class TestSchattenAlgebra:
@@ -83,24 +85,60 @@ class TestDiagonalForm:
         rng = np.random.default_rng(80 + n)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         m = schur_map(a)
-        assert m.diagonal is not None and m.diagonal.orders is None
+        assert m.diagonal is not None and m.diagonal.basis.kind == "identity"
         z = rng.standard_normal((4, n * n)) + 1j * rng.standard_normal((4, n * n))
         stack, _ = _next_stack(m, iter([]), 1, 4)
         slots = np.arange(4)
         dense = np.diag(a.ravel())
-        adjoint = LinearMap(m.domain, m.codomain, dense).weighted_adjoint_matrix()
+        adjoint = weighted_adjoint_matrix(LinearMap(m.domain, m.codomain, dense))
         assert np.allclose(stack.apply(z, slots), z @ dense.T, rtol=1e-12, atol=0.0)
         assert np.allclose(stack.adjoint(z.copy(), slots), z @ adjoint.T, rtol=1e-12, atol=0.0)
         assert "matrix" not in vars(m)
         assert np.array_equal(m.matrix, dense)
 
-    def test_compose_and_scaled_keep_the_form(self):
-        rng = np.random.default_rng(84)
-        a, b = rng.standard_normal((2, 3, 3))
-        composed, scaled = schur_map(a).compose(schur_map(b)), schur_map(a).scaled(0.5)
-        assert composed.diagonal is not None and scaled.diagonal is not None
-        assert np.array_equal(composed.matrix, schur_map(a * b).matrix)
-        assert np.array_equal(scaled.matrix, schur_map(0.5 * a).matrix)
+
+class TestIdentityPair:
+    """Schur maps are the multipliers of schur_pair(n), whose transform is the identity."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_structure(self, n):
+        pair = schur_pair(n)
+        assert pair.name == f"M{n}" and pair.transform.kind == "identity"
+        assert pair.source.is_commutative and pair.source.complex_dim == n * n
+        assert set(pair.source.weights) == {1.0}
+        assert pair.dual == schatten_algebra(n)
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_products_are_the_entrywise_product(self, n):
+        # bit for bit the entrywise values * rows, and its matrix diag(values)
+        rng = np.random.default_rng(90 + n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = schur_map(a)
+        values = a.ravel()
+        z = rng.standard_normal((6, n * n)) + 1j * rng.standard_normal((6, n * n))
+        stack, _ = _next_stack(m, iter([]), 1, 6)
+        slots = np.arange(6)
+        assert np.array_equal(stack.apply(z, slots), values * z)
+        assert np.array_equal(stack.adjoint(z.copy(), slots), values.conj() * z)
+        x = random_element(m.domain, 5)
+        assert np.array_equal(dense_coords(m.apply(x)), values * dense_coords(x))
+        assert np.array_equal(m.matrix, np.ascontiguousarray((values * np.eye(n * n)).T))
+
+    def test_hausdorff_young_is_a_hard_pass(self):
+        # ||A||_{S_3} <= ||a||_{l_1.5} for the entries a of A
+        rep = check_hausdorff_young(schur_pair(4), 1.5, trials=200, seed=3)
+        assert rep.hard and rep.passed
+
+    def test_inversion_plancherel_is_a_hard_pass(self):
+        rep = check_inversion_plancherel(schur_pair(4), trials=200, seed=4)
+        assert rep.hard and rep.passed
+
+    @pytest.mark.parametrize("p, q", [(2.0, None), (1.5, np.inf), (3.0, 1.0), (2.5, 4.0)])
+    def test_sequence_norm_is_lorentz_norms_on_the_source(self, p, q):
+        rng = np.random.default_rng(95)
+        a = rng.standard_normal((3, 3)) * (rng.random((3, 3)) < 0.7)
+        want = lorentz_norms(schur_pair(3).source, a.ravel()[None], p, p if q is None else q)[0]
+        assert symbol_sequence_norm(a, p, q) == want
 
 
 class TestSymbolValidation:
