@@ -33,7 +33,7 @@ print(f"dual:   {pair.dual.num_blocks} blocks, weights all {pair.dual.weights[0]
 # a point mass at the identity transforms to the constant function 1
 delta = pair.source.basis_element(0)
 fd = fourier(pair, delta)
-coords = np.concatenate([b.ravel() for b in fd.blocks])
+coords = fd.row  # the stacked coordinates: blocks raveled row-major
 print(f"F(delta_e) has coordinates {np.round(coords.real, 12)[:4]} ... (all 1)")
 
 print()

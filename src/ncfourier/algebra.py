@@ -18,10 +18,13 @@ duals of nonabelian groups look like, and everything downstream (spectral
 step functions, Lorentz functionals, operator-norm estimation) is written
 against this one model.
 
-Elements are immutable-by-convention wrappers around a tuple of complex
-ndarrays, one per block, with arithmetic operators doing blockwise work:
-``x * y`` is blockwise matrix multiplication, ``x + y`` blockwise addition,
-scalars act on every block.
+An element is one complex row of length ``complex_dim`` = sum_k n_k^2, its
+stacked coordinates: the blocks raveled row-major, in block order, the
+layout in which every kernel of the package measures and maps elements.
+The row is its only storage; ``x.blocks`` are views of it.  Elements are
+immutable by convention, with arithmetic operators working on the row:
+``x * y`` is blockwise matrix multiplication, ``x + y`` addition, and
+scalars act on every coordinate.
 """
 
 from __future__ import annotations
@@ -122,12 +125,13 @@ class TracialAlgebra:
         return self.weights == other.weights or bool(np.allclose(self.weights, other.weights, atol=0.0))
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(
-            self, [np.zeros((n, n), dtype=complex) for n in self.dims]
-        )
+        return AlgebraElement.from_row(self, np.zeros(self.complex_dim, dtype=complex))
 
     def identity(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.eye(n, dtype=complex) for n in self.dims])
+        row = self.zero().row
+        transpose = _layout(self.dims)[2]
+        row[transpose == np.arange(transpose.size)] = 1.0  # the diagonal: coordinates their own transposes
+        return AlgebraElement.from_row(self, row)
 
     def element(self, blocks: Iterable[np.ndarray]) -> "AlgebraElement":
         return AlgebraElement(self, blocks)
@@ -143,13 +147,16 @@ class TracialAlgebra:
 
 
 class AlgebraElement:
-    """One element of a :class:`TracialAlgebra`, stored blockwise.
+    """One element of a :class:`TracialAlgebra`, stored as its stacked row.
 
-    Blocks are complex ndarrays.  Arithmetic stays inside the parent algebra
-    and raises :class:`ShapeMismatchError` when operands disagree.
+    ``row`` is the element's only storage: its complex coordinates, blocks
+    raveled row-major in block order.  ``blocks`` returns fresh (n, n) views
+    of it on each access, so a write through them lands in the row.
+    Arithmetic works on the row, stays inside the parent algebra and raises
+    :class:`ShapeMismatchError` when operands disagree.
     """
 
-    __slots__ = ("algebra", "blocks")
+    __slots__ = ("algebra", "row")
 
     def __init__(self, algebra: TracialAlgebra, blocks: Iterable[np.ndarray]):
         blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
@@ -163,7 +170,27 @@ class AlgebraElement:
                     f"block {k} has shape {b.shape}, algebra expects {(n, n)}"
                 )
         self.algebra = algebra
-        self.blocks = blocks
+        self.row = np.concatenate([b.ravel() for b in blocks])
+
+    @classmethod
+    def from_row(cls, algebra: TracialAlgebra, row: np.ndarray) -> "AlgebraElement":
+        """The element with stacked coordinates ``row``, shape (D,); a contiguous
+        complex row is wrapped without a copy."""
+        row = np.ascontiguousarray(row, dtype=complex)
+        if row.shape != (algebra.complex_dim,):
+            raise ShapeMismatchError(
+                f"row of shape {row.shape} for an algebra of {algebra.complex_dim} coordinates"
+            )
+        x = cls.__new__(cls)
+        x.algebra = algebra
+        x.row = row
+        return x
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The blocks, as (n, n) views of the row."""
+        alg = self.algebra
+        return tuple(self.row[o : o + n * n].reshape(n, n) for o, n in zip(alg._offsets, alg.dims))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -173,66 +200,74 @@ class AlgebraElement:
                 f"elements of {self.algebra} and {other.algebra} do not combine"
             )
 
+    def _new(self, row: np.ndarray) -> "AlgebraElement":
+        return AlgebraElement.from_row(self.algebra, row)
+
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_same(other)
-        return AlgebraElement(
-            self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)]
-        )
+        return self._new(self.row + other.row)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_same(other)
-        return AlgebraElement(
-            self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)]
-        )
+        return self._new(self.row - other.row)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.blocks])
+        return self._new(-self.row)
 
     def __mul__(self, other):
-        """Blockwise matrix product, or scaling by a complex number."""
+        """Blockwise matrix product, or scaling by a complex number.
+
+        Every block goes through ``@``, 1x1 blocks too, in one stacked
+        product per block size, which has the bits of one ``@`` per block;
+        on a 1x1 block ``@`` can differ in the last bit from the elementwise
+        product of ``lorentz._BlockOps.product``.
+        """
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            return AlgebraElement(
-                self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)]
-            )
+            dims = np.asarray(self.algebra.dims)
+            offsets = np.asarray(self.algebra._offsets[:-1])
+            x, y = self.row, other.row
+            out = np.empty_like(x)
+            for n in np.unique(dims):
+                idx = (offsets[dims == n][:, None] + np.arange(n * n)).ravel()
+                out[idx] = (x[idx].reshape(-1, n, n) @ y[idx].reshape(-1, n, n)).ravel()
+            return self._new(out)
         if isinstance(other, (int, float, complex, np.number)):
-            return AlgebraElement(self.algebra, [a * other for a in self.blocks])
+            return self._new(self.row * other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, np.number)):
-            return AlgebraElement(self.algebra, [other * a for a in self.blocks])
+            return self._new(other * self.row)
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex, np.number)):
-            return AlgebraElement(self.algebra, [a / other for a in self.blocks])
+            return self._new(self.row / other)
         return NotImplemented
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [a.conj().T for a in self.blocks])
+        """Blockwise conjugate transpose: the conjugate of each coordinate's transpose."""
+        return self._new(np.conj(self.row[_layout(self.algebra.dims)[2]]))
 
     def copy(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [a.copy() for a in self.blocks])
+        return self._new(self.row.copy())
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(np.max(np.abs(b)) <= tol if b.size else True for b in self.blocks)
+        return bool(np.max(np.abs(self.row)) <= tol)
 
     def allclose(self, other: "AlgebraElement", rtol=1e-10, atol=1e-12) -> bool:
         self._check_same(other)
-        return all(
-            np.allclose(a, b, rtol=rtol, atol=atol)
-            for a, b in zip(self.blocks, other.blocks)
-        )
+        return bool(np.allclose(self.row, other.row, rtol=rtol, atol=atol))
 
     def __repr__(self) -> str:
         return (
             f"AlgebraElement(dims={list(self.algebra.dims)}, "
-            f"max_abs={max(np.max(np.abs(b)) for b in self.blocks):.4g})"
+            f"max_abs={np.max(np.abs(self.row)):.4g})"
         )
 
 
@@ -279,13 +314,14 @@ def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _gaussian_layout(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the parts of each stacked coordinate sit in one draw of 2D normals.
+def _layout(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps of the stacked coordinates of an algebra with blocks ``dims``.
 
-    The draw reads the stream in the order of one :func:`_gaussian` call
-    per block: the block's real parts, then its imaginary parts.  Returns the
-    positions of the real and the imaginary parts of every coordinate, and
-    the coordinate of its transpose, entry (j, i) of its block.
+    Returns where the real and the imaginary part of every coordinate sit in
+    one draw of 2D normals, which reads the stream in the order of one
+    :func:`_gaussian` call per block (the block's real parts, then its
+    imaginary parts), and the coordinate of its transpose, entry (j, i) of
+    its block, which the adjoint and the identity read.
     """
     sizes = np.square(dims)
     n = np.repeat(dims, sizes)
@@ -296,14 +332,14 @@ def _gaussian_layout(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _random_gaussian(algebra, rng):
-    real, imag, _ = _gaussian_layout(algebra.dims)
+    real, imag, _ = _layout(algebra.dims)
     r = rng.standard_normal(2 * algebra.complex_dim)
     return (r[real] + 1j * r[imag]) / np.sqrt(2.0)
 
 
 def _random_hermitian(algebra, rng):
     g = _random_gaussian(algebra, rng)
-    return (g + np.conj(g)[_gaussian_layout(algebra.dims)[2]]) / np.sqrt(2.0)
+    return (g + np.conj(g)[_layout(algebra.dims)[2]]) / np.sqrt(2.0)
 
 
 def _random_sparse(algebra, rng, density):
@@ -367,8 +403,6 @@ def random_element(
 ) -> AlgebraElement:
     """Draw a random element; identical seed and parameters give identical output.
 
-    The ensembles are those of :func:`random_row`, whose row holds the
-    element's blocks.
+    The ensembles are those of :func:`random_row`, whose row the element wraps.
     """
-    row = random_row(algebra, seed, ensemble, density)
-    return AlgebraElement(algebra, [row[o : o + n * n].reshape(n, n) for o, n in zip(algebra._offsets, algebra.dims)])
+    return AlgebraElement.from_row(algebra, random_row(algebra, seed, ensemble, density))

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import TracialAlgebra, random_row
+from .algebra import AlgebraElement, TracialAlgebra, random_row
 from .errors import ParameterError
 from .estimator import estimate_pq_norms
 from .fourier import QuantumGroupPair, _multiplier_map
@@ -193,17 +193,6 @@ def loglog_slope(sizes, values) -> float:
 _DEFAULT_DECAY = (0.5, 1.0, 2.0)
 
 
-def _identity_row(algebra: TracialAlgebra) -> np.ndarray:
-    return np.concatenate([np.eye(n, dtype=complex).ravel() for n in algebra.dims])
-
-
-def _unit_row(algebra: TracialAlgebra, index: int) -> np.ndarray:
-    """The stacked coordinates with a 1 at ``index`` and 0 elsewhere."""
-    row = np.zeros(algebra.complex_dim, dtype=complex)
-    row[index] = 1.0
-    return row
-
-
 def _source_battery(
     pair: QuantumGroupPair,
     trials: int,
@@ -221,12 +210,13 @@ def _source_battery(
     """
     src = pair.source
     names = ["identity", "point_mass_e"]
-    rows = [_identity_row(src), _unit_row(src, pair.identity_index)]
+    # a point mass is a unit row: 1 at its coordinate, 0 elsewhere
+    rows = [src.identity().row, np.eye(1, src.complex_dim, pair.identity_index, dtype=complex)[0]]
     if src.is_commutative:
         n = src.num_blocks
         if n > 1:
             names.append("point_mass_mid")
-            rows.append(_unit_row(src, (pair.identity_index + n // 2) % n))
+            rows.append(np.eye(1, n, (pair.identity_index + n // 2) % n, dtype=complex)[0])
         dist = np.minimum(np.arange(n), n - np.arange(n))
         for beta in decay_betas:
             names.append(f"decay_{beta:.3g}")
@@ -315,22 +305,6 @@ def _step_values(breakpoints: np.ndarray, steps: np.ndarray, rows: np.ndarray, t
     return np.concatenate([steps, np.zeros((len(steps), 1))], axis=1)[rows, below]
 
 
-def _block_products(algebra: TracialAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Blockwise matrix products x_k y_k of two rows of stacked coordinates.
-
-    Every block goes through ``@``, 1x1 blocks too, in one stacked product
-    per block size: ``@`` on a 1x1 block can differ in the last bit from
-    the elementwise product of ``_BlockOps.product``.
-    """
-    dims = np.asarray(algebra.dims)
-    offsets = np.cumsum(dims * dims) - dims * dims
-    out = np.empty_like(x)
-    for n in np.unique(dims):
-        idx = (offsets[dims == n][:, None] + np.arange(n * n)).ravel()
-        out[idx] = (x[idx].reshape(-1, n, n) @ y[idx].reshape(-1, n, n)).ravel()
-    return out
-
-
 def _lemma_ratios(algebras: list[TracialAlgebra], exponents: np.ndarray, seed: int, first_case: int) -> np.ndarray:
     """The three lemma ratios of a chunk of trials, (trials, 3), from one spectrum call.
 
@@ -346,7 +320,8 @@ def _lemma_ratios(algebras: list[TracialAlgebra], exponents: np.ndarray, seed: i
         for k in (0, 1)
     )
     ops = _BlockOps(chunk)  # one-off algebra: kept out of the kernel cache
-    sv = ops.spectrum(np.array([x, y, _block_products(chunk, x, y)]))[0]
+    xy = AlgebraElement.from_row(chunk, x) * AlgebraElement.from_row(chunk, y)
+    sv = ops.spectrum(np.array([x, y, xy.row]))[0]
     # the columns of each trial's singular values, in its own algebra's order
     owner = np.repeat(np.arange(count), [a.num_blocks for a in algebras])[ops.block_index]
     order = np.argsort(owner, kind="stable")
@@ -508,7 +483,7 @@ def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 100
     )
     dual_names, a = _random_sources(pair.dual, max(trials // 2, 1), rng, ("gaussian", "rank_one"))
     dual_names = ["identity"] + dual_names
-    a = np.concatenate([_identity_row(pair.dual)[None], a])
+    a = np.concatenate([pair.dual.identity().row[None], a])
     inv_max, inv_witness = _worst(
         _ratios(dual_names, lp_norms(pair.source, pair.inverse(a), pc), lorentz_norms(pair.dual, a, p, pc)),
         direction="inverse",
@@ -688,7 +663,7 @@ def check_paley(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int 
     min_block = int(np.argmin(dual.weights))
     random_names, a = _random_sources(dual, max(trials - 2, 1), rng, ("gaussian", "rank_one", "sparse"))
     names = ["identity", "atom_min_weight"] + random_names
-    a = np.concatenate([[_identity_row(dual), _unit_row(dual, dual.block_offset(min_block))], a])
+    a = np.concatenate([[dual.identity().row, dual.basis_element(min_block).row], a])
     # row i: the source element paired with the i-th symbol
     x = np.array([random_row(pair.source, np.random.SeedSequence((seed, i, 7))) for i in range(len(a))])
     weak = lp_norms(dual, a, np.inf) if np.isinf(s) else lorentz_norms(dual, a, s, np.inf)

@@ -64,7 +64,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, TracialAlgebra, random_row
 from .errors import ParameterError, ShapeMismatchError
-from .linmap import LinearMap, coordinate_weights, diagonal_product, stack_complex, unstack_complex
+from .linmap import LinearMap, coordinate_weights, diagonal_product
 from .lorentz import _TINY, _block_ops, _BlockOps, lp_norm
 
 __all__ = [
@@ -111,8 +111,8 @@ def schatten_gradient(x: AlgebraElement, q: float) -> AlgebraElement:
     nrm = lp_norm(x, q)
     if nrm == 0.0:
         raise ParameterError("Schatten gradient is undefined at the zero element")
-    g = _block_ops(x.algebra).schatten_direction(stack_complex(x)[None], q)[0]
-    return unstack_complex(x.algebra, g * (nrm ** (1.0 - q)))
+    g = _block_ops(x.algebra).schatten_direction(x.row[None], q)[0]
+    return AlgebraElement.from_row(x.algebra, g * (nrm ** (1.0 - q)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def _ascent(
 
     Row i belongs to slot ``slots[i]`` of ``maps`` (increasing), so to map
     ``slots[i] // maps.rows_per_map``.  ``dom_ops`` is
-    ``_BlockOps(maps.domain)``, which the caller may have used already.
+    ``_block_ops(maps.domain)``, the domain's cached kernel.
     ``z`` is overwritten.  Its rows are first scaled to unit p-norm; a row
     whose p-norm vanishes becomes zero with value 0.  A step is
     z <- psi_p'(M* psi_q(Mz)) at unit p-norm (see the module docstring);
@@ -305,7 +305,7 @@ def _ascent(
     estimates the last one, recomputed at the point by a product, so that it
     is certified) and whether the row stopped before ``iters`` steps.
     """
-    cod_ops = _BlockOps(maps.codomain)
+    cod_ops = _block_ops(maps.codomain)
     p_dual = np.inf if p == 1.0 else p / (p - 1.0)
 
     def image(z, at):
@@ -489,7 +489,7 @@ def _estimate_stack(maps, p: float, q: float, seeds: list[int], max_iters: int, 
         for j in range(r - 1 - n_rank):
             z[i, 1 + n_rank + j] = random_row(dom, np.random.SeedSequence((seed, 2 * j + 2)), "gaussian")
     z = z.reshape(t * r, -1)
-    dom_ops = _BlockOps(dom)
+    dom_ops = _block_ops(dom)
     nrm = dom_ops.norm(z, p)
     slots = np.flatnonzero(np.isfinite(nrm) & (nrm > _TINY))
     owner = slots // r
@@ -509,7 +509,7 @@ def _estimate_stack(maps, p: float, q: float, seeds: list[int], max_iters: int, 
         out.append(
             NormEstimate(
                 lower_bound=max(best_f, 0.0),
-                witness=unstack_complex(dom, best_z),
+                witness=AlgebraElement.from_row(dom, best_z),
                 p=p,
                 q=q,
                 restarts_used=r,
@@ -544,13 +544,19 @@ def brute_force_pq_norm(
     if samples < 100_000:
         raise ParameterError(f"need at least 1e5 samples, got {samples}")
 
-    z = _complex_normals(np.random.default_rng(seed), (samples, m.domain.complex_dim))
-    dom_ops = _BlockOps(m.domain)
-    best = 0.0
+    dim = m.domain.complex_dim
+    z = np.empty((samples, dim), dtype=complex)  # every sample, filled a batch at a time
     # independent samples, in batches of points and images small enough to stay in cache
-    rows = max(1, _BATCH_BYTES // (z.itemsize * (z.shape[1] + m.codomain.complex_dim)))
+    rows = max(1, _BATCH_BYTES // (z.itemsize * (dim + m.codomain.complex_dim)))
+    # a batch's normals, drawn from the one stream into this buffer and read as in _complex_normals
+    normals = np.empty((min(rows, samples), 2 * dim))
+    rng = np.random.default_rng(seed)
+    dom_ops = _block_ops(m.domain)
+    best = 0.0
     for start in range(0, samples, rows):
         batch = z[start : start + rows]
+        r = rng.standard_normal(out=normals[: len(batch)])
+        batch.real, batch.imag = r[:, :dim], r[:, dim:]
         maps = _MapStack(m.matrix[None], m.domain, m.codomain, len(batch))
         best = max(best, float(_ascent(maps, np.arange(len(batch)), dom_ops, p, q, batch, refine_steps)[1].max()))
     return best

@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import AlgebraElement, TracialAlgebra
 from .errors import ParameterError, ShapeMismatchError
 from .groups import FiniteGroupData, validate_group_data
-from .linmap import LinearMap, coordinate_weights, diagonal_map, stack_complex, unstack_complex
+from .linmap import LinearMap, coordinate_weights, diagonal_map
 from .lorentz import _block_ops
 
 __all__ = [
@@ -214,7 +214,8 @@ def fourier(pair: QuantumGroupPair, x: AlgebraElement) -> AlgebraElement:
     """Transform a source element to the dual algebra."""
     if not x.algebra.matches(pair.source):
         raise ShapeMismatchError("fourier: element does not live on the source algebra")
-    return unstack_complex(pair.dual, pair.forward(stack_complex(x)[None])[0])
+    # copied, so that no transform (the identity returns its input) leaves x and its image sharing a row
+    return AlgebraElement.from_row(pair.dual, pair.forward(x.row[None])[0].copy())
 
 
 def inverse_fourier(pair: QuantumGroupPair, a: AlgebraElement) -> AlgebraElement:
@@ -223,7 +224,7 @@ def inverse_fourier(pair: QuantumGroupPair, a: AlgebraElement) -> AlgebraElement
         raise ShapeMismatchError(
             "inverse_fourier: element does not live on the dual algebra"
         )
-    return unstack_complex(pair.source, pair.inverse(stack_complex(a)[None])[0])
+    return AlgebraElement.from_row(pair.source, pair.inverse(a.row[None])[0].copy())  # copied, as in fourier
 
 
 def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
@@ -232,11 +233,12 @@ def multiplier_map(pair: QuantumGroupPair, symbol: AlgebraElement) -> LinearMap:
     The symbol lives on the source algebra; for commutative sources this is
     the pointwise multiplier with those symbol values, held as the values in
     the basis F when F is unitary (every transform but a fault-injected
-    one).  Otherwise it is the dense matrix F (symbol) F^{-1}.
+    one); such a map holds the symbol's row itself, not a copy.  Otherwise
+    it is the dense matrix F (symbol) F^{-1}.
     """
     if not symbol.algebra.matches(pair.source):
         raise ShapeMismatchError("multiplier symbol must live on the source algebra")
-    return _multiplier_map(pair, stack_complex(symbol))
+    return _multiplier_map(pair, symbol.row)
 
 
 def _multiplier_map(pair: QuantumGroupPair, values: np.ndarray) -> LinearMap:

@@ -1,7 +1,7 @@
 """Complex-linear maps between block algebras in stacked coordinates.
 
-Coordinates of an element: blocks raveled row-major in block order into a
-complex vector of length D (:func:`stack_complex`).  A linear map acts on
+An element is its row ``x.row`` of D complex coordinates: its blocks
+raveled row-major, in block order (see ``algebra``).  A linear map acts on
 these coordinates as a complex ``D_cod x D_dom`` matrix; every map the
 package builds (Fourier transforms, Fourier and Schur multipliers) is
 complex-linear.
@@ -31,31 +31,9 @@ from .algebra import AlgebraElement, TracialAlgebra
 from .errors import ShapeMismatchError
 
 __all__ = [
-    "stack_complex",
-    "unstack_complex",
     "coordinate_weights",
     "LinearMap",
 ]
-
-
-def stack_complex(x: AlgebraElement) -> np.ndarray:
-    """Complex coordinate vector of an element (blocks raveled row-major)."""
-    return np.concatenate([b.ravel() for b in x.blocks])
-
-
-def unstack_complex(algebra: TracialAlgebra, vec: np.ndarray) -> AlgebraElement:
-    """Inverse of :func:`stack_complex`."""
-    vec = np.asarray(vec, dtype=complex).ravel()
-    if vec.size != algebra.complex_dim:
-        raise ShapeMismatchError(
-            f"vector has {vec.size} complex coordinates, algebra has "
-            f"{algebra.complex_dim}"
-        )
-    blocks = []
-    for k, n in enumerate(algebra.dims):
-        o = algebra.block_offset(k)
-        blocks.append(vec[o : o + n * n].reshape(n, n))
-    return AlgebraElement(algebra, blocks)
 
 
 def coordinate_weights(algebra: TracialAlgebra) -> np.ndarray:
@@ -128,8 +106,8 @@ class LinearMap:
                 f"element of {x.algebra} fed to map with domain {self.domain}"
             )
         if self.diagonal is None:
-            return unstack_complex(self.codomain, self.matrix @ stack_complex(x))
-        return unstack_complex(self.codomain, diagonal_product(*self.diagonal, stack_complex(x)[None])[0])
+            return AlgebraElement.from_row(self.codomain, self.matrix @ x.row)
+        return AlgebraElement.from_row(self.codomain, diagonal_product(*self.diagonal, x.row[None])[0])
 
 
 def diagonal_map(algebra: TracialAlgebra, values: np.ndarray, basis) -> LinearMap:

@@ -40,7 +40,6 @@ import numpy as np
 
 from .algebra import AlgebraElement, TracialAlgebra
 from .errors import ParameterError, ShapeMismatchError
-from .linmap import stack_complex
 
 __all__ = [
     "SingularFunction",
@@ -302,10 +301,6 @@ def _rows(algebra: TracialAlgebra, z) -> np.ndarray:
     return z
 
 
-def _row(x: AlgebraElement) -> np.ndarray:
-    return stack_complex(x)[None]
-
-
 # ---------------------------------------------------------------------------
 # step functions
 
@@ -444,7 +439,7 @@ def singular_functions(algebra: TracialAlgebra, z) -> list[SingularFunction]:
 
 def singular_function(x: AlgebraElement) -> SingularFunction:
     """Generalized singular-value function of x as an exact step function."""
-    return singular_functions(x.algebra, _row(x))[0]
+    return singular_functions(x.algebra, x.row[None])[0]
 
 
 def distribution_functions(algebra: TracialAlgebra, z, s: float) -> np.ndarray:
@@ -458,7 +453,7 @@ def distribution_functions(algebra: TracialAlgebra, z, s: float) -> np.ndarray:
 
 def distribution_function(x: AlgebraElement, s: float) -> float:
     """Trace mass of the spectral projection of |x| above level s >= 0."""
-    return float(distribution_functions(x.algebra, _row(x), s)[0])
+    return float(distribution_functions(x.algebra, x.row[None], s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +475,7 @@ def lp_norm(x: AlgebraElement, p: float) -> float:
 
     p = inf gives the operator norm (largest singular value).
     """
-    return float(lp_norms(x.algebra, _row(x), p)[0])
+    return float(lp_norms(x.algebra, x.row[None], p)[0])
 
 
 def _check_lorentz_indices(p: float, q: float) -> None:
@@ -531,4 +526,4 @@ def lorentz_norm(x: AlgebraElement, p: float, q: float) -> float:
     q = p reproduces :func:`lp_norm`; q = inf is the weak norm
     sup_t t^(1/p) mu(t, x).
     """
-    return float(lorentz_norms(x.algebra, _row(x), p, q)[0])
+    return float(lorentz_norms(x.algebra, x.row[None], p, q)[0])

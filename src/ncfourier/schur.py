@@ -12,6 +12,7 @@ under counting measure, the pair's source.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,13 @@ def schatten_algebra(n: int) -> TracialAlgebra:
     return TracialAlgebra([n], [1.0])
 
 
+@functools.lru_cache(maxsize=64)
 def schur_pair(n: int) -> QuantumGroupPair:
     """The pair "M<n>" whose multipliers are the Schur multipliers on M_n.
 
     Source: the n^2 entries in row-major order, points of weight 1.  Dual:
     :func:`schatten_algebra`.  Transform: the identity on stacked coordinates.
+    The pair is frozen, so one is built per size and shared by every call.
     """
     dual = schatten_algebra(n)
     return QuantumGroupPair(f"M{n}", TracialAlgebra([1] * (n * n), [1.0] * (n * n)), dual, IdentityTransform(n * n))

@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from ncfourier.algebra import TracialAlgebra, random_element
-from ncfourier.linmap import coordinate_weights, stack_complex
+from ncfourier.algebra import AlgebraElement, TracialAlgebra, random_element
+from ncfourier.linmap import coordinate_weights
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,13 @@ def reference_random_blocks(dims, seed, ensemble, density=0.25):
         g = gaussian((n, n))
         blocks.append(g if ensemble == "gaussian" else (g + g.conj().T) / np.sqrt(2.0))
     return blocks
+
+
+def reference_block_row(fn, *elements) -> np.ndarray:
+    """The stacked row of the element whose block k is ``fn`` of the elements' blocks k,
+    computed block by block from per-block arrays."""
+    blocks = zip(*([b.copy() for b in x.blocks] for x in elements))
+    return np.concatenate([np.asarray(fn(*bs), dtype=complex).ravel() for bs in blocks])
 
 
 def random_exponent(rng, lo=1.0, hi=6.0) -> float:
@@ -239,15 +246,8 @@ def inverse_matrix(pair) -> np.ndarray:
     return pair.inverse(np.eye(pair.dual.complex_dim, dtype=complex)).T
 
 
-def dense_coords(x) -> np.ndarray:
-    """Complex coordinate vector of an element (for linear-map oracles)."""
-    return stack_complex(x)
-
-
 def random_unitary_element(algebra, rng):
     """Blockwise Haar-ish unitary via QR of a Gaussian block."""
-    from ncfourier.algebra import AlgebraElement
-
     g = random_element(algebra, int(rng.integers(2**32)), "gaussian")
     blocks = []
     for b in g.blocks:
@@ -293,7 +293,6 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
     """``estimate_pq_norm`` restart by restart."""
     from ncfourier.estimator import NormEstimate, _l2_maximizers, _MapStack
     from ncfourier.lorentz import _TINY, _BlockOps
-    from ncfourier.linmap import unstack_complex
 
     dom = m.domain
     dom_ops = _BlockOps(dom)
@@ -308,9 +307,9 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
             atom = dom.basis_element(int(weight_order[r]), 0, 0)
         else:
             atom = random_element(dom, np.random.SeedSequence((seed, 2 * r + 1)), "rank_one")
-        inits.append(stack_complex(atom))
+        inits.append(atom.row)
     for r in range(n_rest - n_rank):
-        inits.append(stack_complex(random_element(dom, np.random.SeedSequence((seed, 2 * r + 2)), "gaussian")))
+        inits.append(random_element(dom, np.random.SeedSequence((seed, 2 * r + 2)), "gaussian").row)
 
     best_f, best_z = -1.0, None
     converged = usable = 0
@@ -338,7 +337,7 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
             best_f, best_z = f, z
     return NormEstimate(
         lower_bound=float(max(best_f, 0.0)),
-        witness=unstack_complex(dom, best_z[0]),
+        witness=AlgebraElement.from_row(dom, best_z[0]),
         p=p,
         q=q,
         restarts_used=len(inits),
@@ -457,14 +456,12 @@ def reference_random_sources(algebra, count, rng, ensembles=("gaussian",)):
 
 def reference_source_battery(pair, trials, rng, decay_betas=(0.5, 1.0, 2.0)):
     """``(name, element)`` pairs of ``checks._source_battery``."""
-    from ncfourier.linmap import unstack_complex
-
     src = pair.source
 
     def point_mass(index):
         vec = np.zeros(src.complex_dim, dtype=complex)
         vec[index] = 1.0
-        return unstack_complex(src, vec)
+        return AlgebraElement.from_row(src, vec)
 
     out = [("identity", src.identity()), ("point_mass_e", point_mass(pair.identity_index))]
     if src.is_commutative:
@@ -473,14 +470,14 @@ def reference_source_battery(pair, trials, rng, decay_betas=(0.5, 1.0, 2.0)):
             out.append(("point_mass_mid", point_mass((pair.identity_index + n // 2) % n)))
         dist = np.minimum(np.arange(n), n - np.arange(n))
         for beta in decay_betas:
-            out.append((f"decay_{beta:.3g}", unstack_complex(src, (1.0 + dist) ** (-beta))))
+            out.append((f"decay_{beta:.3g}", AlgebraElement.from_row(src, (1.0 + dist) ** (-beta))))
         lac = np.zeros(n)
         k = 1
         while k < n:
             lac[k] = 1.0
             k *= 2
         if lac.any():
-            out.append(("lacunary", unstack_complex(src, lac)))
+            out.append(("lacunary", AlgebraElement.from_row(src, lac)))
     return out + reference_random_sources(
         src, max(trials - len(out), 0), rng, ("gaussian", "sparse", "hermitian")
     )
@@ -515,7 +512,9 @@ def reference_lemma_constants(trials, seed):
         alg = TracialAlgebra(dims, weights)
         x = random_element(alg, np.random.SeedSequence((seed, case, 0)))
         y = random_element(alg, np.random.SeedSequence((seed, case, 1)))
-        mu_x, mu_y, mu_xy = singular_functions(alg, np.array([stack_complex(e) for e in (x, y, x * y)]))
+        # the product block by block, independent of the element's stacked product
+        xy = AlgebraElement(alg, [a @ b for a, b in zip(x.blocks, y.blocks)])
+        mu_x, mu_y, mu_xy = singular_functions(alg, np.array([e.row for e in (x, y, xy)]))
         s_grid = _reference_interior_grid(mu_x)
         t_grid = _reference_interior_grid(mu_y)
         lhs = mu_xy(s_grid[:, None] + t_grid[None, :])

@@ -1,12 +1,14 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ncfourier.algebra import RANDOM_ENSEMBLES, AlgebraElement, TracialAlgebra, modulus, random_element, random_row, trace
 from ncfourier.campaign import resolve_instance
-from ncfourier.linmap import stack_complex
 from ncfourier.errors import ParameterError, ShapeMismatchError
 
-from conftest import random_algebra, reference_random_blocks
+from conftest import random_algebra, reference_block_row, reference_random_blocks
 
 
 class TestTracialAlgebra:
@@ -235,9 +237,9 @@ class TestRandomElement:
             "mixed": TracialAlgebra([2, 2, 3, 1, 1, 4], [1.0, 0.5, 2.0, 1.0, 0.25, 1.5]),
         }[name]
         for seed in [0, 1, 2, 3, np.random.SeedSequence((4, 3))]:
-            want = stack_complex(AlgebraElement(alg, reference_random_blocks(alg.dims, seed, ensemble)))
+            want = AlgebraElement(alg, reference_random_blocks(alg.dims, seed, ensemble)).row
             assert np.array_equal(random_row(alg, seed, ensemble), want)
-            assert np.array_equal(stack_complex(random_element(alg, seed, ensemble)), want)
+            assert np.array_equal(random_element(alg, seed, ensemble).row, want)
 
     def test_seed_changes_output(self):
         alg = TracialAlgebra([3], [1.0])
@@ -265,3 +267,104 @@ class TestRandomElement:
         alg = TracialAlgebra([2], [1.0])
         with pytest.raises(ParameterError):
             random_element(alg, 0, "cauchy")
+
+
+# ---------------------------------------------------------------------------
+# the one element form: an element is its stacked row
+
+
+ROW_ALGEBRAS = {
+    "mixed_123": TracialAlgebra([1, 2, 3], [0.5, 1.0, 2.0]),
+    "mixed_6": TracialAlgebra([2, 2, 3, 1, 1, 4], [1.0, 0.5, 2.0, 1.0, 0.25, 1.5]),
+    "commutative": TracialAlgebra([1] * 8, [1 / 8] * 8),
+    "matrix": TracialAlgebra([5], [1.0]),
+}
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowForm:
+    @pytest.mark.parametrize("name", ROW_ALGEBRAS)
+    def test_arithmetic_matches_blockwise_reference(self, name):
+        alg = ROW_ALGEBRAS[name]
+        for seed in range(4):
+            x = random_element(alg, (seed, 0))
+            y = random_element(alg, (seed, 1), "hermitian")
+            assert _same_bits((x + y).row, reference_block_row(np.add, x, y))
+            assert _same_bits((x - y).row, reference_block_row(np.subtract, x, y))
+            assert _same_bits((-x).row, reference_block_row(np.negative, x))
+            assert _same_bits((x * (0.3 - 2.0j)).row, reference_block_row(lambda a: a * (0.3 - 2.0j), x))
+            assert _same_bits((2.5 * x).row, reference_block_row(lambda a: 2.5 * a, x))
+            assert _same_bits((x / 3.0).row, reference_block_row(lambda a: a / 3.0, x))
+            assert _same_bits((x * y).row, reference_block_row(lambda a, b: a @ b, x, y))
+            assert _same_bits(x.adjoint().row, reference_block_row(lambda a: a.conj().T, x))
+            assert _same_bits(x.copy().row, x.row)
+            want = complex(sum(w * np.trace(b.copy()) for w, b in zip(alg.weights, x.blocks)))
+            assert _same_bits(np.array(trace(x)), np.array(want))
+
+    @pytest.mark.parametrize("name", ROW_ALGEBRAS)
+    def test_allclose_matches_blockwise_reference(self, name):
+        alg = ROW_ALGEBRAS[name]
+        x = random_element(alg, 3)
+        for scale in (0.0, 1e-14, 1e-11, 1e-10, 1e-9, 1e-6):
+            for k in range(alg.complex_dim):
+                y = x.copy()
+                y.row[k] += scale * (1 + 1j)
+                want = all(np.allclose(a, b, rtol=1e-10, atol=1e-12) for a, b in zip(x.blocks, y.blocks))
+                assert x.allclose(y) == want
+
+    def test_blocks_are_views_of_the_row(self):
+        alg = ROW_ALGEBRAS["mixed_123"]
+        x = random_element(alg, 4)
+        first, second = x.blocks, x.blocks
+        assert first is not second  # fresh views on each access, never stored
+        assert all(np.shares_memory(b, x.row) for b in first)
+        x.blocks[2][1, 2] = 7.0 - 1.0j
+        assert x.row[alg.block_offset(2) + 1 * 3 + 2] == 7.0 - 1.0j
+        assert x.blocks[2][1, 2] == 7.0 - 1.0j
+
+    def test_basis_element_row(self):
+        alg = ROW_ALGEBRAS["mixed_123"]
+        e = alg.basis_element(2, 1, 0)
+        assert np.flatnonzero(e.row).tolist() == [alg.block_offset(2) + 3]
+        assert e.row[alg.block_offset(2) + 3] == 1.0
+
+    def test_identity_and_zero_rows(self):
+        alg = ROW_ALGEBRAS["mixed_6"]
+        want = np.concatenate([np.eye(n, dtype=complex).ravel() for n in alg.dims])
+        assert _same_bits(alg.identity().row, want)
+        assert _same_bits(alg.zero().row, np.zeros(alg.complex_dim, dtype=complex))
+
+    def test_row_constructor_wraps_without_copy(self):
+        alg = ROW_ALGEBRAS["mixed_123"]
+        row = random_row(alg, 5)
+        x = AlgebraElement.from_row(alg, row)
+        assert x.row is row
+        assert _same_bits(AlgebraElement(alg, x.blocks).row, row)
+        with pytest.raises(ShapeMismatchError):
+            AlgebraElement.from_row(alg, np.zeros((1, alg.complex_dim)))
+
+    def test_pickle_carries_the_row(self):
+        alg = ROW_ALGEBRAS["mixed_6"]
+        x = random_element(alg, 6)
+        back = pickle.loads(pickle.dumps(x))
+        assert back.algebra == alg and _same_bits(back.row, x.row)
+        assert _same_bits(back.blocks[5], x.blocks[5])
+
+    def test_z512_element_pickles_small(self):
+        x = random_element(resolve_instance("Z512").source, 7)
+        assert len(pickle.dumps(x)) <= 17_000  # row 8,345 B, algebra 7,011 B
+
+    def test_random_element_holds_its_row(self):
+        alg = resolve_instance("Z512").source
+        random_element(alg, 0)  # warm the layout cache
+        tracemalloc.start()
+        try:
+            x = random_element(alg, 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert x.row.nbytes == 8192
+        assert held < 16 * 1024

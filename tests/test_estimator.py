@@ -1,9 +1,11 @@
 import functools
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ncfourier.algebra import TracialAlgebra, random_element, trace
+from ncfourier.algebra import AlgebraElement, TracialAlgebra, random_element, trace
 from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError, ShapeMismatchError
 from ncfourier import estimator
@@ -20,14 +22,11 @@ from ncfourier.linmap import (
     LinearMap,
     coordinate_weights,
     diagonal_map,
-    stack_complex,
-    unstack_complex,
 )
 from ncfourier.lorentz import _BlockOps, lp_norm
 from ncfourier.schur import schur_map
 
 from conftest import (
-    dense_coords,
     oracle_stationarity_residual,
     random_algebra,
     reference_brute_force_pq_norm,
@@ -38,7 +37,7 @@ from conftest import (
 
 def _weighted_inner(algebra, x, y) -> float:
     w = coordinate_weights(algebra)
-    return float(np.sum(np.conj(stack_complex(y)) * w * stack_complex(x)).real)
+    return float(np.sum(np.conj(y.row) * w * x.row).real)
 
 
 def _complex_matrix(rng, shape):
@@ -55,8 +54,8 @@ class TestCoordinates:
         for i in range(10):
             alg = random_algebra(rng)
             x = random_element(alg, int(rng.integers(2**32)))
-            back = unstack_complex(alg, stack_complex(x))
-            assert np.allclose(dense_coords(back), dense_coords(x))
+            back = AlgebraElement.from_row(alg, x.row)
+            assert np.allclose(back.row, x.row)
 
     def test_coordinate_weights_give_trace_inner_product(self):
         rng = np.random.default_rng(63)
@@ -70,7 +69,7 @@ class TestCoordinates:
     def test_unstack_size_check(self):
         alg = TracialAlgebra([2], [1.0])
         with pytest.raises(ShapeMismatchError):
-            unstack_complex(alg, np.zeros(3))
+            AlgebraElement.from_row(alg, np.zeros(3))
 
 
 class TestLinearMap:
@@ -78,7 +77,7 @@ class TestLinearMap:
         alg = TracialAlgebra([2, 1], [0.5, 2.0])
         m = _identity(alg)
         x = random_element(alg, 1)
-        assert np.allclose(dense_coords(m.apply(x)), dense_coords(x))
+        assert np.allclose(m.apply(x).row, x.row)
         assert exact_l2_norm(m) == pytest.approx(1.0)
 
     def test_apply_checks_domain(self):
@@ -135,8 +134,8 @@ class TestSchattenGradient:
         alg = random_algebra(rng)
         x = random_element(alg, 2)
         g = schatten_gradient(x, 2.0)
-        want = dense_coords(x) / lp_norm(x, 2)
-        assert np.allclose(dense_coords(g), want, atol=1e-12)
+        want = x.row / lp_norm(x, 2)
+        assert np.allclose(g.row, want, atol=1e-12)
 
     def test_positive_diagonal_formula(self):
         alg = TracialAlgebra([3], [1.0])
@@ -299,7 +298,7 @@ class TestExactL2:
         # with the dual weights d_pi/|G|; Z5 is the abelian case below
         pair = resolve_instance(name)
         values = _complex_matrix(np.random.default_rng(68), (pair.source.complex_dim,))
-        m = multiplier_map(pair, unstack_complex(pair.source, values))
+        m = multiplier_map(pair, AlgebraElement.from_row(pair.source, values))
         assert exact_l2_norm(m) == pytest.approx(np.max(np.abs(values)), rel=1e-10)
 
     def test_multiplier_on_abelian_dual(self):
@@ -344,7 +343,7 @@ def _diagonal_map(name: str, seed: int) -> LinearMap:
     if name.startswith("M"):
         return schur_map(_complex_matrix(rng, (int(name[1:]),) * 2))
     pair = build_finite_abelian([int(o) for o in name[1:].split("xZ")])
-    return multiplier_map(pair, unstack_complex(pair.source, _complex_matrix(rng, (pair.source.complex_dim,))))
+    return multiplier_map(pair, AlgebraElement.from_row(pair.source, _complex_matrix(rng, (pair.source.complex_dim,))))
 
 
 class TestEstimatePqNorm:
@@ -415,7 +414,7 @@ class TestEstimatePqNorm:
         a = estimate_pq_norm(m, 1.5, 3.0, restarts=6, seed=7)
         b = estimate_pq_norm(m, 1.5, 3.0, restarts=6, seed=7)
         assert a.lower_bound == b.lower_bound
-        assert np.array_equal(dense_coords(a.witness), dense_coords(b.witness))
+        assert np.array_equal(a.witness.row, b.witness.row)
 
     # certified lower bounds from brute force (1e5 samples, 25 refine steps of
     # the former gradient ascent), which that ascent's estimates missed
@@ -469,6 +468,46 @@ class TestBruteForce:
         alg = TracialAlgebra([1], [1.0])
         m = LinearMap(alg, alg, np.zeros((1, 1), dtype=complex))
         assert brute_force_pq_norm(m, 2.0, 2.0) == 0.0
+
+    def test_samples_are_drawn_batch_by_batch(self):
+        # one complex array of the 1e5 samples (6.4 MB), the normals of one batch at a time
+        m = schur_map(_complex_matrix(np.random.default_rng(2), (2, 2)))
+        brute_force_pq_norm(m, 1.5, 3.0, refine_steps=0)
+        tracemalloc.start()
+        try:
+            brute_force_pq_norm(m, 1.5, 3.0, refine_steps=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20
+
+
+class TestKernelCache:
+    def test_estimates_and_brute_force_reuse_cached_kernels(self, monkeypatch):
+        m = schur_map(_complex_matrix(np.random.default_rng(3), (2, 2)))
+        estimate_pq_norm(m, 1.5, 3.0, restarts=3, max_iters=3)
+        built = []
+        init = _BlockOps.__init__
+
+        def counted(self, algebra):
+            built.append(algebra)
+            init(self, algebra)
+
+        monkeypatch.setattr(_BlockOps, "__init__", counted)
+        estimate_pq_norm(m, 1.5, 3.0, restarts=3, max_iters=3)
+        brute_force_pq_norm(m, 1.5, 3.0, refine_steps=1)
+        assert built == []
+
+
+class TestWitnessTransfer:
+    def test_z512_estimate_pickles_as_its_row(self):
+        pair = resolve_instance("Z512")
+        est = estimate_pq_norm(multiplier_map(pair, random_element(pair.source, 3)), 4.0 / 3.0, 4.0, restarts=2, max_iters=2)
+        data = pickle.dumps(est)
+        assert len(data) <= 17_000  # 31,916 B as one array per block
+        back = pickle.loads(data)
+        assert back.witness.row.tobytes() == est.witness.row.tobytes()
+        assert back.lower_bound == est.lower_bound
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +567,7 @@ class TestAscentEngine:
         converged = [(m, est) for m in maps if (est := estimate_pq_norm(m, p, q, seed=3)).converged_fraction == 1.0]
         assert converged
         for m, est in converged:
-            assert oracle_stationarity_residual(m, stack_complex(est.witness), p, q) <= 1e-2
+            assert oracle_stationarity_residual(m, est.witness.row, p, q) <= 1e-2
 
     @pytest.mark.parametrize("name", ["Z4", "M2"])
     def test_brute_force_matches_fixed_step_loop(self, name):
@@ -560,7 +599,7 @@ def _batch_maps(name: str) -> list[LinearMap]:
 def _same_estimate(a, b) -> bool:
     return (
         a.lower_bound == b.lower_bound
-        and np.array_equal(stack_complex(a.witness), stack_complex(b.witness))
+        and np.array_equal(a.witness.row, b.witness.row)
         and (a.restarts_used, a.converged_fraction, a.degenerate) == (b.restarts_used, b.converged_fraction, b.degenerate)
     )
 

@@ -20,12 +20,11 @@ from ncfourier.fourier import (
 )
 from ncfourier.groups import builtin_group, builtin_group_names, cyclic_group_data
 from ncfourier.estimator import _next_stack, estimate_pq_norm, exact_l2_norm
-from ncfourier.linmap import LinearMap, coordinate_weights, stack_complex
+from ncfourier.linmap import LinearMap, coordinate_weights
 from ncfourier.lorentz import lp_norm
 from ncfourier.schur import schur_pair
 
 from conftest import (
-    dense_coords,
     forward_matrix,
     inverse_matrix,
     left_multiplication_matrix,
@@ -52,14 +51,14 @@ class TestAbelianConstruction:
     def test_z2_point_mass(self):
         pair = build_finite_abelian([2])
         fhat = fourier(pair, _delta(pair, 0))
-        assert np.allclose(dense_coords(fhat), [1.0, 1.0])
+        assert np.allclose(fhat.row, [1.0, 1.0])
         assert lp_norm(fhat, 2) ** 2 == pytest.approx(1.0)
 
     def test_z4_constant_saturates_contraction(self):
         pair = build_finite_abelian([4])
         f = pair.source.identity()
         fhat = fourier(pair, f)
-        assert np.allclose(dense_coords(fhat), [4.0, 0.0, 0.0, 0.0])
+        assert np.allclose(fhat.row, [4.0, 0.0, 0.0, 0.0])
         assert lp_norm(fhat, np.inf) == pytest.approx(4.0)
         assert lp_norm(f, 1) == pytest.approx(4.0)
 
@@ -71,7 +70,7 @@ class TestAbelianConstruction:
     def test_z4_character_column(self):
         pair = build_finite_abelian([4])
         fhat = fourier(pair, _delta(pair, 1))
-        assert np.allclose(dense_coords(fhat), [1.0, -1.0j, -1.0, 1.0j])
+        assert np.allclose(fhat.row, [1.0, -1.0j, -1.0, 1.0j])
 
     def test_weights(self):
         pair = build_finite_abelian([2, 3])
@@ -137,24 +136,24 @@ class TestTransformProperties:
         a, b = 1.5 - 0.5j, -2.0j
         lhs = fourier(pair, x * a + y * b)
         rhs = fourier(pair, x) * a + fourier(pair, y) * b
-        assert np.allclose(dense_coords(lhs), dense_coords(rhs), atol=1e-12)
-        assert np.allclose(dense_coords(fourier(pair, pair.source.zero())), 0.0)
+        assert np.allclose(lhs.row, rhs.row, atol=1e-12)
+        assert np.allclose(fourier(pair, pair.source.zero()).row, 0.0)
 
     @pytest.mark.parametrize("pair", _pairs_for_property_tests(), ids=lambda p: p.name)
     def test_round_trips(self, pair):
         for seed in range(25):
             x = random_element(pair.source, seed)
             back = inverse_fourier(pair, fourier(pair, x))
-            assert np.allclose(dense_coords(back), dense_coords(x), atol=1e-10)
+            assert np.allclose(back.row, x.row, atol=1e-10)
             a = random_element(pair.dual, 1000 + seed)
             fwd = fourier(pair, inverse_fourier(pair, a))
-            assert np.allclose(dense_coords(fwd), dense_coords(a), atol=1e-10)
+            assert np.allclose(fwd.row, a.row, atol=1e-10)
 
     def test_z2_inverse_solves_system(self):
         pair = build_finite_abelian([2])
         a = pair.dual.basis_element(0)
         f = inverse_fourier(pair, a)
-        assert np.allclose(dense_coords(f), [0.5, 0.5], atol=1e-14)
+        assert np.allclose(f.row, [0.5, 0.5], atol=1e-14)
 
     @pytest.mark.parametrize("pair", _pairs_for_property_tests(), ids=lambda p: p.name)
     def test_plancherel_and_contraction(self, pair):
@@ -188,8 +187,8 @@ class TestLeftMultiplication:
         alg = TracialAlgebra([2, 3], [1.0, 0.5])
         x = random_element(alg, 5)
         y = random_element(alg, 6)
-        via_matrix = left_multiplication_matrix(x) @ stack_complex(y)
-        assert np.allclose(via_matrix, stack_complex(x * y), atol=1e-12)
+        via_matrix = left_multiplication_matrix(x) @ y.row
+        assert np.allclose(via_matrix, (x * y).row, atol=1e-12)
 
 
 class TestMultiplierMap:
@@ -205,7 +204,7 @@ class TestMultiplierMap:
             lam_g = fourier(pair, _delta(pair, g))
             out = m.apply(lam_g)
             want = lam_g if g == pair.identity_index else pair.dual.zero()
-            assert np.allclose(dense_coords(out), dense_coords(want), atol=1e-10)
+            assert np.allclose(out.row, want.row, atol=1e-10)
 
     @pytest.mark.parametrize(
         "pair",
@@ -219,7 +218,7 @@ class TestMultiplierMap:
             lam_g = fourier(pair, _delta(pair, g))
             out = m.apply(lam_g)
             want = lam_g * complex(phi.blocks[g][0, 0])
-            assert np.allclose(dense_coords(out), dense_coords(want), atol=1e-10)
+            assert np.allclose(out.row, want.row, atol=1e-10)
 
     def test_composition_matches_product_symbol(self):
         pair = build_finite_abelian([2, 3])
@@ -258,7 +257,7 @@ class TestFaultInjection:
         assert bad.name.endswith("!fault")
         x = random_element(bad.source, 3)
         back = inverse_fourier(bad, fourier(bad, x))
-        err = np.abs(dense_coords(back) - dense_coords(x)).max()
+        err = np.abs(back.row - x.row).max()
         assert err > 1e-3
 
     def test_zero_scale_is_harmless(self):
@@ -286,7 +285,7 @@ DFT_ORDERS = [(1,), (2,), (3,), (8,), (128,), (2, 4), (3, 5)]
 def _dense_multiplier(pair, x) -> np.ndarray:
     """F diag(x) F^{-1} with F the phase-table DFT over the pair's factor orders."""
     fmat = reference_dft_matrix(pair.transform.orders)
-    return fmat @ (stack_complex(x)[:, None] * np.linalg.inv(fmat))
+    return fmat @ (x.row[:, None] * np.linalg.inv(fmat))
 
 
 def _rel_err(got, want) -> float:
@@ -327,7 +326,7 @@ class TestDiagonalForm:
         assert m.diagonal is None
         fmat = reference_dft_matrix((8,))
         faulty = fmat * np.where(np.arange(8) == 0, 1.05, 1.0)[:, None]
-        want = faulty @ np.diag(stack_complex(x)) @ np.linalg.inv(fmat)
+        want = faulty @ np.diag(x.row) @ np.linalg.inv(fmat)
         assert _rel_err(m.matrix, want) <= 1e-12
         assert _rel_err(m.matrix, multiplier_map(pair, x).matrix) > 1e-3
 
@@ -387,7 +386,7 @@ def _group_multiplier(name: str, seed: int):
     """A group pair, a Gaussian symbol on it, its multiplier and the dense F diag(x) F^{-1}."""
     pair = build_group_vna(builtin_group(name))
     x = random_element(pair.source, seed, "gaussian")
-    dense = forward_matrix(pair) @ np.diag(stack_complex(x)) @ inverse_matrix(pair)
+    dense = forward_matrix(pair) @ np.diag(x.row) @ inverse_matrix(pair)
     return pair, x, multiplier_map(pair, x), dense
 
 
@@ -396,7 +395,7 @@ class TestSymbolHeldGroupMultipliers:
     def test_held_as_the_symbol(self, name):
         pair, x, m, _ = _group_multiplier(name, 61)
         assert m.diagonal is not None and m.diagonal.basis is pair.transform
-        assert np.array_equal(m.diagonal.values, stack_complex(x))
+        assert np.array_equal(m.diagonal.values, x.row)
 
     @pytest.mark.parametrize("name", GROUPS)
     def test_row_products_match_dense(self, name):
@@ -413,7 +412,7 @@ class TestSymbolHeldGroupMultipliers:
     @pytest.mark.parametrize("name", GROUPS)
     def test_exact_l2_norm_is_the_largest_value(self, name):
         _, x, m, _ = _group_multiplier(name, 63)
-        assert exact_l2_norm(m) == np.abs(stack_complex(x)).max()
+        assert exact_l2_norm(m) == np.abs(x.row).max()
 
     @pytest.mark.parametrize("name", GROUPS)
     def test_estimate_matches_the_dense_map(self, name):

@@ -4,7 +4,6 @@ import pytest
 from ncfourier.algebra import TracialAlgebra, random_element
 from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError, ShapeMismatchError
-from ncfourier.linmap import stack_complex
 from ncfourier.lorentz import (
     SingularFunction,
     _BlockOps,
@@ -173,7 +172,7 @@ def _batch(alg):
         random_element(alg, np.random.SeedSequence((61, i)), kind)
         for i, kind in enumerate(["gaussian", "hermitian", "sparse", "rank_one"] * 3)
     ]
-    return elems, np.array([stack_complex(x) for x in elems])
+    return elems, np.array([x.row for x in elems])
 
 
 class TestBatchedNorms:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ncfourier.algebra import random_element
 from ncfourier.checks import check_hausdorff_young, check_inversion_plancherel
 from ncfourier.errors import ParameterError
 from ncfourier.estimator import _next_stack, estimate_pq_norm, exact_l2_norm
+from ncfourier.fourier import fourier, inverse_fourier
 from ncfourier.linmap import LinearMap
 from ncfourier.lorentz import lorentz_norms, lp_norm
 from ncfourier.schur import (
@@ -15,7 +18,7 @@ from ncfourier.schur import (
     symbol_sequence_norm,
 )
 
-from conftest import dense_coords, oracle_entry_lorentz, weighted_adjoint_matrix
+from conftest import oracle_entry_lorentz, weighted_adjoint_matrix
 
 
 class TestSchattenAlgebra:
@@ -41,7 +44,7 @@ class TestSchurMap:
     def test_all_ones_is_identity(self):
         m = schur_map(np.ones((3, 3)))
         x = random_element(schatten_algebra(3), 2)
-        assert np.allclose(dense_coords(m.apply(x)), dense_coords(x))
+        assert np.allclose(m.apply(x).row, x.row)
         assert exact_l2_norm(m) == pytest.approx(1.0)
 
     def test_matrix_unit_symbol(self):
@@ -121,8 +124,32 @@ class TestIdentityPair:
         assert np.array_equal(stack.apply(z, slots), values * z)
         assert np.array_equal(stack.adjoint(z.copy(), slots), values.conj() * z)
         x = random_element(m.domain, 5)
-        assert np.array_equal(dense_coords(m.apply(x)), values * dense_coords(x))
+        assert np.array_equal(m.apply(x).row, values * x.row)
         assert np.array_equal(m.matrix, np.ascontiguousarray((values * np.eye(n * n)).T))
+
+    def test_pair_is_built_once_per_size(self):
+        assert schur_pair(16) is schur_pair(16)
+        assert schur_map(np.ones((16, 16))).domain is schur_pair(16).dual
+
+    def test_m16_map_allocates_little(self):
+        # the pair's 256-block source algebra is built once, not per map
+        a = np.ones((16, 16))
+        schur_map(a)
+        tracemalloc.start()
+        try:
+            schur_map(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 1024
+
+    def test_transforms_copy_their_rows(self):
+        # the identity transform returns its input; an element and its image share no row
+        pair = schur_pair(2)
+        x = random_element(pair.source, 8)
+        fx = fourier(pair, x)
+        assert np.array_equal(fx.row, x.row) and not np.shares_memory(fx.row, x.row)
+        assert not np.shares_memory(inverse_fourier(pair, fx).row, fx.row)
 
     def test_hausdorff_young_is_a_hard_pass(self):
         # ||A||_{S_3} <= ||a||_{l_1.5} for the entries a of A
