@@ -257,9 +257,6 @@ class AlgebraElement:
     def copy(self) -> "AlgebraElement":
         return self._new(self.row.copy())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.row)) <= tol)
-
     def allclose(self, other: "AlgebraElement", rtol=1e-10, atol=1e-12) -> bool:
         self._check_same(other)
         return bool(np.allclose(self.row, other.row, rtol=rtol, atol=atol))

@@ -30,11 +30,12 @@ map diagonal in a unitary basis B, the transform of its pair) are stacked
 as their (T, D) values with the one basis they share, and a product with a
 batch of rows is ``B(B^{-1} z * v[owner])``, the weighted adjoint the same
 with conj(v); no D x D matrix is built.  Every other map is stacked as its
-D_cod x D_dom matrix, in one (T, D_cod, D_dom) array.  An estimate
-is the case T = 1.  A batch of maps holds at most ``_BATCH_BYTES`` of
-matrices or values and rows, so long lists of maps ascend in several
-batches, and so do the samples of brute force, which always multiplies by
-the matrix: its domains have at most four coordinates.
+D_cod x D_dom matrix, in one (T, D_cod, D_dom) array, and its weighted
+adjoint in another, so that either product is one batched product.  An
+estimate is the case T = 1.  A batch of maps holds at most ``_BATCH_BYTES``
+of matrices, adjoints or values and rows, so long lists of maps ascend in
+several batches, and so do the samples of brute force, which always
+multiplies by the matrix: its domains have at most four coordinates.
 
 A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method
 for l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
@@ -43,7 +44,9 @@ norms by duality: z <- psi_p'(M* psi_q(Mz)), scaled to unit p-norm, where
 psi_r is the duality direction U diag(s^(r-1)) V* of L_r and M* the weighted
 adjoint.  By Hoelder's inequality the value ||Mz||_q never falls, so the
 step needs no step size and no line search, and its fixed points are the
-stationary points of ||Mz||_q / ||z||_p.  An estimate's row stops when its
+stationary points of ||Mz||_q / ||z||_p.  A step raises each spectrum to
+one power, g = s^(r-1), which gives both psi_r and the norm: the r-th power
+of ||x||_r is sum w s g.  An estimate's row stops when its
 value stops rising; a brute-force row takes every step.  Every estimate is
 recomputed at its point by a product, so that it is certified.  Products,
 reductions and warm starts are done map by map or row by row, so a map's
@@ -125,7 +128,8 @@ _BATCH_BYTES = 1 << 19
 
 
 class _MapStack:
-    """T complex C x D matrices that share a domain and a codomain, as one (T, C, D) array.
+    """T complex C x D matrices that share a domain and a codomain, as one (T, C, D) array,
+    with their weighted adjoints in another.
 
     The rows of a batch are tagged with slots t * R + r, row r of the R that
     map t owns.  A product scatters the rows into a zero (T * R, D) block,
@@ -141,7 +145,8 @@ class _MapStack:
         self.codomain = codomain
         self.rows_per_map = rows_per_map
         self.wd = coordinate_weights(domain)
-        self.wc = coordinate_weights(codomain)
+        # the weighted adjoints, diag(w_c) conj(M_t) diag(1/w_d), transposed for row products
+        self.adj = np.conjugate(mats * coordinate_weights(codomain)[:, None]) / self.wd
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -160,13 +165,9 @@ class _MapStack:
         return self._product(z, slots, self.mats.transpose(0, 2, 1))
 
     def adjoint(self, y: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """diag(1/w_d) M_t^H diag(w_c) y of rows in codomain coordinates, the
-        weighted adjoint, as conj(conj(w_c y) M_t) / w_d.  ``y`` is overwritten."""
-        np.multiply(y, self.wc, out=y)
-        out = self._product(np.conjugate(y, out=y), slots, self.mats)
-        np.conjugate(out, out=out)
-        out /= self.wd
-        return out
+        """Weighted adjoints diag(1/w_d) M_t^H diag(w_c) y of rows in codomain
+        coordinates, by the held adjoints."""
+        return self._product(y, slots, self.adj)
 
 
 class _DiagonalStack:
@@ -242,8 +243,9 @@ def _l2_maximizers(maps, exact: bool) -> np.ndarray:
     It is the top right singular vector of the weighted matrix
     D_c M D_d^{-1}: by an SVD, one map at a time, when ``exact``; otherwise
     by 40 power steps v <- M* M v with the weighted adjoint, made of
-    products with the stack itself, so that no map is copied.  Diagonal
-    maps take both in their basis (:meth:`_DiagonalStack.l2_maximizers`).
+    batched products with the stack's matrices and held adjoints, so that no
+    map is copied.  Diagonal maps take both in their basis
+    (:meth:`_DiagonalStack.l2_maximizers`).
     """
     t = len(maps)
     start = _complex_normals(np.random.default_rng(0x5EED), (maps.domain.complex_dim,))
@@ -254,10 +256,9 @@ def _l2_maximizers(maps, exact: bool) -> np.ndarray:
         for i, mat in enumerate(maps.mats):
             v[i] = np.linalg.svd(_weighted(mat, maps.domain, maps.codomain))[2][0].conj()
         return v / np.sqrt(maps.wd)
-    one_each, rows = _MapStack(maps.mats, maps.domain, maps.codomain, 1), np.arange(t)
     v = np.tile(start, (t, 1))
     for _ in range(40):
-        v = one_each.adjoint(one_each.apply(v, rows), rows)
+        v = (v[:, None] @ maps.mats.transpose(0, 2, 1) @ maps.adj)[:, 0]
         v *= _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, maps.wd)))[:, None]
     return v
 
@@ -271,6 +272,13 @@ def _check_exponents(p: float, q: float) -> None:
         raise ParameterError(
             f"norm estimation supports finite exponents >= 1, got p={p}, q={q}"
         )
+
+
+def _check_counts(**counts) -> None:
+    """Each count, given as (value, least), must be an integer of at least ``least``."""
+    for name, (value, least) in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _ascent(
@@ -292,8 +300,9 @@ def _ascent(
     whose p-norm vanishes becomes zero with value 0.  A step is
     z <- psi_p'(M* psi_q(Mz)) at unit p-norm (see the module docstring);
     for p = 1, psi_inf(w) is U diag([s == max s]) V* over the row's largest
-    singular values.  The p-norm of psi_p'(w) is read from the spectrum of
-    w, so a step takes one spectrum on each side.
+    singular values.  A step takes one spectrum and one power g of it on each
+    side; ||Mz||_q^q, and ||psi_p'(w)||_p^p = ||w||_p'^p' as g^p = s^p', are
+    both :meth:`_BlockOps.power_sum` of a spectrum and its power.
 
     * Brute force (``tol`` None): every row takes all ``iters`` steps.
     * Estimates (``tol`` given): each row of value above 1e-300 takes at
@@ -309,34 +318,40 @@ def _ascent(
     p_dual = np.inf if p == 1.0 else p / (p - 1.0)
 
     def image(z, at):
-        """Images of the rows, their q-norms and the spectra behind them."""
+        """Images, their q-norms f, and psi_q(Mz) / f^q (whose weighted adjoint
+        has dual norm at least 1) as its singular values and block data."""
         mz = maps.apply(z, at)
         sv, data = cod_ops.spectrum(mz, vectors=True)
-        return mz, cod_ops.value(sv, q), sv, data
+        g = cod_ops.powers(sv, q)
+        total = cod_ops.power_sum(sv, g, q)
+        f = total ** (1.0 / q)
+        # g / f^q, not g * (1 / f^q): f^q underflows where f is still above 1e-300
+        g /= np.where(f > _TINY, total, np.inf)[:, None]
+        return mz, f, g, data
 
-    def step(at, mz, f, sv, data):
-        """The next points, psi_p'(M* psi_q(Mz)) at unit p-norm, from the images and their spectra."""
-        inv = _inverse(f)[:, None]
-        # psi_q(Mz) / ||Mz||_q^q, whose weighted adjoint w has dual norm at least 1
-        w = maps.adjoint(cod_ops.direction(mz, cod_ops.powers(sv * inv, q) * inv, data), at)
+    def step(at, mz, g, data):
+        """The next points, psi_p'(M* psi_q(Mz)) at unit p-norm, from the images and their directions."""
+        w = maps.adjoint(cod_ops.direction(mz, g, data), at)
         sv, data = dom_ops.spectrum(w, vectors=True)
         g = dom_ops.powers(sv, p_dual)
-        return dom_ops.direction(w, g * _inverse(dom_ops.value(g, p))[:, None], data)
+        # ||psi_p'(w)||_p^p = ||w||_p'^p' for p > 1; for p = 1, psi_inf(w) is an indicator
+        nrm = dom_ops.value(g, 1.0) if p == 1.0 else dom_ops.power_sum(sv, g, p_dual) ** (1.0 / p)
+        return dom_ops.direction(w, g * _inverse(nrm)[:, None], data)
 
     z *= _inverse(dom_ops.norm(z, p))[:, None]
-    mz, f, sv, data = image(z, slots)
+    mz, f, g, data = image(z, slots)
     converged = np.zeros(len(z), dtype=bool)
     if tol is None:
         best = f.copy()
         for _ in range(iters):
-            z = step(slots, mz, f, sv, data)
-            mz, f, sv, data = image(z, slots)
+            z = step(slots, mz, g, data)
+            mz, f, g, data = image(z, slots)
             np.maximum(best, f, out=best)
         return z, best, converged
     # the rows still ascending: their ids, slots and states (points, images,
-    # values, singular values and block data)
+    # values, direction singular values and block data)
     ids, at = np.arange(len(z)), slots
-    state = (z, mz, f, sv, data)
+    state = (z, mz, f, g, data)
     left = []  # (ids, points) of the rows that have left
     stop = f <= _TINY  # these leave at once, unconverged
     for i in range(iters + 1):
@@ -346,8 +361,8 @@ def _ascent(
             state = tuple(a[~stop] for a in state[:4]) + (tuple(a[~stop] for a in state[4]),)
         if i == iters or not ids.size:
             break
-        z, _, f = state[:3]
-        new = step(at, *state[1:])
+        z, mz, f, g, data = state
+        new = step(at, mz, g, data)
         state = (new,) + image(new, at)
         rise = state[2] > f
         stop = ~rise | ((state[2] - f) / np.maximum(state[2], _TINY) < tol)
@@ -408,10 +423,9 @@ def estimate_pq_norms(
     :func:`estimate_pq_norm` returns for it, whatever the other maps.
     """
     _check_exponents(p, q)
-    if restarts < 1:
-        raise ParameterError(f"need at least one restart, got {restarts}")
-    if max_iters < 1 or tol <= 0:
-        raise ParameterError("max_iters must be >= 1 and tol > 0")
+    _check_counts(restarts=(restarts, 1), max_iters=(max_iters, 1))
+    if not tol > 0:
+        raise ParameterError(f"tol must be > 0, got {tol}")
     return _estimates(iter(maps), p, q, [int(s) for s in seeds], restarts, max_iters, tol)
 
 
@@ -437,9 +451,11 @@ def _form(m: LinearMap):
 
 
 def _map_bytes(m: LinearMap, restarts: int) -> int:
-    """Bytes one map takes in a batch: its matrix or values, and a point and an image per restart."""
-    held = _form(m)[1]
-    return held.itemsize * (held.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
+    """Bytes one map takes in a batch: its matrix and weighted adjoint, or its values, and a
+    point and an image per restart."""
+    form, held = _form(m)
+    copies = 1 + (form == "matrix")
+    return held.itemsize * (copies * held.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
 
 
 def _next_stack(first: LinearMap, maps, count: int, restarts: int):
@@ -541,22 +557,27 @@ def brute_force_pq_norm(
             f"brute force is restricted to domains with at most 8 real "
             f"dimensions, got {m.domain.real_dim}"
         )
+    _check_counts(samples=(samples, 0), refine_steps=(refine_steps, 0))
     if samples < 100_000:
         raise ParameterError(f"need at least 1e5 samples, got {samples}")
 
     dim = m.domain.complex_dim
-    z = np.empty((samples, dim), dtype=complex)  # every sample, filled a batch at a time
+    # every sample, filled a batch at a time.  Streaming the batches through one reused buffer cuts
+    # the oracle's peak RSS by 6 MB but takes 25k-42k minor faults a round, against 0-25: this array,
+    # once freed, raises glibc's dynamic mmap and trim thresholds, so batch temporaries stop faulting.
+    z = np.empty((samples, dim), dtype=complex)
     # independent samples, in batches of points and images small enough to stay in cache
     rows = max(1, _BATCH_BYTES // (z.itemsize * (dim + m.codomain.complex_dim)))
     # a batch's normals, drawn from the one stream into this buffer and read as in _complex_normals
     normals = np.empty((min(rows, samples), 2 * dim))
     rng = np.random.default_rng(seed)
     dom_ops = _block_ops(m.domain)
+    maps = _MapStack(m.matrix[None], m.domain, m.codomain, rows)
     best = 0.0
     for start in range(0, samples, rows):
         batch = z[start : start + rows]
         r = rng.standard_normal(out=normals[: len(batch)])
         batch.real, batch.imag = r[:, :dim], r[:, dim:]
-        maps = _MapStack(m.matrix[None], m.domain, m.codomain, len(batch))
+        maps.rows_per_map = len(batch)  # the last batch may be short
         best = max(best, float(_ascent(maps, np.arange(len(batch)), dom_ops, p, q, batch, refine_steps)[1].max()))
     return best

@@ -78,20 +78,26 @@ def _spectrum2(y: np.ndarray):
     delta = (h00 - h11) / 2.  Returns (sv, delta, radius, h01, det), where
     sv[..., :] = (s1, s2) are the singular values, s1 >= s2, and det = ad - bc.
     s2 is |det| / s1: sqrt(mean - radius) would lose half the digits of a
-    small singular value to cancellation.
+    small singular value to cancellation.  s1 and s2 are written into one
+    preallocated array, and the squares and s1 are formed in place.
     """
     a, b, c, d = (y[..., i] for i in range(4))
-    sq = np.abs(y) ** 2
+    sq = np.abs(y)
+    sq *= sq
     h00 = sq[..., 0] + sq[..., 2]
     h11 = sq[..., 1] + sq[..., 3]
     h01 = np.conj(a) * b + np.conj(c) * d
     delta = 0.5 * (h00 - h11)
-    radius = np.hypot(delta, np.abs(h01))
-    s1 = np.sqrt(0.5 * (h00 + h11) + radius)
+    # radius as the modulus of delta + i |h01|, which numpy takes several times faster than hypot
+    pair = np.empty(delta.shape, dtype=complex)
+    pair.real, pair.imag = delta, np.abs(h01)
+    radius = np.abs(pair)
+    sv = np.empty(y.shape[:-1] + (2,))
+    s1 = np.sqrt(0.5 * (h00 + h11) + radius, out=sv[..., 0])
     det = a * d - b * c
     # |det y| <= s1^2 underflows to 0 wherever s1 < _TINY
-    s2 = np.abs(det) / np.maximum(s1, _TINY)
-    return np.stack([s1, s2], axis=-1), delta, radius, h01, det
+    np.divide(np.abs(det), np.maximum(s1, _TINY), out=sv[..., 1])
+    return sv, delta, radius, h01, det
 
 
 def _direction2(y: np.ndarray, g: np.ndarray, data) -> np.ndarray:
@@ -103,32 +109,36 @@ def _direction2(y: np.ndarray, g: np.ndarray, data) -> np.ndarray:
     with K = adj(y)* det/|det| = U diag(s2, s1) V*.  Both are accurate to
     rounding whatever s2 / s1; a form built on g2 / s2 would cancel terms
     of size g1 (s1 / s2)^(2 - q) for g = s^(q-1), q < 2.  Where radius = 0,
-    y is s1 times a unitary, K = y and E1 drops out.
+    y is s1 times a unitary, K = y and E1 drops out.  The projection's
+    entries (at most 1) and the unit phase det/|det| are formed before they
+    are scaled: c1 / radius, or det g2 / (s1 |det|), leaves the double range
+    for blocks of size 1e-150.  The outputs accumulate in place.
     """
     sv, delta, radius, h01, det = data
     s1, s2 = sv[..., 0], sv[..., 1]
-    g1, g2 = g[..., 0], g[..., 1]
     inv = 1.0 / np.maximum(s1, _TINY)
-    c1 = (g1 - g2 * s2 * inv) * inv
-    half = np.divide(0.5, radius, out=np.zeros_like(radius), where=radius > 0.0)
+    scale2 = g[..., 1] * inv
+    c1 = (g[..., 0] - scale2 * s2) * inv
+    # 1 / (2 radius); where radius = 0 any finite value serves, as radius +- delta and h01 vanish
+    half = 0.5 / (radius + (radius == 0.0))
     # det / |det| part by part: numpy divides a complex number by a subnormal
-    # real one through its reciprocal, which overflows
+    # real one through its reciprocal, which overflows; det = 0 gives 0
     mag = np.abs(det)
-    re, im = (np.divide(part, mag, out=np.zeros_like(mag), where=mag > 0.0) for part in (det.real, det.imag))
-    c2 = (re + 1j * im) * (g2 * inv)
+    mag += mag == 0.0
+    c2 = np.empty_like(det)
+    for part, c2_part in ((det.real, c2.real), (det.imag, c2.imag)):
+        np.multiply(np.divide(part, mag, out=c2_part), scale2, out=c2_part)
     # out = c1 y (h - s2^2 I) / (2 radius) + c2 adj(y)*, entry by entry;
     # adj(y)* of (a, b, c, d) is (conj d, -conj c, -conj b, conj a)
-    p00 = c1 * ((radius + delta) * half)
-    p11 = c1 * ((radius - delta) * half)
-    p01 = c1 * (half * h01)
-    p10 = np.conj(p01)
-    yc = np.conj(y)
-    out = np.empty_like(y)
-    for k, (i, pi, pj, adj) in enumerate(((0, p00, p10, c2), (0, p01, p11, -c2), (2, p00, p10, -c2), (2, p01, p11, c2))):
-        o = out[..., k]
-        np.multiply(y[..., i], pi, out=o)
-        o += y[..., i + 1] * pj
-        o += adj * yc[..., 3 - k]
+    p00, p11, p01 = (((radius + delta) * half) * c1, ((radius - delta) * half) * c1, (h01 * half) * c1)
+    p10, yc = np.conj(p01), np.conj(y)
+    out, tmp = np.empty_like(y), np.empty_like(det)
+    # no complex product is taken in place: numpy rounds one with the length of the array
+    terms = ((0, p00, p10, np.add), (0, p01, p11, np.subtract), (2, p00, p10, np.subtract), (2, p01, p11, np.add))
+    for k, (i, pi, pj, sign) in enumerate(terms):
+        o = np.multiply(y[..., i], pi, out=out[..., k])
+        o += np.multiply(y[..., i + 1], pj, out=tmp)
+        sign(o, np.multiply(yc[..., 3 - k], c2, out=tmp), out=o)
     return out
 
 
@@ -209,10 +219,6 @@ class _BlockOps:
             sv[:, cols] = values
         return sv, data
 
-    def singular_values(self, z: np.ndarray):
-        """Per-row singular values and their weights; z has shape (S, D)."""
-        return self.spectrum(z)[0], self.wts
-
     def value(self, sv: np.ndarray, p: float) -> np.ndarray:
         """Per-row p-norms from the singular values of :meth:`spectrum`.
 
@@ -223,6 +229,13 @@ class _BlockOps:
         if np.isinf(p):
             return sv.max(axis=1)
         return np.einsum("ij,j->i", sv**p, self.wts) ** (1.0 / p)
+
+    def power_sum(self, sv: np.ndarray, g: np.ndarray, r: float) -> np.ndarray:
+        """Per-row ||x||_r^r, 1 <= r < inf, from the singular values and g = ``powers(sv, r)``:
+        sum w s g for r > 1, as g = s^(r-1), and ``value(sv, 1)`` for r = 1, where g is an indicator."""
+        if r == 1.0:
+            return self.value(sv, 1.0)
+        return np.einsum("ij,j->i", sv * g, self.wts)
 
     def norm(self, z: np.ndarray, p: float) -> np.ndarray:
         return self.value(self.spectrum(z)[0], p)
@@ -266,18 +279,24 @@ class _BlockOps:
         vectors when the algebra has blocks larger than 2x2.
         """
         s_count = z.shape[0]
-        out = np.empty_like(z)
         n1, n2 = self.n1, self.n2
+        parts = []  # (coordinates, values)
         if n1:
             mag, *data = data
-            out[:, self.idx1] = z[:, self.idx1] * np.divide(g[:, :n1], mag, out=np.zeros_like(mag), where=mag > 0.0)
+            # z g / |z|; where z = 0 any finite ratio serves
+            parts.append((self.idx1, z[:, self.idx1] * (g[:, :n1] / (mag + (mag == 0.0)))))
         if n2:
             spec2, data = data[:5], data[5:]
             g2 = g[:, n1 : n1 + n2].reshape(s_count, -1, 2)
-            out[:, self.idx2] = _direction2(z[:, self.idx2].reshape(s_count, -1, 4), g2, spec2).reshape(s_count, -1)
+            parts.append((self.idx2, _direction2(z[:, self.idx2].reshape(s_count, -1, 4), g2, spec2).reshape(s_count, -1)))
         for (n, m, idx, cols), u, vh in zip(self.big, data[::2], data[1::2]):
             gk = g[:, cols].reshape(s_count, m, 1, n)
-            out[:, idx] = ((u * gk) @ vh).reshape(s_count, -1)
+            parts.append((idx, ((u * gk) @ vh).reshape(s_count, -1)))
+        if len(parts) == 1:  # blocks of one kind, in order: the part is the row
+            return parts[0][1]
+        out = np.empty_like(z)
+        for idx, values in parts:
+            out[:, idx] = values
         return out
 
     def schatten_direction(self, z: np.ndarray, q: float) -> np.ndarray:
@@ -341,9 +360,6 @@ class SingularFunction:
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
             raise ParameterError("singular functions are defined for t > 0")
-        if self.values.size == 0:
-            out = np.zeros(t.shape)
-            return float(out) if out.ndim == 0 else out
         idx = np.searchsorted(self.breakpoints, t, side="left")
         padded = np.concatenate([self.values, [0.0]])
         out = padded[idx]

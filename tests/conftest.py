@@ -264,29 +264,60 @@ def random_unitary_element(algebra, rng):
 
 
 def _reference_value(m, z, q):
-    """||M z||_q of the rows of z."""
+    """||M z||_q of the rows of z, from the codomain's ``value``."""
     from ncfourier.lorentz import _BlockOps
 
     cod_ops = _BlockOps(m.codomain)
     return cod_ops.value(cod_ops.spectrum(z @ m.matrix.T, vectors=True)[0], q)
 
 
-def _reference_power_step(m, z, p, q):
-    """Boyd's step z -> psi_p'(M* psi_q(Mz)) of the rows of z, at unit p-norm."""
+def _reference_inverse(x):
+    from ncfourier.lorentz import _TINY
+
+    return np.where(x > _TINY, 1.0 / np.maximum(x, _TINY), 0.0)[:, None]
+
+
+def _reference_image(m, z, q, textbook=False):
+    """(||Mz||_q, psi_q(Mz) / ||Mz||_q^q) of the rows of z.
+
+    As the ascent forms them, from one power g = s^(q-1): S = sum w s g and
+    the direction's singular values g / S.  ``textbook``: from two powers,
+    f = ``value(s, q)`` and ``powers(s / f, q) / f``.  q = 1 takes
+    ``value`` and the indicator direction either way.
+    """
     from ncfourier.lorentz import _TINY, _BlockOps
 
-    dom_ops, cod_ops = _BlockOps(m.domain), _BlockOps(m.codomain)
-
-    def inverse(x):
-        return np.where(x > _TINY, 1.0 / np.maximum(x, _TINY), 0.0)[:, None]
-
+    cod_ops = _BlockOps(m.codomain)
     mz = z @ m.matrix.T
     sv, data = cod_ops.spectrum(mz, vectors=True)
-    inv = inverse(cod_ops.value(sv, q))
-    w = cod_ops.direction(mz, cod_ops.powers(sv * inv, q) * inv, data) @ weighted_adjoint_matrix(m).T
+    if textbook:
+        f = cod_ops.value(sv, q)
+        inv = _reference_inverse(f)
+        return f, cod_ops.direction(mz, cod_ops.powers(sv * inv, q) * inv, data)
+    g = cod_ops.powers(sv, q)
+    total = cod_ops.value(sv, q) if q == 1.0 else np.einsum("ij,j->i", sv * g, cod_ops.wts)
+    f = total ** (1.0 / q)
+    return f, cod_ops.direction(mz, g / np.where(f > _TINY, total, np.inf)[:, None], data)
+
+
+def _reference_power_step(m, z, p, q, textbook=False):
+    """Boyd's step z -> psi_p'(M* psi_q(Mz)) of the rows of z, at unit p-norm.
+
+    As the ascent takes it, the p-norm of psi_p'(w) = U diag(g) V*,
+    g = s^(p'-1), is (sum w s g)^(1/p); ``textbook``: ``value(g, p)``, and
+    the image as in :func:`_reference_image`.  p = 1 takes ``value`` either way.
+    """
+    from ncfourier.lorentz import _BlockOps
+
+    dom_ops = _BlockOps(m.domain)
+    w = _reference_image(m, z, q, textbook)[1] @ weighted_adjoint_matrix(m).T
     sv, data = dom_ops.spectrum(w, vectors=True)
     g = dom_ops.powers(sv, np.inf if p == 1.0 else p / (p - 1.0))
-    return dom_ops.direction(w, g * inverse(dom_ops.value(g, p)), data)
+    if textbook or p == 1.0:
+        nrm = dom_ops.value(g, p)
+    else:
+        nrm = np.einsum("ij,j->i", sv * g, dom_ops.wts) ** (1.0 / p)
+    return dom_ops.direction(w, g * _reference_inverse(nrm), data)
 
 
 def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, seed=0):
@@ -320,12 +351,12 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
             continue
         usable += 1
         z = z * (1.0 / nrm)
-        f = _reference_value(m, z, q)[0]
+        f = _reference_image(m, z, q)[0][0]
         stopped = False
         if f > _TINY:
             for _ in range(max_iters):
                 z_new = _reference_power_step(m, z, p, q)
-                f_new = _reference_value(m, z_new, q)[0]
+                f_new = _reference_image(m, z_new, q)[0][0]
                 stopped = not f_new > f or (f_new - f) / f_new < tol
                 if f_new > f:
                     z, f = z_new, f_new
@@ -346,19 +377,26 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
     )
 
 
-def reference_brute_force_pq_norm(m, p, q, samples=100_000, seed=0, refine_steps=200):
-    """``brute_force_pq_norm`` with the maps applied as dense matrix products."""
+def reference_fixed_steps(m, z, p, q, steps, textbook=False):
+    """The rows of z, scaled to unit p-norm, after ``steps`` of :func:`_reference_power_step`
+    (``textbook`` as there), and the best value of each row along the way."""
+    from ncfourier.lorentz import _BlockOps
+
+    z = z * _reference_inverse(_BlockOps(m.domain).norm(z, p))
+    best = _reference_image(m, z, q, textbook)[0]
+    for _ in range(steps):
+        z = _reference_power_step(m, z, p, q, textbook)
+        best = np.maximum(best, _reference_image(m, z, q, textbook)[0])
+    return z, best
+
+
+def reference_brute_force_pq_norm(m, p, q, samples=100_000, seed=0, refine_steps=200, textbook=False):
+    """``brute_force_pq_norm`` with the maps applied as dense matrix products, by
+    :func:`reference_fixed_steps`."""
     from ncfourier.estimator import _complex_normals
-    from ncfourier.lorentz import _TINY, _BlockOps
 
     z = _complex_normals(np.random.default_rng(seed), (samples, m.domain.complex_dim))
-    nrm = _BlockOps(m.domain).norm(z, p)
-    z = z * np.where(nrm > _TINY, 1.0 / np.maximum(nrm, _TINY), 0.0)[:, None]
-    best = float(_reference_value(m, z, q).max(initial=0.0))
-    for _ in range(refine_steps):
-        z = _reference_power_step(m, z, p, q)
-        best = max(best, float(_reference_value(m, z, q).max(initial=0.0)))
-    return best
+    return float(reference_fixed_steps(m, z, p, q, refine_steps, textbook)[1].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from conftest import (
     random_algebra,
     reference_brute_force_pq_norm,
     reference_estimate_pq_norm,
+    reference_fixed_steps,
     weighted_adjoint_matrix,
 )
 
@@ -225,7 +226,7 @@ def _check_kernels(alg, z, q, rtol=1e-12):
     value (its (q-1)-th power for the direction)."""
     ops = _BlockOps(alg)
     ref = _lapack_blocks(alg, z, q)
-    sv, wts = ops.singular_values(z)
+    sv, wts = ops.spectrum(z)[0], ops.wts
     assert np.array_equal(wts, np.concatenate([np.full(n, w) for _, n, w, _, _ in ref]))
     want = np.concatenate([s for *_, s, _ in ref], axis=1)
     top = np.concatenate([np.repeat(s[:, :1], n, axis=1) for _, n, _, s, _ in ref], axis=1)
@@ -482,6 +483,50 @@ class TestBruteForce:
         assert peak < 9 * 2**20
 
 
+class TestHeldAdjoint:
+    # a dense stack holds diag(w_c) conj(M) diag(1/w_d), the transpose of the
+    # conftest adjoint, and its adjoint is one product with it
+    def _maps(self):
+        s3 = resolve_instance("S3")  # its dual: blocks 1, 1, 2 of weights 1/6, 1/6, 2/3
+        rng = np.random.default_rng(71)
+        dom, cod = s3.dual, TracialAlgebra([2, 1], [0.3, 2.5])
+        yield multiplier_map(s3, random_element(s3.source, 5))
+        yield LinearMap(dom, cod, _complex_matrix(rng, (cod.complex_dim, dom.complex_dim)))
+
+    def test_adjoint_is_the_product_with_the_weighted_adjoint(self):
+        for m in self._maps():
+            rows = _complex_matrix(np.random.default_rng(72), (300, m.codomain.complex_dim))
+            stack = estimator._MapStack(m.matrix[None], m.domain, m.codomain, len(rows))
+            assert np.array_equal(stack.adjoint(rows, np.arange(len(rows))), rows @ weighted_adjoint_matrix(m).T)
+
+    def test_batch_counts_the_held_adjoint(self):
+        dom = cod = TracialAlgebra([8], [0.5])  # 64 coordinates: 64 KiB a matrix
+        rng = np.random.default_rng(73)
+        maps = [LinearMap(dom, cod, _complex_matrix(rng, (64, 64))) for _ in range(8)]
+        stack, _ = estimator._next_stack(maps[0], iter(maps[1:]), len(maps), 8)
+        held = stack.mats.nbytes + stack.adj.nbytes + len(stack) * 8 * (dom.complex_dim + cod.complex_dim) * 16
+        assert 1 < len(stack) < len(maps) and held <= estimator._BATCH_BYTES
+
+
+class TestIterationCounts:
+    # counts must be integers, and refine_steps may not be negative
+    @pytest.mark.parametrize(
+        "kwargs", [{"refine_steps": -5}, {"refine_steps": 2.5}, {"samples": 1e5}, {"samples": 100_000.0}]
+    )
+    def test_brute_force(self, kwargs):
+        m = schur_map(_complex_matrix(np.random.default_rng(4), (2, 2)))
+        with pytest.raises(ParameterError, match="integer"):
+            brute_force_pq_norm(m, 1.5, 3.0, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 2.5}, {"max_iters": 2.5}, {"restarts": True}])
+    def test_estimate(self, kwargs):
+        m = schur_map(_complex_matrix(np.random.default_rng(4), (2, 2)))
+        with pytest.raises(ParameterError, match="integer"):
+            estimate_pq_norm(m, 1.5, 3.0, **kwargs)
+        with pytest.raises(ParameterError, match="integer"):
+            list(estimate_pq_norms([m], 1.5, 3.0, [0], **kwargs))
+
+
 class TestKernelCache:
     def test_estimates_and_brute_force_reuse_cached_kernels(self, monkeypatch):
         m = schur_map(_complex_matrix(np.random.default_rng(3), (2, 2)))
@@ -574,6 +619,33 @@ class TestAscentEngine:
         m = _pinned_map(name, "gaussian")
         got = brute_force_pq_norm(m, 4.0 / 3.0, 4.0, seed=5, refine_steps=3)
         assert got == reference_brute_force_pq_norm(m, 4.0 / 3.0, 4.0, seed=5, refine_steps=3)
+
+
+# the exponent pairs of the ascent's tests, and the indicator directions of p = 1 and q = 1
+TEXTBOOK_PAIRS = PINNED_PAIRS + [(1.0, 3.0), (1.5, 1.0)]
+
+
+class TestTextbookStep:
+    # the ascent raises each spectrum to one power; the textbook step takes
+    # four: value(s, q), powers(s / f, q) / f, powers(s, p') and value(g, p)
+    @pytest.mark.parametrize("name", ["Z4", "M2", "S3", "Q8"])
+    @pytest.mark.parametrize("p, q", TEXTBOOK_PAIRS)
+    def test_steps_match_four_power_form(self, name, p, q):
+        m = _pinned_map(name, "gaussian")
+        z0 = estimator._complex_normals(np.random.default_rng(9), (300, m.domain.complex_dim))
+        maps = estimator._MapStack(m.matrix[None], m.domain, m.codomain, len(z0))
+        for steps in (1, 3):
+            z, best, _ = estimator._ascent(maps, np.arange(len(z0)), _BlockOps(m.domain), p, q, z0.copy(), steps)
+            want_z, want_best = reference_fixed_steps(m, z0, p, q, steps, textbook=True)
+            assert np.all(np.abs(z - want_z) <= 1e-13 * np.abs(want_z).max(axis=1, keepdims=True))
+            assert np.all(np.abs(best - want_best) <= 1e-13 * want_best)
+
+    @pytest.mark.parametrize("name", ["Z4", "M2"])
+    @pytest.mark.parametrize("p, q", TEXTBOOK_PAIRS)
+    def test_brute_force_matches_four_power_form(self, name, p, q):
+        m = _pinned_map(name, "gaussian")
+        want = reference_brute_force_pq_norm(m, p, q, seed=5, refine_steps=3, textbook=True)
+        assert brute_force_pq_norm(m, p, q, seed=5, refine_steps=3) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

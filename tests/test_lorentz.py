@@ -230,7 +230,7 @@ class TestSpectrum2x2:
         alg = BATCH_ALGEBRAS[name]
         z = _batch(alg)[1][2:]
         ops = _BlockOps(alg)
-        sv = ops.singular_values(z)[0]
+        sv = ops.spectrum(z)[0]
         got = sv[:, ops.n1 : ops.n1 + ops.n2].reshape(len(z), -1, 2)
         offsets = [alg.block_offset(k) for k, n in enumerate(alg.dims) if n == 2]
         blocks = np.stack([z[:, o : o + 4].reshape(len(z), 2, 2) for o in offsets], axis=1)
