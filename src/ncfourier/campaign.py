@@ -2,14 +2,15 @@
 
 A campaign is a JSON file: a master seed, optional estimator settings, and a
 list of check specifications.  Configurations are validated before anything
-runs, by one kind of rule, :class:`Param`: tables of the keys of the file,
-of its estimator settings, of each check and of an instance, and the check
-registry :data:`CHECKS` (known check names, the instance kind each check
-needs, every parameter's type and range, preconditions across parameters,
-resolvable instances).  Execution derives one seed per check from the master
-seed and the check's position, so results are independent of `--jobs` and
-regenerable from the config alone; reports carry no timestamps or
-machine-dependent content.
+runs, by one kind of rule, :class:`~ncfourier.checks.Param`: tables of the
+keys of the file, of its estimator settings, of each check and of an
+instance, and the check registry :data:`~ncfourier.checks.CHECKS`, which
+the check functions also test on a direct call (known check names, the
+instance kind each check needs, every parameter's type and range,
+preconditions across parameters); every instance must resolve.  Execution
+derives one seed per check from the master seed and the check's position,
+so results are independent of `--jobs` and regenerable from the config
+alone; reports carry no timestamps or machine-dependent content.
 
 Outputs under the chosen directory:
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 import decimal
 import json
 import math
-import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks as checks_mod
-from .checks import loglog_slope
+from .checks import CHECKS, Param, _validate_object, _validate_params, loglog_slope
 from .errors import ConfigError, NcfourierError
 from .fourier import build_finite_abelian, build_group_vna, perturb_fourier_matrix
 from .groups import available_groups, load_group_file, resolve_group
@@ -91,156 +91,7 @@ class CampaignConfig:
         )
 
 
-# ---------------------------------------------------------------------------
-# check registry
-
-
-# JSON gives int, float or bool; bool is not a number here
-_TYPE_TESTS = {
-    "integer": lambda v: type(v) is int,
-    "number": lambda v: type(v) is int or type(v) is float and math.isfinite(v),
-    "string": lambda v: type(v) is str and v != "",
-    "object": lambda v: type(v) is dict,
-    "instance": lambda v: type(v) is dict or type(v) is str and v != "",
-}
-# every precondition a registry entry may name: the parameters it reads and
-# the test of their values
-_REQUIREMENTS = {
-    "p <= q": (("p", "q"), operator.le),
-    "p < q": (("p", "q"), operator.lt),
-    "growth_window in k_list": (("growth_window", "k_list"), lambda w, k: set(w) <= set(k)),
-    "2 max(n_list) < m": (("n_list", "m"), lambda n, m: 2 * max(n) < m),
-    "2^max(k_list) <= m/4": (("k_list", "m"), lambda k, m: 2 ** max(k) <= m // 4),
-}
-
-
-@dataclass(frozen=True)
-class Param:
-    """One accepted key of a config object: its type, whether required, and its range.
-
-    ``type`` names a test in :data:`_TYPE_TESTS`: ``"number"`` (a finite int
-    or float), ``"integer"``, ``"string"`` (non-empty), ``"object"`` or
-    ``"instance"`` (a string or an object); with
-    ``length = (min, max)`` (max None: unbounded) the value is a list of that
-    many such entries, strictly increasing if ``increasing``.  ``lo``/``hi``
-    bound the value, or each list entry; ``open`` makes both bounds strict.
-    ``default`` is the check function's default for an optional parameter,
-    for the preconditions to test when the config leaves it out (None: no
-    default, or one the function derives from other parameters).
-    """
-
-    type: str = "number"
-    required: bool = True
-    lo: float = -math.inf
-    hi: float = math.inf
-    open: bool = False
-    length: tuple[int, int | None] | None = None
-    increasing: bool = False
-    default: object = None
-
-    def kind(self) -> str:
-        if self.length is None:
-            return f"{'an' if self.type[0] in 'aeiou' else 'a'} {self.type}"
-        lo, hi = self.length
-        order = ", strictly increasing" if self.increasing else ""
-        return f"a list of {lo if lo == hi else f'>= {lo}'} {self.type}s{order}"
-
-    def bounds(self, key: str) -> str:
-        """The range as an inequality in ``key`` (``key[i]`` for a list); '' when unbounded."""
-        symbol = key if self.length is None else f"{key}[i]"
-        op = "<" if self.open else "<="
-        lo = f"{self.lo:g} {op} " if self.lo > -math.inf else ""
-        hi = f" {op} {self.hi:g}" if self.hi < math.inf else ""
-        return f"{lo}{symbol}{hi}" if lo or hi else ""
-
-    def validate(self, where: str, key: str, value) -> None:
-        """Raise ConfigError, its message led by ``where`` (as "check 'x': parameter"), unless valid."""
-        items = [value] if self.length is None else value
-        min_len, max_len = self.length or (1, 1)
-        typed = isinstance(items, list) and all(map(_TYPE_TESTS[self.type], items))
-        ordered = typed and (not self.increasing or all(a < b for a, b in zip(items, items[1:])))
-        if not ordered or not min_len <= len(items) <= (max_len or len(items)):
-            raise ConfigError(f"{where} {key!r} must be {self.kind()}, got {value!r}")
-        inside = operator.lt if self.open else operator.le
-        if self.bounds(key) and not all(inside(self.lo, v) and inside(v, self.hi) for v in items):
-            raise ConfigError(f"{where} {key!r}={value!r} outside allowed range {self.bounds(key)}")
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    """Everything the runner knows about one check.
-
-    ``function`` names the check in :mod:`ncfourier.checks`; it is looked up
-    at call time, so a wrapper installed on that module sees every call.  It
-    gets the resolved instance (``instance`` is ``"pair"``, ``"matrix"`` or
-    None), the params, ``trials`` (the default count; None: a fixed-schedule
-    check, given none), ``seed`` if ``seeded`` and the estimator settings if
-    ``estimator``.  ``requires`` lists preconditions from
-    :data:`_REQUIREMENTS`, such as ``"p <= q"`` or ``"growth_window in
-    k_list"`` (every entry of one list is in the other); one naming an
-    optional parameter that is absent and has no default is not tested.
-    """
-
-    function: str
-    instance: str | None = None
-    params: dict[str, Param] = field(default_factory=dict)
-    requires: tuple[str, ...] = ()
-    trials: int | None = None
-    seeded: bool = True
-    estimator: bool = False
-
-
-CHECKS: dict[str, CheckEntry] = {
-    "lemma_constants": CheckEntry("check_lemma_constants", trials=1000),
-    "hausdorff_young": CheckEntry("check_hausdorff_young", "pair", {"p": Param(lo=1, hi=2)}, trials=1000),
-    "real_interpolation": CheckEntry(
-        "check_real_interpolation", "pair", {"p": Param(lo=1, hi=2, open=True)}, trials=500
-    ),
-    "inversion_plancherel": CheckEntry("check_inversion_plancherel", "pair", trials=1000),
-    "multiplier_bound": CheckEntry(
-        "check_multiplier_bound", "pair", {"p": Param(lo=1), "q": Param(lo=1)},
-        requires=("p <= q",), trials=100, estimator=True,
-    ),
-    "paley": CheckEntry("check_paley", "pair", {"p": Param(lo=1, hi=2)}, trials=1000),
-    "schur_bound": CheckEntry(
-        "check_schur_bound", "matrix", {"p": Param(lo=1, hi=2), "q": Param(lo=2)}, trials=100, estimator=True
-    ),
-    "sharpness": CheckEntry(
-        "sharpness_experiment",
-        params={
-            "p": Param(lo=1),
-            "q": Param(),
-            "n_list": Param("integer", lo=2, length=(3, None), increasing=True),
-            "s_factor": Param(required=False, lo=1, open=True),
-            "m": Param("integer", required=False),
-            "growth_factor": Param(required=False),
-        },
-        requires=("p < q", "2 max(n_list) < m"),
-    ),
-    "endpoint": CheckEntry(
-        "endpoint_experiment",
-        params={
-            "k_list": Param("integer", lo=1, length=(1, None), increasing=True),
-            "m": Param("integer", required=False, default=2**20),
-            "growth_window": Param("integer", required=False, length=(2, 2), increasing=True, default=(8, 16)),
-            "min_growth": Param(required=False),
-        },
-        requires=("growth_window in k_list", "2^max(k_list) <= m/4"),
-    ),
-    "growth": CheckEntry(
-        "growth_symbol_check",
-        params={
-            "num_generators": Param("integer", lo=1),
-            "m_growth": Param(lo=0, open=True),
-            "p_star": Param(lo=0, open=True),
-            "depth": Param("integer", required=False, lo=1),
-            "c": Param(required=False, lo=0, open=True),
-        },
-        seeded=False,
-    ),
-}
-
-CHECK_DEFAULT_TRIALS = {name: e.trials for name, e in CHECKS.items() if e.trials is not None}
+CHECK_DEFAULT_TRIALS = {name: e.defaults["trials"] for name, e in CHECKS.items() if "trials" in e.defaults}
 
 # the keys of a campaign file, of its estimator settings and of each check;
 # a check's params are those of its registry entry
@@ -279,31 +130,6 @@ _INSTANCE_KEYS = {
 # validation
 
 
-def _validate_object(doc, table: dict[str, Param], where: str, noun: str = "key") -> None:
-    """Raise ConfigError, led by ``where``, unless ``doc`` is an object with valid keys from ``table``."""
-    if type(doc) is not dict:
-        raise ConfigError(f"{where} must be an object, got {doc!r}")
-    extra = set(doc) - set(table)
-    if extra:
-        raise ConfigError(f"{where} does not accept {noun}s {sorted(extra)}; allowed: {sorted(table)}")
-    for key, param in table.items():
-        if key in doc:
-            param.validate(f"{where}: {noun}", key, doc[key])
-        elif param.required:
-            raise ConfigError(f"{where} needs {noun} {key!r}")
-
-
-def _validate_params(where: str, entry: CheckEntry, params: dict) -> None:
-    _validate_object(params, entry.params, where, "parameter")
-    values = {key: param.default for key, param in entry.params.items() if param.default is not None}
-    values.update(params)
-    for rule in entry.requires:
-        names, test = _REQUIREMENTS[rule]
-        if all(n in values for n in names) and not test(*(values[n] for n in names)):
-            got = ", ".join(f"{n}={values[n]!r}" + ("" if n in params else " (default)") for n in names)
-            raise ConfigError(f"{where}: need {rule}, got {got}")
-
-
 def _instance_spec(inst, where: str) -> tuple[str, dict]:
     """The builder key and the object form of a valid instance spec."""
     spec = inst
@@ -329,7 +155,7 @@ def _check_spec(index: int, item: dict) -> CheckSpec:
     entry = CHECKS.get(name)
     if entry is None:
         raise ConfigError(f"{where}: unknown check {name!r}; known: {sorted(CHECKS)}")
-    if "trials" in item and entry.trials is None:
+    if "trials" in item and "trials" not in entry.defaults:
         raise ConfigError(f"{where}: {name!r} does not take a trial count")
     if entry.instance is None and inst is not None:
         raise ConfigError(f"{where}: {name!r} takes no instance, got {inst!r}")
@@ -342,7 +168,7 @@ def _check_spec(index: int, item: dict) -> CheckSpec:
         # resolve eagerly so a bad group file fails before any check runs
         try:
             resolve_instance(inst)
-        except (NcfourierError, ValueError) as exc:
+        except (NcfourierError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: cannot resolve instance: {exc}") from exc
     params = dict(item.get("params", {}))
     _validate_params(f"{where}: check {name!r}", entry, params)
@@ -353,7 +179,7 @@ def load_config(path) -> CampaignConfig:
     """Parse and fully validate a campaign configuration file."""
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or an integer of > 4300 digits
         raise ConfigError(f"cannot read campaign config {path}: {exc}") from exc
     try:
         _validate_object(raw, _CONFIG_KEYS, "top level")
@@ -390,11 +216,11 @@ def _run_one(args) -> tuple[dict, dict]:
     index, spec, seed, estimator = args
     entry = CHECKS[spec.check]
     kwargs = dict(spec.params)
-    if entry.trials is not None:
-        kwargs["trials"] = entry.trials if spec.trials is None else spec.trials
-    if entry.seeded:
+    if spec.trials is not None:
+        kwargs["trials"] = spec.trials
+    if "seed" in entry.defaults:
         kwargs["seed"] = seed
-    if entry.estimator:
+    if "estimator" in entry.defaults:
         kwargs["estimator"] = estimator
     build_start = time.perf_counter()
     instance = () if spec.instance is None else (resolve_instance(spec.instance),)

@@ -17,18 +17,29 @@ Exponent bookkeeping used throughout: the conjugate exponent p' with
 1/p + 1/p' = 1; the difference exponent r with 1/r = 1/p - 1/q for p <= q;
 the one-sided exponent s with 1/s = 2/p - 1 for p <= 2; and the symmetric
 exponent p* with 1/p* = |1/2 - 1/p|.
+
+The check registry :data:`CHECKS` states each check's parameter rules once:
+the type and range of every parameter and the preconditions across them.  A
+campaign config is validated against it before anything runs
+(:class:`ConfigError`), and each check function tests the same entry when it
+is called (:class:`ParameterError`).  Defaults are stated once too, in the
+function's signature, which the registry reads.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
+import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import AlgebraElement, TracialAlgebra, random_row
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 from .estimator import estimate_pq_norms
 from .fourier import QuantumGroupPair, _multiplier_map
 from .lorentz import (
@@ -62,6 +73,7 @@ __all__ = [
     "endpoint_experiment",
     "growth_symbol_check",
     "DEFAULT_ESTIMATOR",
+    "CHECKS",
 ]
 
 # estimator settings used by campaign checks unless a config overrides them
@@ -438,8 +450,7 @@ def check_lemma_constants(trials: int = 1000, seed: int = 0) -> CheckReport:
 
 def check_hausdorff_young(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int = 0) -> CheckReport:
     """||F x||_{p'} <= ||x||_p on the pair, for 1 <= p <= 2 (constant 1, hard)."""
-    if not 1.0 <= p <= 2.0:
-        raise ParameterError(f"transform bound needs 1 <= p <= 2, got {p}")
+    _check_params("hausdorff_young", p=p)
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
@@ -462,7 +473,7 @@ def check_hausdorff_young(pair: QuantumGroupPair, p: float, trials: int = 1000, 
     )
 
 
-def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int = 0) -> CheckReport:
+def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 500, seed: int = 0) -> CheckReport:
     """Lorentz-refined transform bounds in both directions (monitored).
 
     Tracks the empirical constants in
@@ -472,8 +483,7 @@ def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 100
     sharpen the plain transform bound at the price of a constant, which is
     what gets recorded.
     """
-    if not 1.0 < p < 2.0:
-        raise ParameterError(f"refined bound needs 1 < p < 2, got {p}")
+    _check_params("real_interpolation", p=p)
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
@@ -606,8 +616,7 @@ def check_multiplier_bound(
     largest L_r ratio when the hard clause fails: many inputs attain the
     L_r ratio 1 up to rounding, so its maximizer is not a stable name.
     """
-    if not (1.0 <= p <= q < np.inf):
-        raise ParameterError(f"multiplier bound needs 1 <= p <= q < inf, got ({p}, {q})")
+    _check_params("multiplier_bound", p=p, q=q)
     r = difference_exponent(p, q)
     opts = _estimator_opts(estimator)
     rng = np.random.default_rng(seed)
@@ -654,8 +663,7 @@ def check_paley(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int 
     inequality holds with constant 1 (hard); for 1 <= p < 2 the constant is
     monitored.
     """
-    if not 1.0 <= p <= 2.0:
-        raise ParameterError(f"one-sided bound needs 1 <= p <= 2, got {p}")
+    _check_params("paley", p=p)
     s = one_sided_exponent(p)
     hard = bool(np.isinf(s))
     rng = np.random.default_rng(seed)
@@ -722,8 +730,7 @@ def check_schur_bound(
     the largest L_r ratio.  Monitored clause: the ratio against the weak
     l_{r,inf} norm, whose sharp constant is what the campaign ladders track.
     """
-    if not (1.0 <= p <= 2.0 <= q < np.inf):
-        raise ParameterError(f"entrywise bound needs 1 <= p <= 2 <= q < inf, got ({p}, {q})")
+    _check_params("schur_bound", p=p, q=q)
     pair = schur_pair(n)  # raises for n < 1
     r = difference_exponent(p, q)
     opts = _estimator_opts(estimator)
@@ -770,19 +777,10 @@ def sharpness_experiment(
     requires the measured ratios to be strictly increasing and to grow by at
     least ``growth_factor`` times the predicted log factor across the list.
     """
-    if not (1.0 <= p < q < np.inf):
-        raise ParameterError(f"sharpness run needs 1 <= p < q < inf, got ({p}, {q})")
-    if s_factor <= 1.0:
-        raise ParameterError(f"s_factor must exceed 1, got {s_factor}")
+    _check_params("sharpness", p=p, q=q, n_list=n_list, s_factor=s_factor, m=m, growth_factor=growth_factor)
     n_list = [int(n) for n in n_list]
-    if len(n_list) < 3:
-        raise ParameterError("sharpness run needs at least 3 profile degrees")
-    if sorted(set(n_list)) != n_list or n_list[0] < 2:
-        raise ParameterError("profile degrees must be strictly increasing and >= 2")
     if m is None:
         m = 4 * n_list[-1]
-    if 2 * n_list[-1] >= m:
-        raise ParameterError(f"grid size {m} is too coarse for degree {n_list[-1]}")
     r = difference_exponent(p, q)
     s = s_factor * r
     alpha = 1.0 / r - 1.0 / s
@@ -838,18 +836,9 @@ def endpoint_experiment(
     ``min_growth``.  The finite-window growth numbers are calibration
     choices; the measured growth from K=8 to K=16 is just above 10%.
     """
+    _check_params("endpoint", k_list=k_list, m=m, growth_window=growth_window, min_growth=min_growth)
     k_list = [int(k) for k in k_list]
-    if not k_list or sorted(set(k_list)) != k_list or k_list[0] < 1:
-        raise ParameterError("K values must be strictly increasing positive integers")
-    if 2 ** k_list[-1] > m // 4:
-        raise ParameterError(
-            f"grid size {m} is too coarse for K = {k_list[-1]} (need 2^K <= M/4)"
-        )
     w0, w1 = growth_window
-    if w0 not in k_list or w1 not in k_list or not w0 < w1:
-        raise ParameterError(
-            f"growth window {growth_window} must be an increasing pair of listed K values"
-        )
     series = []
     l1_by_k = {}
     weak_ok = True
@@ -918,7 +907,6 @@ def growth_symbol_check(
     p_star: float,
     depth: int = 8,
     c: float = 1.0,
-    tol: float = 1e-9,
     ball_sizes=None,
     polynomial: bool = False,
 ) -> CheckReport:
@@ -935,12 +923,7 @@ def growth_symbol_check(
     free-group/exponential case the tail beyond ``depth`` is geometric as
     soon as 2N - 1 < M, which is reported alongside.
     """
-    if depth < 1:
-        raise ParameterError(f"depth must be at least 1, got {depth}")
-    if not (0 < p_star < np.inf):
-        raise ParameterError(f"p_star must be finite positive, got {p_star}")
-    if m_growth <= 0 or c <= 0:
-        raise ParameterError("growth base M and level C must be positive")
+    _check_params("growth", num_generators=num_generators, m_growth=m_growth, p_star=p_star, depth=depth, c=c)
     if ball_sizes is None:
         balls = free_group_ball_sizes(num_generators, depth)
     else:
@@ -969,7 +952,7 @@ def growth_symbol_check(
             ratio = float(ratio_val)
         else:
             ratio = b / bound(n)
-            violated = ratio > 1.0 + tol
+            violated = ratio > 1.0 + _HARD_TOL
         max_ratio = max(max_ratio, ratio)
         series.append({"n": n, "ball_size": b, "ratio": ratio, "violated": bool(violated)})
         if violated:
@@ -988,10 +971,192 @@ def growth_symbol_check(
         seed=0,
         hard=True,
         passed=not violations,
-        threshold=1.0 + tol,
+        threshold=1.0 + _HARD_TOL,
         max_ratio=max_ratio,
         empirical_constant=weak_norm_bound,
         witness=None if not violations else {"violated_radii": violations},
         series=series,
         details=details,
     )
+
+
+# ---------------------------------------------------------------------------
+# check registry
+
+
+# JSON gives int, float or bool, a direct call any number; bool is not a number
+# here, and a number lies in the range of a double, which numpy and float() need
+_TYPE_TESTS = {
+    "integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+    "string": lambda v: type(v) is str and v != "",
+    "object": lambda v: type(v) is dict,
+    "instance": lambda v: type(v) is dict or type(v) is str and v != "",
+}
+# every precondition a registry entry may name: the parameters it reads and
+# the test of their values
+_REQUIREMENTS = {
+    "p <= q": (("p", "q"), operator.le),
+    "p < q": (("p", "q"), operator.lt),
+    "growth_window in k_list": (("growth_window", "k_list"), lambda w, k: set(w) <= set(k)),
+    "2 max(n_list) < m": (("n_list", "m"), lambda n, m: 2 * max(n) < m),
+    "2^max(k_list) <= m/4": (("k_list", "m"), lambda k, m: 2 ** max(k) <= m // 4),
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One accepted key of a config object or check: its type, whether required, and its range.
+
+    ``type`` names a test in :data:`_TYPE_TESTS`: ``"number"`` (a real
+    number within the range of a double), ``"integer"``, ``"string"``
+    (non-empty), ``"object"`` or ``"instance"`` (a string or an object); with
+    ``length = (min, max)`` (max None: unbounded) the value is a list or
+    tuple of that many such entries, strictly increasing if ``increasing``.
+    ``lo``/``hi`` bound the value, or each list entry; ``open`` makes both
+    bounds strict.
+    """
+
+    type: str = "number"
+    required: bool = True
+    lo: float = -math.inf
+    hi: float = math.inf
+    open: bool = False
+    length: tuple[int, int | None] | None = None
+    increasing: bool = False
+
+    def kind(self) -> str:
+        if self.length is None:
+            return f"{'an' if self.type[0] in 'aeiou' else 'a'} {self.type}"
+        lo, hi = self.length
+        order = ", strictly increasing" if self.increasing else ""
+        return f"a list of {lo if lo == hi else f'>= {lo}'} {self.type}s{order}"
+
+    def bounds(self, key: str) -> str:
+        """The range as an inequality in ``key`` (``key[i]`` for a list); '' when unbounded."""
+        symbol = key if self.length is None else f"{key}[i]"
+        op = "<" if self.open else "<="
+        lo = f"{self.lo:g} {op} " if self.lo > -math.inf else ""
+        hi = f" {op} {self.hi:g}" if self.hi < math.inf else ""
+        return f"{lo}{symbol}{hi}" if lo or hi else ""
+
+    def validate(self, where: str, key: str, value) -> None:
+        """Raise ConfigError, its message led by ``where`` (as "check 'x': parameter"), unless valid."""
+        items = [value] if self.length is None else value
+        min_len, max_len = self.length or (1, 1)
+        typed = isinstance(items, (list, tuple)) and all(map(_TYPE_TESTS[self.type], items))
+        ordered = typed and (not self.increasing or all(a < b for a, b in zip(items, items[1:])))
+        if not ordered or not min_len <= len(items) <= (max_len or len(items)):
+            raise ConfigError(f"{where} {key!r} must be {self.kind()}, got {value!r}")
+        inside = operator.lt if self.open else operator.le
+        if self.bounds(key) and not all(inside(self.lo, v) and inside(v, self.hi) for v in items):
+            raise ConfigError(f"{where} {key!r}={value!r} outside allowed range {self.bounds(key)}")
+
+
+@dataclass(frozen=True)
+class CheckEntry:
+    """The rules of one check's parameters, and how the runner calls it.
+
+    ``function`` names the check in this module; the runner looks it up at
+    call time, so a wrapper installed on the module sees every call.  It
+    gets the resolved instance (``instance`` is ``"pair"``, ``"matrix"`` or
+    None), the params, and ``trials``, ``seed`` and ``estimator`` where its
+    signature takes them.  ``params`` gives the rule of every parameter a
+    config may set; ``requires`` lists preconditions from
+    :data:`_REQUIREMENTS`, such as ``"p <= q"`` or ``"growth_window in
+    k_list"`` (every entry of one list is in the other).  ``defaults`` holds
+    the function's keyword defaults, read from its signature when the
+    registry is built: a precondition on an optional parameter that a config
+    leaves out is tested with its default, and not at all where the default
+    is None (a value the function derives from the others).
+    """
+
+    function: str
+    instance: str | None = None
+    params: dict[str, Param] = field(default_factory=dict)
+    requires: tuple[str, ...] = ()
+    defaults: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # read at import: a tracer later rebinds the name to a wrapper that shows no signature
+        parameters = inspect.signature(globals()[self.function]).parameters.values()
+        object.__setattr__(self, "defaults", {p.name: p.default for p in parameters if p.default is not p.empty})
+
+
+CHECKS: dict[str, CheckEntry] = {
+    "lemma_constants": CheckEntry("check_lemma_constants"),
+    "hausdorff_young": CheckEntry("check_hausdorff_young", "pair", {"p": Param(lo=1, hi=2)}),
+    "real_interpolation": CheckEntry("check_real_interpolation", "pair", {"p": Param(lo=1, hi=2, open=True)}),
+    "inversion_plancherel": CheckEntry("check_inversion_plancherel", "pair"),
+    "multiplier_bound": CheckEntry(
+        "check_multiplier_bound", "pair", {"p": Param(lo=1), "q": Param(lo=1)}, requires=("p <= q",)
+    ),
+    "paley": CheckEntry("check_paley", "pair", {"p": Param(lo=1, hi=2)}),
+    "schur_bound": CheckEntry("check_schur_bound", "matrix", {"p": Param(lo=1, hi=2), "q": Param(lo=2)}),
+    "sharpness": CheckEntry(
+        "sharpness_experiment",
+        params={
+            "p": Param(lo=1),
+            "q": Param(),
+            "n_list": Param("integer", lo=2, length=(3, None), increasing=True),
+            "s_factor": Param(required=False, lo=1, open=True),
+            "m": Param("integer", required=False),
+            "growth_factor": Param(required=False),
+        },
+        requires=("p < q", "2 max(n_list) < m"),
+    ),
+    "endpoint": CheckEntry(
+        "endpoint_experiment",
+        params={
+            "k_list": Param("integer", lo=1, length=(1, None), increasing=True),
+            "m": Param("integer", required=False),
+            "growth_window": Param("integer", required=False, length=(2, 2), increasing=True),
+            "min_growth": Param(required=False),
+        },
+        requires=("growth_window in k_list", "2^max(k_list) <= m/4"),
+    ),
+    "growth": CheckEntry(
+        "growth_symbol_check",
+        params={
+            "num_generators": Param("integer", lo=1),
+            "m_growth": Param(lo=0, open=True),
+            "p_star": Param(lo=0, open=True),
+            "depth": Param("integer", required=False, lo=1),
+            "c": Param(required=False, lo=0, open=True),
+        },
+    ),
+}
+
+
+def _validate_object(doc, table: dict[str, Param], where: str, noun: str = "key") -> None:
+    """Raise ConfigError, led by ``where``, unless ``doc`` is an object with valid keys from ``table``."""
+    if type(doc) is not dict:
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    extra = set(doc) - set(table)
+    if extra:
+        raise ConfigError(f"{where} does not accept {noun}s {sorted(extra)}; allowed: {sorted(table)}")
+    for key, param in table.items():
+        if key in doc:
+            param.validate(f"{where}: {noun}", key, doc[key])
+        elif param.required:
+            raise ConfigError(f"{where} needs {noun} {key!r}")
+
+
+def _validate_params(where: str, entry: CheckEntry, params: dict) -> None:
+    """Raise ConfigError, led by ``where``, unless ``params`` meet every rule of ``entry``."""
+    _validate_object(params, entry.params, where, "parameter")
+    values = {key: entry.defaults[key] for key in entry.params if entry.defaults.get(key) is not None}
+    values.update(params)
+    for rule in entry.requires:
+        names, test = _REQUIREMENTS[rule]
+        if all(n in values for n in names) and not test(*(values[n] for n in names)):
+            got = ", ".join(f"{n}={values[n]!r}" + ("" if n in params else " (default)") for n in names)
+            raise ConfigError(f"{where}: need {rule}, got {got}")
+
+
+def _check_params(check: str, **values) -> None:
+    """Raise ParameterError unless ``values`` meet the entry of ``check``; None: derived by the function."""
+    try:
+        _validate_params(f"check {check!r}", CHECKS[check], {k: v for k, v in values.items() if v is not None})
+    except ConfigError as exc:
+        raise ParameterError(str(exc)) from exc

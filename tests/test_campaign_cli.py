@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -27,8 +28,9 @@ from ncfourier.campaign import (
     resolve_instance,
     run_campaign,
 )
+import ncfourier.checks as checks_mod
 from ncfourier.cli import main
-from ncfourier.errors import ConfigError
+from ncfourier.errors import ConfigError, ParameterError
 from ncfourier.groups import cyclic_group_data, save_group_file
 
 FAST_ESTIMATOR = {"restarts": 2, "max_iters": 30, "tol": 1e-6}
@@ -151,6 +153,70 @@ _NEW_REJECTION_CASES = {
     "tol_nan": _set("estimator", "tol", float("nan")),
     "fault_scale_nan": _instance({"cyclic": 4, "fault_scale": float("nan")}),
 }
+# JSON integers past the range of a double, which numpy and float() cannot take
+_HUGE = 10**400
+_PAST_DOUBLE_CASES = {
+    "p_past_double": _set("checks", 1, "params", {"p": _HUGE, "q": _HUGE}),
+    "q_past_double": _set("checks", 1, "params", "q", _HUGE),
+    "schur_q_past_double": _set(
+        "checks", 0, {"check": "schur_bound", "instance": "M4", "params": {"p": 1.5, "q": _HUGE}}
+    ),
+    "m_growth_past_double": _set("checks", 3, "params", "m_growth", _HUGE),
+    "p_star_past_double": _set("checks", 3, "params", "p_star", _HUGE),
+    "tol_past_double": _set("estimator", "tol", _HUGE),
+    "fault_scale_past_double": _instance({"cyclic": 4, "fault_scale": _HUGE}),
+    "cyclic_past_index": _instance({"cyclic": _HUGE}),
+    "cyclic_string_past_index": _instance(f"Z{_HUGE}"),
+}
+
+
+# (check, instance, params, fragment of the message): each breaks a rule of the
+# check's registry entry, so load_config rejects it in a config and the check
+# function on a direct call
+_PARAM_REJECTIONS = [
+    ("hausdorff_young", "Z4", {"p": 3.0}, "outside allowed range"),
+    ("real_interpolation", "Z4", {"p": 2.0}, "1 < p < 2"),
+    ("multiplier_bound", "Z4", {"p": 3.0, "q": 2.0}, "p <= q"),
+    ("schur_bound", "M4", {"p": 1.5, "q": 1.8}, "outside allowed range"),
+    ("sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [4, 8]}, "n_list"),
+    ("growth", None, {"num_generators": 2.5, "m_growth": 5, "p_star": 4.0}, "must be an integer"),
+    # malformed types are rejected by the registry, not deep inside the check
+    ("sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [4, 8, "x"]}, "'n_list' must be a list of >= 3 integers"),
+    ("sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": "x"}, "'m' must be an integer"),
+    ("sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "s_factor": "x"}, "'s_factor' must be a number"),
+    ("endpoint", None, {"k_list": [4, 5, 6], "growth_window": [4]}, "'growth_window' must be a list of 2 integers"),
+    ("endpoint", None, {"k_list": [4, 5, 6], "m": "big"}, "'m' must be an integer"),
+    ("growth", None, {"num_generators": 2, "m_growth": 5, "p_star": 4.0, "c": "x"}, "'c' must be a number"),
+    ("multiplier_bound", "Z4", {"p": 1.5, "q": _HUGE}, "'q' must be a number"),
+    ("sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [1, 8, 16]}, r"outside allowed range 2 <= n_list\[i\]"),
+    # orderings and memberships the experiments need
+    ("sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [8, 4, 16]}, "parameter 'n_list' must be .* strictly increasing"),
+    ("endpoint", None, {"k_list": [4, 6, 5]}, "parameter 'k_list' must be .* strictly increasing"),
+    (
+        "endpoint", None, {"k_list": [4, 5, 6], "growth_window": [6, 4]},
+        "parameter 'growth_window' must be .* strictly increasing",
+    ),
+    ("endpoint", None, {"k_list": [4, 5, 6], "growth_window": [5, 9]}, "need growth_window in k_list"),
+    # grid sizes and defaults the experiments need
+    (
+        "sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": 32},
+        r"need 2 max\(n_list\) < m, got n_list=\[4, 8, 16\], m=32",
+    ),
+    (
+        "endpoint", None, {"k_list": [8, 16, 19]},
+        r"need 2\^max\(k_list\) <= m/4, got k_list=\[8, 16, 19\], m=1048576 \(default\)",
+    ),
+    (
+        "endpoint", None, {"k_list": [4, 5, 6], "m": 64, "growth_window": [4, 6]},
+        r"need 2\^max\(k_list\) <= m/4, got k_list=\[4, 5, 6\], m=64",
+    ),
+    ("endpoint", None, {"k_list": [4, 5, 6]}, r"need growth_window in k_list, got growth_window=\(8, 16\) \(default\)"),
+]
+
+
+def _appending(check, instance, params):
+    spec = {"check": check, "params": params} | ({} if instance is None else {"instance": instance})
+    return lambda d: d["checks"].append(spec)
 
 
 class TestLoadConfig:
@@ -173,7 +239,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "mutate, fragment",
-        [
+        [(_appending(check, instance, params), fragment) for check, instance, params, fragment in _PARAM_REJECTIONS]
+        + [
             (lambda d: d["checks"].append({"check": "nonsense"}), "unknown check"),
             (
                 lambda d: d["checks"].append(
@@ -189,39 +256,6 @@ class TestLoadConfig:
             ),
             (
                 lambda d: d["checks"].append(
-                    {"check": "hausdorff_young", "instance": "Z4", "params": {"p": 3.0}}
-                ),
-                "outside allowed range",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "real_interpolation", "instance": "Z4", "params": {"p": 2.0}}
-                ),
-                "1 < p < 2",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "multiplier_bound", "instance": "Z4", "params": {"p": 3.0, "q": 2.0}}
-                ),
-                "p <= q",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "schur_bound", "instance": "M4", "params": {"p": 1.5, "q": 1.8}}
-                ),
-                "outside allowed range",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {
-                        "check": "sharpness",
-                        "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8]},
-                    }
-                ),
-                "n_list",
-            ),
-            (
-                lambda d: d["checks"].append(
                     {
                         "check": "sharpness",
                         "trials": 5,
@@ -229,15 +263,6 @@ class TestLoadConfig:
                     }
                 ),
                 "does not take a trial count",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {
-                        "check": "growth",
-                        "params": {"num_generators": 2.5, "m_growth": 5, "p_star": 4.0},
-                    }
-                ),
-                "must be an integer",
             ),
             (
                 lambda d: d["checks"].append({"check": "lemma_constants", "instance": "Z4"}),
@@ -274,99 +299,6 @@ class TestLoadConfig:
                 ),
                 "cannot resolve",
             ),
-            # malformed types are rejected here, not inside the check
-            (
-                lambda d: d["checks"].append(
-                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, "x"]}}
-                ),
-                "'n_list' must be a list of >= 3 integers",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": "x"}}
-                ),
-                "'m' must be an integer",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {
-                        "check": "sharpness",
-                        "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "s_factor": "x"},
-                    }
-                ),
-                "'s_factor' must be a number",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "growth_window": [4]}}
-                ),
-                "'growth_window' must be a list of 2 integers",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "m": "big"}}
-                ),
-                "'m' must be an integer",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {
-                        "check": "growth",
-                        "params": {"num_generators": 2, "m_growth": 5, "p_star": 4.0, "c": "x"},
-                    }
-                ),
-                "'c' must be a number",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [1, 8, 16]}}
-                ),
-                r"outside allowed range 2 <= n_list\[i\]",
-            ),
-            # orderings and memberships the experiments need, also checked here
-            (
-                lambda d: d["checks"].append(
-                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [8, 4, 16]}}
-                ),
-                "parameter 'n_list' must be .* strictly increasing",
-            ),
-            (
-                lambda d: d["checks"].append({"check": "endpoint", "params": {"k_list": [4, 6, 5]}}),
-                "parameter 'k_list' must be .* strictly increasing",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "growth_window": [6, 4]}}
-                ),
-                "parameter 'growth_window' must be .* strictly increasing",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "growth_window": [5, 9]}}
-                ),
-                "need growth_window in k_list",
-            ),
-            # grid sizes and defaults the experiments need
-            (
-                lambda d: d["checks"].append(
-                    {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": 32}}
-                ),
-                r"need 2 max\(n_list\) < m, got n_list=\[4, 8, 16\], m=32",
-            ),
-            (
-                lambda d: d["checks"].append({"check": "endpoint", "params": {"k_list": [8, 16, 19]}}),
-                r"need 2\^max\(k_list\) <= m/4, got k_list=\[8, 16, 19\], m=1048576 \(default\)",
-            ),
-            (
-                lambda d: d["checks"].append(
-                    {"check": "endpoint", "params": {"k_list": [4, 5, 6], "m": 64, "growth_window": [4, 6]}}
-                ),
-                r"need 2\^max\(k_list\) <= m/4, got k_list=\[4, 5, 6\], m=64",
-            ),
-            (
-                lambda d: d["checks"].append({"check": "endpoint", "params": {"k_list": [4, 5, 6]}}),
-                r"need growth_window in k_list, got growth_window=\(8, 16\) \(default\)",
-            ),
         ],
     )
     def test_rejections(self, tmp_path, mutate, fragment):
@@ -385,16 +317,20 @@ class TestLoadConfig:
         ]
         assert len(load_config(_write_config(tmp_path, doc)).checks) == 7
 
-    def test_registry_defaults_are_the_check_defaults(self):
-        import inspect
+    @pytest.mark.parametrize(
+        "check, instance, params, fragment",
+        [pytest.param(*case, id=f"{case[0]}-{case[3]}") for case in _PARAM_REJECTIONS],
+    )
+    def test_direct_call_meets_the_same_gate(self, check, instance, params, fragment):
+        # a check called from Python states its defaults, so none is marked "(default)"
+        args = () if instance is None else (resolve_instance(instance),)
+        with pytest.raises(ParameterError, match=fragment.replace(r" \(default\)", "")):
+            getattr(checks_mod, CHECKS[check].function)(*args, **params)
 
-        import ncfourier.checks as checks_mod
-
+    def test_registry_params_are_keywords_of_their_function(self):
         for name, entry in CHECKS.items():
-            signature = inspect.signature(getattr(checks_mod, entry.function)).parameters
-            for key, param in entry.params.items():
-                if param.default is not None:
-                    assert signature[key].default == param.default, (name, key)
+            keywords = inspect.signature(getattr(checks_mod, entry.function)).parameters
+            assert set(entry.params) <= set(keywords), name
 
     def test_schema_rejects_missing_seed(self, tmp_path):
         doc = _fast_campaign()
@@ -403,7 +339,11 @@ class TestLoadConfig:
             load_config(_write_config(tmp_path, doc))
 
     @pytest.mark.parametrize(
-        "mutate", [pytest.param(m, id=name) for name, m in {**_SCHEMA_RULE_CASES, **_NEW_REJECTION_CASES}.items()]
+        "mutate",
+        [
+            pytest.param(m, id=name)
+            for name, m in {**_SCHEMA_RULE_CASES, **_NEW_REJECTION_CASES, **_PAST_DOUBLE_CASES}.items()
+        ],
     )
     def test_malformed_config_rejected_before_any_check(self, tmp_path, capsys, mutate):
         doc = copy.deepcopy(_fast_campaign())  # which shares FAST_ESTIMATOR
@@ -421,6 +361,18 @@ class TestLoadConfig:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(path)
+
+    def test_integer_past_digit_limit(self, tmp_path, capsys):
+        # json.loads refuses an integer of more than 4300 digits with a bare ValueError
+        path = tmp_path / "long.json"
+        p = "1" + "0" * 5000
+        path.write_text('{"seed": 1, "checks": [{"check": "paley", "instance": "Z4", "params": {"p": %s}}]}' % p)
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -786,7 +738,7 @@ class TestCliMain:
         rows = []
         for name, entry in CHECKS.items():
             params = described(entry.params) + list(entry.requires)
-            trials = "—" if entry.trials is None else entry.trials
+            trials = CHECK_DEFAULT_TRIALS.get(name, "—")
             rows.append(f"| `{name}` | {entry.instance or 'none'} | {'; '.join(params) or '—'} | {trials} |")
         instance_keys = {key: param for key, (param, _) in _INSTANCE_KEYS.items()}
         for name, table in [

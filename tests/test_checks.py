@@ -445,6 +445,22 @@ class TestGrowthSymbol:
             growth_symbol_check(2, 5, 4.0, depth=2, ball_sizes=[5, 3, 1])
 
 
+class TestParameterGate:
+    """A direct call meets the rules of the check's registry entry, for any Python number."""
+
+    def test_numpy_numbers_and_tuples_pass(self):
+        rep = sharpness_experiment(np.float64(1.5), np.int64(3), (np.int64(4), 8, 16), m=np.int64(64))
+        assert rep.passed and rep.params["m"] == 64
+        rep = endpoint_experiment([4, 5, 6], m=2**10, growth_window=(np.int64(4), 6), min_growth=0.0)
+        assert rep.params["growth_window"] == [4, 6]
+
+    def test_bool_is_not_a_number(self):
+        with pytest.raises(ParameterError, match="'p' must be a number, got True"):
+            check_paley(build_finite_abelian([4]), True)
+        with pytest.raises(ParameterError, match="'depth' must be an integer, got True"):
+            growth_symbol_check(2, 5, 4.0, depth=True)
+
+
 class TestTorusProfiles:
     def test_exact_synthesis(self):
         m = 16
