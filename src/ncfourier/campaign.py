@@ -135,7 +135,10 @@ def _instance_spec(inst, where: str) -> tuple[str, dict]:
     spec = inst
     if isinstance(inst, str):
         key = {"M": "matrix", "Z": "cyclic"}.get(inst[:1]) if inst[1:].isdigit() else None
-        spec = {key: int(inst[1:])} if key else {"group": inst}
+        try:
+            spec = {key: int(inst[1:])} if key else {"group": inst}
+        except ValueError as exc:  # past int()'s digit limit, or digits it does not read
+            raise ConfigError(f"{where}: {exc}") from exc
     _validate_object(spec, {key: param for key, (param, _) in _INSTANCE_KEYS.items()}, where)
     builders = sorted(set(spec) - {"fault_scale"})
     if len(builders) != 1 or builders == ["matrix"] and "fault_scale" in spec:

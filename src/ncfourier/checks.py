@@ -984,10 +984,10 @@ def growth_symbol_check(
 # check registry
 
 
-# JSON gives int, float or bool, a direct call any number; bool is not a number
-# here, and a number lies in the range of a double, which numpy and float() need
+# JSON gives int, float or bool, a direct call any number; bool is not a number here.
+# A number lies in a double's range and an integer fits an index, as numpy needs
 _TYPE_TESTS = {
-    "integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and abs(v) <= sys.maxsize,
     "number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
     "string": lambda v: type(v) is str and v != "",
     "object": lambda v: type(v) is dict,
@@ -1009,10 +1009,11 @@ class Param:
     """One accepted key of a config object or check: its type, whether required, and its range.
 
     ``type`` names a test in :data:`_TYPE_TESTS`: ``"number"`` (a real
-    number within the range of a double), ``"integer"``, ``"string"``
-    (non-empty), ``"object"`` or ``"instance"`` (a string or an object); with
-    ``length = (min, max)`` (max None: unbounded) the value is a list or
-    tuple of that many such entries, strictly increasing if ``increasing``.
+    number within the range of a double), ``"integer"`` (at most
+    ``sys.maxsize`` in absolute value), ``"string"`` (non-empty),
+    ``"object"`` or ``"instance"`` (a string or an object); with ``length =
+    (min, max)`` (max None: unbounded) the value is a list or tuple of that
+    many such entries, strictly increasing if ``increasing``.
     ``lo``/``hi`` bound the value, or each list entry; ``open`` makes both
     bounds strict.
     """
@@ -1121,7 +1122,7 @@ CHECKS: dict[str, CheckEntry] = {
             "num_generators": Param("integer", lo=1),
             "m_growth": Param(lo=0, open=True),
             "p_star": Param(lo=0, open=True),
-            "depth": Param("integer", required=False, lo=1),
+            "depth": Param("integer", required=False, lo=1, hi=200),  # |B_200| fits json's 4300 digits
             "c": Param(required=False, lo=0, open=True),
         },
     ),

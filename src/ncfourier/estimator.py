@@ -22,20 +22,20 @@ Three levels of effort:
   and only allowed when the domain has at most 8 real dimensions, but it has
   no convergence test, which is the point.
 
-Both run one engine, :func:`_ascent`.  It runs on a stack of T maps that
+Both run one engine, :func:`_ascent`.  It runs on a stack of maps that
 share a domain and a codomain, and on all their starting points at once, as
 one complex batch of rows of length D_dom; each row belongs to one map.
 Multipliers held as their symbol (``linmap.Diagonal``: the values v of a
 map diagonal in a unitary basis B, the transform of its pair) are stacked
-as their (T, D) values with the one basis they share, and a product with a
-batch of rows is ``B(B^{-1} z * v[owner])``, the weighted adjoint the same
-with conj(v); no D x D matrix is built.  Every other map is stacked as its
-D_cod x D_dom matrix, in one (T, D_cod, D_dom) array, and its weighted
-adjoint in another, so that either product is one batched product.  An
-estimate is the case T = 1.  A batch of maps holds at most ``_BATCH_BYTES``
-of matrices, adjoints or values and rows, so long lists of maps ascend in
-several batches, and so do the samples of brute force, which always
-multiplies by the matrix: its domains have at most four coordinates.
+T at a time, as their (T, D) values with the one basis they share, and a
+product with a batch of rows is ``B(B^{-1} z * v[owner])``, the weighted
+adjoint the same with conj(v); no D x D matrix is built.  A batch of them
+holds at most ``_BATCH_BYTES`` of values and rows, so long lists of
+multipliers ascend in several batches.  A dense map ascends alone: its
+stack holds its D_cod x D_dom matrix and its weighted adjoint, and either
+product is one product with all its rows.  So does brute force, which
+always multiplies by the matrix (its domains have at most four
+coordinates), on batches of samples of at most ``_BATCH_BYTES``.
 
 A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method
 for l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
@@ -121,53 +121,42 @@ def schatten_gradient(x: AlgebraElement, q: float) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # stacks of maps, exact L2 and warm starts
 
-# What one batch of estimate_pq_norms may hold: the matrices of its maps with
-# a point and an image per restart; and one batch of brute-force samples: a
-# point and an image per sample.  Results do not depend on it.
+# What one batch of estimate_pq_norms may hold: the values of its multipliers
+# with a point and an image per restart (a dense map ascends alone); and one
+# batch of brute-force samples: a point and an image per sample.  Results do
+# not depend on it.
 _BATCH_BYTES = 1 << 19
 
 
 class _MapStack:
-    """T complex C x D matrices that share a domain and a codomain, as one (T, C, D) array,
-    with their weighted adjoints in another.
+    """One dense map, a complex C x D matrix, with its weighted adjoint: a stack of one.
 
-    The rows of a batch are tagged with slots t * R + r, row r of the R that
-    map t owns.  A product scatters the rows into a zero (T * R, D) block,
-    multiplies each map's R rows at once and gathers the slots back, so that
-    every row is multiplied in the same R-row product whatever the other rows
-    are, and its bits do not depend on the batch.  Rows that fill every slot,
-    in order, are multiplied as they are.
+    The map owns every row of a batch, so ``slots`` is not read, and a
+    product is one product with all the rows.  The matrix is held
+    C-contiguous, so that an estimate depends on the map's values only, not
+    on how its matrix sits in memory.
     """
 
-    def __init__(self, mats: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra, rows_per_map: int):
-        self.mats = mats
+    def __init__(self, mat: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra, rows_per_map: int):
+        self.mat = np.ascontiguousarray(mat)
         self.domain = domain
         self.codomain = codomain
         self.rows_per_map = rows_per_map
         self.wd = coordinate_weights(domain)
-        # the weighted adjoints, diag(w_c) conj(M_t) diag(1/w_d), transposed for row products
-        self.adj = np.conjugate(mats * coordinate_weights(codomain)[:, None]) / self.wd
+        # the weighted adjoint, diag(w_c) conj(M) diag(1/w_d), transposed for row products
+        self.adj = np.conjugate(self.mat * coordinate_weights(codomain)[:, None]) / self.wd
 
     def __len__(self) -> int:
-        return len(self.mats)
+        return 1
 
-    def _product(self, rows: np.ndarray, slots: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        size = len(mats) * self.rows_per_map
-        block = rows
-        if len(rows) < size:
-            block = np.zeros((size, rows.shape[1]), dtype=complex)
-            block[slots] = rows
-        out = (block.reshape(len(mats), self.rows_per_map, -1) @ mats).reshape(size, -1)
-        return out if block is rows else out[slots]
+    def apply(self, z: np.ndarray, slots) -> np.ndarray:
+        """Images M z of rows in domain coordinates."""
+        return z @ self.mat.T
 
-    def apply(self, z: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Images M_t z of rows in domain coordinates."""
-        return self._product(z, slots, self.mats.transpose(0, 2, 1))
-
-    def adjoint(self, y: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Weighted adjoints diag(1/w_d) M_t^H diag(w_c) y of rows in codomain
-        coordinates, by the held adjoints."""
-        return self._product(y, slots, self.adj)
+    def adjoint(self, y: np.ndarray, slots) -> np.ndarray:
+        """Weighted adjoints diag(1/w_d) M^H diag(w_c) y of rows in codomain
+        coordinates, by the held adjoint."""
+        return y @ self.adj
 
 
 class _DiagonalStack:
@@ -175,9 +164,9 @@ class _DiagonalStack:
 
     Domain and codomain are one algebra, and the weighted adjoint of a map
     is the map with the conjugate values.  The rows of a batch are tagged
-    with slots as in :class:`_MapStack`; a row is multiplied by the values
-    of the map that owns it, on its own, so its bits do not depend on the
-    batch.
+    with slots t * R + r, row r of the R that map t owns.  A row is
+    multiplied by the values of the map that owns it, on its own, so its
+    bits do not depend on the batch.
     """
 
     def __init__(self, values: np.ndarray, basis, algebra: TracialAlgebra, rows_per_map: int):
@@ -214,9 +203,9 @@ class _DiagonalStack:
         return v * _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, self.wd)))[:, None]
 
 
-def _weighted(mats: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra) -> np.ndarray:
-    """D_c M D_d^{-1} of each matrix, the square roots of the coordinate weights on the diagonals."""
-    return np.sqrt(coordinate_weights(codomain))[:, None] * mats / np.sqrt(coordinate_weights(domain))
+def _weighted(mat: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra) -> np.ndarray:
+    """D_c M D_d^{-1}, the square roots of the coordinate weights on the diagonals."""
+    return np.sqrt(coordinate_weights(codomain))[:, None] * mat / np.sqrt(coordinate_weights(domain))
 
 
 def exact_l2_norm(m: LinearMap) -> float:
@@ -238,27 +227,23 @@ def _complex_normals(rng, shape) -> np.ndarray:
 
 
 def _l2_maximizers(maps, exact: bool) -> np.ndarray:
-    """Domain coords of a unit-L2 near-maximizer of every map of a stack.
+    """Domain coords of a unit-L2 near-maximizer of every map of a stack, one row per map.
 
     It is the top right singular vector of the weighted matrix
-    D_c M D_d^{-1}: by an SVD, one map at a time, when ``exact``; otherwise
-    by 40 power steps v <- M* M v with the weighted adjoint, made of
-    batched products with the stack's matrices and held adjoints, so that no
-    map is copied.  Diagonal maps take both in their basis
-    (:meth:`_DiagonalStack.l2_maximizers`).
+    D_c M D_d^{-1}.  A dense map, which ascends alone, takes it by one SVD
+    when ``exact``; otherwise by 40 power steps v <- M* M v on one row, with
+    the stack's products by the matrix and its held adjoint.  Diagonal maps
+    take both in their basis (:meth:`_DiagonalStack.l2_maximizers`).
     """
-    t = len(maps)
     start = _complex_normals(np.random.default_rng(0x5EED), (maps.domain.complex_dim,))
     if isinstance(maps, _DiagonalStack):
         return maps.l2_maximizers(start, exact)
     if exact:
-        v = np.empty((t, maps.domain.complex_dim), dtype=complex)
-        for i, mat in enumerate(maps.mats):
-            v[i] = np.linalg.svd(_weighted(mat, maps.domain, maps.codomain))[2][0].conj()
+        v = np.linalg.svd(_weighted(maps.mat, maps.domain, maps.codomain))[2][:1].conj()
         return v / np.sqrt(maps.wd)
-    v = np.tile(start, (t, 1))
+    v = start[None]
     for _ in range(40):
-        v = (v[:, None] @ maps.mats.transpose(0, 2, 1) @ maps.adj)[:, 0]
+        v = maps.adjoint(maps.apply(v, None), None)
         v *= _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, maps.wd)))[:, None]
     return v
 
@@ -416,17 +401,27 @@ def estimate_pq_norms(
     """:func:`estimate_pq_norm` of every map with its seed, for maps that share a domain and a codomain.
 
     ``maps`` is any iterable of LinearMaps, one per seed.  Both it and the
-    returned iterator of estimates run a batch at a time: each batch copies
-    its maps into one stack and ascends from all their restarts at once, so
-    a generator of maps, read as the estimates are, holds no more than one
-    batch of maps and estimates.  Each map's estimate is the one
+    returned iterator of estimates run a batch at a time, one dense map or
+    a run of multipliers (see :func:`_next_stack`), which ascends from all
+    its restarts at once, so a generator of maps, read as the estimates
+    are, holds no more than one batch of maps and estimates.  Each map's estimate is the one
     :func:`estimate_pq_norm` returns for it, whatever the other maps.
     """
     _check_exponents(p, q)
     _check_counts(restarts=(restarts, 1), max_iters=(max_iters, 1))
     if not tol > 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    return _estimates(iter(maps), p, q, [int(s) for s in seeds], restarts, max_iters, tol)
+    return _estimates(_sharing_algebras(maps), p, q, [int(s) for s in seeds], restarts, max_iters, tol)
+
+
+def _sharing_algebras(maps):
+    """The maps, as they are read, each checked to share the first one's domain and codomain."""
+    first = None
+    for m in maps:
+        first = first or m
+        if not (m.domain.matches(first.domain) and m.codomain.matches(first.codomain)):
+            raise ShapeMismatchError("maps estimated together must share a domain and a codomain")
+        yield m
 
 
 def _estimates(maps, p, q, seeds, restarts, max_iters, tol):
@@ -445,47 +440,33 @@ def _estimates(maps, p, q, seeds, restarts, max_iters, tol):
         raise ParameterError(f"more maps than the {len(seeds)} seeds")
 
 
-def _form(m: LinearMap):
-    """The form a map is stacked in, "matrix" or the basis of its values, and what a stack holds of it."""
-    return ("matrix", m.matrix) if m.diagonal is None else (m.diagonal.basis, m.diagonal.values)
-
-
 def _map_bytes(m: LinearMap, restarts: int) -> int:
-    """Bytes one map takes in a batch: its matrix and weighted adjoint, or its values, and a
-    point and an image per restart."""
-    form, held = _form(m)
-    copies = 1 + (form == "matrix")
-    return held.itemsize * (copies * held.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
+    """Bytes one multiplier takes in a batch: its values, and a point and an image per restart."""
+    values = m.diagonal.values
+    return values.itemsize * (values.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
 
 
 def _next_stack(first: LinearMap, maps, count: int, restarts: int):
-    """The next batch of at most ``count`` maps, from ``first`` on, copied into one stack of at most _BATCH_BYTES.
+    """The next batch of at most ``count`` maps, from ``first`` on, as one stack.
 
-    A batch holds maps of one form (see :func:`_form`).  Returns the stack
-    and the map that ended the batch by its form, None if no map did.
+    A dense map ascends alone.  Multipliers of one basis are copied into one
+    stack of at most _BATCH_BYTES.  Returns the stack and the map that ended
+    the batch, a dense map or a multiplier of another basis, None if no map
+    did.
     """
-    dom, cod = first.domain, first.codomain
-    form, first_held = _form(first)
+    if first.diagonal is None:
+        return _MapStack(first.matrix, first.domain, first.codomain, restarts), None
+    basis, held, carried = first.diagonal.basis, [first.diagonal.values], None
     count = min(count, max(1, _BATCH_BYTES // _map_bytes(first, restarts)))
-    held = first_held[None]
-    if count > 1:
-        held = np.empty((count,) + first_held.shape, dtype=complex)
-        held[0] = first_held
-    carried = None
-    for i in range(1, count):
+    while len(held) < count:
         m = next(maps, None)
         if m is None:
             raise ParameterError("fewer maps than seeds")
-        if not (m.domain.matches(dom) and m.codomain.matches(cod)):
-            raise ShapeMismatchError("maps estimated together must share a domain and a codomain")
-        m_form, m_held = _form(m)
-        if m_form != form:
-            held, carried = held[:i], m
+        if m.diagonal is None or m.diagonal.basis != basis:
+            carried = m
             break
-        held[i] = m_held
-    if form == "matrix":
-        return _MapStack(held, dom, cod, restarts), carried
-    return _DiagonalStack(held, form, dom, restarts), carried
+        held.append(m.diagonal.values)
+    return _DiagonalStack(np.stack(held), basis, first.domain, restarts), carried
 
 
 def _estimate_stack(maps, p: float, q: float, seeds: list[int], max_iters: int, tol: float):
@@ -572,12 +553,11 @@ def brute_force_pq_norm(
     normals = np.empty((min(rows, samples), 2 * dim))
     rng = np.random.default_rng(seed)
     dom_ops = _block_ops(m.domain)
-    maps = _MapStack(m.matrix[None], m.domain, m.codomain, rows)
+    maps = _MapStack(m.matrix, m.domain, m.codomain, rows)
     best = 0.0
     for start in range(0, samples, rows):
         batch = z[start : start + rows]
         r = rng.standard_normal(out=normals[: len(batch)])
         batch.real, batch.imag = r[:, :dim], r[:, dim:]
-        maps.rows_per_map = len(batch)  # the last batch may be short
         best = max(best, float(_ascent(maps, np.arange(len(batch)), dom_ops, p, q, batch, refine_steps)[1].max()))
     return best

@@ -168,6 +168,20 @@ _PAST_DOUBLE_CASES = {
     "cyclic_past_index": _instance({"cyclic": _HUGE}),
     "cyclic_string_past_index": _instance(f"Z{_HUGE}"),
 }
+# integers past 2^63 - 1, an instance name past int()'s 4300-digit limit, and
+# a depth whose ball sizes json cannot write
+_PAST_INDEX_CASES = {
+    "matrix_past_index": _set(
+        "checks", 0, {"check": "schur_bound", "instance": {"matrix": _HUGE}, "params": {"p": 1.5, "q": 3.0}}
+    ),
+    "num_generators_past_index": _set("checks", 3, "params", "num_generators", _HUGE),
+    "sharpness_m_past_index": _set(
+        "checks", 0, {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": _HUGE}}
+    ),
+    "seed_past_index": _set("seed", 2**63),
+    "cyclic_string_past_digit_limit": _instance("Z" + "1" * 5000),
+    "depth_past_json_digits": _set("checks", 3, "params", "depth", 10000),
+}
 
 
 # (check, instance, params, fragment of the message): each breaks a rule of the
@@ -342,7 +356,7 @@ class TestLoadConfig:
         "mutate",
         [
             pytest.param(m, id=name)
-            for name, m in {**_SCHEMA_RULE_CASES, **_NEW_REJECTION_CASES, **_PAST_DOUBLE_CASES}.items()
+            for name, m in {**_SCHEMA_RULE_CASES, **_NEW_REJECTION_CASES, **_PAST_DOUBLE_CASES, **_PAST_INDEX_CASES}.items()
         ],
     )
     def test_malformed_config_rejected_before_any_check(self, tmp_path, capsys, mutate):

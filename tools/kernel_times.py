@@ -8,7 +8,8 @@ For the maps of brute force on Z4 and M2 (a multiplier and a Schur map, held
 as their dense matrices) and a multiplier on the dual of S3 (blocks 1, 1, 2
 of unequal weights), it prints microseconds per call of
 ``_BlockOps.spectrum`` (with vectors) and ``direction`` on the codomain,
-``_MapStack.apply`` and ``adjoint``, and one step of ``_ascent``: the time
+``apply`` and ``adjoint`` of the map's ``_MapStack`` (its matrix and
+weighted adjoint, one row product each), and one step of ``_ascent``: the time
 of ``_ascent`` over 11 steps less that over 1, divided by 10.  Each map is
 timed on the batch brute force runs it in, ``_BATCH_BYTES // (16 (D_dom +
 D_cod))`` rows: 4096 for Z4 and M2 and 2730 for S3's dual.  Each figure is
@@ -70,7 +71,7 @@ def kernel_times(name: str, p: float, q: float) -> dict:
     """Microseconds per call of each kernel of one step on a brute-force batch of the map ``name``."""
     m = _map(name)
     rows = _BATCH_BYTES // (16 * (m.domain.complex_dim + m.codomain.complex_dim))
-    maps = _MapStack(m.matrix[None], m.domain, m.codomain, rows)
+    maps = _MapStack(m.matrix, m.domain, m.codomain, rows)
     slots = np.arange(rows)
     dom_ops, cod_ops = _block_ops(m.domain), _block_ops(m.codomain)
     z = _complex_normals(np.random.default_rng(1), (rows, m.domain.complex_dim))
