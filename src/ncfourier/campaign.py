@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks as checks_mod
-from .checks import CHECKS, Param, _validate_object, _validate_params, loglog_slope
+from .checks import CHECKS, _CHECK_KEYS, _ESTIMATOR_KEYS, Param, _validate_object, _validate_params, loglog_slope
 from .errors import ConfigError, NcfourierError
 from .fourier import build_finite_abelian, build_group_vna, perturb_fourier_matrix
 from .groups import available_groups, load_group_file, resolve_group
@@ -93,36 +93,25 @@ class CampaignConfig:
 
 CHECK_DEFAULT_TRIALS = {name: e.defaults["trials"] for name, e in CHECKS.items() if "trials" in e.defaults}
 
-# the keys of a campaign file, of its estimator settings and of each check;
-# a check's params are those of its registry entry
+# the keys of a campaign file (those of its estimator and of each check are in checks.py)
 _CONFIG_KEYS = {
     "format_version": Param("integer", required=False, lo=1, hi=1),
     "seed": Param("integer", lo=0),
     "estimator": Param("object", required=False),
     "checks": Param("object", length=(1, None)),
 }
-_ESTIMATOR_KEYS = {
-    "restarts": Param("integer", required=False, lo=1),
-    "max_iters": Param("integer", required=False, lo=1),
-    "tol": Param(required=False, lo=0, open=True),
-}
-_CHECK_KEYS = {
-    "check": Param("string"),
-    "instance": Param("instance", required=False),
-    "params": Param("object", required=False),
-    "trials": Param("integer", required=False, lo=1),
-    "ladder": Param("string", required=False),
-}
-# the keys of an instance object and the builder each names: exactly one
-# builder, and a pair may add fault_scale.  "M8", "Z8" and "S3" stand for
-# {"matrix": 8}, {"cyclic": 8} and {"group": "S3"}.
+# the keys of an instance object, the builder each names and the source
+# coordinates it builds, at most _MAX_COORDINATES (None: bounded by a group
+# table): exactly one builder, and a pair may add fault_scale.  "M8", "Z8"
+# and "S3" stand for {"matrix": 8}, {"cyclic": 8} and {"group": "S3"}.
+_MAX_COORDINATES = 1 << 20
 _INSTANCE_KEYS = {
-    "cyclic": (Param("integer", required=False, lo=1), lambda n: build_finite_abelian([n])),
-    "abelian": (Param("integer", required=False, lo=1, length=(1, None)), build_finite_abelian),
-    "group": (Param("string", required=False), lambda name: build_group_vna(resolve_group(name))),
-    "group_file": (Param("string", required=False), lambda path: build_group_vna(load_group_file(path))),
-    "matrix": (Param("integer", required=False, lo=1), int),
-    "fault_scale": (Param(required=False), None),
+    "cyclic": (Param("integer", required=False, lo=1), lambda n: build_finite_abelian([n]), lambda n: n),
+    "abelian": (Param("integer", required=False, lo=1, length=(1, None)), build_finite_abelian, math.prod),
+    "group": (Param("string", required=False), lambda name: build_group_vna(resolve_group(name)), None),
+    "group_file": (Param("string", required=False), lambda path: build_group_vna(load_group_file(path)), None),
+    "matrix": (Param("integer", required=False, lo=1), int, lambda n: n * n),
+    "fault_scale": (Param(required=False), None, None),
 }
 
 
@@ -139,12 +128,15 @@ def _instance_spec(inst, where: str) -> tuple[str, dict]:
             spec = {key: int(inst[1:])} if key else {"group": inst}
         except ValueError as exc:  # past int()'s digit limit, or digits it does not read
             raise ConfigError(f"{where}: {exc}") from exc
-    _validate_object(spec, {key: param for key, (param, _) in _INSTANCE_KEYS.items()}, where)
+    _validate_object(spec, {key: param for key, (param, *_) in _INSTANCE_KEYS.items()}, where)
     builders = sorted(set(spec) - {"fault_scale"})
     if len(builders) != 1 or builders == ["matrix"] and "fault_scale" in spec:
-        names = "/".join(key for key, (_, build) in _INSTANCE_KEYS.items() if build)
+        names = "/".join(key for key, (_, build, _) in _INSTANCE_KEYS.items() if build)
         raise ConfigError(f"{where} must name exactly one of {names}, and a matrix no fault_scale")
-    return builders[0], spec
+    key, coordinates = builders[0], _INSTANCE_KEYS[builders[0]][2]
+    if coordinates and coordinates(spec[key]) > _MAX_COORDINATES:
+        raise ConfigError(f"{where} has {coordinates(spec[key])} source coordinates, more than {_MAX_COORDINATES}")
+    return key, spec
 
 
 _INSTANCE_NEEDS = {"pair": "a group/abelian instance", "matrix": "a matrix instance like 'M8'"}

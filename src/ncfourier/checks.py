@@ -33,7 +33,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -75,9 +75,6 @@ __all__ = [
     "DEFAULT_ESTIMATOR",
     "CHECKS",
 ]
-
-# estimator settings used by campaign checks unless a config overrides them
-DEFAULT_ESTIMATOR = {"restarts": 6, "max_iters": 80, "tol": 1e-7}
 
 _HARD_TOL = 1e-9
 _SUBMULT_TOL = 1e-10
@@ -122,24 +119,7 @@ class CheckReport:
                 return [conv(x) for x in v]
             return v
 
-        return conv(
-            {
-                "check": self.check,
-                "instance": self.instance,
-                "instance_size": self.instance_size,
-                "params": self.params,
-                "trials": self.trials,
-                "seed": self.seed,
-                "hard": self.hard,
-                "passed": self.passed,
-                "threshold": self.threshold,
-                "max_ratio": self.max_ratio,
-                "empirical_constant": self.empirical_constant,
-                "witness": self.witness,
-                "series": self.series,
-                "details": self.details,
-            }
-        )
+        return conv({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +372,7 @@ def check_lemma_constants(trials: int = 1000, seed: int = 0) -> CheckReport:
     kernel call.  A trial's draws come from its own streams and its values
     do not depend on its chunk, bit for bit.
     """
-    if trials < 1:
-        raise ParameterError("lemma check needs at least one trial")
+    _check_params("lemma_constants", trials=trials)
     rng = np.random.default_rng(seed)
     algebras, exponents = [], []
     for _ in range(trials):
@@ -450,7 +429,7 @@ def check_lemma_constants(trials: int = 1000, seed: int = 0) -> CheckReport:
 
 def check_hausdorff_young(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int = 0) -> CheckReport:
     """||F x||_{p'} <= ||x||_p on the pair, for 1 <= p <= 2 (constant 1, hard)."""
-    _check_params("hausdorff_young", p=p)
+    _check_params("hausdorff_young", p=p, trials=trials)
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
@@ -483,7 +462,7 @@ def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 500
     sharpen the plain transform bound at the price of a constant, which is
     what gets recorded.
     """
-    _check_params("real_interpolation", p=p)
+    _check_params("real_interpolation", p=p, trials=trials)
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
@@ -524,8 +503,7 @@ def check_inversion_plancherel(pair: QuantumGroupPair, trials: int = 1000, seed:
     1 + ||x||_2, rounded up to a multiple of ``_RESIDUAL_GRID``; the witness
     is the first input at the largest residual.
     """
-    if trials < 1:
-        raise ParameterError("inversion check needs at least one trial")
+    _check_params("inversion_plancherel", trials=trials)
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
     fz = pair.forward(z)
@@ -552,13 +530,6 @@ def check_inversion_plancherel(pair: QuantumGroupPair, trials: int = 1000, seed:
 
 # ---------------------------------------------------------------------------
 # multiplier checks (estimator-backed)
-
-
-def _estimator_opts(estimator: dict | None) -> dict:
-    opts = dict(DEFAULT_ESTIMATOR)
-    if estimator:
-        opts.update(estimator)
-    return opts
 
 
 def _bound_series(pair: QuantumGroupPair, names, z: np.ndarray, p: float, q: float, rng, opts: dict):
@@ -616,9 +587,9 @@ def check_multiplier_bound(
     largest L_r ratio when the hard clause fails: many inputs attain the
     L_r ratio 1 up to rounding, so its maximizer is not a stable name.
     """
-    _check_params("multiplier_bound", p=p, q=q)
+    _check_params("multiplier_bound", p=p, q=q, trials=trials, estimator=estimator)
     r = difference_exponent(p, q)
-    opts = _estimator_opts(estimator)
+    opts = {**DEFAULT_ESTIMATOR, **(estimator or {})}
     rng = np.random.default_rng(seed)
     # Decay exponents strictly inside l_r: a profile exactly on the weak-l_r
     # boundary approaches its limiting ratio so slowly that ladders over
@@ -663,7 +634,7 @@ def check_paley(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int 
     inequality holds with constant 1 (hard); for 1 <= p < 2 the constant is
     monitored.
     """
-    _check_params("paley", p=p)
+    _check_params("paley", p=p, trials=trials)
     s = one_sided_exponent(p)
     hard = bool(np.isinf(s))
     rng = np.random.default_rng(seed)
@@ -730,10 +701,10 @@ def check_schur_bound(
     the largest L_r ratio.  Monitored clause: the ratio against the weak
     l_{r,inf} norm, whose sharp constant is what the campaign ladders track.
     """
-    _check_params("schur_bound", p=p, q=q)
+    _check_params("schur_bound", p=p, q=q, trials=trials, estimator=estimator)
     pair = schur_pair(n)  # raises for n < 1
     r = difference_exponent(p, q)
-    opts = _estimator_opts(estimator)
+    opts = {**DEFAULT_ESTIMATOR, **(estimator or {})}
     rng = np.random.default_rng(seed)
     names, z = _schur_battery(n, trials, rng)
     series, (max_weak_ratio, _), (max_lr_ratio, witness) = _bound_series(pair, names, z, p, q, rng, opts)
@@ -901,6 +872,28 @@ def free_group_ball_sizes(num_generators: int, depth: int) -> list[int]:
     return balls
 
 
+def _growth_ratio(b: int, n: int, m_growth: float, polynomial: bool) -> tuple[float, bool]:
+    """|B_n| / g(n), inf past the largest double, and whether it exceeds 1 + 1e-9.
+
+    Exact where g(n) is rational: M^n (a double is a rational) and n^M for
+    an integer M, where an n^M above 2^1075 |B_n| is not built (the ratio
+    rounds to 0).  n^M for another M is compared in floating point, in
+    logarithms where a double overflows.  g(0) = 1 = 1^M.
+    """
+    m, base = Fraction(m_growth), max(n, 1)
+    if polynomial and m.denominator != 1:
+        try:
+            ratio = b / float(base) ** m_growth
+        except OverflowError:  # b or base^M past the double range
+            log_ratio = math.log(b) - m_growth * math.log(base)
+            ratio = math.exp(log_ratio) if log_ratio < 709.78 else math.inf
+        return ratio, ratio > 1.0 + _HARD_TOL
+    if polynomial and m.numerator * (base.bit_length() - 1) > b.bit_length() + 1075:
+        return 0.0, False
+    exact = Fraction(b) / (base**m.numerator if polynomial else m**n)
+    return (float(exact) if exact <= sys.float_info.max else math.inf), exact > 1 + Fraction(1, 10**9)
+
+
 def growth_symbol_check(
     num_generators: int,
     m_growth: float,
@@ -919,7 +912,8 @@ def growth_symbol_check(
     when ``polynomial`` is set; M is ``m_growth`` in both cases.  Ball sizes
     default to the exact free-group counts for ``num_generators`` generators
     and can be overridden with ``ball_sizes`` for other groups.  Comparisons
-    use exact rational arithmetic whenever M is an integer.  For the
+    are exact wherever g(n) is rational (see :func:`_growth_ratio`), and a
+    ratio or constant past the double range reads inf.  For the
     free-group/exponential case the tail beyond ``depth`` is geometric as
     soon as 2N - 1 < M, which is reported alongside.
     """
@@ -932,32 +926,16 @@ def growth_symbol_check(
             raise ParameterError(f"ball_sizes must have depth + 1 = {depth + 1} entries, got {len(balls)}")
         if balls[0] < 1 or any(a > b for a, b in zip(balls, balls[1:])):
             raise ParameterError("ball_sizes must be nondecreasing with first entry >= 1")
-    exact = float(m_growth).is_integer()
-    m_int = int(m_growth) if exact else None
-
-    def bound(n):
-        if polynomial:
-            if n == 0:
-                return 1
-            return n**m_int if exact else float(n) ** m_growth
-        return m_int**n if exact else m_growth**n
-
     series = []
-    violations = []
-    max_ratio = 0.0
     for n, b in enumerate(balls):
-        if exact:
-            ratio_val = Fraction(b, bound(n))
-            violated = ratio_val > 1 + Fraction(1, 10**9)
-            ratio = float(ratio_val)
-        else:
-            ratio = b / bound(n)
-            violated = ratio > 1.0 + _HARD_TOL
-        max_ratio = max(max_ratio, ratio)
-        series.append({"n": n, "ball_size": b, "ratio": ratio, "violated": bool(violated)})
-        if violated:
-            violations.append(n)
-    weak_norm_bound = c * max_ratio ** (1.0 / p_star)
+        ratio, violated = _growth_ratio(b, n, m_growth, polynomial)
+        series.append({"n": n, "ball_size": b, "ratio": ratio, "violated": violated})
+    violations = [row["n"] for row in series if row["violated"]]
+    max_ratio = max(row["ratio"] for row in series)
+    try:
+        weak_norm_bound = c * max_ratio ** (1.0 / p_star)
+    except OverflowError:
+        weak_norm_bound = math.inf
     details = {"profile": "polynomial" if polynomial else "exponential"}
     if ball_sizes is None and not polynomial:
         tail_ratio = (2 * num_generators - 1) / m_growth
@@ -1084,6 +1062,23 @@ class CheckEntry:
         object.__setattr__(self, "defaults", {p.name: p.default for p in parameters if p.default is not p.empty})
 
 
+# estimator settings used by campaign checks unless a config overrides them,
+# and the rules of the settings a config or a direct call may give
+DEFAULT_ESTIMATOR = {"restarts": 6, "max_iters": 80, "tol": 1e-7}
+_ESTIMATOR_KEYS = {
+    "restarts": Param("integer", required=False, lo=1),
+    "max_iters": Param("integer", required=False, lo=1),
+    "tol": Param(required=False, lo=0, open=True),
+}
+# the keys of each entry of a config's checks; a direct call meets its trials rule too
+_CHECK_KEYS = {
+    "check": Param("string"),
+    "instance": Param("instance", required=False),
+    "params": Param("object", required=False),
+    "trials": Param("integer", required=False, lo=1),
+    "ladder": Param("string", required=False),
+}
+
 CHECKS: dict[str, CheckEntry] = {
     "lemma_constants": CheckEntry("check_lemma_constants"),
     "hausdorff_young": CheckEntry("check_hausdorff_young", "pair", {"p": Param(lo=1, hi=2)}),
@@ -1155,9 +1150,18 @@ def _validate_params(where: str, entry: CheckEntry, params: dict) -> None:
             raise ConfigError(f"{where}: need {rule}, got {got}")
 
 
-def _check_params(check: str, **values) -> None:
-    """Raise ParameterError unless ``values`` meet the entry of ``check``; None: derived by the function."""
+def _check_params(check: str, trials=None, estimator=None, **values) -> None:
+    """Raise ParameterError unless ``values`` meet the entry of ``check``; None: derived by the function.
+
+    ``trials`` and ``estimator``, where given, meet the rules a config's
+    trial count and estimator settings meet.
+    """
+    where = f"check {check!r}"
     try:
-        _validate_params(f"check {check!r}", CHECKS[check], {k: v for k, v in values.items() if v is not None})
+        _validate_params(where, CHECKS[check], {k: v for k, v in values.items() if v is not None})
+        if trials is not None:
+            _CHECK_KEYS["trials"].validate(f"{where}: key", "trials", trials)
+        if estimator is not None:
+            _validate_object(estimator, _ESTIMATOR_KEYS, f"{where}: estimator")
     except ConfigError as exc:
         raise ParameterError(str(exc)) from exc

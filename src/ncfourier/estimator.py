@@ -24,18 +24,19 @@ Three levels of effort:
 
 Both run one engine, :func:`_ascent`.  It runs on a stack of maps that
 share a domain and a codomain, and on all their starting points at once, as
-one complex batch of rows of length D_dom; each row belongs to one map.
-Multipliers held as their symbol (``linmap.Diagonal``: the values v of a
-map diagonal in a unitary basis B, the transform of its pair) are stacked
-T at a time, as their (T, D) values with the one basis they share, and a
-product with a batch of rows is ``B(B^{-1} z * v[owner])``, the weighted
-adjoint the same with conj(v); no D x D matrix is built.  A batch of them
-holds at most ``_BATCH_BYTES`` of values and rows, so long lists of
-multipliers ascend in several batches.  A dense map ascends alone: its
-stack holds its D_cod x D_dom matrix and its weighted adjoint, and either
-product is one product with all its rows.  So does brute force, which
-always multiplies by the matrix (its domains have at most four
-coordinates), on batches of samples of at most ``_BATCH_BYTES``.
+one complex batch of rows of length D_dom; each row carries the index of
+the map that owns it.  Multipliers held as their symbol (``linmap.Diagonal``:
+the values v of a map diagonal in a unitary basis B, the transform of its
+pair) are stacked T at a time, as their (T, D) values with the one basis
+they share, and a product with a batch of rows is ``B(B^{-1} z * v[owner])``,
+the weighted adjoint the same with conj(v); no D x D matrix is built.
+:func:`estimate_pq_norms` reads its maps once, in order: a multiplier joins
+the batch while it shares the batch's basis and the batch holds at most
+``_BATCH_BYTES`` of values and rows.  A dense map ascends alone: its stack
+holds its D_cod x D_dom matrix and its weighted adjoint, and either product
+is one product with all its rows.  So does brute force, which always
+multiplies by the matrix (its domains have at most four coordinates), on
+batches of samples of at most ``_BATCH_BYTES``.
 
 A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method
 for l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
@@ -46,9 +47,10 @@ adjoint.  By Hoelder's inequality the value ||Mz||_q never falls, so the
 step needs no step size and no line search, and its fixed points are the
 stationary points of ||Mz||_q / ||z||_p.  A step raises each spectrum to
 one power, g = s^(r-1), which gives both psi_r and the norm: the r-th power
-of ||x||_r is sum w s g.  An estimate's row stops when its
-value stops rising; a brute-force row takes every step.  Every estimate is
-recomputed at its point by a product, so that it is certified.  Products,
+of ||x||_r is sum w s g.  An estimate's row stops when its value stops
+rising, and its point is written back in its place; a brute-force row
+takes every step.  Every estimate is recomputed at its point by a
+product, so that it is certified.  Products,
 reductions and warm starts are done map by map or row by row, so a map's
 estimate has the same bits in any batch.  Norms, singular values and
 duality directions come from the package's one block-spectrum kernel,
@@ -131,31 +133,26 @@ _BATCH_BYTES = 1 << 19
 class _MapStack:
     """One dense map, a complex C x D matrix, with its weighted adjoint: a stack of one.
 
-    The map owns every row of a batch, so ``slots`` is not read, and a
+    The map owns every row of a batch, so ``owner`` is not read, and a
     product is one product with all the rows.  The matrix is held
     C-contiguous, so that an estimate depends on the map's values only, not
     on how its matrix sits in memory.
     """
 
-    def __init__(self, mat: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra, rows_per_map: int):
+    def __init__(self, mat: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra):
         self.mat = np.ascontiguousarray(mat)
         self.domain = domain
         self.codomain = codomain
-        self.rows_per_map = rows_per_map
         self.wd = coordinate_weights(domain)
         # the weighted adjoint, diag(w_c) conj(M) diag(1/w_d), transposed for row products
         self.adj = np.conjugate(self.mat * coordinate_weights(codomain)[:, None]) / self.wd
 
-    def __len__(self) -> int:
-        return 1
-
-    def apply(self, z: np.ndarray, slots) -> np.ndarray:
+    def apply(self, z: np.ndarray, owner) -> np.ndarray:
         """Images M z of rows in domain coordinates."""
         return z @ self.mat.T
 
-    def adjoint(self, y: np.ndarray, slots) -> np.ndarray:
-        """Weighted adjoints diag(1/w_d) M^H diag(w_c) y of rows in codomain
-        coordinates, by the held adjoint."""
+    def adjoint(self, y: np.ndarray, owner) -> np.ndarray:
+        """Weighted adjoints diag(1/w_d) M^H diag(w_c) y of rows in codomain coordinates, by the held adjoint."""
         return y @ self.adj
 
 
@@ -163,29 +160,24 @@ class _DiagonalStack:
     """T maps diagonal in one unitary basis (``linmap.Diagonal``), as their (T, D) values.
 
     Domain and codomain are one algebra, and the weighted adjoint of a map
-    is the map with the conjugate values.  The rows of a batch are tagged
-    with slots t * R + r, row r of the R that map t owns.  A row is
-    multiplied by the values of the map that owns it, on its own, so its
+    is the map with the conjugate values.  Row i of a batch belongs to map
+    ``owner[i]``, and is multiplied by that map's values on its own, so its
     bits do not depend on the batch.
     """
 
-    def __init__(self, values: np.ndarray, basis, algebra: TracialAlgebra, rows_per_map: int):
+    def __init__(self, values: np.ndarray, basis, algebra: TracialAlgebra):
         self.values = values
         self.basis = basis
         self.domain = self.codomain = algebra
-        self.rows_per_map = rows_per_map
         self.wd = coordinate_weights(algebra)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def apply(self, z: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Images M_t z of rows in domain coordinates."""
-        return diagonal_product(self.values[slots // self.rows_per_map], self.basis, z)
+        return diagonal_product(self.values[owner], self.basis, z)
 
-    def adjoint(self, y: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    def adjoint(self, y: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Weighted adjoints M_t* y of rows in codomain coordinates: the product with conj(v)."""
-        return diagonal_product(self.values[slots // self.rows_per_map].conj(), self.basis, y)
+        return diagonal_product(self.values[owner].conj(), self.basis, y)
 
     def l2_maximizers(self, start: np.ndarray, exact: bool) -> np.ndarray:
         """:func:`_l2_maximizers` of the maps, in their basis B, where M* M is B diag(|v|^2) B^{-1}.
@@ -268,7 +260,7 @@ def _check_counts(**counts) -> None:
 
 def _ascent(
     maps: _MapStack | _DiagonalStack,
-    slots: np.ndarray,
+    owner: np.ndarray | None,
     dom_ops: _BlockOps,
     p: float,
     q: float,
@@ -278,9 +270,8 @@ def _ascent(
 ):
     """Boyd's power iteration for ||M_t z||_q on the unit p-sphere, from every row of z at once.
 
-    Row i belongs to slot ``slots[i]`` of ``maps`` (increasing), so to map
-    ``slots[i] // maps.rows_per_map``.  ``dom_ops`` is
-    ``_block_ops(maps.domain)``, the domain's cached kernel.
+    Row i belongs to map ``owner[i]`` of ``maps`` (a dense map owns every
+    row and reads no ``owner``).  ``dom_ops`` is ``_block_ops(maps.domain)``.
     ``z`` is overwritten.  Its rows are first scaled to unit p-norm; a row
     whose p-norm vanishes becomes zero with value 0.  A step is
     z <- psi_p'(M* psi_q(Mz)) at unit p-norm (see the module docstring);
@@ -293,7 +284,8 @@ def _ascent(
     * Estimates (``tol`` given): each row of value above 1e-300 takes at
       most ``iters`` steps.  It stops, converged, when its value does not
       rise (it keeps its previous point) or rises by less than ``tol``
-      relatively.
+      relatively.  A row that stops is written back into ``z`` in its
+      place, and so are the rows still running after ``iters`` steps.
 
     Returns per row: the last point, the best value along the path (for
     estimates the last one, recomputed at the point by a product, so that it
@@ -324,39 +316,35 @@ def _ascent(
         return dom_ops.direction(w, g * _inverse(nrm)[:, None], data)
 
     z *= _inverse(dom_ops.norm(z, p))[:, None]
-    mz, f, g, data = image(z, slots)
+    mz, f, g, data = image(z, owner)
     converged = np.zeros(len(z), dtype=bool)
     if tol is None:
         best = f.copy()
         for _ in range(iters):
-            z = step(slots, mz, g, data)
-            mz, f, g, data = image(z, slots)
+            z = step(owner, mz, g, data)
+            mz, f, g, data = image(z, owner)
             np.maximum(best, f, out=best)
         return z, best, converged
-    # the rows still ascending: their ids, slots and states (points, images,
+    # the rows still ascending: their ids, owners and states (points, images,
     # values, direction singular values and block data)
-    ids, at = np.arange(len(z)), slots
-    state = (z, mz, f, g, data)
-    left = []  # (ids, points) of the rows that have left
-    stop = f <= _TINY  # these leave at once, unconverged
+    ids, at, state = np.arange(len(z)), owner, (z, mz, f, g, data)
+    stop = f <= _TINY  # these stop at once, unconverged
     for i in range(iters + 1):
         if stop.any():
-            left.append((ids[stop], state[0][stop]))
+            z[ids[stop]] = state[0][stop]
             ids, at = ids[~stop], at[~stop]
             state = tuple(a[~stop] for a in state[:4]) + (tuple(a[~stop] for a in state[4]),)
         if i == iters or not ids.size:
             break
-        z, mz, f, g, data = state
+        point, mz, f, g, data = state
         new = step(at, mz, g, data)
         state = (new,) + image(new, at)
         rise = state[2] > f
         stop = ~rise | ((state[2] - f) / np.maximum(state[2], _TINY) < tol)
         converged[ids[stop]] = True
-        new[~rise] = z[~rise]  # a row whose value does not rise keeps its point
-    left.append((ids, state[0]))
-    ids, z = (np.concatenate(parts) for parts in zip(*left))
-    z = z[np.argsort(ids)]
-    return z, cod_ops.norm(maps.apply(z, slots), q) * _inverse(dom_ops.norm(z, p)), converged
+        new[~rise] = point[~rise]  # a row whose value does not rise keeps its point
+    z[ids] = state[0]
+    return z, cod_ops.norm(maps.apply(z, owner), q) * _inverse(dom_ops.norm(z, p)), converged
 
 
 def _inverse(x: np.ndarray) -> np.ndarray:
@@ -402,40 +390,44 @@ def estimate_pq_norms(
 
     ``maps`` is any iterable of LinearMaps, one per seed.  Both it and the
     returned iterator of estimates run a batch at a time, one dense map or
-    a run of multipliers (see :func:`_next_stack`), which ascends from all
+    a run of multipliers (see :func:`_estimates`), which ascends from all
     its restarts at once, so a generator of maps, read as the estimates
-    are, holds no more than one batch of maps and estimates.  Each map's estimate is the one
-    :func:`estimate_pq_norm` returns for it, whatever the other maps.
+    are, holds no more than one batch of maps and estimates, and one map.
+    Each map's estimate is the one :func:`estimate_pq_norm` returns for it,
+    whatever the other maps.
     """
     _check_exponents(p, q)
     _check_counts(restarts=(restarts, 1), max_iters=(max_iters, 1))
     if not tol > 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
-    return _estimates(_sharing_algebras(maps), p, q, [int(s) for s in seeds], restarts, max_iters, tol)
-
-
-def _sharing_algebras(maps):
-    """The maps, as they are read, each checked to share the first one's domain and codomain."""
-    first = None
-    for m in maps:
-        first = first or m
-        if not (m.domain.matches(first.domain) and m.codomain.matches(first.codomain)):
-            raise ShapeMismatchError("maps estimated together must share a domain and a codomain")
-        yield m
+    return _estimates(maps, p, q, [int(s) for s in seeds], restarts, max_iters, tol)
 
 
 def _estimates(maps, p, q, seeds, restarts, max_iters, tol):
-    """The estimates of :func:`estimate_pq_norms`, a batch at a time."""
-    done, carried = 0, None
-    while done < len(seeds):
-        first = carried if carried is not None else next(maps, None)
-        if first is None:
+    """The estimates of :func:`estimate_pq_norms`, a batch at a time, from one pass over the maps.
+
+    Each map is checked against the first as it is read.  A multiplier joins
+    the batch while it shares the batch's basis and the batch fits
+    ``_BATCH_BYTES``; a dense map ascends alone.
+    """
+    maps, first, held, start = iter(maps), None, [], 0
+    for i in range(len(seeds)):
+        m = next(maps, None)
+        if m is None:
             raise ParameterError("fewer maps than seeds")
-        stack, carried = _next_stack(first, maps, len(seeds) - done, restarts)
-        count = len(stack)
-        yield from _estimate_stack(stack, p, q, seeds[done : done + count], max_iters, tol)
-        del stack  # before the next batch is copied
-        done += count
+        first = first or m
+        if not (m.domain.matches(first.domain) and m.codomain.matches(first.codomain)):
+            raise ShapeMismatchError("maps estimated together must share a domain and a codomain")
+        if held and not (
+            None not in (m.diagonal, held[0].diagonal)
+            and m.diagonal.basis == held[0].diagonal.basis
+            and (len(held) + 1) * _map_bytes(m, restarts) <= _BATCH_BYTES
+        ):
+            yield from _estimate_stack(_stack(held), p, q, seeds[start:i], restarts, max_iters, tol)
+            held, start = [], i
+        held.append(m)
+    if held:
+        yield from _estimate_stack(_stack(held), p, q, seeds[start:], restarts, max_iters, tol)
     if next(maps, None) is not None:
         raise ParameterError(f"more maps than the {len(seeds)} seeds")
 
@@ -446,32 +438,17 @@ def _map_bytes(m: LinearMap, restarts: int) -> int:
     return values.itemsize * (values.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
 
 
-def _next_stack(first: LinearMap, maps, count: int, restarts: int):
-    """The next batch of at most ``count`` maps, from ``first`` on, as one stack.
-
-    A dense map ascends alone.  Multipliers of one basis are copied into one
-    stack of at most _BATCH_BYTES.  Returns the stack and the map that ended
-    the batch, a dense map or a multiplier of another basis, None if no map
-    did.
-    """
+def _stack(maps: list[LinearMap]):
+    """The stack of a batch: one dense map as its matrix, or multipliers of one basis as their values."""
+    first = maps[0]
     if first.diagonal is None:
-        return _MapStack(first.matrix, first.domain, first.codomain, restarts), None
-    basis, held, carried = first.diagonal.basis, [first.diagonal.values], None
-    count = min(count, max(1, _BATCH_BYTES // _map_bytes(first, restarts)))
-    while len(held) < count:
-        m = next(maps, None)
-        if m is None:
-            raise ParameterError("fewer maps than seeds")
-        if m.diagonal is None or m.diagonal.basis != basis:
-            carried = m
-            break
-        held.append(m.diagonal.values)
-    return _DiagonalStack(np.stack(held), basis, first.domain, restarts), carried
+        return _MapStack(first.matrix, first.domain, first.codomain)
+    return _DiagonalStack(np.stack([m.diagonal.values for m in maps]), first.diagonal.basis, first.domain)
 
 
-def _estimate_stack(maps, p: float, q: float, seeds: list[int], max_iters: int, tol: float):
+def _estimate_stack(maps, p: float, q: float, seeds: list[int], restarts: int, max_iters: int, tol: float):
     """The estimates of the maps of one stack, one seed each, from one ascent of all their restarts."""
-    t, r = len(maps), maps.rows_per_map
+    t, r = len(seeds), restarts
     dom = maps.domain
     z = np.empty((t, r, dom.complex_dim), dtype=complex)
     z[:, 0] = _l2_maximizers(maps, exact=(p == 2.0 and q == 2.0))
@@ -488,12 +465,12 @@ def _estimate_stack(maps, p: float, q: float, seeds: list[int], max_iters: int, 
     z = z.reshape(t * r, -1)
     dom_ops = _block_ops(dom)
     nrm = dom_ops.norm(z, p)
-    slots = np.flatnonzero(np.isfinite(nrm) & (nrm > _TINY))
-    owner = slots // r
-    z[slots], values, converged = _ascent(maps, slots, dom_ops, p, q, z[slots], max_iters, tol)
-    f = np.full(t * r, -np.inf)  # the values of the slots, -inf for unusable starts
-    f[slots] = values
-    best = np.arange(t) * r + f.reshape(t, r).argmax(axis=1)  # the first best slot of each map
+    usable = np.flatnonzero(np.isfinite(nrm) & (nrm > _TINY))
+    owner = usable // r
+    z[usable], values, converged = _ascent(maps, owner, dom_ops, p, q, z[usable], max_iters, tol)
+    f = np.full(t * r, -np.inf)  # the values of the rows, -inf for unusable starts
+    f[usable] = values
+    best = np.arange(t) * r + f.reshape(t, r).argmax(axis=1)  # the first best row of each map
     used = np.bincount(owner, minlength=t)
     done = np.bincount(owner, weights=converged, minlength=t)
     out = []
@@ -553,11 +530,11 @@ def brute_force_pq_norm(
     normals = np.empty((min(rows, samples), 2 * dim))
     rng = np.random.default_rng(seed)
     dom_ops = _block_ops(m.domain)
-    maps = _MapStack(m.matrix, m.domain, m.codomain, rows)
+    maps = _MapStack(m.matrix, m.domain, m.codomain)
     best = 0.0
     for start in range(0, samples, rows):
         batch = z[start : start + rows]
         r = rng.standard_normal(out=normals[: len(batch)])
         batch.real, batch.imag = r[:, :dim], r[:, dim:]
-        best = max(best, float(_ascent(maps, np.arange(len(batch)), dom_ops, p, q, batch, refine_steps)[1].max()))
+        best = max(best, float(_ascent(maps, None, dom_ops, p, q, batch, refine_steps)[1].max()))
     return best

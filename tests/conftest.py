@@ -327,7 +327,7 @@ def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, see
 
     dom = m.domain
     dom_ops = _BlockOps(dom)
-    warm = _l2_maximizers(_MapStack(m.matrix, dom, m.codomain, 1), p == q == 2.0)[0]
+    warm = _l2_maximizers(_MapStack(m.matrix, dom, m.codomain), p == q == 2.0)[0]
 
     n_rest = restarts - 1
     n_rank = n_rest // 2

@@ -21,6 +21,7 @@ from ncfourier.campaign import (
     _ESTIMATOR_KEYS,
     _INSTANCE_KEYS,
     _declared_precision,
+    _instance_spec,
     diff_outputs,
     emit_plot_data,
     list_instances,
@@ -182,6 +183,15 @@ _PAST_INDEX_CASES = {
     "cyclic_string_past_digit_limit": _instance("Z" + "1" * 5000),
     "depth_past_json_digits": _set("checks", 3, "params", "depth", 10000),
 }
+# instances past 2^20 source coordinates, which would exhaust memory as they are built
+_PAST_COORDINATES_CASES = {
+    "cyclic_past_coordinates": _instance({"cyclic": 10**12}),
+    "abelian_past_coordinates": _instance({"abelian": [2048, 1024]}),
+    "matrix_past_coordinates": _set(
+        "checks", 0, {"check": "schur_bound", "instance": {"matrix": 2048}, "params": {"p": 1.5, "q": 3.0}}
+    ),
+    "cyclic_string_past_coordinates": _instance("Z1099511627776"),
+}
 
 
 # (check, instance, params, fragment of the message): each breaks a rule of the
@@ -225,6 +235,21 @@ _PARAM_REJECTIONS = [
         r"need 2\^max\(k_list\) <= m/4, got k_list=\[4, 5, 6\], m=64",
     ),
     ("endpoint", None, {"k_list": [4, 5, 6]}, r"need growth_window in k_list, got growth_window=\(8, 16\) \(default\)"),
+]
+# (check, instance, args, fragment): a trial count or estimator settings that a
+# config could not give, passed to the check function from Python
+_DIRECT_CALL_REJECTIONS = [
+    ("lemma_constants", None, {"trials": 2.5}, "'trials' must be an integer"),
+    ("lemma_constants", None, {"trials": 0}, "1 <= trials"),
+    ("inversion_plancherel", "Z4", {"trials": 0}, "1 <= trials"),
+    ("hausdorff_young", "Z4", {"p": 1.5, "trials": 0}, "1 <= trials"),
+    ("real_interpolation", "Z4", {"p": 1.5, "trials": True}, "'trials' must be an integer"),
+    ("paley", "Z4", {"p": 1.5, "trials": -3}, "1 <= trials"),
+    ("multiplier_bound", "Z4", {"p": 1.5, "q": 3.0, "estimator": {"bogus": 1}}, "does not accept keys"),
+    ("multiplier_bound", "Z4", {"p": 1.5, "q": 3.0, "estimator": {"tol": float("inf")}}, "'tol' must be a number"),
+    ("multiplier_bound", "Z4", {"p": 1.5, "q": 3.0, "estimator": [2, 30]}, "estimator must be an object"),
+    ("schur_bound", "M4", {"p": 1.5, "q": 3.0, "estimator": {"restarts": 0}}, "1 <= restarts"),
+    ("schur_bound", "M4", {"p": 1.5, "q": 3.0, "trials": 4.0}, "'trials' must be an integer"),
 ]
 
 
@@ -341,6 +366,23 @@ class TestLoadConfig:
         with pytest.raises(ParameterError, match=fragment.replace(r" \(default\)", "")):
             getattr(checks_mod, CHECKS[check].function)(*args, **params)
 
+    @pytest.mark.parametrize(
+        "check, instance, params, fragment",
+        [pytest.param(*case, id=f"{case[0]}-{case[3]}") for case in _DIRECT_CALL_REJECTIONS],
+    )
+    def test_direct_call_meets_the_config_rules_of_trials_and_estimator(self, check, instance, params, fragment):
+        args = () if instance is None else (resolve_instance(instance),)
+        with pytest.raises(ParameterError, match=fragment):
+            getattr(checks_mod, CHECKS[check].function)(*args, **params)
+
+    def test_instance_bound_is_on_source_coordinates(self):
+        # 2^20 coordinates pass, one more matrix row or cyclic element does not
+        assert _instance_spec({"matrix": 1024}, "x")[0] == "matrix"
+        assert _instance_spec({"abelian": [1024, 1024]}, "x")[0] == "abelian"
+        for spec in ({"matrix": 1025}, {"cyclic": 2**20 + 1}, "Z1048577", {"abelian": [2, 2**19 + 1]}):
+            with pytest.raises(ConfigError, match="source coordinates, more than 1048576"):
+                _instance_spec(spec, "x")
+
     def test_registry_params_are_keywords_of_their_function(self):
         for name, entry in CHECKS.items():
             keywords = inspect.signature(getattr(checks_mod, entry.function)).parameters
@@ -356,7 +398,10 @@ class TestLoadConfig:
         "mutate",
         [
             pytest.param(m, id=name)
-            for name, m in {**_SCHEMA_RULE_CASES, **_NEW_REJECTION_CASES, **_PAST_DOUBLE_CASES, **_PAST_INDEX_CASES}.items()
+            for name, m in {
+                **_SCHEMA_RULE_CASES, **_NEW_REJECTION_CASES, **_PAST_DOUBLE_CASES, **_PAST_INDEX_CASES,
+                **_PAST_COORDINATES_CASES,
+            }.items()
         ],
     )
     def test_malformed_config_rejected_before_any_check(self, tmp_path, capsys, mutate):
@@ -647,6 +692,30 @@ class TestCliMain:
         assert report["details"]["max_lr_ratio"] > 1.009
         assert report["witness"]["lr_ratio"] == report["details"]["max_lr_ratio"]
 
+    def test_growth_past_the_double_range_writes_its_report(self, tmp_path):
+        # ball sizes of 10^10 generators outgrow 5^n past the double range: the
+        # ratio reads inf and the verdict fails; 1000.5^200 overflows a double,
+        # but is compared exactly and holds
+        doc = {
+            "seed": 3,
+            "checks": [
+                {"check": "growth", "params": {"num_generators": 10**10, "m_growth": 5, "p_star": 4.0, "depth": 40}},
+                {"check": "growth", "params": {"num_generators": 2, "m_growth": 1000.5, "p_star": 4.0, "depth": 200}},
+            ],
+        }
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        cmd = [sys.executable, "-m", "ncfourier", "run", str(_write_config(tmp_path, doc)), "--out", str(out)]
+        result = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "HARD FAILURES: growth[0]" in result.stdout
+        failed = json.loads((out / "reports" / "000_growth.json").read_text())
+        assert not failed["passed"] and failed["max_ratio"] == float("inf")
+        assert failed["series"][1]["ratio"] == pytest.approx(4e9) and failed["series"][-1]["ratio"] == float("inf")
+        held = json.loads((out / "reports" / "001_growth.json").read_text())
+        assert held["passed"] and held["max_ratio"] == pytest.approx(1.0)
+
     def test_config_error_exit(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -754,7 +823,7 @@ class TestCliMain:
             params = described(entry.params) + list(entry.requires)
             trials = CHECK_DEFAULT_TRIALS.get(name, "—")
             rows.append(f"| `{name}` | {entry.instance or 'none'} | {'; '.join(params) or '—'} | {trials} |")
-        instance_keys = {key: param for key, (param, _) in _INSTANCE_KEYS.items()}
+        instance_keys = {key: param for key, (param, *_) in _INSTANCE_KEYS.items()}
         for name, table in [
             ("top level", _CONFIG_KEYS),
             ("`estimator`", _ESTIMATOR_KEYS),

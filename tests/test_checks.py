@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -429,6 +430,34 @@ class TestGrowthSymbol:
         assert not rep.passed  # 5 > 4.5 at n = 1
         rep2 = growth_symbol_check(2, 5.5, 4.0, depth=4)
         assert rep2.passed
+
+    def test_ratio_past_the_double_range_reads_inf(self):
+        # |B_n| of 10^10 generators over 5^n, about (4e9)^n, leaves the double range at n = 33
+        rep = growth_symbol_check(10**10, 5, 4.0, depth=40)
+        assert not rep.passed and rep.witness["violated_radii"] == list(range(1, 41))
+        assert rep.max_ratio == math.inf and rep.empirical_constant == math.inf
+        assert rep.series[32]["ratio"] < math.inf and rep.series[33]["ratio"] == math.inf
+        assert json.loads(json.dumps(rep.to_dict()))["max_ratio"] == math.inf
+
+    def test_noninteger_base_past_the_double_range_is_exact(self):
+        # 1000.5^n overflows a double from n = 103; compared exactly, every
+        # ratio past n = 0 is below 1, and the last rounds to 0
+        rep = growth_symbol_check(2, 1000.5, 4.0, depth=200)
+        assert rep.passed and rep.max_ratio == 1.0
+        assert rep.series[1]["ratio"] == 5 / 1000.5 and rep.series[200]["ratio"] == 0.0
+
+    def test_polynomial_bound_past_the_double_range(self):
+        # a non-integer M compares in logarithms where |B_n| or n^M leaves the
+        # double range; an integer M exactly, without building an n^M that
+        # dwarfs |B_n|
+        rep = growth_symbol_check(10**10, 2.5, 4.0, depth=40, polynomial=True)
+        assert not rep.passed and rep.max_ratio == math.inf
+        assert rep.series[2]["ratio"] == pytest.approx((2 * 10**10) ** 2 / 2**2.5, rel=1e-9)
+        rep = growth_symbol_check(2, 10**12, 4.0, depth=40, polynomial=True)
+        assert rep.witness["violated_radii"] == [1]  # |B_1| = 5 > 1^M
+        assert all(row["ratio"] == 0.0 for row in rep.series[2:])
+        rep = growth_symbol_check(2, 4, 1e-4, depth=6)  # max ratio 1.25, raised to the 10^4
+        assert rep.max_ratio == 1.25 and rep.empirical_constant == math.inf
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -320,7 +320,7 @@ class TestExactL2:
     def test_diagonal_maps_against_svd(self, name):
         m = _diagonal_map(name, 31)
         l2 = exact_l2_norm(m)
-        v = estimator._l2_maximizers(estimator._next_stack(m, iter([]), 1, 1)[0], exact=True)[0]
+        v = estimator._l2_maximizers(estimator._stack([m]), exact=True)[0]
         assert "matrix" not in vars(m)
         w = coordinate_weights(m.domain)
         _, sv, vh = np.linalg.svd(np.sqrt(w)[:, None] * m.matrix / np.sqrt(w))
@@ -332,8 +332,8 @@ class TestExactL2:
     @pytest.mark.parametrize("name", ["Z8", "Z2xZ4", "M3"])
     def test_diagonal_warm_start_is_the_dense_power_method(self, name):
         m = _diagonal_map(name, 32)
-        stack, _ = estimator._next_stack(m, iter([]), 1, 1)
-        dense = estimator._MapStack(m.matrix, m.domain, m.codomain, 1)
+        stack = estimator._stack([m])
+        dense = estimator._MapStack(m.matrix, m.domain, m.codomain)
         got, want = (estimator._l2_maximizers(s, exact=False)[0] for s in (stack, dense))
         assert np.allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -496,8 +496,8 @@ class TestHeldAdjoint:
     def test_adjoint_is_the_product_with_the_weighted_adjoint(self):
         for m in self._maps():
             rows = _complex_matrix(np.random.default_rng(72), (300, m.codomain.complex_dim))
-            stack = estimator._MapStack(m.matrix, m.domain, m.codomain, len(rows))
-            assert np.array_equal(stack.adjoint(rows, np.arange(len(rows))), rows @ weighted_adjoint_matrix(m).T)
+            stack = estimator._MapStack(m.matrix, m.domain, m.codomain)
+            assert np.array_equal(stack.adjoint(rows, None), rows @ weighted_adjoint_matrix(m).T)
 
 
 class TestIterationCounts:
@@ -625,9 +625,9 @@ class TestTextbookStep:
     def test_steps_match_four_power_form(self, name, p, q):
         m = _pinned_map(name, "gaussian")
         z0 = estimator._complex_normals(np.random.default_rng(9), (300, m.domain.complex_dim))
-        maps = estimator._MapStack(m.matrix, m.domain, m.codomain, len(z0))
+        maps = estimator._MapStack(m.matrix, m.domain, m.codomain)
         for steps in (1, 3):
-            z, best, _ = estimator._ascent(maps, np.arange(len(z0)), _BlockOps(m.domain), p, q, z0.copy(), steps)
+            z, best, _ = estimator._ascent(maps, None, _BlockOps(m.domain), p, q, z0.copy(), steps)
             want_z, want_best = reference_fixed_steps(m, z0, p, q, steps, textbook=True)
             assert np.all(np.abs(z - want_z) <= 1e-13 * np.abs(want_z).max(axis=1, keepdims=True))
             assert np.all(np.abs(best - want_best) <= 1e-13 * want_best)
@@ -669,13 +669,13 @@ def _same_estimate(a, b) -> bool:
 
 
 def _batch_sizes(monkeypatch) -> list[int]:
-    """The number of maps in each batch the estimator ascends from now on, as it goes."""
+    """The number of maps in each batch the estimator ascends from now on, as it goes: its seeds."""
     sizes = []
     estimate_stack = estimator._estimate_stack
 
-    def counted(stack, *args):
-        sizes.append(len(stack))
-        return estimate_stack(stack, *args)
+    def counted(stack, p, q, seeds, *args):
+        sizes.append(len(seeds))
+        return estimate_stack(stack, p, q, seeds, *args)
 
     monkeypatch.setattr(estimator, "_estimate_stack", counted)
     return sizes

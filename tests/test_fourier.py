@@ -19,7 +19,7 @@ from ncfourier.fourier import (
     perturb_fourier_matrix,
 )
 from ncfourier.groups import builtin_group, builtin_group_names, cyclic_group_data
-from ncfourier.estimator import _next_stack, estimate_pq_norm, exact_l2_norm
+from ncfourier.estimator import _stack, estimate_pq_norm, exact_l2_norm
 from ncfourier.linmap import LinearMap, coordinate_weights
 from ncfourier.lorentz import lp_norm
 from ncfourier.schur import schur_pair
@@ -302,12 +302,12 @@ class TestDiagonalForm:
         rng = np.random.default_rng(sum(orders))
         d = pair.dual.complex_dim
         z = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
-        stack, _ = _next_stack(m, iter([]), 1, 5)
-        slots = np.arange(5)
+        stack = _stack([m])
+        owner = np.zeros(5, int)
         dense = _dense_multiplier(pair, x)
         adjoint = weighted_adjoint_matrix(LinearMap(pair.dual, pair.dual, dense))
-        assert _rel_err(stack.apply(z, slots), z @ dense.T) <= 1e-12
-        assert _rel_err(stack.adjoint(z.copy(), slots), z @ adjoint.T) <= 1e-12
+        assert _rel_err(stack.apply(z, owner), z @ dense.T) <= 1e-12
+        assert _rel_err(stack.adjoint(z.copy(), owner), z @ adjoint.T) <= 1e-12
         assert "matrix" not in vars(m)  # the products built no matrix
         assert _rel_err(m.matrix, dense) <= 1e-12
 
@@ -401,11 +401,11 @@ class TestSymbolHeldGroupMultipliers:
     def test_row_products_match_dense(self, name):
         pair, _, m, dense = _group_multiplier(name, 62)
         z = _gaussian_rows(np.random.default_rng(62), 5, pair.dual.complex_dim)
-        stack, _ = _next_stack(m, iter([]), 1, 5)
-        slots = np.arange(5)
+        stack = _stack([m])
+        owner = np.zeros(5, int)
         adjoint = weighted_adjoint_matrix(LinearMap(pair.dual, pair.dual, dense))
-        assert _rel_err(stack.apply(z, slots), z @ dense.T) <= 1e-12
-        assert _rel_err(stack.adjoint(z.copy(), slots), z @ adjoint.T) <= 1e-12
+        assert _rel_err(stack.apply(z, owner), z @ dense.T) <= 1e-12
+        assert _rel_err(stack.adjoint(z.copy(), owner), z @ adjoint.T) <= 1e-12
         assert "matrix" not in vars(m)  # the products built no matrix
         assert _rel_err(m.matrix, dense) <= 1e-12
 
@@ -427,12 +427,11 @@ class TestSymbolHeldGroupMultipliers:
     def test_row_has_the_same_bits_in_a_batch(self, name):
         pair, _, m, _ = _group_multiplier(name, 65)
         z = _gaussian_rows(np.random.default_rng(65), 300, pair.dual.complex_dim)
-        batch, _ = _next_stack(m, iter([]), 1, 300)
-        alone, _ = _next_stack(m, iter([]), 1, 1)
-        images, adjoints = batch.apply(z, np.arange(300)), batch.adjoint(z.copy(), np.arange(300))
+        stack = _stack([m])
+        images, adjoints = stack.apply(z, np.zeros(300, int)), stack.adjoint(z.copy(), np.zeros(300, int))
         for i in (0, 1, 150, 299):
-            assert np.array_equal(alone.apply(z[i : i + 1], np.arange(1))[0], images[i])
-            assert np.array_equal(alone.adjoint(z[i : i + 1].copy(), np.arange(1))[0], adjoints[i])
+            assert np.array_equal(stack.apply(z[i : i + 1], np.zeros(1, int))[0], images[i])
+            assert np.array_equal(stack.adjoint(z[i : i + 1].copy(), np.zeros(1, int))[0], adjoints[i])
 
     def test_z128_multiplier_holds_no_matrix(self):
         pair = build_group_vna(cyclic_group_data(128))

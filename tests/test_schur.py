@@ -6,7 +6,7 @@ import pytest
 from ncfourier.algebra import random_element
 from ncfourier.checks import check_hausdorff_young, check_inversion_plancherel
 from ncfourier.errors import ParameterError
-from ncfourier.estimator import _next_stack, estimate_pq_norm, exact_l2_norm
+from ncfourier.estimator import _stack, estimate_pq_norm, exact_l2_norm
 from ncfourier.fourier import fourier, inverse_fourier
 from ncfourier.linmap import LinearMap
 from ncfourier.lorentz import lorentz_norms, lp_norm
@@ -90,12 +90,12 @@ class TestDiagonalForm:
         m = schur_map(a)
         assert m.diagonal is not None and m.diagonal.basis.kind == "identity"
         z = rng.standard_normal((4, n * n)) + 1j * rng.standard_normal((4, n * n))
-        stack, _ = _next_stack(m, iter([]), 1, 4)
-        slots = np.arange(4)
+        stack = _stack([m])
+        owner = np.zeros(4, int)
         dense = np.diag(a.ravel())
         adjoint = weighted_adjoint_matrix(LinearMap(m.domain, m.codomain, dense))
-        assert np.allclose(stack.apply(z, slots), z @ dense.T, rtol=1e-12, atol=0.0)
-        assert np.allclose(stack.adjoint(z.copy(), slots), z @ adjoint.T, rtol=1e-12, atol=0.0)
+        assert np.allclose(stack.apply(z, owner), z @ dense.T, rtol=1e-12, atol=0.0)
+        assert np.allclose(stack.adjoint(z.copy(), owner), z @ adjoint.T, rtol=1e-12, atol=0.0)
         assert "matrix" not in vars(m)
         assert np.array_equal(m.matrix, dense)
 
@@ -119,10 +119,10 @@ class TestIdentityPair:
         m = schur_map(a)
         values = a.ravel()
         z = rng.standard_normal((6, n * n)) + 1j * rng.standard_normal((6, n * n))
-        stack, _ = _next_stack(m, iter([]), 1, 6)
-        slots = np.arange(6)
-        assert np.array_equal(stack.apply(z, slots), values * z)
-        assert np.array_equal(stack.adjoint(z.copy(), slots), values.conj() * z)
+        stack = _stack([m])
+        owner = np.zeros(6, int)
+        assert np.array_equal(stack.apply(z, owner), values * z)
+        assert np.array_equal(stack.adjoint(z.copy(), owner), values.conj() * z)
         x = random_element(m.domain, 5)
         assert np.array_equal(m.apply(x).row, values * x.row)
         assert np.array_equal(m.matrix, np.ascontiguousarray((values * np.eye(n * n)).T))

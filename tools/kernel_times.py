@@ -71,24 +71,23 @@ def kernel_times(name: str, p: float, q: float) -> dict:
     """Microseconds per call of each kernel of one step on a brute-force batch of the map ``name``."""
     m = _map(name)
     rows = _BATCH_BYTES // (16 * (m.domain.complex_dim + m.codomain.complex_dim))
-    maps = _MapStack(m.matrix, m.domain, m.codomain, rows)
-    slots = np.arange(rows)
+    maps = _MapStack(m.matrix, m.domain, m.codomain)
     dom_ops, cod_ops = _block_ops(m.domain), _block_ops(m.codomain)
     z = _complex_normals(np.random.default_rng(1), (rows, m.domain.complex_dim))
-    mz = maps.apply(z, slots)
+    mz = maps.apply(z, None)
     sv, data = cod_ops.spectrum(mz, vectors=True)
     g = cod_ops.powers(sv, q)
 
     def ascent(steps):
-        return lambda start: _ascent(maps, slots, dom_ops, p, q, start, steps)
+        return lambda start: _ascent(maps, None, dom_ops, p, q, start, steps)
 
     number = 20
     out = {
         "spectrum": _per_call_us(lambda: cod_ops.spectrum(mz, vectors=True), number),
         "direction": _per_call_us(lambda: cod_ops.direction(mz, g, data), number),
-        "apply": _per_call_us(lambda: maps.apply(z, slots), number),
+        "apply": _per_call_us(lambda: maps.apply(z, None), number),
         # an adjoint may overwrite its input, and the ascent does
-        "adjoint": _per_call_us(lambda y: maps.adjoint(y, slots), number, fresh=mz),
+        "adjoint": _per_call_us(lambda y: maps.adjoint(y, None), number, fresh=mz),
     }
     one, eleven = (_per_call_us(ascent(steps), 2, fresh=z) for steps in (1, 11))
     out["ascent step"] = (eleven - one) / 10.0
