@@ -295,10 +295,11 @@ def run_campaign(config: CampaignConfig, out_dir, jobs: int = 1, timings=None):
         for i, spec in enumerate(config.checks)
     ]
 
-    if jobs == 1:
+    workers = min(jobs, len(tasks))  # a pool starts all its workers at once
+    if workers <= 1:
         results = [_run_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, tasks))
 
     rows = []

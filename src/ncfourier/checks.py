@@ -971,6 +971,10 @@ _TYPE_TESTS = {
     "object": lambda v: type(v) is dict,
     "instance": lambda v: type(v) is dict or type(v) is str and v != "",
 }
+# the largest torus grid of the scaling experiments, endpoint's default, and the
+# largest sharpness frequency count, whose derived grid 4 max(n_list) fits it
+_MAX_GRID = 1 << 20
+_MAX_FREQUENCIES = _MAX_GRID // 4
 # every precondition a registry entry may name: the parameters it reads and
 # the test of their values
 _REQUIREMENTS = {
@@ -1012,11 +1016,11 @@ class Param:
         return f"a list of {lo if lo == hi else f'>= {lo}'} {self.type}s{order}"
 
     def bounds(self, key: str) -> str:
-        """The range as an inequality in ``key`` (``key[i]`` for a list); '' when unbounded."""
+        """The range as an inequality in ``key`` (``key[i]`` for a list), bounds written exactly; '' if unbounded."""
         symbol = key if self.length is None else f"{key}[i]"
         op = "<" if self.open else "<="
-        lo = f"{self.lo:g} {op} " if self.lo > -math.inf else ""
-        hi = f" {op} {self.hi:g}" if self.hi < math.inf else ""
+        lo = f"{self.lo} {op} " if self.lo > -math.inf else ""
+        hi = f" {op} {self.hi}" if self.hi < math.inf else ""
         return f"{lo}{symbol}{hi}" if lo or hi else ""
 
     def validate(self, where: str, key: str, value) -> None:
@@ -1094,9 +1098,9 @@ CHECKS: dict[str, CheckEntry] = {
         params={
             "p": Param(lo=1),
             "q": Param(),
-            "n_list": Param("integer", lo=2, length=(3, None), increasing=True),
+            "n_list": Param("integer", lo=2, hi=_MAX_FREQUENCIES, length=(3, None), increasing=True),
             "s_factor": Param(required=False, lo=1, open=True),
-            "m": Param("integer", required=False),
+            "m": Param("integer", required=False, hi=_MAX_GRID),
             "growth_factor": Param(required=False),
         },
         requires=("p < q", "2 max(n_list) < m"),
@@ -1105,7 +1109,7 @@ CHECKS: dict[str, CheckEntry] = {
         "endpoint_experiment",
         params={
             "k_list": Param("integer", lo=1, length=(1, None), increasing=True),
-            "m": Param("integer", required=False),
+            "m": Param("integer", required=False, hi=_MAX_GRID),
             "growth_window": Param("integer", required=False, length=(2, 2), increasing=True),
             "min_growth": Param(required=False),
         },

@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a campaign JSON file")
     p_run.add_argument("--out", default="campaign_out", help="output directory (default: %(default)s)")
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed in the config")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default: 1)")
+    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes, at most one per check (default: 1)")
     p_run.add_argument(
         "--timings",
         default=None,

@@ -38,26 +38,26 @@ is one product with all its rows.  So does brute force, which always
 multiplies by the matrix (its domains have at most four coordinates), on
 batches of samples of at most ``_BATCH_BYTES``.
 
-A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method
-for l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
+A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method for
+l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
 matrix p-norm", Numer. Math. 62, 1992), carried over to weighted Schatten
 norms by duality: z <- psi_p'(M* psi_q(Mz)), scaled to unit p-norm, where
 psi_r is the duality direction U diag(s^(r-1)) V* of L_r and M* the weighted
 adjoint.  By Hoelder's inequality the value ||Mz||_q never falls, so the
 step needs no step size and no line search, and its fixed points are the
-stationary points of ||Mz||_q / ||z||_p.  A step raises each spectrum to
-one power, g = s^(r-1), which gives both psi_r and the norm: the r-th power
-of ||x||_r is sum w s g.  An estimate's row stops when its value stops
-rising, and its point is written back in its place; a brute-force row
-takes every step.  Every estimate is recomputed at its point by a
-product, so that it is certified.  Products,
+stationary points of ||Mz||_q / ||z||_p.  A step raises each spectrum to one
+power, g = s^(r-1), which gives both psi_r and the norm: the r-th power of
+||x||_r is sum w s g.  Between steps a row carries its point, its value and
+the direction psi_q(Mz) / ||Mz||_q^q of its image, not their spectra.  An
+estimate's row stops when its value stops rising, and its point is written
+back in its place; a brute-force row takes every step.  Every estimate is
+recomputed at its point by a product, so that it is certified.  Products,
 reductions and warm starts are done map by map or row by row, so a map's
-estimate has the same bits in any batch.  Norms, singular values and
-duality directions come from the package's one block-spectrum kernel,
+estimate has the same bits in any batch.  Norms, singular values and duality
+directions come from the package's one block-spectrum kernel,
 ``lorentz._BlockOps``: on 1x1 and 2x2 blocks they are elementwise closed
-forms on the block entries, so a batch of them costs a fixed number of
-array operations, whatever its size, and commutative algebras never touch
-LAPACK.
+forms on the block entries, so a batch of them costs a fixed number of array
+operations, whatever its size, and commutative algebras never touch LAPACK.
 """
 
 from __future__ import annotations
@@ -278,7 +278,8 @@ def _ascent(
     for p = 1, psi_inf(w) is U diag([s == max s]) V* over the row's largest
     singular values.  A step takes one spectrum and one power g of it on each
     side; ||Mz||_q^q, and ||psi_p'(w)||_p^p = ||w||_p'^p' as g^p = s^p', are
-    both :meth:`_BlockOps.power_sum` of a spectrum and its power.
+    both :meth:`_BlockOps.power_sum` of a spectrum and its power.  Between
+    steps a row's state is its point, its value and its image's direction.
 
     * Brute force (``tol`` None): every row takes all ``iters`` steps.
     * Estimates (``tol`` given): each row of value above 1e-300 takes at
@@ -295,8 +296,8 @@ def _ascent(
     p_dual = np.inf if p == 1.0 else p / (p - 1.0)
 
     def image(z, at):
-        """Images, their q-norms f, and psi_q(Mz) / f^q (whose weighted adjoint
-        has dual norm at least 1) as its singular values and block data."""
+        """The images' q-norms f and directions psi_q(Mz) / f^q, whose weighted
+        adjoints have dual norm at least 1."""
         mz = maps.apply(z, at)
         sv, data = cod_ops.spectrum(mz, vectors=True)
         g = cod_ops.powers(sv, q)
@@ -304,11 +305,11 @@ def _ascent(
         f = total ** (1.0 / q)
         # g / f^q, not g * (1 / f^q): f^q underflows where f is still above 1e-300
         g /= np.where(f > _TINY, total, np.inf)[:, None]
-        return mz, f, g, data
+        return f, cod_ops.direction(mz, g, data)
 
-    def step(at, mz, g, data):
-        """The next points, psi_p'(M* psi_q(Mz)) at unit p-norm, from the images and their directions."""
-        w = maps.adjoint(cod_ops.direction(mz, g, data), at)
+    def step(at, d):
+        """The next points, psi_p'(M* d) at unit p-norm, from the directions d of the images."""
+        w = maps.adjoint(d, at)
         sv, data = dom_ops.spectrum(w, vectors=True)
         g = dom_ops.powers(sv, p_dual)
         # ||psi_p'(w)||_p^p = ||w||_p'^p' for p > 1; for p = 1, psi_inf(w) is an indicator
@@ -316,31 +317,30 @@ def _ascent(
         return dom_ops.direction(w, g * _inverse(nrm)[:, None], data)
 
     z *= _inverse(dom_ops.norm(z, p))[:, None]
-    mz, f, g, data = image(z, owner)
+    f, d = image(z, owner)
     converged = np.zeros(len(z), dtype=bool)
     if tol is None:
         best = f.copy()
         for _ in range(iters):
-            z = step(owner, mz, g, data)
-            mz, f, g, data = image(z, owner)
+            z = step(owner, d)
+            f, d = image(z, owner)
             np.maximum(best, f, out=best)
         return z, best, converged
-    # the rows still ascending: their ids, owners and states (points, images,
-    # values, direction singular values and block data)
-    ids, at, state = np.arange(len(z)), owner, (z, mz, f, g, data)
+    # the rows still ascending: their ids, owners and states (points, values and image directions)
+    ids, at, state = np.arange(len(z)), owner, (z, f, d)
     stop = f <= _TINY  # these stop at once, unconverged
     for i in range(iters + 1):
         if stop.any():
             z[ids[stop]] = state[0][stop]
             ids, at = ids[~stop], at[~stop]
-            state = tuple(a[~stop] for a in state[:4]) + (tuple(a[~stop] for a in state[4]),)
+            state = tuple(a[~stop] for a in state)
         if i == iters or not ids.size:
             break
-        point, mz, f, g, data = state
-        new = step(at, mz, g, data)
+        point, f, d = state
+        new = step(at, d)
         state = (new,) + image(new, at)
-        rise = state[2] > f
-        stop = ~rise | ((state[2] - f) / np.maximum(state[2], _TINY) < tol)
+        rise = state[1] > f
+        stop = ~rise | ((state[1] - f) / np.maximum(state[1], _TINY) < tol)
         converged[ids[stop]] = True
         new[~rise] = point[~rise]  # a row whose value does not rise keeps its point
     z[ids] = state[0]

@@ -20,10 +20,13 @@ p-norm, computed directly by :func:`lp_norm`.
 
 This module holds the package's one block-spectrum kernel, :class:`_BlockOps`.
 It works on batches of S elements in stacked complex coordinates, an (S, D)
-array: singular values of 1x1 blocks are |z|, those of 2x2 blocks closed
-forms on their four entries (:func:`_spectrum2`), and only larger blocks go
-through LAPACK, the blocks of each size in one batched call.  The estimator
-ascends with it, and every functional here is built on it in a batched form
+array.  It groups the blocks by size once, in one table, and each of its
+methods loops once over the groups: singular values of 1x1 blocks are |z|,
+those of 2x2 blocks closed forms on their four entries (:func:`_spectrum2`),
+and only larger blocks go through LAPACK, one batched call per size.  A
+spectrum comes with one entry of block data per group, on which the duality
+direction is built.  The estimator ascends with the kernel, and every
+functional here is built on it in a batched form
 (:func:`lp_norms`, :func:`lorentz_norms`, :func:`singular_functions`,
 :func:`distribution_functions`) whose S = 1 case is the per-element
 function.  A row's result does not depend on the other rows of its batch,
@@ -150,73 +153,66 @@ def _as_slice(idx: np.ndarray):
     return idx
 
 
+def _put(out, where, values: np.ndarray) -> np.ndarray:
+    """``values`` written into ``out[:, where]``; with no ``out`` (one group) they are the rows, not a copy."""
+    if out is None:
+        return values
+    out[:, where] = values
+    return out
+
+
 class _BlockOps:
     """Vectorized singular values / Schatten directions for one algebra.
 
-    Operates on batches of stacked complex coordinates, shape (S, D).
-    Blocks are grouped by size: 1x1 entries are pure elementwise work, 2x2
-    blocks are elementwise closed forms on their four entries (see
-    :func:`_spectrum2` and :func:`_direction2`), not stacked 2x2 matrix
-    products, and the blocks of each larger size go through one batched
-    LAPACK call.  Singular values are laid out 1x1 entries first, then the
-    2x2 blocks, then the larger blocks, each part in block order; ``wts``
-    holds their block weights and ``block_index`` their blocks.
+    Operates on batches of stacked complex coordinates, shape (S, D).  The
+    kind of each block is decided once, in ``groups``: one entry
+    (n, block count, coordinate indices, singular value columns) per block
+    size, 1x1 first, then 2x2, then the larger sizes in order of first
+    appearance.  Every method loops once over the groups: 1x1 entries are
+    pure elementwise work, 2x2 blocks elementwise closed forms on their four
+    entries (see :func:`_spectrum2` and :func:`_direction2`), not stacked
+    2x2 matrix products, and the blocks of each larger size go through one
+    batched LAPACK call.  Singular values are laid out group by group, each
+    group in block order; ``wts`` holds their block weights and
+    ``block_index`` their blocks.
     """
 
     def __init__(self, algebra: TracialAlgebra):
-        self.algebra = algebra
         dims = algebra.dims
-        offsets = [algebra.block_offset(k) for k in range(algebra.num_blocks)]
-        ones = [k for k, n in enumerate(dims) if n == 1]
-        twos = [k for k, n in enumerate(dims) if n == 2]
-        big = [k for k, n in enumerate(dims) if n > 2]
-        self.block_index = np.array(ones + [k for k in twos for _ in range(2)] + [k for k in big for _ in range(dims[k])])
+        order = sorted(range(len(dims)), key=lambda k: min(dims[k], 3))  # stable: each kind in block order
+        self.block_index = np.array([k for k in order for _ in range(dims[k])])
         self.wts = np.asarray(algebra.weights)[self.block_index]
-        self.n1, self.n2 = len(ones), 2 * len(twos)
-        self.idx1 = _as_slice(np.array([offsets[k] for k in ones], dtype=int))
-        self.idx2 = _as_slice(np.array([offsets[k] + i for k in twos for i in range(4)], dtype=int))
-        # (n, block count, coordinate indices, singular value columns) per size n > 2
-        first_col = dict(zip(big, np.cumsum([self.n1 + self.n2] + [dims[k] for k in big]).tolist()))
-        self.big = []
-        for n in dict.fromkeys(dims[k] for k in big):
-            ks = [k for k in big if dims[k] == n]
-            idx = np.array([offsets[k] + i for k in ks for i in range(n * n)])
-            cols = np.array([first_col[k] + i for k in ks for i in range(n)])
-            self.big.append((n, len(ks), _as_slice(idx), _as_slice(cols)))
+        sizes = np.asarray(dims)[self.block_index]
+        self.groups = []
+        for n in dict.fromkeys(dims[k] for k in order):
+            ks = [k for k in order if dims[k] == n]
+            idx = np.array([algebra.block_offset(k) + i for k in ks for i in range(n * n)])
+            self.groups.append((n, len(ks), _as_slice(idx), _as_slice(np.flatnonzero(sizes == n))))
 
     def spectrum(self, z: np.ndarray, vectors: bool = False):
         """Per-row singular values, in the order of ``self.wts``, and the block data
-        :meth:`direction` builds on; z has shape (S, D).
+        :meth:`direction` builds on, one entry per group; z has shape (S, D).
 
-        The data are |z| on the 1x1 entries and the five arrays of
-        :func:`_spectrum2` on the 2x2 blocks.  Each size of larger blocks
-        adds (U, V*) of their SVD, shape (S, blocks, n, n), when ``vectors``,
-        and nothing otherwise.
+        A group's data are |z| for 1x1 blocks and the five arrays of
+        :func:`_spectrum2` for 2x2 blocks.  For a larger size they are
+        (U, V*) of the blocks' SVD, shape (S, blocks, n, n), when ``vectors``,
+        and () otherwise.
         """
         s_count = z.shape[0]
-        parts = []  # (singular value columns, values)
-        data = ()
-        if self.n1:
-            mag = np.abs(z[:, self.idx1])
-            parts.append((slice(0, self.n1), mag))
-            data += (mag,)
-        if self.n2:
-            spec2 = _spectrum2(z[:, self.idx2].reshape(s_count, -1, 4))
-            parts.append((slice(self.n1, self.n1 + self.n2), spec2[0].reshape(s_count, -1)))
-            data += spec2
-        for n, m, idx, cols in self.big:
-            y = z[:, idx].reshape(s_count, m, n, n)
-            if vectors:
-                u, sv, vh = np.linalg.svd(y)
-                data += (u, vh)
+        sv, data = None if len(self.groups) == 1 else np.empty((s_count, self.wts.size)), []
+        for n, m, idx, cols in self.groups:
+            if n == 1:
+                values = block_data = np.abs(z[:, idx])
+            elif n == 2:
+                block_data = _spectrum2(z[:, idx].reshape(s_count, m, 4))
+                values = block_data[0]
+            elif vectors:
+                u, values, vh = np.linalg.svd(z[:, idx].reshape(s_count, m, n, n))
+                block_data = (u, vh)
             else:
-                sv = np.linalg.svd(y, compute_uv=False)
-            parts.append((cols, sv.reshape(s_count, -1)))
-        if len(parts) == 1:
-            return parts[0][1], data
-        sv = np.empty((s_count, self.wts.size))
-        for cols, values in parts:
-            sv[:, cols] = values
+                values, block_data = np.linalg.svd(z[:, idx].reshape(s_count, m, n, n), compute_uv=False), ()
+            data.append(block_data)
+            sv = _put(sv, cols, values.reshape(s_count, -1))
         return sv, data
 
     def value(self, sv: np.ndarray, p: float) -> np.ndarray:
@@ -247,13 +243,10 @@ class _BlockOps:
         from a 1x1 matrix product with ``@``.
         """
         s_count = a.shape[0]
-        out = np.empty(a.shape, dtype=complex)
-        if self.n1:
-            out[:, self.idx1] = a[:, self.idx1] * b[:, self.idx1]
-        blocks = [(self.idx2, 2)] if self.n2 else []
-        for idx, n in blocks + [(idx, n) for n, _, idx, _ in self.big]:
-            shape = (s_count, -1, n, n)
-            out[:, idx] = (a[:, idx].reshape(shape) @ b[:, idx].reshape(shape)).reshape(s_count, -1)
+        out = None if len(self.groups) == 1 else np.empty(a.shape, dtype=complex)
+        for n, m, idx, _ in self.groups:
+            x, y = (c[:, idx].reshape(s_count, m, n, n) for c in (a, b))
+            out = _put(out, idx, (x * y if n == 1 else x @ y).reshape(s_count, -1))
         return out
 
     @staticmethod
@@ -272,31 +265,24 @@ class _BlockOps:
             return (sv > _SV_FLOOR * top).astype(float)
         return ((sv == top) & (sv > 0.0)).astype(float)
 
-    def direction(self, z: np.ndarray, g: np.ndarray, data: tuple) -> np.ndarray:
+    def direction(self, z: np.ndarray, g: np.ndarray, data: list) -> np.ndarray:
         """Blockwise U diag(g) V* of each row, ``g`` laid out like the singular values.
 
         ``data`` is the block data of :meth:`spectrum` for the same rows, with
         vectors when the algebra has blocks larger than 2x2.
         """
         s_count = z.shape[0]
-        n1, n2 = self.n1, self.n2
-        parts = []  # (coordinates, values)
-        if n1:
-            mag, *data = data
-            # z g / |z|; where z = 0 any finite ratio serves
-            parts.append((self.idx1, z[:, self.idx1] * (g[:, :n1] / (mag + (mag == 0.0)))))
-        if n2:
-            spec2, data = data[:5], data[5:]
-            g2 = g[:, n1 : n1 + n2].reshape(s_count, -1, 2)
-            parts.append((self.idx2, _direction2(z[:, self.idx2].reshape(s_count, -1, 4), g2, spec2).reshape(s_count, -1)))
-        for (n, m, idx, cols), u, vh in zip(self.big, data[::2], data[1::2]):
-            gk = g[:, cols].reshape(s_count, m, 1, n)
-            parts.append((idx, ((u * gk) @ vh).reshape(s_count, -1)))
-        if len(parts) == 1:  # blocks of one kind, in order: the part is the row
-            return parts[0][1]
-        out = np.empty_like(z)
-        for idx, values in parts:
-            out[:, idx] = values
+        out = None if len(self.groups) == 1 else np.empty_like(z)
+        for (n, m, idx, cols), block_data in zip(self.groups, data):
+            if n == 1:
+                # z g / |z|; where z = 0 any finite ratio serves
+                values = z[:, idx] * (g[:, cols] / (block_data + (block_data == 0.0)))
+            elif n == 2:
+                values = _direction2(z[:, idx].reshape(s_count, m, 4), g[:, cols].reshape(s_count, m, 2), block_data)
+            else:
+                u, vh = block_data
+                values = (u * g[:, cols].reshape(s_count, m, 1, n)) @ vh
+            out = _put(out, idx, values.reshape(s_count, -1))
         return out
 
     def schatten_direction(self, z: np.ndarray, q: float) -> np.ndarray:

@@ -192,6 +192,13 @@ _PAST_COORDINATES_CASES = {
     ),
     "cyclic_string_past_coordinates": _instance("Z1099511627776"),
 }
+# torus grids past 2^20 points, which would exhaust memory as they are sampled
+_PAST_GRID_CASES = {
+    "sharpness_n_list_past_grid": _set(
+        "checks", 0, {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 10**12]}}
+    ),
+    "endpoint_m_past_grid": _set("checks", 0, {"check": "endpoint", "params": {"k_list": [8, 12, 16], "m": 10**15}}),
+}
 
 
 # (check, instance, params, fragment of the message): each breaks a rule of the
@@ -213,6 +220,16 @@ _PARAM_REJECTIONS = [
     ("growth", None, {"num_generators": 2, "m_growth": 5, "p_star": 4.0, "c": "x"}, "'c' must be a number"),
     ("multiplier_bound", "Z4", {"p": 1.5, "q": _HUGE}, "'q' must be a number"),
     ("sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [1, 8, 16]}, r"outside allowed range 2 <= n_list\[i\]"),
+    # torus grids of at most 2^20 points, bounds written exactly
+    (
+        "sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [4, 8, 2**18 + 1]},
+        r"'n_list'=\[4, 8, 262145\] outside allowed range 2 <= n_list\[i\] <= 262144$",
+    ),
+    (
+        "sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": 2**20 + 1},
+        "'m'=1048577 outside allowed range m <= 1048576$",
+    ),
+    ("endpoint", None, {"k_list": [8, 12, 16], "m": 10**15}, "'m'=1000000000000000 outside allowed range m <= 1048576$"),
     # orderings and memberships the experiments need
     ("sharpness", None, {"p": 1.5, "q": 3.0, "n_list": [8, 4, 16]}, "parameter 'n_list' must be .* strictly increasing"),
     ("endpoint", None, {"k_list": [4, 6, 5]}, "parameter 'k_list' must be .* strictly increasing"),
@@ -353,8 +370,11 @@ class TestLoadConfig:
             {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 16], "m": 33}},
             {"check": "endpoint", "params": {"k_list": [8, 16, 18]}},
             {"check": "endpoint", "params": {"k_list": [4, 5, 6], "m": 256, "growth_window": [4, 6]}},
+            # the largest grid and frequency count
+            {"check": "sharpness", "params": {"p": 1.5, "q": 3.0, "n_list": [4, 8, 2**18], "m": 2**20}},
+            {"check": "endpoint", "params": {"k_list": [8, 16, 18], "m": 2**20}},
         ]
-        assert len(load_config(_write_config(tmp_path, doc)).checks) == 7
+        assert len(load_config(_write_config(tmp_path, doc)).checks) == 9
 
     @pytest.mark.parametrize(
         "check, instance, params, fragment",
@@ -400,7 +420,7 @@ class TestLoadConfig:
             pytest.param(m, id=name)
             for name, m in {
                 **_SCHEMA_RULE_CASES, **_NEW_REJECTION_CASES, **_PAST_DOUBLE_CASES, **_PAST_INDEX_CASES,
-                **_PAST_COORDINATES_CASES,
+                **_PAST_COORDINATES_CASES, **_PAST_GRID_CASES,
             }.items()
         ],
     )
@@ -499,6 +519,33 @@ class TestRunCampaign:
         run_campaign(cfg, tmp_path / "serial", jobs=1)
         run_campaign(cfg, tmp_path / "parallel", jobs=2)
         assert _tree_bytes(tmp_path / "serial") == _tree_bytes(tmp_path / "parallel")
+
+    def test_jobs_start_at_most_one_worker_per_check(self, tmp_path, monkeypatch):
+        class RecordingPool:
+            """Records the pool size it is asked for, and runs the tasks in this process."""
+
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        doc = _fast_campaign()
+        doc["checks"] = doc["checks"][:2]
+        cfg = load_config(_write_config(tmp_path, doc))
+        run_campaign(cfg, tmp_path / "serial", jobs=1)
+        monkeypatch.setattr("ncfourier.campaign.ProcessPoolExecutor", RecordingPool)
+        run_campaign(cfg, tmp_path / "wide", jobs=64)
+        assert RecordingPool.sizes == [2]
+        assert _tree_bytes(tmp_path / "serial") == _tree_bytes(tmp_path / "wide")
 
     def test_regeneration_is_identical(self, tmp_path):
         cfg = load_config(_write_config(tmp_path, _fast_campaign()))

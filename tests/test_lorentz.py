@@ -231,7 +231,8 @@ class TestSpectrum2x2:
         z = _batch(alg)[1][2:]
         ops = _BlockOps(alg)
         sv = ops.spectrum(z)[0]
-        got = sv[:, ops.n1 : ops.n1 + ops.n2].reshape(len(z), -1, 2)
+        cols = next(cols for n, _, _, cols in ops.groups if n == 2)
+        got = sv[:, cols].reshape(len(z), -1, 2)
         offsets = [alg.block_offset(k) for k, n in enumerate(alg.dims) if n == 2]
         blocks = np.stack([z[:, o : o + 4].reshape(len(z), 2, 2) for o in offsets], axis=1)
         want = np.linalg.svd(blocks, compute_uv=False)
@@ -242,6 +243,8 @@ class TestBlockOpsGrouping:
     """Blocks of one size go through one stacked call, with the bits of a per-block loop."""
 
     ALG = TracialAlgebra((3, 1, 4, 3, 2, 3, 4), np.exp(np.random.default_rng(71).uniform(-1.0, 1.0, 7)))
+    LAYOUT = [1, 4, 4, 0, 0, 0, 2, 2, 2, 2, 3, 3, 3, 5, 5, 5, 6, 6, 6, 6]
+    BIG = (3, 4)  # the sizes above 2, in order of first appearance
 
     def _rows(self):
         rng = np.random.default_rng(72)
@@ -290,7 +293,10 @@ class TestBlockOpsGrouping:
 
     def test_layout(self):
         ops = _BlockOps(self.ALG)
-        assert ops.block_index.tolist() == [1, 4, 4, 0, 0, 0, 2, 2, 2, 2, 3, 3, 3, 5, 5, 5, 6, 6, 6, 6]
+        # 1x1, then 2x2, then larger, each in block order
+        dims = self.ALG.dims
+        rule = [k for kind in (1, 2, 3) for k, n in enumerate(dims) if min(n, 3) == kind for _ in range(n)]
+        assert ops.block_index.tolist() == self.LAYOUT == rule
         assert ops.wts.tolist() == [self.ALG.weights[k] for k in ops.block_index]
 
     @pytest.mark.parametrize("vectors", [False, True])
@@ -306,11 +312,12 @@ class TestBlockOpsGrouping:
         monkeypatch.setattr(np.linalg, "svd", counted)
         sv, data = _BlockOps(self.ALG).spectrum(z, vectors=vectors)
         monkeypatch.undo()
-        # one call per size above 2: three 3x3 blocks and two 4x4 ones
-        assert calls == [(5, 3, 3, 3), (5, 2, 4, 4)]
+        # one call per size above 2, with all the blocks of that size, in order of first appearance
+        dims, big = self.ALG.dims, self.BIG
+        assert calls == [(5, dims.count(n), n, n) for n in big]
         assert np.array_equal(sv, self._loop_spectrum(z, vectors))
         if vectors:
-            for (u, vh), n in zip(zip(data[-4::2], data[-3::2]), (3, 4)):
+            for (u, vh), n in zip(data[-len(big):], big, strict=True):
                 want = [svd(b) for _, m, b in self._blocks(z) if m == n]
                 assert np.array_equal(u, np.stack([w[0] for w in want], axis=1))
                 assert np.array_equal(vh, np.stack([w[2] for w in want], axis=1))
@@ -338,6 +345,14 @@ class TestBlockOpsGrouping:
             y = b[:, o : o + n * n].reshape(len(b), n, n)
             want[:, o : o + n * n] = (x * y if n == 1 else x @ y).reshape(len(a), -1)
         assert np.array_equal(_BlockOps(self.ALG).product(a, b), want)
+
+
+class TestBlockOpsGroupingScattered(TestBlockOpsGrouping):
+    """The same, where neither the 1x1 nor the 2x2 blocks are adjacent: those groups gather by index arrays."""
+
+    ALG = TracialAlgebra((1, 3, 2, 1, 2), np.exp(np.random.default_rng(73).uniform(-1.0, 1.0, 5)))
+    LAYOUT = [0, 3, 2, 2, 4, 4, 1, 1, 1]
+    BIG = (3,)
 
 
 class TestDistributionFunction:
