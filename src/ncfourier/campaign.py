@@ -44,7 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from . import checks as checks_mod
-from .checks import CHECKS, _CHECK_KEYS, _ESTIMATOR_KEYS, Param, _validate_object, _validate_params, loglog_slope
+from .checks import (
+    CHECKS, DEFAULT_ESTIMATOR, _CHECK_KEYS, _ESTIMATOR_KEYS, _LEMMA_COORDINATES, Param, _validate_object,
+    _validate_params, loglog_slope,
+)
 from .errors import ConfigError, NcfourierError
 from .fourier import build_finite_abelian, build_group_vna, perturb_fourier_matrix
 from .groups import available_groups, load_group_file, resolve_group
@@ -140,10 +143,32 @@ def _instance_spec(inst, where: str) -> tuple[str, dict]:
 
 
 _INSTANCE_NEEDS = {"pair": "a group/abelian instance", "matrix": "a matrix instance like 'M8'"}
+# rows x coordinates a check may hold at once: its trials, or its estimator's restarts, each a
+# row of its instance's source coordinates (of the largest algebra a lemma trial draws, for
+# lemma_constants).  2^24 complex numbers take 256 MiB.  The largest use in the campaigns, tests
+# and demos is the lemma check's 10,000 trials of at most 100 coordinates; a Z4096 check at the
+# default 1000 trials takes 4,096,000.
+_MAX_ROW_COORDINATES = 1 << 24
 
 
-def _check_spec(index: int, item: dict) -> CheckSpec:
-    """One entry of ``checks``, validated."""
+def _check_rows(where: str, entry, instance, trials, restarts: int) -> None:
+    """Raise ConfigError where a check's trials or restarts times the coordinates of a row exceed the budget."""
+    if instance is None:
+        coordinates = _LEMMA_COORDINATES
+    else:
+        coordinates = instance * instance if isinstance(instance, int) else instance.source.complex_dim
+    counts = {"trials": entry.defaults.get("trials") if trials is None else trials}
+    if "estimator" in entry.defaults:
+        counts["restarts"] = restarts
+    for key, rows in counts.items():
+        if rows is not None and rows * coordinates > _MAX_ROW_COORDINATES:
+            raise ConfigError(
+                f"{where}: {key}={rows} rows of {coordinates} coordinates exceed {_MAX_ROW_COORDINATES} in all"
+            )
+
+
+def _check_spec(index: int, item: dict, restarts: int) -> CheckSpec:
+    """One entry of ``checks``, validated; ``restarts`` is the campaign's estimator setting."""
     where = f"checks[{index}]"
     _validate_object(item, _CHECK_KEYS, where)
     name, inst = item["check"], item.get("instance")
@@ -156,17 +181,19 @@ def _check_spec(index: int, item: dict) -> CheckSpec:
         raise ConfigError(f"{where}: {name!r} takes no instance, got {inst!r}")
     if entry.instance is not None and inst is None:
         raise ConfigError(f"{where}: {name!r} requires an instance")
+    resolved = None
     if inst is not None:
         key, _ = _instance_spec(inst, f"{where}: instance {inst!r}")
         if ("matrix" if key == "matrix" else "pair") != entry.instance:
             raise ConfigError(f"{where}: {name!r} needs {_INSTANCE_NEEDS[entry.instance]}, got {inst!r}")
         # resolve eagerly so a bad group file fails before any check runs
         try:
-            resolve_instance(inst)
+            resolved = resolve_instance(inst)
         except (NcfourierError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: cannot resolve instance: {exc}") from exc
     params = dict(item.get("params", {}))
     _validate_params(f"{where}: check {name!r}", entry, params)
+    _check_rows(where, entry, resolved, item.get("trials"), restarts)
     return CheckSpec(name, inst, params, item.get("trials"), item.get("ladder"))
 
 
@@ -179,7 +206,8 @@ def load_config(path) -> CampaignConfig:
     try:
         _validate_object(raw, _CONFIG_KEYS, "top level")
         _validate_object(raw.get("estimator", {}), _ESTIMATOR_KEYS, "estimator")
-        checks = tuple(_check_spec(i, item) for i, item in enumerate(raw["checks"]))
+        restarts = {**DEFAULT_ESTIMATOR, **raw.get("estimator", {})}["restarts"]
+        checks = tuple(_check_spec(i, item, restarts) for i, item in enumerate(raw["checks"]))
     except ConfigError as exc:
         raise ConfigError(f"config {path} rejected: {exc}") from exc
     return CampaignConfig(seed=raw["seed"], checks=checks, estimator=dict(raw.get("estimator", {})))

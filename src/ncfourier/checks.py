@@ -262,6 +262,8 @@ def _ratios(names, numerators, denominators):
 # submultiplicativity test takes 9 x (steps of x) x (steps of y) points per
 # trial, at most 3600
 _LEMMA_CHUNK = 32
+# the coordinates of the largest algebra a lemma trial draws: 4 blocks of size 5
+_LEMMA_COORDINATES = 4 * 5 * 5
 
 
 def _interior_points(breakpoints: np.ndarray, counts: np.ndarray):

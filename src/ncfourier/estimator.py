@@ -45,19 +45,25 @@ norms by duality: z <- psi_p'(M* psi_q(Mz)), scaled to unit p-norm, where
 psi_r is the duality direction U diag(s^(r-1)) V* of L_r and M* the weighted
 adjoint.  By Hoelder's inequality the value ||Mz||_q never falls, so the
 step needs no step size and no line search, and its fixed points are the
-stationary points of ||Mz||_q / ||z||_p.  A step raises each spectrum to one
-power, g = s^(r-1), which gives both psi_r and the norm: the r-th power of
-||x||_r is sum w s g.  Between steps a row carries its point, its value and
-the direction psi_q(Mz) / ||Mz||_q^q of its image, not their spectra.  An
-estimate's row stops when its value stops rising, and its point is written
-back in its place; a brute-force row takes every step.  Every estimate is
-recomputed at its point by a product, so that it is certified.  Products,
-reductions and warm starts are done map by map or row by row, so a map's
-estimate has the same bits in any batch.  Norms, singular values and duality
-directions come from the package's one block-spectrum kernel,
-``lorentz._BlockOps``: on 1x1 and 2x2 blocks they are elementwise closed
-forms on the block entries, so a batch of them costs a fixed number of array
-operations, whatever its size, and commutative algebras never touch LAPACK.
+stationary points of ||Mz||_q / ||z||_p.  Each half-step is one call of the
+package's block kernel, ``lorentz._BlockOps.duality``, which gives the power
+sum ||x||_r^r of each row with its direction psi_r(x), scaled by a factor
+of that sum: r = q for the image, scaled by 1 / ||Mz||_q^q, and r = p' for
+the step, scaled to unit p-norm.  At r = 2 and 4, and at r = 3 on 1x1 and
+2x2 blocks, both are products of the blocks and their Gram matrices, with
+no singular values; every exponent pair the campaigns run steps with 2, 3
+or 4, and a computed p' within 4 ulps of an integer, such as 4/3's
+4.000000000000001, is taken as that integer.  Other exponents, and r = 3 on
+larger blocks, take the spectrum: on 2x2 blocks by elementwise closed forms,
+on larger ones by one batched LAPACK SVD per size.  Between steps a row
+carries its point, its value and the direction psi_q(Mz) / ||Mz||_q^q of its
+image.  An estimate's row stops when its value stops rising, and its point
+is written back in its place; a brute-force row takes every step.  Every
+estimate is recomputed at its point by a product, from the spectrum at the
+exact p and q, so that it is certified; a value too small to be trusted
+(:func:`_certified`) is 0.  Products, reductions and warm starts are done
+map by map or row by row, so a map's estimate has the same bits in any
+batch.
 """
 
 from __future__ import annotations
@@ -116,8 +122,8 @@ def schatten_gradient(x: AlgebraElement, q: float) -> AlgebraElement:
     nrm = lp_norm(x, q)
     if nrm == 0.0:
         raise ParameterError("Schatten gradient is undefined at the zero element")
-    g = _block_ops(x.algebra).schatten_direction(x.row[None], q)[0]
-    return AlgebraElement.from_row(x.algebra, g * (nrm ** (1.0 - q)))
+    g = _block_ops(x.algebra).duality(x.row[None], q, lambda total: np.full_like(total, nrm ** (1.0 - q)))[1]
+    return AlgebraElement.from_row(x.algebra, g[0])
 
 
 # ---------------------------------------------------------------------------
@@ -276,45 +282,39 @@ def _ascent(
     whose p-norm vanishes becomes zero with value 0.  A step is
     z <- psi_p'(M* psi_q(Mz)) at unit p-norm (see the module docstring);
     for p = 1, psi_inf(w) is U diag([s == max s]) V* over the row's largest
-    singular values.  A step takes one spectrum and one power g of it on each
-    side; ||Mz||_q^q, and ||psi_p'(w)||_p^p = ||w||_p'^p' as g^p = s^p', are
-    both :meth:`_BlockOps.power_sum` of a spectrum and its power.  Between
-    steps a row's state is its point, its value and its image's direction.
+    singular values.  Each half-step is one :meth:`_BlockOps.duality` call,
+    which gives a power sum and a direction: the image's, at r = q, gives
+    ||Mz||_q^q and the direction scaled by its inverse; the step's, at
+    r = p', gives ||w||_p'^p' = ||psi_p'(w)||_p^p and the direction scaled
+    to unit p-norm.  Between steps a row's state is its point, its value
+    and its image's direction.  An image whose power sum is at most 1e-300
+    has value 0 and direction 0.
 
     * Brute force (``tol`` None): every row takes all ``iters`` steps.
-    * Estimates (``tol`` given): each row of value above 1e-300 takes at
+    * Estimates (``tol`` given): each row of nonzero value takes at
       most ``iters`` steps.  It stops, converged, when its value does not
       rise (it keeps its previous point) or rises by less than ``tol``
       relatively.  A row that stops is written back into ``z`` in its
       place, and so are the rows still running after ``iters`` steps.
 
     Returns per row: the last point, the best value along the path (for
-    estimates the last one, recomputed at the point by a product, so that it
-    is certified) and whether the row stopped before ``iters`` steps.
+    estimates the last one, recomputed at the point by a product and at the
+    exact p and q, so that it is certified, see :func:`_certified`) and
+    whether the row stopped before ``iters`` steps.
     """
     cod_ops = _block_ops(maps.codomain)
     p_dual = np.inf if p == 1.0 else p / (p - 1.0)
 
     def image(z, at):
         """The images' q-norms f and directions psi_q(Mz) / f^q, whose weighted
-        adjoints have dual norm at least 1."""
-        mz = maps.apply(z, at)
-        sv, data = cod_ops.spectrum(mz, vectors=True)
-        g = cod_ops.powers(sv, q)
-        total = cod_ops.power_sum(sv, g, q)
-        f = total ** (1.0 / q)
-        # g / f^q, not g * (1 / f^q): f^q underflows where f is still above 1e-300
-        g /= np.where(f > _TINY, total, np.inf)[:, None]
-        return f, cod_ops.direction(mz, g, data)
+        adjoints have dual norm at least 1; both 0 where f^q <= 1e-300."""
+        total, d = cod_ops.duality(maps.apply(z, at), q, _inverse)
+        return np.where(total > _TINY, total, 0.0) ** (1.0 / q), d
 
     def step(at, d):
-        """The next points, psi_p'(M* d) at unit p-norm, from the directions d of the images."""
-        w = maps.adjoint(d, at)
-        sv, data = dom_ops.spectrum(w, vectors=True)
-        g = dom_ops.powers(sv, p_dual)
-        # ||psi_p'(w)||_p^p = ||w||_p'^p' for p > 1; for p = 1, psi_inf(w) is an indicator
-        nrm = dom_ops.value(g, 1.0) if p == 1.0 else dom_ops.power_sum(sv, g, p_dual) ** (1.0 / p)
-        return dom_ops.direction(w, g * _inverse(nrm)[:, None], data)
+        """The next points, psi_p'(M* d) at unit p-norm, from the directions d of the images:
+        ||psi_p'(w)||_p is the p-th root of the power sum of w at p'."""
+        return dom_ops.duality(maps.adjoint(d, at), p_dual, lambda total: _inverse(total ** (1.0 / p)))[1]
 
     z *= _inverse(dom_ops.norm(z, p))[:, None]
     f, d = image(z, owner)
@@ -328,7 +328,7 @@ def _ascent(
         return z, best, converged
     # the rows still ascending: their ids, owners and states (points, values and image directions)
     ids, at, state = np.arange(len(z)), owner, (z, f, d)
-    stop = f <= _TINY  # these stop at once, unconverged
+    stop = f == 0.0  # these stop at once, unconverged
     for i in range(iters + 1):
         if stop.any():
             z[ids[stop]] = state[0][stop]
@@ -344,7 +344,20 @@ def _ascent(
         converged[ids[stop]] = True
         new[~rise] = point[~rise]  # a row whose value does not rise keeps its point
     z[ids] = state[0]
-    return z, cod_ops.norm(maps.apply(z, owner), q) * _inverse(dom_ops.norm(z, p)), converged
+    return z, _certified(cod_ops, maps.apply(z, owner), q) * _inverse(dom_ops.norm(z, p)), converged
+
+
+# a singular value below this has a square below 1e-300, where norms and Gram entries lose digits
+_SV_TRUSTED = 1e-150
+
+
+def _certified(ops: _BlockOps, y: np.ndarray, q: float) -> np.ndarray:
+    """The q-norms of the rows y, and 0 where a row's largest singular value is below
+    ``_SV_TRUSTED`` or its power sum sum w s^q is at most 1e-300: a value that cannot be
+    trusted to be below the true norm is no lower bound."""
+    sv = ops.spectrum(y)[0]
+    total = np.einsum("ij,j->i", sv**q, ops.wts)
+    return np.where((sv.max(axis=1) >= _SV_TRUSTED) & (total > _TINY), total, 0.0) ** (1.0 / q)
 
 
 def _inverse(x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,14 @@ methods loops once over the groups: singular values of 1x1 blocks are |z|,
 those of 2x2 blocks closed forms on their four entries (:func:`_spectrum2`),
 and only larger blocks go through LAPACK, one batched call per size.  A
 spectrum comes with one entry of block data per group, on which the duality
-direction is built.  The estimator ascends with the kernel, and every
+direction is built.  The estimator's half-steps take power sums and duality
+directions in one call, :meth:`_BlockOps.duality`, with no spectrum where
+they are products of the blocks y and their Gram matrices h = y* y: at
+r = 2 (sum w ||y||_F^2 and y) and r = 4 (sum w ||h||_F^2 and y h) on every
+block, and at r = 3 on 1x1 blocks (|z|^3 and z |z|) and 2x2 blocks
+(sigma (tr h - m) and y (h + m I) / sigma, m = |det y|, sigma = s1 + s2).
+An exponent within 4 ulps of 2, 3 or 4 is taken as that integer.  The
+estimator ascends with the kernel, and every
 functional here is built on it in a batched form
 (:func:`lp_norms`, :func:`lorentz_norms`, :func:`singular_functions`,
 :func:`distribution_functions`) whose S = 1 case is the per-element
@@ -37,6 +44,7 @@ blocks of its algebra.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,24 +80,42 @@ _SV_FLOOR = 1e-100
 # batched block spectra
 
 
-def _spectrum2(y: np.ndarray):
-    """Closed-form spectral data of 2x2 blocks, ``y[..., :] = (a, b, c, d)`` row-major.
+def _gram2(y: np.ndarray, mag: np.ndarray):
+    """h00, h11 and h01 of the Gram matrices y* y = [[h00, h01], [conj(h01), h11]] of 2x2 blocks
+    ``y[..., :] = (a, b, c, d)``: h00 = |a|^2 + |c|^2, h11 = |b|^2 + |d|^2, h01 = conj(a) b + conj(c) d.
+    ``mag`` is |y|, which is squared in place."""
+    a, b, c, d = (y[..., i] for i in range(4))
+    sq = mag
+    sq *= sq
+    return sq[..., 0] + sq[..., 2], sq[..., 1] + sq[..., 3], np.conj(a) * b + np.conj(c) * d
 
-    The Gram matrix y* y is [[h00, h01], [conj(h01), h11]] with
-    h00 = |a|^2 + |c|^2, h11 = |b|^2 + |d|^2 and h01 = conj(a) b + conj(c) d;
-    its eigenvalues are mean +- radius, radius = hypot(delta, |h01|) with
-    delta = (h00 - h11) / 2.  Returns (sv, delta, radius, h01, det), where
-    sv[..., :] = (s1, s2) are the singular values, s1 >= s2, and det = ad - bc.
+
+def _spectrum2(y: np.ndarray):
+    """Singular values of 2x2 blocks ``y[..., :] = (a, b, c, d)``, row-major, and the data
+    :func:`_direction2` builds on.
+
+    A block whose largest entry lies outside [2^-400, 2^400] is first
+    scaled by the power of two 2^-e that brings that entry into [1/2, 1),
+    and its singular values are scaled back: its Gram entries would leave
+    the double range (blocks of size 1e-160 or 1e160).  Other blocks keep
+    e = 0.  The scaling is exact, so at ordinary scales no bit changes.  The
+    eigenvalues of the Gram matrix (:func:`_gram2`) are mean +- radius,
+    radius = hypot(delta, |h01|) with delta = (h00 - h11) / 2.  Returns sv,
+    sv[..., :] = (s1, s2) with s1 >= s2, and the data
+    (y, sv, delta, radius, h01, det) of the scaled blocks, det = ad - bc.
     s2 is |det| / s1: sqrt(mean - radius) would lose half the digits of a
     small singular value to cancellation.  s1 and s2 are written into one
-    preallocated array, and the squares and s1 are formed in place.
+    preallocated array.
     """
-    a, b, c, d = (y[..., i] for i in range(4))
-    sq = np.abs(y)
-    sq *= sq
-    h00 = sq[..., 0] + sq[..., 2]
-    h11 = sq[..., 1] + sq[..., 3]
-    h01 = np.conj(a) * b + np.conj(c) * d
+    mag = np.abs(y)
+    top = np.maximum(np.maximum(mag[..., 0], mag[..., 1]), np.maximum(mag[..., 2], mag[..., 3]))
+    e = None
+    if top.size and (top.min() < 2.0**-400 or top.max() > 2.0**400):
+        # e >= -1022 keeps 2^-e a double; it takes subnormal blocks to 2^-52 and above
+        e = np.where((top < 2.0**-400) | (top > 2.0**400), np.maximum(np.frexp(top)[1], -1022), 0)
+        y = y * np.ldexp(1.0, -e)[..., None]
+        mag = np.abs(y)
+    h00, h11, h01 = _gram2(y, mag)
     delta = 0.5 * (h00 - h11)
     # radius as the modulus of delta + i |h01|, which numpy takes several times faster than hypot
     pair = np.empty(delta.shape, dtype=complex)
@@ -97,16 +123,17 @@ def _spectrum2(y: np.ndarray):
     radius = np.abs(pair)
     sv = np.empty(y.shape[:-1] + (2,))
     s1 = np.sqrt(0.5 * (h00 + h11) + radius, out=sv[..., 0])
-    det = a * d - b * c
+    det = y[..., 0] * y[..., 3] - y[..., 1] * y[..., 2]
     # |det y| <= s1^2 underflows to 0 wherever s1 < _TINY
     np.divide(np.abs(det), np.maximum(s1, _TINY), out=sv[..., 1])
-    return sv, delta, radius, h01, det
+    return (sv if e is None else np.ldexp(sv, e[..., None])), (y, sv, delta, radius, h01, det)
 
 
-def _direction2(y: np.ndarray, g: np.ndarray, data) -> np.ndarray:
-    """U diag(g1, g2) V* of 2x2 blocks ``y`` (..., 4), from the data of :func:`_spectrum2`.
+def _direction2(g: np.ndarray, data) -> np.ndarray:
+    """U diag(g1, g2) V* of 2x2 blocks, from the data of :func:`_spectrum2`; ``g`` (..., 2).
 
-    It is g1 E1 + g2 E2 with E_i = u_i v_i*, where
+    It is g1 E1 + g2 E2 with E_i = u_i v_i*, which do not depend on the
+    blocks' scale, so they are taken on the scaled blocks of the data.
     E1 = y (h - s2^2 I) / (s1 (s1^2 - s2^2)), h - s2^2 I = 2 radius times the
     projection on the top eigenvector of h = y* y, and E2 = (K - s2 E1) / s1
     with K = adj(y)* det/|det| = U diag(s2, s1) V*.  Both are accurate to
@@ -114,10 +141,9 @@ def _direction2(y: np.ndarray, g: np.ndarray, data) -> np.ndarray:
     of size g1 (s1 / s2)^(2 - q) for g = s^(q-1), q < 2.  Where radius = 0,
     y is s1 times a unitary, K = y and E1 drops out.  The projection's
     entries (at most 1) and the unit phase det/|det| are formed before they
-    are scaled: c1 / radius, or det g2 / (s1 |det|), leaves the double range
-    for blocks of size 1e-150.  The outputs accumulate in place.
+    are scaled.  The outputs accumulate in place.
     """
-    sv, delta, radius, h01, det = data
+    y, sv, delta, radius, h01, det = data
     s1, s2 = sv[..., 0], sv[..., 1]
     inv = 1.0 / np.maximum(s1, _TINY)
     scale2 = g[..., 1] * inv
@@ -134,15 +160,95 @@ def _direction2(y: np.ndarray, g: np.ndarray, data) -> np.ndarray:
     # out = c1 y (h - s2^2 I) / (2 radius) + c2 adj(y)*, entry by entry;
     # adj(y)* of (a, b, c, d) is (conj d, -conj c, -conj b, conj a)
     p00, p11, p01 = (((radius + delta) * half) * c1, ((radius - delta) * half) * c1, (h01 * half) * c1)
-    p10, yc = np.conj(p01), np.conj(y)
-    out, tmp = np.empty_like(y), np.empty_like(det)
+    out, tmp = _times_hermitian2(y, p00, p11, p01)
+    yc = np.conj(y)
+    for k, sign in enumerate((np.add, np.subtract, np.subtract, np.add)):
+        sign(out[..., k], np.multiply(yc[..., 3 - k], c2, out=tmp), out=out[..., k])
+    return out
+
+
+def _times_hermitian2(y: np.ndarray, p00: np.ndarray, p11: np.ndarray, p01: np.ndarray):
+    """y P of 2x2 blocks y (..., 4) and Hermitian P = [[p00, p01], [conj(p01), p11]], p00 and
+    p11 real, and a scratch array of one entry per block."""
+    p10 = np.conj(p01)
+    out, tmp = np.empty_like(y), np.empty(y.shape[:-1], dtype=complex)
     # no complex product is taken in place: numpy rounds one with the length of the array
-    terms = ((0, p00, p10, np.add), (0, p01, p11, np.subtract), (2, p00, p10, np.subtract), (2, p01, p11, np.add))
-    for k, (i, pi, pj, sign) in enumerate(terms):
+    for k, (i, pi, pj) in enumerate(((0, p00, p10), (0, p01, p11), (2, p00, p10), (2, p01, p11))):
         o = np.multiply(y[..., i], pi, out=out[..., k])
         o += np.multiply(y[..., i + 1], pj, out=tmp)
-        sign(o, np.multiply(yc[..., 3 - k], c2, out=tmp), out=o)
-    return out
+    return out, tmp
+
+
+def _integer_exponent(r: float) -> float:
+    """r, or the integer 2, 3 or 4 when r lies within 4 ulps of it, as 4/3's computed dual 4.000000000000001 does."""
+    for k in (2.0, 3.0, 4.0):
+        if abs(r - k) <= 4.0 * math.ulp(k):
+            return k
+    return r
+
+
+def _closed_form(n: int, r: float) -> bool:
+    """Whether the L_r duality map of n x n blocks is a product of the block and its Gram matrix."""
+    return r in (2.0, 4.0) or (r == 3.0 and n <= 2)
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return x.real * x.real + x.imag * x.imag
+
+
+def _integer_sums(n: int, y: np.ndarray, r: float):
+    """Per-block power sums tr h^(r/2) = ||y||_r^r of a group's blocks y, h = y* y, at r = 2, 3
+    or 4, and the data of their duality direction; y is (S, m) for 1x1 blocks, (S, m, 4) for
+    2x2 and (S, m, n, n) above.  Closed forms where :func:`_closed_form` has them, and the
+    blocks' SVD for r = 3 above 2x2."""
+    if n == 1:  # the data are |z|^(r-2)
+        if r == 3.0:
+            mag = np.abs(y)
+            return mag * mag * mag, mag
+        sq = _abs2(y)
+        return (sq if r == 2.0 else sq * sq), sq
+    if n == 2:
+        h00, h11, h01 = _gram2(y, np.abs(y))
+        if r == 2.0:
+            return h00 + h11, None
+        if r == 4.0:
+            return h00 * h00 + h11 * h11 + 2.0 * _abs2(h01), (h00, h11, h01, None)
+        # h^(1/2) = (h + m I) / sigma, m = |det y| = s1 s2 and sigma = sqrt(tr h + 2m) = s1 + s2;
+        # m <= tr h / 2, so tr h^(3/2) = sigma (tr h - m) does not cancel
+        m = np.abs(y[..., 0] * y[..., 3] - y[..., 1] * y[..., 2])
+        t = h00 + h11
+        sigma = np.sqrt(t + 2.0 * m)
+        return sigma * (t - m), (h00 + m, h11 + m, h01, sigma)
+    s_count, m = y.shape[:2]
+    if r == 2.0:
+        return _abs2(y).reshape(s_count, m, -1).sum(axis=-1), None
+    if r == 4.0:
+        h = np.conj(np.swapaxes(y, -1, -2)) @ y
+        return _abs2(h).reshape(s_count, m, -1).sum(axis=-1), h
+    u, s, vh = np.linalg.svd(y)
+    g = s * s
+    return (s * g).sum(axis=-1), (u, g, vh)
+
+
+def _integer_direction(n: int, r: float, y: np.ndarray, data, c: np.ndarray) -> np.ndarray:
+    """psi_r(y) c of the blocks of :func:`_integer_sums`, from their data; c (S,) scales each row.
+
+    The scale goes into the real coefficients of each block, |z|^(r-2) or
+    the entries of h^((r-2)/2), before they multiply the block.
+    """
+    if r == 2.0:  # psi_2(y) = y
+        return y * c.reshape((-1,) + (1,) * (y.ndim - 1))
+    if n == 1:
+        data *= c[:, None]
+        return y * data
+    if n == 2:
+        p00, p11, p01, sigma = data
+        k = c[:, None] if sigma is None else c[:, None] / (sigma + (sigma == 0.0))
+        return _times_hermitian2(y, np.multiply(p00, k, out=p00), np.multiply(p11, k, out=p11), p01 * k)[0]
+    if r == 4.0:
+        return y @ (data * c[:, None, None, None])
+    u, g, vh = data
+    return (u * (g * c[:, None, None])[..., None, :]) @ vh
 
 
 def _as_slice(idx: np.ndarray):
@@ -162,19 +268,33 @@ def _put(out, where, values: np.ndarray) -> np.ndarray:
 
 
 class _BlockOps:
-    """Vectorized singular values / Schatten directions for one algebra.
+    """Vectorized singular values, power sums and duality directions for one algebra.
 
     Operates on batches of stacked complex coordinates, shape (S, D).  The
     kind of each block is decided once, in ``groups``: one entry
-    (n, block count, coordinate indices, singular value columns) per block
-    size, 1x1 first, then 2x2, then the larger sizes in order of first
-    appearance.  Every method loops once over the groups: 1x1 entries are
-    pure elementwise work, 2x2 blocks elementwise closed forms on their four
-    entries (see :func:`_spectrum2` and :func:`_direction2`), not stacked
-    2x2 matrix products, and the blocks of each larger size go through one
-    batched LAPACK call.  Singular values are laid out group by group, each
-    group in block order; ``wts`` holds their block weights and
-    ``block_index`` their blocks.
+    (n, block count, coordinate indices, singular value columns, block
+    weights) per block size, 1x1 first, then 2x2, then the larger sizes in
+    order of first appearance.  Every method loops once over the groups:
+    1x1 entries are pure elementwise work, 2x2 blocks elementwise closed
+    forms on their four entries (see :func:`_spectrum2` and
+    :func:`_direction2`), not stacked 2x2 matrix products, and the blocks of
+    each larger size go through one batched LAPACK call.  Singular values
+    are laid out group by group, each group in block order; ``wts`` holds
+    their block weights and ``block_index`` their blocks.
+
+    :meth:`duality` gives the power sums ||y||_r^r and the duality
+    directions psi_r(y) = U diag(s^(r-1)) V* of a batch, which are
+    products of y and h = y* y at the exponents of :func:`_closed_form`:
+
+    * r = 2: ||y||_F^2 and y, for every block size;
+    * r = 4: ||h||_F^2 and y h, for every block size;
+    * r = 3 on 1x1 blocks z: |z|^3 and z |z|;
+    * r = 3 on 2x2 blocks: sigma (tr h - m) and y (h + m I) / sigma, with
+      m = |det y| and sigma = sqrt(tr h + 2m) = s1 + s2.
+
+    An r within 4 ulps of 2, 3 or 4 is taken as that integer.  At other
+    exponents, where no block has a closed form, the method takes the
+    spectrum with its singular vectors.
     """
 
     def __init__(self, algebra: TracialAlgebra):
@@ -187,30 +307,37 @@ class _BlockOps:
         for n in dict.fromkeys(dims[k] for k in order):
             ks = [k for k in order if dims[k] == n]
             idx = np.array([algebra.block_offset(k) + i for k in ks for i in range(n * n)])
-            self.groups.append((n, len(ks), _as_slice(idx), _as_slice(np.flatnonzero(sizes == n))))
+            cols = _as_slice(np.flatnonzero(sizes == n))
+            self.groups.append((n, len(ks), _as_slice(idx), cols, np.asarray(algebra.weights)[ks]))
+
+    @staticmethod
+    def _blocks(z: np.ndarray, n: int, m: int, idx) -> np.ndarray:
+        """The blocks of one group of the rows z: (S, m) for 1x1, (S, m, 4) for 2x2 and (S, m, n, n) above."""
+        shape = {1: (m,), 2: (m, 4)}.get(n, (m, n, n))
+        return z[:, idx].reshape((z.shape[0],) + shape)
 
     def spectrum(self, z: np.ndarray, vectors: bool = False):
         """Per-row singular values, in the order of ``self.wts``, and the block data
         :meth:`direction` builds on, one entry per group; z has shape (S, D).
 
-        A group's data are |z| for 1x1 blocks and the five arrays of
+        A group's data are |z| for 1x1 blocks and the data of
         :func:`_spectrum2` for 2x2 blocks.  For a larger size they are
         (U, V*) of the blocks' SVD, shape (S, blocks, n, n), when ``vectors``,
         and () otherwise.
         """
         s_count = z.shape[0]
         sv, data = None if len(self.groups) == 1 else np.empty((s_count, self.wts.size)), []
-        for n, m, idx, cols in self.groups:
+        for n, m, idx, cols, _ in self.groups:
+            y = self._blocks(z, n, m, idx)
             if n == 1:
-                values = block_data = np.abs(z[:, idx])
+                values = block_data = np.abs(y)
             elif n == 2:
-                block_data = _spectrum2(z[:, idx].reshape(s_count, m, 4))
-                values = block_data[0]
+                values, block_data = _spectrum2(y)
             elif vectors:
-                u, values, vh = np.linalg.svd(z[:, idx].reshape(s_count, m, n, n))
+                u, values, vh = np.linalg.svd(y)
                 block_data = (u, vh)
             else:
-                values, block_data = np.linalg.svd(z[:, idx].reshape(s_count, m, n, n), compute_uv=False), ()
+                values, block_data = np.linalg.svd(y, compute_uv=False), ()
             data.append(block_data)
             sv = _put(sv, cols, values.reshape(s_count, -1))
         return sv, data
@@ -226,13 +353,6 @@ class _BlockOps:
             return sv.max(axis=1)
         return np.einsum("ij,j->i", sv**p, self.wts) ** (1.0 / p)
 
-    def power_sum(self, sv: np.ndarray, g: np.ndarray, r: float) -> np.ndarray:
-        """Per-row ||x||_r^r, 1 <= r < inf, from the singular values and g = ``powers(sv, r)``:
-        sum w s g for r > 1, as g = s^(r-1), and ``value(sv, 1)`` for r = 1, where g is an indicator."""
-        if r == 1.0:
-            return self.value(sv, 1.0)
-        return np.einsum("ij,j->i", sv * g, self.wts)
-
     def norm(self, z: np.ndarray, p: float) -> np.ndarray:
         return self.value(self.spectrum(z)[0], p)
 
@@ -244,7 +364,7 @@ class _BlockOps:
         """
         s_count = a.shape[0]
         out = None if len(self.groups) == 1 else np.empty(a.shape, dtype=complex)
-        for n, m, idx, _ in self.groups:
+        for n, m, idx, _, _ in self.groups:
             x, y = (c[:, idx].reshape(s_count, m, n, n) for c in (a, b))
             out = _put(out, idx, (x * y if n == 1 else x @ y).reshape(s_count, -1))
         return out
@@ -273,22 +393,49 @@ class _BlockOps:
         """
         s_count = z.shape[0]
         out = None if len(self.groups) == 1 else np.empty_like(z)
-        for (n, m, idx, cols), block_data in zip(self.groups, data):
+        for (n, m, idx, cols, _), block_data in zip(self.groups, data):
             if n == 1:
                 # z g / |z|; where z = 0 any finite ratio serves
                 values = z[:, idx] * (g[:, cols] / (block_data + (block_data == 0.0)))
             elif n == 2:
-                values = _direction2(z[:, idx].reshape(s_count, m, 4), g[:, cols].reshape(s_count, m, 2), block_data)
+                values = _direction2(g[:, cols].reshape(s_count, m, 2), block_data)
             else:
                 u, vh = block_data
                 values = (u * g[:, cols].reshape(s_count, m, 1, n)) @ vh
             out = _put(out, idx, values.reshape(s_count, -1))
         return out
 
-    def schatten_direction(self, z: np.ndarray, q: float) -> np.ndarray:
-        """Blockwise U diag(s^(q-1)) V* of each row (gradient numerator)."""
-        sv, data = self.spectrum(z, vectors=True)
-        return self.direction(z, self.powers(sv, q), data)
+    def duality(self, z: np.ndarray, r: float, scale):
+        """Per-row power sums S and duality directions psi_r(y) scale(S) of the rows y of z, 1 <= r <= inf.
+
+        S = ||y||_r^r = sum w s^r for finite r; for r = inf, where psi_inf(y)
+        is 1 on the row's largest singular values, S = sum w g is the L_1
+        norm of psi_inf(y).  So for every r > 1, S^(1/r') is the L_r' norm of
+        psi_r(y), r' = r / (r - 1).  ``scale`` maps the (S,) power sums to
+        one real factor per row, which the direction is built with.  At an
+        exponent of :func:`_closed_form` (after :func:`_integer_exponent`)
+        the blocks that have closed forms take them, with no spectrum;
+        otherwise this is :meth:`spectrum` with vectors, :meth:`powers` and
+        :meth:`direction`.
+        """
+        r = _integer_exponent(r)
+        if not any(_closed_form(n, r) for n, *_ in self.groups):
+            sv, data = self.spectrum(z, vectors=True)
+            g = self.powers(sv, r)
+            total = np.einsum("ij,j->i", g if np.isinf(r) else sv if r == 1.0 else sv * g, self.wts)
+            return total, self.direction(z, g * scale(total)[:, None], data)
+        total, parts = None, []
+        for n, m, idx, _, w in self.groups:
+            y = self._blocks(z, n, m, idx)
+            sums, data = _integer_sums(n, y, r)
+            part = np.einsum("ij,j->i", sums, w)
+            total = part if total is None else total + part
+            parts.append((y, data))
+        c = scale(total)
+        out = None if len(self.groups) == 1 else np.empty_like(z)
+        for (n, _, idx, _, _), (y, data) in zip(self.groups, parts):
+            out = _put(out, idx, _integer_direction(n, r, y, data, c).reshape(len(z), -1))
+        return total, out
 
 
 # one kernel per algebra: the checks and the per-element functions use each

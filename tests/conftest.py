@@ -280,44 +280,43 @@ def _reference_inverse(x):
 def _reference_image(m, z, q, textbook=False):
     """(||Mz||_q, psi_q(Mz) / ||Mz||_q^q) of the rows of z.
 
-    As the ascent forms them, from one power g = s^(q-1): S = sum w s g and
-    the direction's singular values g / S.  ``textbook``: from two powers,
-    f = ``value(s, q)`` and ``powers(s / f, q) / f``.  q = 1 takes
-    ``value`` and the indicator direction either way.
+    As the ascent forms them, by one ``_BlockOps.duality`` call: the power
+    sum S and the direction scaled by 1 / S, with value and direction 0
+    where S <= 1e-300.  ``textbook``: from the spectrum and two powers,
+    f = ``value(s, q)`` and ``powers(s / f, q) / f``; q = 1 takes ``value``
+    and the indicator direction.
     """
     from ncfourier.lorentz import _TINY, _BlockOps
 
     cod_ops = _BlockOps(m.codomain)
     mz = z @ m.matrix.T
-    sv, data = cod_ops.spectrum(mz, vectors=True)
     if textbook:
+        sv, data = cod_ops.spectrum(mz, vectors=True)
         f = cod_ops.value(sv, q)
         inv = _reference_inverse(f)
         return f, cod_ops.direction(mz, cod_ops.powers(sv * inv, q) * inv, data)
-    g = cod_ops.powers(sv, q)
-    total = cod_ops.value(sv, q) if q == 1.0 else np.einsum("ij,j->i", sv * g, cod_ops.wts)
-    f = total ** (1.0 / q)
-    return f, cod_ops.direction(mz, g / np.where(f > _TINY, total, np.inf)[:, None], data)
+    total, d = cod_ops.duality(mz, q, lambda s: _reference_inverse(s)[:, 0])
+    return np.where(total > _TINY, total, 0.0) ** (1.0 / q), d
 
 
 def _reference_power_step(m, z, p, q, textbook=False):
     """Boyd's step z -> psi_p'(M* psi_q(Mz)) of the rows of z, at unit p-norm.
 
-    As the ascent takes it, the p-norm of psi_p'(w) = U diag(g) V*,
-    g = s^(p'-1), is (sum w s g)^(1/p); ``textbook``: ``value(g, p)``, and
-    the image as in :func:`_reference_image`.  p = 1 takes ``value`` either way.
+    As the ascent takes it, by one ``_BlockOps.duality`` call at p', the
+    p-norm of psi_p'(w) the p-th root of the power sum; ``textbook``: from
+    the spectrum, g = ``powers(s, p')`` and the p-norm ``value(g, p)``, and
+    the image as in :func:`_reference_image`.
     """
     from ncfourier.lorentz import _BlockOps
 
     dom_ops = _BlockOps(m.domain)
     w = _reference_image(m, z, q, textbook)[1] @ weighted_adjoint_matrix(m).T
-    sv, data = dom_ops.spectrum(w, vectors=True)
-    g = dom_ops.powers(sv, np.inf if p == 1.0 else p / (p - 1.0))
-    if textbook or p == 1.0:
-        nrm = dom_ops.value(g, p)
-    else:
-        nrm = np.einsum("ij,j->i", sv * g, dom_ops.wts) ** (1.0 / p)
-    return dom_ops.direction(w, g * _reference_inverse(nrm), data)
+    p_dual = np.inf if p == 1.0 else p / (p - 1.0)
+    if textbook:
+        sv, data = dom_ops.spectrum(w, vectors=True)
+        g = dom_ops.powers(sv, p_dual)
+        return dom_ops.direction(w, g * _reference_inverse(dom_ops.value(g, p)), data)
+    return dom_ops.duality(w, p_dual, lambda s: _reference_inverse(s ** (1.0 / p))[:, 0])[1]
 
 
 def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, seed=0):

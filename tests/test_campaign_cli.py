@@ -192,6 +192,21 @@ _PAST_COORDINATES_CASES = {
     ),
     "cyclic_string_past_coordinates": _instance("Z1099511627776"),
 }
+# trials or restarts whose rows of coordinates exceed 2^24 in all, which would exhaust memory as
+# the check draws its battery or starts its estimates
+_PAST_ROWS_CASES = {
+    "restarts_past_rows": _set("estimator", "restarts", 10**12),
+    "trials_past_rows": _set("checks", 0, {"check": "hausdorff_young", "instance": "Z4", "params": {"p": 1.5},
+                                           "trials": 10**12}),
+    "default_trials_past_rows": _set("checks", 0, {"check": "hausdorff_young", "instance": {"cyclic": 2**15},
+                                                   "params": {"p": 1.5}}),
+    "lemma_trials_past_rows": _set("checks", 0, {"check": "lemma_constants", "trials": 10**12}),
+    "schur_restarts_past_rows": lambda doc: {
+        **doc,
+        "estimator": {"restarts": 2**16 + 1},
+        "checks": [{"check": "schur_bound", "instance": "M16", "params": {"p": 1.5, "q": 3.0}, "trials": 2}],
+    },
+}
 # torus grids past 2^20 points, which would exhaust memory as they are sampled
 _PAST_GRID_CASES = {
     "sharpness_n_list_past_grid": _set(
@@ -403,6 +418,17 @@ class TestLoadConfig:
             with pytest.raises(ConfigError, match="source coordinates, more than 1048576"):
                 _instance_spec(spec, "x")
 
+    def test_rows_budget_is_on_rows_times_coordinates(self, tmp_path):
+        # 4096 trials of Z4096's 4096 coordinates are 2^24 and pass; one more trial does not
+        for trials, ok in ((4096, True), (4097, False)):
+            doc = {"seed": 1, "checks": [{"check": "inversion_plancherel", "instance": "Z4096", "trials": trials}]}
+            path = _write_config(tmp_path, doc)
+            if ok:
+                assert load_config(path).checks[0].trials == trials
+            else:
+                with pytest.raises(ConfigError, match="trials=4097 rows of 4096 coordinates exceed 16777216"):
+                    load_config(path)
+
     def test_registry_params_are_keywords_of_their_function(self):
         for name, entry in CHECKS.items():
             keywords = inspect.signature(getattr(checks_mod, entry.function)).parameters
@@ -420,7 +446,7 @@ class TestLoadConfig:
             pytest.param(m, id=name)
             for name, m in {
                 **_SCHEMA_RULE_CASES, **_NEW_REJECTION_CASES, **_PAST_DOUBLE_CASES, **_PAST_INDEX_CASES,
-                **_PAST_COORDINATES_CASES, **_PAST_GRID_CASES,
+                **_PAST_COORDINATES_CASES, **_PAST_GRID_CASES, **_PAST_ROWS_CASES,
             }.items()
         ],
     )

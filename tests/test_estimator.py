@@ -8,7 +8,7 @@ import pytest
 from ncfourier.algebra import AlgebraElement, TracialAlgebra, random_element, trace
 from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError, ShapeMismatchError
-from ncfourier import estimator
+from ncfourier import checks, estimator
 from ncfourier.estimator import (
     brute_force_pq_norm,
     estimate_pq_norm,
@@ -221,7 +221,7 @@ def _lapack_blocks(alg, z, q):
 
 
 def _check_kernels(alg, z, q, rtol=1e-12):
-    """singular_values, norm (at p = q) and schatten_direction of _BlockOps
+    """singular_values, norm (at p = q) and duality direction of _BlockOps
     against per-block LAPACK, within rtol of each block's largest singular
     value (its (q-1)-th power for the direction)."""
     ops = _BlockOps(alg)
@@ -233,7 +233,7 @@ def _check_kernels(alg, z, q, rtol=1e-12):
     assert np.all(np.abs(sv - want) <= rtol * top)
     want_norm = sum(w * np.sum(s**q, axis=1) for _, _, w, s, _ in ref) ** (1.0 / q)
     assert np.all(np.abs(ops.norm(z, q) - want_norm) <= rtol * want_norm)
-    g = ops.schatten_direction(z, q)
+    g = ops.duality(z, q, np.ones_like)[1]
     for o, n, _, s, want_g in ref:
         assert np.all(np.abs(g[:, o : o + n * n] - want_g) <= rtol * s[:, :1] ** (q - 1.0))
 
@@ -272,6 +272,45 @@ NEAR_SINGULAR_WITNESS = np.array([
 ])
 
 
+class TestTinyScales:
+    # below 1e-150 the squares of singular values, and the Gram entries the 2x2 forms are
+    # built on, leave the normal range; a certified value there is 0, never one above the norm
+    SCALES = 10.0 ** np.arange(-170.0, -139.0)
+
+    @pytest.mark.parametrize("name", ["Z4", "M2"])
+    def test_lower_bound_stays_below_constant_one_bound(self, name):
+        rng = np.random.default_rng(84)
+        if name == "M2":
+            sym = _complex_matrix(rng, (2, 2))
+            bound = lambda r: float(np.sum(np.abs(sym) ** r) ** (1.0 / r)) if np.isfinite(r) else np.abs(sym).max()
+            build = lambda scale: schur_map(sym * scale)
+        else:
+            pair = resolve_instance(name)
+            x = random_element(pair.source, 84)
+            bound = lambda r: lp_norm(x, r)
+            build = lambda scale: multiplier_map(pair, x * scale)
+        for p, q in PINNED_PAIRS + [(1.5, 2.0)]:
+            r = checks.difference_exponent(p, q)
+            for scale in self.SCALES:
+                est = estimate_pq_norm(build(scale), p, q, seed=1)
+                assert est.lower_bound <= (1.0 + 1e-12) * scale * bound(r), (p, q, scale)
+
+    def test_certified_value_is_zero_below_the_trusted_range(self):
+        # the reproduction: the image's squared entries are subnormal, and the value read 4.4455e-162
+        est = estimate_pq_norm(schur_map(np.array([[1.0, 2.0], [3.0, 4.0]]) * 1e-162), 1.5, 2.0)
+        assert est.lower_bound == 0.0 and est.degenerate
+
+    # q < 2, where ||x||_q^q of an element of size 1e-160 stays a normal number
+    @pytest.mark.parametrize("q", [1.25, 1.5])
+    def test_gradient_does_not_depend_on_scale(self, q):
+        x = random_element(TracialAlgebra([2], [1.0]), 85)
+        want = schatten_gradient(x, q).row
+        for scale in 10.0 ** np.arange(-160.0, -139.0):
+            got = schatten_gradient(x * scale, q).row
+            assert np.all(np.isfinite(got))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), scale
+
+
 class TestNearSingularDirection:
     # U diag(s^(q-1)) V* with q < 2 is only as well conditioned as s2^(q-1),
     # whose error is (eps s1)^(q-1): the kernel must stay at that level,
@@ -285,7 +324,7 @@ class TestNearSingularDirection:
             v = np.linalg.qr(_complex_matrix(rng, (2, 2)))[0]
             blocks.append(u @ np.diag([1.0, ratio]) @ v.conj().T)
         z = np.stack([b.ravel() for b in blocks])
-        got = _BlockOps(TracialAlgebra([2], [1.0])).schatten_direction(z, q)
+        got = _BlockOps(TracialAlgebra([2], [1.0])).duality(z, q, np.ones_like)[1]
         u, s, vh = np.linalg.svd(z.reshape(-1, 2, 2))
         want = ((u * s[:, None, :] ** (q - 1.0)) @ vh).reshape(len(z), 4)
         err = np.abs(got - want).max(axis=1) / s[:, 0] ** (q - 1.0)

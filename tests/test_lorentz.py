@@ -8,6 +8,7 @@ from ncfourier.lorentz import (
     SingularFunction,
     _BlockOps,
     _direction2,
+    _integer_exponent,
     _spectrum2,
     decreasing_step_function,
     distribution_function,
@@ -231,7 +232,7 @@ class TestSpectrum2x2:
         z = _batch(alg)[1][2:]
         ops = _BlockOps(alg)
         sv = ops.spectrum(z)[0]
-        cols = next(cols for n, _, _, cols in ops.groups if n == 2)
+        cols = next(cols for n, _, _, cols, _ in ops.groups if n == 2)
         got = sv[:, cols].reshape(len(z), -1, 2)
         offsets = [alg.block_offset(k) for k, n in enumerate(alg.dims) if n == 2]
         blocks = np.stack([z[:, o : o + 4].reshape(len(z), 2, 2) for o in offsets], axis=1)
@@ -285,7 +286,7 @@ class TestBlockOpsGrouping:
                 out[:, o : o + 1] = b[:, 0, :1] * np.divide(gk, mag, out=np.zeros_like(mag), where=mag > 0.0)
             elif n == 2:
                 y = b.reshape(len(z), 1, 4)
-                out[:, o : o + 4] = _direction2(y, gk[:, None, :], _spectrum2(y))[:, 0]
+                out[:, o : o + 4] = _direction2(gk[:, None, :], _spectrum2(y)[1])[:, 0]
             else:
                 u, _, vh = np.linalg.svd(b)
                 out[:, o : o + n * n] = ((u * gk[:, None, :]) @ vh).reshape(len(z), -1)
@@ -331,9 +332,22 @@ class TestBlockOpsGrouping:
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, np.inf])
     def test_schatten_direction(self, q):
+        # the spectrum path, bit for bit, on every block without a closed form at q; the 1x1 and
+        # 2x2 blocks take closed forms at q = 3 and agree within rounding
         z = self._rows()
-        g = _BlockOps.powers(self._loop_spectrum(z, vectors=True), q)
-        assert np.array_equal(_BlockOps(self.ALG).schatten_direction(z, q), self._loop_direction(z, g))
+        sv = self._loop_spectrum(z, vectors=True)
+        g = _BlockOps.powers(sv, q)
+        want = self._loop_direction(z, g)
+        total, got = _BlockOps(self.ALG).duality(z, q, np.ones_like)
+        closed = np.zeros(z.shape[1], dtype=bool)
+        if q == 3.0:
+            for k, n in enumerate(self.ALG.dims):
+                closed[self.ALG.block_offset(k) : self.ALG.block_offset(k) + n * n] = n <= 2
+        assert np.array_equal(got[:, ~closed], want[:, ~closed])
+        assert np.all(np.abs(got[:, closed] - want[:, closed]) <= 1e-13 * np.abs(want).max(axis=1, keepdims=True))
+        wts = _BlockOps(self.ALG).wts
+        want_total = np.einsum("ij,j->i", g if np.isinf(q) else sv * g, wts)
+        assert np.all(np.abs(total - want_total) <= 1e-13 * want_total)
 
     def test_product(self):
         z = self._rows()
@@ -353,6 +367,82 @@ class TestBlockOpsGroupingScattered(TestBlockOpsGrouping):
     ALG = TracialAlgebra((1, 3, 2, 1, 2), np.exp(np.random.default_rng(73).uniform(-1.0, 1.0, 5)))
     LAYOUT = [0, 3, 2, 2, 4, 4, 1, 1, 1]
     BIG = (3,)
+
+
+def _special_block(rng, n: int, kind: str) -> np.ndarray:
+    """An n x n block of one kind: Gaussian, near-unitary, near-rank-one, rank-one or zero."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "near-unitary":
+        return np.linalg.qr(g)[0] * 1.7 + 1e-9 * rng.standard_normal((n, n))
+    if kind in ("near-rank-one", "rank-one"):
+        u, v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        return np.outer(u, v.conj()) + (1e-9 * g if kind == "near-rank-one" else 0.0)
+    return g if kind == "gaussian" else np.zeros((n, n), dtype=complex)
+
+
+class TestClosedForms:
+    """At r = 2, 3 and 4 the duality map is a product of the block and its Gram matrix; it
+    agrees with the spectrum path, U diag(s^(r-1)) V* and sum w s^r, within rounding."""
+
+    KINDS = ("gaussian", "near-unitary", "near-rank-one", "rank-one", "zero")
+
+    @staticmethod
+    def _spectrum_path(ops, z, r):
+        sv, data = ops.spectrum(z, vectors=True)
+        g = _BlockOps.powers(sv, r)
+        return np.einsum("ij,j->i", sv * g, ops.wts), ops.direction(z, g, data)
+
+    def _rows(self, alg, seed):
+        """One row per kind with every block of that kind, then rows of kinds mixed block by block."""
+        rng = np.random.default_rng(seed)
+        kinds = [[kind] * alg.num_blocks for kind in self.KINDS]
+        kinds += [list(rng.choice(self.KINDS, alg.num_blocks)) for _ in range(40)]
+        return np.stack([np.concatenate([_special_block(rng, n, k).ravel() for n, k in zip(alg.dims, row)])
+                         for row in kinds])
+
+    @pytest.mark.parametrize("dims", [[1], [2], [3], [4], [16], [1, 2, 3], [2, 1, 3, 2, 1], [1, 1, 2], [4, 1, 2]])
+    @pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
+    def test_agree_with_spectrum_path(self, dims, r):
+        alg = TracialAlgebra(dims, np.exp(np.random.default_rng(len(dims)).uniform(-1.0, 1.0, len(dims))))
+        ops = _BlockOps(alg)
+        z = self._rows(alg, 90 + sum(dims))
+        scale = np.random.default_rng(91).uniform(0.5, 2.0, len(z))
+        total, got = ops.duality(z, r, lambda s: scale)
+        want_total, want = self._spectrum_path(ops, z, r)
+        assert np.all(np.abs(total - want_total) <= 1e-13 * want_total)
+        want = want * scale[:, None]
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+
+    @pytest.mark.parametrize("dims", [[1], [2], [4], [1, 2, 3]])
+    def test_no_spectrum_where_every_block_has_a_closed_form(self, dims, monkeypatch):
+        alg = TracialAlgebra(dims, [1.0] * len(dims))
+        z = self._rows(alg, 92)
+        want = {r: _BlockOps(alg).duality(z, r, np.ones_like) for r in (2.0, 3.0, 4.0)}
+        monkeypatch.setattr(_BlockOps, "spectrum", None)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        for r in (2.0, 4.0) if max(dims) > 2 else (2.0, 3.0, 4.0):
+            total, got = _BlockOps(alg).duality(z, r, np.ones_like)
+            assert np.array_equal(total, want[r][0]) and np.array_equal(got, want[r][1])
+
+    def test_conjugate_of_four_thirds_steps_with_four(self, monkeypatch):
+        # p = 1.3333333333333333 has the computed conjugate 4.000000000000001, one ulp above 4
+        p = 1.3333333333333333
+        p_dual = p / (p - 1.0)
+        assert p_dual == 4.000000000000001
+        alg = TracialAlgebra([4, 1, 2], [0.5, 2.0, 1.0])
+        ops = _BlockOps(alg)
+        z = self._rows(alg, 93)
+        want_total, want = self._spectrum_path(ops, z, p_dual)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", None)
+            total, got = ops.duality(z, p_dual, np.ones_like)
+        assert np.all(np.abs(total - want_total) <= 1e-13 * want_total)
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+        # within 4 ulps an exponent is its integer; beyond, it takes the spectrum
+        for k in (2.0, 3.0, 4.0):
+            ulp = np.spacing(k)
+            assert _integer_exponent(k + 4 * ulp) == _integer_exponent(k - 4 * ulp) == k
+            assert _integer_exponent(k + 5 * ulp) == k + 5 * ulp
 
 
 class TestDistributionFunction:

@@ -18,6 +18,13 @@ may overwrite its input gets a copy made before the timing.  The kernels
 are timed as brute force runs them after its first call (see the comment in
 ``main``).  The first line gives the numpy version, the BLAS build and its
 thread count.
+
+A second table times one half-step of the ascent, ``_BlockOps.duality``, at
+r = 2, 3 and 4, against the spectrum path it replaces where its blocks have
+closed forms (``spectrum`` with vectors, ``powers``, the power sum and
+``direction``), on rows of the codomains of Z4 (four 1x1 blocks), M2 (one
+2x2 block), S3 (its dual: blocks 1, 1 and 2) and M16 (one 16x16 block, whose
+r = 3 takes the spectrum path either way), in batches of the same size.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from ncfourier.schur import schur_map
 
 # (name, p, q): the oracle's maps and one with a noncommutative domain of unequal weights
 CASES = (("Z4", 4.0 / 3.0, 4.0), ("M2", 1.5, 3.0), ("S3", 4.0 / 3.0, 4.0))
+# the codomains of the half-step table, and its exponents
+HALF_STEP_MAPS = ("Z4", "M2", "S3", "M16")
+HALF_STEP_R = (2.0, 3.0, 4.0)
 REPEAT = 7  # CPU timings per figure; the minimum is printed
 
 
@@ -94,6 +104,35 @@ def kernel_times(name: str, p: float, q: float) -> dict:
     return out
 
 
+def half_step_times(name: str) -> dict:
+    """Microseconds per call of one half-step on rows of the codomain of the map ``name``: for each r
+    of ``HALF_STEP_R``, ``duality`` (closed forms where they exist) and the spectrum path."""
+    m = _map(name)
+    ops = _block_ops(m.codomain)
+    rows = _BATCH_BYTES // (16 * (m.domain.complex_dim + m.codomain.complex_dim))
+    y = _complex_normals(np.random.default_rng(2), (rows, m.codomain.complex_dim))
+
+    def spectrum_path(r):
+        sv, data = ops.spectrum(y, vectors=True)
+        g = ops.powers(sv, r)
+        total = np.einsum("ij,j->i", sv * g, ops.wts)
+        return total, ops.direction(y, g / total[:, None], data)
+
+    out = {}
+    for r in HALF_STEP_R:
+        out[f"r={r:g} closed"] = _per_call_us(lambda: ops.duality(y, r, lambda total: 1.0 / total), 20)
+        out[f"r={r:g} spectrum"] = _per_call_us(lambda: spectrum_path(r), 20)
+    return out
+
+
+def _table(rows: dict) -> None:
+    """Print ``{label: {column: microseconds}}`` as a table, one row per label."""
+    columns = next(iter(rows.values()))
+    print(f"{'map':<14}" + "".join(f"{k:>14}" for k in columns))
+    for label, times in rows.items():
+        print(f"{label:<14}" + "".join(f"{v:>14.1f}" for v in times.values()))
+
+
 def main() -> None:
     # glibc serves large blocks by mmap until one is freed, which raises its mmap and trim
     # thresholds; brute force's 6.4 MB sample array does that, so that its batch temporaries
@@ -101,13 +140,9 @@ def main() -> None:
     # array here times the kernels in that state.
     np.ones(1 << 19, dtype=complex)
     print(f"numpy {np.__version__}; BLAS {_blas()}; us per call")
-    header = None
-    for name, p, q in CASES:
-        times = kernel_times(name, p, q)
-        if header is None:
-            header = f"{'map':<14}" + "".join(f"{k:>13}" for k in times)
-            print(header)
-        print(f"{f'{name} ({p:.3g},{q:.3g})':<14}" + "".join(f"{v:>13.1f}" for v in times.values()))
+    _table({f"{name} ({p:.3g},{q:.3g})": kernel_times(name, p, q) for name, p, q in CASES})
+    print("one half-step, duality against the spectrum path")
+    _table({name: half_step_times(name) for name in HALF_STEP_MAPS})
 
 
 if __name__ == "__main__":
