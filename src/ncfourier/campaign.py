@@ -45,8 +45,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from .checks import (
-    CHECKS, DEFAULT_ESTIMATOR, _CHECK_KEYS, _ESTIMATOR_KEYS, _LEMMA_COORDINATES, Param, _validate_object,
-    _validate_params, loglog_slope,
+    CHECKS, _CHECK_KEYS, _ESTIMATOR_KEYS, Param, _check_rows, _validate_object, _validate_params, loglog_slope,
 )
 from .errors import ConfigError, NcfourierError
 from .fourier import build_finite_abelian, build_group_vna, perturb_fourier_matrix
@@ -143,32 +142,8 @@ def _instance_spec(inst, where: str) -> tuple[str, dict]:
 
 
 _INSTANCE_NEEDS = {"pair": "a group/abelian instance", "matrix": "a matrix instance like 'M8'"}
-# rows x coordinates a check may hold at once: its trials, or its estimator's restarts, each a
-# row of its instance's source coordinates (of the largest algebra a lemma trial draws, for
-# lemma_constants).  2^24 complex numbers take 256 MiB.  The largest use in the campaigns, tests
-# and demos is the lemma check's 10,000 trials of at most 100 coordinates; a Z4096 check at the
-# default 1000 trials takes 4,096,000.
-_MAX_ROW_COORDINATES = 1 << 24
-
-
-def _check_rows(where: str, entry, instance, trials, restarts: int) -> None:
-    """Raise ConfigError where a check's trials or restarts times the coordinates of a row exceed the budget."""
-    if instance is None:
-        coordinates = _LEMMA_COORDINATES
-    else:
-        coordinates = instance * instance if isinstance(instance, int) else instance.source.complex_dim
-    counts = {"trials": entry.defaults.get("trials") if trials is None else trials}
-    if "estimator" in entry.defaults:
-        counts["restarts"] = restarts
-    for key, rows in counts.items():
-        if rows is not None and rows * coordinates > _MAX_ROW_COORDINATES:
-            raise ConfigError(
-                f"{where}: {key}={rows} rows of {coordinates} coordinates exceed {_MAX_ROW_COORDINATES} in all"
-            )
-
-
-def _check_spec(index: int, item: dict, restarts: int) -> CheckSpec:
-    """One entry of ``checks``, validated; ``restarts`` is the campaign's estimator setting."""
+def _check_spec(index: int, item: dict, estimator: dict) -> CheckSpec:
+    """One entry of ``checks``, validated; ``estimator`` holds the campaign's estimator settings."""
     where = f"checks[{index}]"
     _validate_object(item, _CHECK_KEYS, where)
     name, inst = item["check"], item.get("instance")
@@ -193,7 +168,7 @@ def _check_spec(index: int, item: dict, restarts: int) -> CheckSpec:
             raise ConfigError(f"{where}: cannot resolve instance: {exc}") from exc
     params = dict(item.get("params", {}))
     _validate_params(f"{where}: check {name!r}", entry, params)
-    _check_rows(where, entry, resolved, item.get("trials"), restarts)
+    _check_rows(where, entry, resolved, item.get("trials"), estimator)
     return CheckSpec(name, inst, params, item.get("trials"), item.get("ladder"))
 
 
@@ -206,8 +181,7 @@ def load_config(path) -> CampaignConfig:
     try:
         _validate_object(raw, _CONFIG_KEYS, "top level")
         _validate_object(raw.get("estimator", {}), _ESTIMATOR_KEYS, "estimator")
-        restarts = {**DEFAULT_ESTIMATOR, **raw.get("estimator", {})}["restarts"]
-        checks = tuple(_check_spec(i, item, restarts) for i, item in enumerate(raw["checks"]))
+        checks = tuple(_check_spec(i, item, raw.get("estimator", {})) for i, item in enumerate(raw["checks"]))
     except ConfigError as exc:
         raise ConfigError(f"config {path} rejected: {exc}") from exc
     return CampaignConfig(seed=raw["seed"], checks=checks, estimator=dict(raw.get("estimator", {})))

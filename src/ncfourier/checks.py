@@ -431,7 +431,7 @@ def check_lemma_constants(trials: int = 1000, seed: int = 0) -> CheckReport:
 
 def check_hausdorff_young(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int = 0) -> CheckReport:
     """||F x||_{p'} <= ||x||_p on the pair, for 1 <= p <= 2 (constant 1, hard)."""
-    _check_params("hausdorff_young", p=p, trials=trials)
+    _check_params("hausdorff_young", pair, p=p, trials=trials)
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
@@ -464,7 +464,7 @@ def check_real_interpolation(pair: QuantumGroupPair, p: float, trials: int = 500
     sharpen the plain transform bound at the price of a constant, which is
     what gets recorded.
     """
-    _check_params("real_interpolation", p=p, trials=trials)
+    _check_params("real_interpolation", pair, p=p, trials=trials)
     pc = conjugate_exponent(p)
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
@@ -505,7 +505,7 @@ def check_inversion_plancherel(pair: QuantumGroupPair, trials: int = 1000, seed:
     1 + ||x||_2, rounded up to a multiple of ``_RESIDUAL_GRID``; the witness
     is the first input at the largest residual.
     """
-    _check_params("inversion_plancherel", trials=trials)
+    _check_params("inversion_plancherel", pair, trials=trials)
     rng = np.random.default_rng(seed)
     names, z = _source_battery(pair, trials, rng)
     fz = pair.forward(z)
@@ -589,7 +589,7 @@ def check_multiplier_bound(
     largest L_r ratio when the hard clause fails: many inputs attain the
     L_r ratio 1 up to rounding, so its maximizer is not a stable name.
     """
-    _check_params("multiplier_bound", p=p, q=q, trials=trials, estimator=estimator)
+    _check_params("multiplier_bound", pair, p=p, q=q, trials=trials, estimator=estimator)
     r = difference_exponent(p, q)
     opts = {**DEFAULT_ESTIMATOR, **(estimator or {})}
     rng = np.random.default_rng(seed)
@@ -636,7 +636,7 @@ def check_paley(pair: QuantumGroupPair, p: float, trials: int = 1000, seed: int 
     inequality holds with constant 1 (hard); for 1 <= p < 2 the constant is
     monitored.
     """
-    _check_params("paley", p=p, trials=trials)
+    _check_params("paley", pair, p=p, trials=trials)
     s = one_sided_exponent(p)
     hard = bool(np.isinf(s))
     rng = np.random.default_rng(seed)
@@ -703,7 +703,7 @@ def check_schur_bound(
     the largest L_r ratio.  Monitored clause: the ratio against the weak
     l_{r,inf} norm, whose sharp constant is what the campaign ladders track.
     """
-    _check_params("schur_bound", p=p, q=q, trials=trials, estimator=estimator)
+    _check_params("schur_bound", n, p=p, q=q, trials=trials, estimator=estimator)
     pair = schur_pair(n)  # raises for n < 1
     r = difference_exponent(p, q)
     opts = {**DEFAULT_ESTIMATOR, **(estimator or {})}
@@ -1156,11 +1156,39 @@ def _validate_params(where: str, entry: CheckEntry, params: dict) -> None:
             raise ConfigError(f"{where}: need {rule}, got {got}")
 
 
-def _check_params(check: str, trials=None, estimator=None, **values) -> None:
+# rows x coordinates a check may hold at once: its trials, or its estimator's restarts, each a
+# row of its instance's source coordinates (of the largest algebra a lemma trial draws, for
+# lemma_constants).  2^24 complex numbers take 256 MiB.  The largest use in the campaigns, tests
+# and demos is the lemma check's 10,000 trials of at most 100 coordinates; a Z4096 check at the
+# default 1000 trials takes 4,096,000.
+_MAX_ROW_COORDINATES = 1 << 24
+
+
+def _check_rows(where: str, entry: CheckEntry, instance, trials=None, estimator=None) -> None:
+    """Raise ConfigError, led by ``where``, where a check's trials (given or its default), or its
+    estimator's restarts, times the coordinates of a row exceed ``_MAX_ROW_COORDINATES``.
+
+    ``instance`` is the resolved instance: a pair, a matrix size n (n^2
+    coordinates), or None for the lemma check.
+    """
+    if instance is None:
+        coordinates = _LEMMA_COORDINATES
+    else:
+        coordinates = instance * instance if isinstance(instance, int) else instance.source.complex_dim
+    counts = {"trials": entry.defaults.get("trials") if trials is None else trials}
+    if "estimator" in entry.defaults:
+        counts["restarts"] = {**DEFAULT_ESTIMATOR, **(estimator or {})}["restarts"]
+    for key, rows in counts.items():
+        if rows is not None and rows * coordinates > _MAX_ROW_COORDINATES:
+            raise ConfigError(f"{where}: {key}={rows} rows of {coordinates} coordinates exceed {_MAX_ROW_COORDINATES} in all")
+
+
+def _check_params(check: str, instance=None, trials=None, estimator=None, **values) -> None:
     """Raise ParameterError unless ``values`` meet the entry of ``check``; None: derived by the function.
 
     ``trials`` and ``estimator``, where given, meet the rules a config's
-    trial count and estimator settings meet.
+    trial count and estimator settings meet, and the rows they make of
+    ``instance``'s coordinates meet :func:`_check_rows`.
     """
     where = f"check {check!r}"
     try:
@@ -1169,5 +1197,7 @@ def _check_params(check: str, trials=None, estimator=None, **values) -> None:
             _CHECK_KEYS["trials"].validate(f"{where}: key", "trials", trials)
         if estimator is not None:
             _validate_object(estimator, _ESTIMATOR_KEYS, f"{where}: estimator")
+        if trials is not None:
+            _check_rows(where, CHECKS[check], instance, trials, estimator)
     except ConfigError as exc:
         raise ParameterError(str(exc)) from exc

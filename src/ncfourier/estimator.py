@@ -54,8 +54,8 @@ the step, scaled to unit p-norm.  At r = 2 and 4, and at r = 3 on 1x1 and
 no singular values; every exponent pair the campaigns run steps with 2, 3
 or 4, and a computed p' within 4 ulps of an integer, such as 4/3's
 4.000000000000001, is taken as that integer.  Other exponents, and r = 3 on
-larger blocks, take the spectrum: on 2x2 blocks by elementwise closed forms,
-on larger ones by one batched LAPACK SVD per size.  Between steps a row
+an algebra with blocks above 2x2, take the spectrum: on 2x2 blocks by
+elementwise closed forms, on larger ones by one batched LAPACK SVD per size.  Between steps a row
 carries its point, its value and the direction psi_q(Mz) / ||Mz||_q^q of its
 image.  An estimate's row stops when its value stops rising, and its point
 is written back in its place; a brute-force row takes every step.  Every

@@ -30,10 +30,10 @@ directions in one call, :meth:`_BlockOps.duality`, with no spectrum where
 they are products of the blocks y and their Gram matrices h = y* y: at
 r = 2 (sum w ||y||_F^2 and y) and r = 4 (sum w ||h||_F^2 and y h) on every
 block, and at r = 3 on 1x1 blocks (|z|^3 and z |z|) and 2x2 blocks
-(sigma (tr h - m) and y (h + m I) / sigma, m = |det y|, sigma = s1 + s2).
-An exponent within 4 ulps of 2, 3 or 4 is taken as that integer.  The
-estimator ascends with the kernel, and every
-functional here is built on it in a batched form
+(sigma (tr h - m) and y (h + m I) / sigma, m = |det y|, sigma = s1 + s2),
+when every block of the algebra has one.  An exponent within 4 ulps of 2,
+3 or 4 is taken as that integer.  The estimator ascends with the kernel,
+and every functional here is built on it in a batched form
 (:func:`lp_norms`, :func:`lorentz_norms`, :func:`singular_functions`,
 :func:`distribution_functions`) whose S = 1 case is the per-element
 function.  A row's result does not depend on the other rows of its batch,
@@ -197,10 +197,9 @@ def _abs2(x: np.ndarray) -> np.ndarray:
 
 
 def _integer_sums(n: int, y: np.ndarray, r: float):
-    """Per-block power sums tr h^(r/2) = ||y||_r^r of a group's blocks y, h = y* y, at r = 2, 3
-    or 4, and the data of their duality direction; y is (S, m) for 1x1 blocks, (S, m, 4) for
-    2x2 and (S, m, n, n) above.  Closed forms where :func:`_closed_form` has them, and the
-    blocks' SVD for r = 3 above 2x2."""
+    """Per-block power sums tr h^(r/2) = ||y||_r^r of a group's blocks y, h = y* y, where
+    :func:`_closed_form` holds, and the data of their duality direction; y is (S, m) for 1x1
+    blocks, (S, m, 4) for 2x2 and (S, m, n, n) above."""
     if n == 1:  # the data are |z|^(r-2)
         if r == 3.0:
             mag = np.abs(y)
@@ -222,19 +221,17 @@ def _integer_sums(n: int, y: np.ndarray, r: float):
     s_count, m = y.shape[:2]
     if r == 2.0:
         return _abs2(y).reshape(s_count, m, -1).sum(axis=-1), None
-    if r == 4.0:
-        h = np.conj(np.swapaxes(y, -1, -2)) @ y
-        return _abs2(h).reshape(s_count, m, -1).sum(axis=-1), h
-    u, s, vh = np.linalg.svd(y)
-    g = s * s
-    return (s * g).sum(axis=-1), (u, g, vh)
+    h = np.conj(np.swapaxes(y, -1, -2)) @ y
+    return _abs2(h).reshape(s_count, m, -1).sum(axis=-1), h
 
 
 def _integer_direction(n: int, r: float, y: np.ndarray, data, c: np.ndarray) -> np.ndarray:
     """psi_r(y) c of the blocks of :func:`_integer_sums`, from their data; c (S,) scales each row.
 
     The scale goes into the real coefficients of each block, |z|^(r-2) or
-    the entries of h^((r-2)/2), before they multiply the block.
+    the entries of h^((r-2)/2), before they multiply the block.  At r = 3 on
+    2x2 blocks the entries of h + m I are divided by sigma first: c / sigma
+    would leave the double range for blocks of size 1e-80.
     """
     if r == 2.0:  # psi_2(y) = y
         return y * c.reshape((-1,) + (1,) * (y.ndim - 1))
@@ -243,12 +240,14 @@ def _integer_direction(n: int, r: float, y: np.ndarray, data, c: np.ndarray) -> 
         return y * data
     if n == 2:
         p00, p11, p01, sigma = data
-        k = c[:, None] if sigma is None else c[:, None] / (sigma + (sigma == 0.0))
+        if sigma is not None:
+            inv = 1.0 / (sigma + (sigma == 0.0))
+            p00 *= inv
+            p11 *= inv
+            p01 = p01 * inv
+        k = c[:, None]
         return _times_hermitian2(y, np.multiply(p00, k, out=p00), np.multiply(p11, k, out=p11), p01 * k)[0]
-    if r == 4.0:
-        return y @ (data * c[:, None, None, None])
-    u, g, vh = data
-    return (u * (g * c[:, None, None])[..., None, :]) @ vh
+    return y @ (data * c[:, None, None, None])
 
 
 def _as_slice(idx: np.ndarray):
@@ -292,9 +291,10 @@ class _BlockOps:
     * r = 3 on 2x2 blocks: sigma (tr h - m) and y (h + m I) / sigma, with
       m = |det y| and sigma = sqrt(tr h + 2m) = s1 + s2.
 
-    An r within 4 ulps of 2, 3 or 4 is taken as that integer.  At other
-    exponents, where no block has a closed form, the method takes the
-    spectrum with its singular vectors.
+    An r within 4 ulps of 2, 3 or 4 is taken as that integer.  Where a
+    block size of the algebra has no closed form at r (r = 3 on blocks
+    above 2x2, and every other exponent), the method takes the spectrum
+    with its singular vectors.
     """
 
     def __init__(self, algebra: TracialAlgebra):
@@ -413,13 +413,13 @@ class _BlockOps:
         norm of psi_inf(y).  So for every r > 1, S^(1/r') is the L_r' norm of
         psi_r(y), r' = r / (r - 1).  ``scale`` maps the (S,) power sums to
         one real factor per row, which the direction is built with.  At an
-        exponent of :func:`_closed_form` (after :func:`_integer_exponent`)
-        the blocks that have closed forms take them, with no spectrum;
-        otherwise this is :meth:`spectrum` with vectors, :meth:`powers` and
-        :meth:`direction`.
+        exponent where every block size has a closed form (:func:`_closed_form`,
+        after :func:`_integer_exponent`) the blocks take them, with no
+        spectrum; otherwise this is :meth:`spectrum` with vectors,
+        :meth:`powers` and :meth:`direction`.
         """
         r = _integer_exponent(r)
-        if not any(_closed_form(n, r) for n, *_ in self.groups):
+        if not all(_closed_form(n, r) for n, *_ in self.groups):
             sv, data = self.spectrum(z, vectors=True)
             g = self.powers(sv, r)
             total = np.einsum("ij,j->i", g if np.isinf(r) else sv if r == 1.0 else sv * g, self.wts)

@@ -282,6 +282,15 @@ _DIRECT_CALL_REJECTIONS = [
     ("multiplier_bound", "Z4", {"p": 1.5, "q": 3.0, "estimator": [2, 30]}, "estimator must be an object"),
     ("schur_bound", "M4", {"p": 1.5, "q": 3.0, "estimator": {"restarts": 0}}, "1 <= restarts"),
     ("schur_bound", "M4", {"p": 1.5, "q": 3.0, "trials": 4.0}, "'trials' must be an integer"),
+    # rows x coordinates past 2^24, which would exhaust memory as the battery or the estimates start
+    ("lemma_constants", None, {"trials": 10**12}, "trials=1000000000000 rows of 100 coordinates exceed 16777216"),
+    ("hausdorff_young", "Z4", {"p": 1.5, "trials": 10**12}, "trials=1000000000000 rows of 4 coordinates exceed"),
+    ("inversion_plancherel", "Z4096", {"trials": 4097}, "trials=4097 rows of 4096 coordinates exceed 16777216"),
+    (
+        "multiplier_bound", "Z4", {"p": 1.5, "q": 3.0, "estimator": {"restarts": 10**12}},
+        "restarts=1000000000000 rows of 4 coordinates exceed",
+    ),
+    ("schur_bound", "M16", {"p": 1.5, "q": 3.0, "trials": 2, "estimator": {"restarts": 2**16 + 1}}, "restarts=65537 rows"),
 ]
 
 

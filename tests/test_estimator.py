@@ -295,6 +295,24 @@ class TestTinyScales:
                 est = estimate_pq_norm(build(scale), p, q, seed=1)
                 assert est.lower_bound <= (1.0 + 1e-12) * scale * bound(r), (p, q, scale)
 
+    def test_cube_steps_on_2x2_blocks_do_not_depend_on_scale(self):
+        # at r = 3 an image's scale 1 / S ~ s^-3 meets a 2x2 block's 1 / sigma ~ s^-1: their
+        # product leaves the double range for blocks of size 1e-100 to 6e-78
+        rng = np.random.default_rng(86)
+        ops = _BlockOps(TracialAlgebra([2], [1.0]))
+        z = _complex_matrix(rng, (16, 4))
+        want = ops.duality(z, 3.0, estimator._inverse)[1]
+        sym = _complex_matrix(rng, (2, 2))
+        want_bound = estimate_pq_norm(schur_map(sym), 1.5, 3.0, seed=1).lower_bound
+        for scale in 10.0 ** np.arange(-110.0, -69.0):
+            total, got = ops.duality(z * scale, 3.0, estimator._inverse)
+            assert np.all(np.isfinite(got)), scale
+            live = total > 1e-300  # below, a direction is 0 by design
+            assert np.all(np.abs(got[live] * scale - want[live]) <= 1e-13 * np.abs(want).max()), scale
+            est = estimate_pq_norm(schur_map(sym * scale), 1.5, 3.0, seed=1)
+            if est.lower_bound > 0.0:
+                assert abs(est.lower_bound / scale - want_bound) <= 1e-6 * want_bound, scale
+
     def test_certified_value_is_zero_below_the_trusted_range(self):
         # the reproduction: the image's squared entries are subnormal, and the value read 4.4455e-162
         est = estimate_pq_norm(schur_map(np.array([[1.0, 2.0], [3.0, 4.0]]) * 1e-162), 1.5, 2.0)

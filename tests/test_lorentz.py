@@ -332,21 +332,21 @@ class TestBlockOpsGrouping:
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, np.inf])
     def test_schatten_direction(self, q):
-        # the spectrum path, bit for bit, on every block without a closed form at q; the 1x1 and
-        # 2x2 blocks take closed forms at q = 3 and agree within rounding
+        z = self._rows()
+        g = _BlockOps.powers(self._loop_spectrum(z, vectors=True), q)
+        ops = _BlockOps(self.ALG)
+        sv, data = ops.spectrum(z, vectors=True)
+        assert np.array_equal(ops.direction(z, _BlockOps.powers(sv, q), data), self._loop_direction(z, g))
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0, np.inf])
+    def test_duality_takes_the_spectrum_path(self, q):
+        # the algebra has blocks above 2x2, which have no closed form at these q
         z = self._rows()
         sv = self._loop_spectrum(z, vectors=True)
         g = _BlockOps.powers(sv, q)
-        want = self._loop_direction(z, g)
         total, got = _BlockOps(self.ALG).duality(z, q, np.ones_like)
-        closed = np.zeros(z.shape[1], dtype=bool)
-        if q == 3.0:
-            for k, n in enumerate(self.ALG.dims):
-                closed[self.ALG.block_offset(k) : self.ALG.block_offset(k) + n * n] = n <= 2
-        assert np.array_equal(got[:, ~closed], want[:, ~closed])
-        assert np.all(np.abs(got[:, closed] - want[:, closed]) <= 1e-13 * np.abs(want).max(axis=1, keepdims=True))
-        wts = _BlockOps(self.ALG).wts
-        want_total = np.einsum("ij,j->i", g if np.isinf(q) else sv * g, wts)
+        assert np.array_equal(got, self._loop_direction(z, g))
+        want_total = np.einsum("ij,j->i", g if np.isinf(q) else sv * g, _BlockOps(self.ALG).wts)
         assert np.all(np.abs(total - want_total) <= 1e-13 * want_total)
 
     def test_product(self):
