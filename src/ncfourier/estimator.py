@@ -22,21 +22,16 @@ Three levels of effort:
   and only allowed when the domain has at most 8 real dimensions, but it has
   no convergence test, which is the point.
 
-Both run one engine, :func:`_ascent`.  It runs on a stack of maps that
-share a domain and a codomain, and on all their starting points at once, as
-one complex batch of rows of length D_dom; each row carries the index of
-the map that owns it.  Multipliers held as their symbol (``linmap.Diagonal``:
-the values v of a map diagonal in a unitary basis B, the transform of its
-pair) are stacked T at a time, as their (T, D) values with the one basis
-they share, and a product with a batch of rows is ``B(B^{-1} z * v[owner])``,
-the weighted adjoint the same with conj(v); no D x D matrix is built.
-:func:`estimate_pq_norms` reads its maps once, in order: a multiplier joins
-the batch while it shares the batch's basis and the batch holds at most
-``_BATCH_BYTES`` of values and rows.  A dense map ascends alone: its stack
-holds its D_cod x D_dom matrix and its weighted adjoint, and either product
-is one product with all its rows.  So does brute force, which always
-multiplies by the matrix (its domains have at most four coordinates), on
-batches of samples of at most ``_BATCH_BYTES``.
+Both run one engine, :func:`_ascent`, on a stack of maps that share a
+domain and a codomain, and on all their starting points at once: one
+complex batch of rows of length D_dom, each row tagged with the map that
+owns it.  Multipliers held as their symbol (``linmap.Diagonal``, the values
+v of a map diagonal in a unitary basis B) are stacked T at a time, as their
+(T, D) values in the basis they share, and a product with the rows is
+``B(B^{-1} z * v[owner])``; no D x D matrix is built.  A dense map ascends
+alone, as its matrix and its weighted adjoint, and so does brute force,
+which always multiplies by the matrix.  A batch holds at most
+``_BATCH_BYTES`` of values and rows.
 
 A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method for
 l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
@@ -49,19 +44,22 @@ stationary points of ||Mz||_q / ||z||_p.  Each half-step is one call of the
 package's block kernel, ``lorentz._BlockOps.duality``, which gives the power
 sum ||x||_r^r of each row with its direction psi_r(x), scaled by a factor
 of that sum: r = q for the image, scaled by 1 / ||Mz||_q^q, and r = p' for
-the step, scaled to unit p-norm.  At r = 2 and 4, and at r = 3 on 1x1 and
-2x2 blocks, both are products of the blocks and their Gram matrices, with
-no singular values; every exponent pair the campaigns run steps with 2, 3
-or 4, and a computed p' within 4 ulps of an integer, such as 4/3's
-4.000000000000001, is taken as that integer.  Other exponents, and r = 3 on
-an algebra with blocks above 2x2, take the spectrum: on 2x2 blocks by
-elementwise closed forms, on larger ones by one batched LAPACK SVD per size.  Between steps a row
-carries its point, its value and the direction psi_q(Mz) / ||Mz||_q^q of its
-image.  An estimate's row stops when its value stops rising, and its point
-is written back in its place; a brute-force row takes every step.  Every
-estimate is recomputed at its point by a product, from the spectrum at the
-exact p and q, so that it is certified; a value too small to be trusted
-(:func:`_certified`) is 0.  Products, reductions and warm starts are done
+the step, scaled to unit p-norm; at r = 2, 3 and 4 it takes products of the
+blocks, with no singular values (see the ``lorentz`` module).  Between steps
+a row carries its point, its value and the direction psi_q(Mz) / ||Mz||_q^q
+of its image.  An estimate's row stops when its value stops rising, and its
+point is written back in its place; a brute-force row takes every step.
+
+Scale is set once, at the entry.  A value has degree 1 in the map and a
+step's direction degree 0, so an estimate and brute force ascend on each
+map scaled by an exact power of two, 2^-e M, and scale the values back by
+2^e; the witnesses do not change.  e is the package's one scale rule
+(``lorentz._scale_exponents``) of the map's largest |value| or |entry| at
+q, 0 for every ordinary map, which keeps its bits.  Points have unit
+p-norm, so every image the ascent forms has a size near 1.  Every estimate
+is recomputed at its point as ||Mz||_q / ||z||_p from the spectra at the
+exact p and q, so that it is certified, with no cutoff: a value is 0 only
+where the image is 0.  Products, reductions, scales and warm starts are done
 map by map or row by row, so a map's estimate has the same bits in any
 batch.
 """
@@ -76,7 +74,7 @@ import numpy as np
 from .algebra import AlgebraElement, TracialAlgebra, random_row
 from .errors import ParameterError, ShapeMismatchError
 from .linmap import LinearMap, coordinate_weights, diagonal_product
-from .lorentz import _TINY, _block_ops, _BlockOps, lp_norm
+from .lorentz import _TINY, _block_ops, _BlockOps, _scale_exponents, lp_norm
 
 __all__ = [
     "NormEstimate",
@@ -119,6 +117,8 @@ def schatten_gradient(x: AlgebraElement, q: float) -> AlgebraElement:
     """
     if not (1.0 < q < np.inf):
         raise ParameterError(f"Schatten gradient needs finite q > 1, got {q}")
+    e = _scale_exponents(np.abs(x.row).max(keepdims=True), q)  # of degree 0: taken at 2^-e x
+    x = x if e is None else x * np.ldexp(1.0, -e[0])
     nrm = lp_norm(x, q)
     if nrm == 0.0:
         raise ParameterError("Schatten gradient is undefined at the zero element")
@@ -280,15 +280,11 @@ def _ascent(
     row and reads no ``owner``).  ``dom_ops`` is ``_block_ops(maps.domain)``.
     ``z`` is overwritten.  Its rows are first scaled to unit p-norm; a row
     whose p-norm vanishes becomes zero with value 0.  A step is
-    z <- psi_p'(M* psi_q(Mz)) at unit p-norm (see the module docstring);
-    for p = 1, psi_inf(w) is U diag([s == max s]) V* over the row's largest
-    singular values.  Each half-step is one :meth:`_BlockOps.duality` call,
-    which gives a power sum and a direction: the image's, at r = q, gives
-    ||Mz||_q^q and the direction scaled by its inverse; the step's, at
-    r = p', gives ||w||_p'^p' = ||psi_p'(w)||_p^p and the direction scaled
-    to unit p-norm.  Between steps a row's state is its point, its value
-    and its image's direction.  An image whose power sum is at most 1e-300
-    has value 0 and direction 0.
+    z <- psi_p'(M* psi_q(Mz)) at unit p-norm, by two half-steps (see the
+    module docstring, and ``image`` and ``step`` below); for p = 1,
+    psi_inf(w) is U diag([s == max s]) V* over the row's largest singular
+    values.  An image whose power sum is at most 1e-300 has value 0 and
+    direction 0.
 
     * Brute force (``tol`` None): every row takes all ``iters`` steps.
     * Estimates (``tol`` given): each row of nonzero value takes at
@@ -298,8 +294,8 @@ def _ascent(
       place, and so are the rows still running after ``iters`` steps.
 
     Returns per row: the last point, the best value along the path (for
-    estimates the last one, recomputed at the point by a product and at the
-    exact p and q, so that it is certified, see :func:`_certified`) and
+    estimates the last one, recomputed at the point as ||Mz||_q / ||z||_p
+    from the spectra at the exact p and q, so that it is certified) and
     whether the row stopped before ``iters`` steps.
     """
     cod_ops = _block_ops(maps.codomain)
@@ -344,20 +340,20 @@ def _ascent(
         converged[ids[stop]] = True
         new[~rise] = point[~rise]  # a row whose value does not rise keeps its point
     z[ids] = state[0]
-    return z, _certified(cod_ops, maps.apply(z, owner), q) * _inverse(dom_ops.norm(z, p)), converged
+    return z, cod_ops.norm(maps.apply(z, owner), q) * _inverse(dom_ops.norm(z, p)), converged
 
 
-# a singular value below this has a square below 1e-300, where norms and Gram entries lose digits
-_SV_TRUSTED = 1e-150
-
-
-def _certified(ops: _BlockOps, y: np.ndarray, q: float) -> np.ndarray:
-    """The q-norms of the rows y, and 0 where a row's largest singular value is below
-    ``_SV_TRUSTED`` or its power sum sum w s^q is at most 1e-300: a value that cannot be
-    trusted to be below the true norm is no lower bound."""
-    sv = ops.spectrum(y)[0]
-    total = np.einsum("ij,j->i", sv**q, ops.wts)
-    return np.where((sv.max(axis=1) >= _SV_TRUSTED) & (total > _TINY), total, 0.0) ** (1.0 / q)
+def _scaled(maps, q: float):
+    """The stack of the maps 2^-e M, e by the scale rule (:func:`lorentz._scale_exponents`) at q
+    of each multiplier's largest |value| or the dense map's largest |entry|, and e, one per map;
+    the stack itself and None where every e is 0."""
+    dense = isinstance(maps, _MapStack)
+    e = _scale_exponents(np.abs(maps.mat.reshape(1, -1) if dense else maps.values).max(axis=1), q)
+    if e is not None and dense:
+        maps = _MapStack(maps.mat * np.ldexp(1.0, -e[0]), maps.domain, maps.codomain)
+    elif e is not None:
+        maps = _DiagonalStack(maps.values * np.ldexp(1.0, -e)[:, None], maps.basis, maps.domain)
+    return maps, e
 
 
 def _inverse(x: np.ndarray) -> np.ndarray:
@@ -460,7 +456,9 @@ def _stack(maps: list[LinearMap]):
 
 
 def _estimate_stack(maps, p: float, q: float, seeds: list[int], restarts: int, max_iters: int, tol: float):
-    """The estimates of the maps of one stack, one seed each, from one ascent of all their restarts."""
+    """The estimates of the maps of one stack, one seed each, from one ascent of all their restarts
+    on the maps :func:`_scaled`, whose values are scaled back."""
+    maps, e = _scaled(maps, q)
     t, r = len(seeds), restarts
     dom = maps.domain
     z = np.empty((t, r, dom.complex_dim), dtype=complex)
@@ -481,8 +479,8 @@ def _estimate_stack(maps, p: float, q: float, seeds: list[int], restarts: int, m
     usable = np.flatnonzero(np.isfinite(nrm) & (nrm > _TINY))
     owner = usable // r
     z[usable], values, converged = _ascent(maps, owner, dom_ops, p, q, z[usable], max_iters, tol)
-    f = np.full(t * r, -np.inf)  # the values of the rows, -inf for unusable starts
-    f[usable] = values
+    f = np.full(t * r, -np.inf)  # the values of the rows, scaled back, -inf for unusable starts
+    f[usable] = values if e is None else np.ldexp(values, e[owner])
     best = np.arange(t) * r + f.reshape(t, r).argmax(axis=1)  # the first best row of each map
     used = np.bincount(owner, minlength=t)
     done = np.bincount(owner, weights=converged, minlength=t)
@@ -521,6 +519,7 @@ def brute_force_pq_norm(
     renormalizes to the unit p-sphere, and polishes every sample with
     ``refine_steps`` steps of the estimator's power iteration, with no
     convergence test, returning the best ratio seen anywhere along the way.
+    The samples ascend on the map scaled as an estimate's is (:func:`_scaled`).
     """
     _check_exponents(p, q)
     if m.domain.real_dim > 8:
@@ -543,11 +542,11 @@ def brute_force_pq_norm(
     normals = np.empty((min(rows, samples), 2 * dim))
     rng = np.random.default_rng(seed)
     dom_ops = _block_ops(m.domain)
-    maps = _MapStack(m.matrix, m.domain, m.codomain)
+    maps, e = _scaled(_MapStack(m.matrix, m.domain, m.codomain), q)
     best = 0.0
     for start in range(0, samples, rows):
         batch = z[start : start + rows]
         r = rng.standard_normal(out=normals[: len(batch)])
         batch.real, batch.imag = r[:, :dim], r[:, dim:]
         best = max(best, float(_ascent(maps, None, dom_ops, p, q, batch, refine_steps)[1].max()))
-    return best
+    return best if e is None else float(np.ldexp(best, e[0]))

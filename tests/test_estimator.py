@@ -23,7 +23,7 @@ from ncfourier.linmap import (
     coordinate_weights,
     diagonal_map,
 )
-from ncfourier.lorentz import _BlockOps, lp_norm
+from ncfourier.lorentz import _BlockOps, lorentz_norms, lp_norm, lp_norms
 from ncfourier.schur import schur_map
 
 from conftest import (
@@ -189,6 +189,8 @@ SPECIAL_2X2 = {
     "scaled unitary": 2.5 / np.sqrt(2.0) * np.array([[1.0, 1j], [1j, 1.0]]),
     # met in a Schur ladder; det / |det| overflowed through 1 / |det|
     "subnormal determinant": np.array([[-0.0438 + 0.999j, 0.0], [0.00128 + 0.00369j, -1.1e-312 - 6e-313j]]),
+    # its Gram matrix is I up to a subnormal h01; 1 / (2 radius) overflowed
+    "subnormal radius": np.array([[1.0, 2.0**-1060], [0.0, 1.0]]),
 }
 
 
@@ -260,6 +262,17 @@ class TestBlockKernels:
     def test_extreme_scales(self, alg, q, scale, count):
         _check_kernels(alg, scale * _kernel_rows(alg, np.random.default_rng(82), count), q)
 
+    # norms alone at every q: power sums s^q that leave the double range are summed again at 2^-e s
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alg", KERNEL_ALGEBRAS)
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    def test_extreme_scales_of_norms(self, alg, scale):
+        z = _kernel_rows(alg, np.random.default_rng(82), 40, list(SPECIAL_2X2.values()))
+        for q in KERNEL_Q:
+            for norms in (lambda z: lp_norms(alg, z, q), lambda z: lorentz_norms(alg, z, 2.0, q)):
+                want = scale * norms(z)
+                assert np.all(np.abs(norms(scale * z) - want) <= 1e-12 * want), q
+
 
 # the witness of estimate_pq_norm(schur_map(A), 1.5, 3.0, seed=0) under the
 # former gradient ascent, A the first complex Gaussian 2x2 of default_rng(0):
@@ -272,11 +285,35 @@ NEAR_SINGULAR_WITNESS = np.array([
 ])
 
 
-class TestTinyScales:
-    # below 1e-150 the squares of singular values, and the Gram entries the 2x2 forms are
-    # built on, leave the normal range; a certified value there is 0, never one above the norm
-    SCALES = 10.0 ** np.arange(-170.0, -139.0)
+# the exponent pairs of the campaigns, pinned against the reference loop below
+PINNED_PAIRS = [(4.0 / 3.0, 4.0), (1.5, 3.0), (2.0, 2.0)]
 
+
+def _unit_map(name):
+    """A Z4 multiplier, an M2 Schur map or that map held as its dense matrix, whose largest
+    |value| lies in [1/2, 1), and a function of k giving the map scaled by 2^k, bit for bit."""
+    if name == "Z4":
+        pair = resolve_instance(name)
+        x = random_element(pair.source, 87)
+        x = x * 2.0 ** -np.frexp(np.abs(x.row).max())[1]
+        return lambda k: multiplier_map(pair, x * 2.0**k)
+    sym = _complex_matrix(np.random.default_rng(87), (2, 2))
+    sym *= 2.0 ** -np.frexp(np.abs(sym).max())[1]
+    if name == "M2":
+        return lambda k: schur_map(sym * 2.0**k)
+    m = schur_map(sym)
+    return lambda k: LinearMap(m.domain, m.codomain, m.matrix * 2.0**k)
+
+
+class TestTinyScales:
+    # tiny and huge maps: squares of singular values and the Gram entries the 2x2 forms are built
+    # on would leave the normal range, and powers s^q the double range.  An estimate and brute
+    # force scale each map into range by a power of two first, and scale their values back.
+    SCALES = np.concatenate([10.0 ** np.arange(-170.0, -139.0), 10.0 ** np.arange(140.0, 301.0, 5.0)])
+    # 2^k takes a map of largest |value| in [1/2, 1) outside the window of the scale rule
+    POWERS = [-1000, -700, -600, -540, -460, 460, 600, 900, 1000]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", ["Z4", "M2"])
     def test_lower_bound_stays_below_constant_one_bound(self, name):
         rng = np.random.default_rng(84)
@@ -310,20 +347,36 @@ class TestTinyScales:
             live = total > 1e-300  # below, a direction is 0 by design
             assert np.all(np.abs(got[live] * scale - want[live]) <= 1e-13 * np.abs(want).max()), scale
             est = estimate_pq_norm(schur_map(sym * scale), 1.5, 3.0, seed=1)
-            if est.lower_bound > 0.0:
-                assert abs(est.lower_bound / scale - want_bound) <= 1e-6 * want_bound, scale
+            assert abs(est.lower_bound / scale - want_bound) <= 1e-6 * want_bound, scale
 
-    def test_certified_value_is_zero_below_the_trusted_range(self):
-        # the reproduction: the image's squared entries are subnormal, and the value read 4.4455e-162
-        est = estimate_pq_norm(schur_map(np.array([[1.0, 2.0], [3.0, 4.0]]) * 1e-162), 1.5, 2.0)
-        assert est.lower_bound == 0.0 and est.degenerate
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["Z4", "M2", "dense M2"])
+    @pytest.mark.parametrize("p, q", PINNED_PAIRS + [(1.5, 2.0)])
+    def test_estimate_is_homogeneous_bit_for_bit(self, name, p, q):
+        build = _unit_map(name)
+        want = estimate_pq_norm(build(0), p, q, seed=1)
+        assert want.lower_bound > 0.0
+        for k in self.POWERS:
+            est = estimate_pq_norm(build(k), p, q, seed=1)
+            assert est.lower_bound == np.ldexp(want.lower_bound, k), k
+            assert np.array_equal(est.witness.row, want.witness.row), k
+            assert est.degenerate is False, k
 
-    # q < 2, where ||x||_q^q of an element of size 1e-160 stays a normal number
-    @pytest.mark.parametrize("q", [1.25, 1.5])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["Z4", "M2"])
+    def test_brute_force_is_homogeneous_bit_for_bit(self, name):
+        build = _unit_map(name)
+        want = brute_force_pq_norm(build(0), 4.0 / 3.0, 4.0, refine_steps=10)
+        for k in (-600, 600):
+            assert brute_force_pq_norm(build(k), 4.0 / 3.0, 4.0, refine_steps=10) == np.ldexp(want, k), k
+
+    # the gradient has degree 0; it is taken at 2^-e x, in range at every q
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q", [1.25, 1.5, 2.5, 3.0, 4.5])
     def test_gradient_does_not_depend_on_scale(self, q):
         x = random_element(TracialAlgebra([2], [1.0]), 85)
         want = schatten_gradient(x, q).row
-        for scale in 10.0 ** np.arange(-160.0, -139.0):
+        for scale in 10.0 ** np.arange(-300.0, 301.0, 10.0):
             got = schatten_gradient(x * scale, q).row
             assert np.all(np.isfinite(got))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), scale
@@ -607,7 +660,6 @@ class TestWitnessTransfer:
 # ---------------------------------------------------------------------------
 # the batched ascent against the restart-by-restart loop of conftest
 
-PINNED_PAIRS = [(4.0 / 3.0, 4.0), (1.5, 3.0), (2.0, 2.0)]
 # the default settings, the reference campaign's, and a cut-off that leaves
 # most restarts unconverged
 PINNED_SETTINGS = [{}, {"restarts": 4, "max_iters": 60}, {"restarts": 6, "max_iters": 8}]
