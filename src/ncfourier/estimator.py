@@ -22,16 +22,21 @@ Three levels of effort:
   and only allowed when the domain has at most 8 real dimensions, but it has
   no convergence test, which is the point.
 
-Both run one engine, :func:`_ascent`, on a stack of maps that share a
-domain and a codomain, and on all their starting points at once: one
-complex batch of rows of length D_dom, each row tagged with the map that
-owns it.  Multipliers held as their symbol (``linmap.Diagonal``, the values
-v of a map diagonal in a unitary basis B) are stacked T at a time, as their
-(T, D) values in the basis they share, and a product with the rows is
-``B(B^{-1} z * v[owner])``; no D x D matrix is built.  A dense map ascends
-alone, as its matrix and its weighted adjoint, and so does brute force,
-which always multiplies by the matrix.  A batch holds at most
-``_BATCH_BYTES`` of values and rows.
+Both run one engine, :func:`_ascent`.  It runs on a stack of maps that
+share a domain and a codomain, and on all their starting points at once, as
+one complex batch of rows of length D_dom; each row carries the index of
+the map that owns it.  Multipliers held as their symbol (``linmap.Diagonal``:
+the values v of a map diagonal in a unitary basis B, the transform of its
+pair) are stacked T at a time, as their (T, D) values with the one basis
+they share, and a product with a batch of rows is ``B(B^{-1} z * v[owner])``,
+the weighted adjoint the same with conj(v); no D x D matrix is built.
+:func:`estimate_pq_norms` reads its maps once, in order: a multiplier joins
+the batch while it shares the batch's basis and the batch holds at most
+``_BATCH_BYTES`` of values and rows.  A dense map ascends alone: its stack
+holds its D_cod x D_dom matrix and its weighted adjoint, and either product
+is one product with all its rows.  So does brute force, which always
+multiplies by the matrix (its domains have at most four coordinates), on
+batches of samples of at most ``_BATCH_BYTES``.
 
 A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method for
 l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
@@ -44,11 +49,16 @@ stationary points of ||Mz||_q / ||z||_p.  Each half-step is one call of the
 package's block kernel, ``lorentz._BlockOps.duality``, which gives the power
 sum ||x||_r^r of each row with its direction psi_r(x), scaled by a factor
 of that sum: r = q for the image, scaled by 1 / ||Mz||_q^q, and r = p' for
-the step, scaled to unit p-norm; at r = 2, 3 and 4 it takes products of the
-blocks, with no singular values (see the ``lorentz`` module).  Between steps
-a row carries its point, its value and the direction psi_q(Mz) / ||Mz||_q^q
-of its image.  An estimate's row stops when its value stops rising, and its
-point is written back in its place; a brute-force row takes every step.
+the step, scaled to unit p-norm.  At r = 2 and 4, and at r = 3 on 1x1 and
+2x2 blocks, both are products of the blocks and their Gram matrices, with
+no singular values; every exponent pair the campaigns run steps with 2, 3
+or 4, and a computed p' within 4 ulps of an integer, such as 4/3's
+4.000000000000001, is taken as that integer.  Other exponents, and r = 3 on
+an algebra with blocks above 2x2, take the spectrum: on 2x2 blocks by
+elementwise closed forms, on larger ones by one batched LAPACK SVD per size.  Between steps a row
+carries its point, its value and the direction psi_q(Mz) / ||Mz||_q^q of its
+image.  An estimate's row stops when its value stops rising, and its point
+is written back in its place; a brute-force row takes every step.
 
 Scale is set once, at the entry.  A value has degree 1 in the map and a
 step's direction degree 0, so an estimate and brute force ascend on each
@@ -280,11 +290,15 @@ def _ascent(
     row and reads no ``owner``).  ``dom_ops`` is ``_block_ops(maps.domain)``.
     ``z`` is overwritten.  Its rows are first scaled to unit p-norm; a row
     whose p-norm vanishes becomes zero with value 0.  A step is
-    z <- psi_p'(M* psi_q(Mz)) at unit p-norm, by two half-steps (see the
-    module docstring, and ``image`` and ``step`` below); for p = 1,
-    psi_inf(w) is U diag([s == max s]) V* over the row's largest singular
-    values.  An image whose power sum is at most 1e-300 has value 0 and
-    direction 0.
+    z <- psi_p'(M* psi_q(Mz)) at unit p-norm (see the module docstring);
+    for p = 1, psi_inf(w) is U diag([s == max s]) V* over the row's largest
+    singular values.  Each half-step is one :meth:`_BlockOps.duality` call,
+    which gives a power sum and a direction: the image's, at r = q, gives
+    ||Mz||_q^q and the direction scaled by its inverse; the step's, at
+    r = p', gives ||w||_p'^p' = ||psi_p'(w)||_p^p and the direction scaled
+    to unit p-norm.  Between steps a row's state is its point, its value
+    and its image's direction.  An image whose power sum is at most 1e-300
+    has value 0 and direction 0.
 
     * Brute force (``tol`` None): every row takes all ``iters`` steps.
     * Estimates (``tol`` given): each row of nonzero value takes at

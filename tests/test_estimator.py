@@ -376,7 +376,7 @@ class TestTinyScales:
     def test_gradient_does_not_depend_on_scale(self, q):
         x = random_element(TracialAlgebra([2], [1.0]), 85)
         want = schatten_gradient(x, q).row
-        for scale in 10.0 ** np.arange(-300.0, 301.0, 10.0):
+        for scale in np.concatenate([10.0 ** np.arange(-160.0, -139.0), 10.0 ** np.arange(-300.0, 301.0, 10.0)]):
             got = schatten_gradient(x * scale, q).row
             assert np.all(np.isfinite(got))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), scale
