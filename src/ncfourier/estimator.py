@@ -64,9 +64,11 @@ Scale is set once, at the entry.  A value has degree 1 in the map and a
 step's direction degree 0, so an estimate and brute force ascend on each
 map scaled by an exact power of two, 2^-e M, and scale the values back by
 2^e; the witnesses do not change.  e is the package's one scale rule
-(``lorentz._scale_exponents``) of the map's largest |value| or |entry| at
-q, 0 for every ordinary map, which keeps its bits.  Points have unit
-p-norm, so every image the ascent forms has a size near 1.  Every estimate
+(``lorentz._exponents``), with no window: it brings the map's largest
+|value| or |entry| into [1/2, 1), so the estimates of 2^k M are 2^k times
+those of M, bit for bit, at every k.  Points have unit p-norm, so every
+image the ascent forms has a size near 1, and the norms' roots are taken
+of power sums in [2^-16, 2^16] (see the ``lorentz`` module).  Every estimate
 is recomputed at its point as ||Mz||_q / ||z||_p from the spectra at the
 exact p and q, so that it is certified, with no cutoff: a value is 0 only
 where the image is 0.  Products, reductions, scales and warm starts are done
@@ -84,7 +86,7 @@ import numpy as np
 from .algebra import AlgebraElement, TracialAlgebra, random_row
 from .errors import ParameterError, ShapeMismatchError
 from .linmap import LinearMap, coordinate_weights, diagonal_product
-from .lorentz import _TINY, _block_ops, _BlockOps, _scale_exponents, lp_norm
+from .lorentz import _TINY, _block_ops, _BlockOps, _exponents, lp_norm
 
 __all__ = [
     "NormEstimate",
@@ -127,8 +129,7 @@ def schatten_gradient(x: AlgebraElement, q: float) -> AlgebraElement:
     """
     if not (1.0 < q < np.inf):
         raise ParameterError(f"Schatten gradient needs finite q > 1, got {q}")
-    e = _scale_exponents(np.abs(x.row).max(keepdims=True), q)  # of degree 0: taken at 2^-e x
-    x = x if e is None else x * np.ldexp(1.0, -e[0])
+    x = x * np.ldexp(1.0, -_exponents(np.abs(x.row).max()))  # of degree 0: taken at 2^-e x
     nrm = lp_norm(x, q)
     if nrm == 0.0:
         raise ParameterError("Schatten gradient is undefined at the zero element")
@@ -239,9 +240,10 @@ def _l2_maximizers(maps, exact: bool) -> np.ndarray:
 
     It is the top right singular vector of the weighted matrix
     D_c M D_d^{-1}.  A dense map, which ascends alone, takes it by one SVD
-    when ``exact``; otherwise by 40 power steps v <- M* M v on one row, with
-    the stack's products by the matrix and its held adjoint.  Diagonal maps
-    take both in their basis (:meth:`_DiagonalStack.l2_maximizers`).
+    when ``exact``; otherwise by 40 steps of :func:`_ascent` at p = q = 2 on
+    one row, where Boyd's step is the power method v <- M* M v at unit
+    L2 norm.  Diagonal maps take both in their basis
+    (:meth:`_DiagonalStack.l2_maximizers`).
     """
     start = _complex_normals(np.random.default_rng(0x5EED), (maps.domain.complex_dim,))
     if isinstance(maps, _DiagonalStack):
@@ -249,11 +251,7 @@ def _l2_maximizers(maps, exact: bool) -> np.ndarray:
     if exact:
         v = np.linalg.svd(_weighted(maps.mat, maps.domain, maps.codomain))[2][:1].conj()
         return v / np.sqrt(maps.wd)
-    v = start[None]
-    for _ in range(40):
-        v = maps.adjoint(maps.apply(v, None), None)
-        v *= _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, maps.wd)))[:, None]
-    return v
+    return _ascent(maps, None, _block_ops(maps.domain), 2.0, 2.0, start[None], 40)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +355,14 @@ def _ascent(
     return z, cod_ops.norm(maps.apply(z, owner), q) * _inverse(dom_ops.norm(z, p)), converged
 
 
-def _scaled(maps, q: float):
-    """The stack of the maps 2^-e M, e by the scale rule (:func:`lorentz._scale_exponents`) at q
-    of each multiplier's largest |value| or the dense map's largest |entry|, and e, one per map;
-    the stack itself and None where every e is 0."""
-    dense = isinstance(maps, _MapStack)
-    e = _scale_exponents(np.abs(maps.mat.reshape(1, -1) if dense else maps.values).max(axis=1), q)
-    if e is not None and dense:
-        maps = _MapStack(maps.mat * np.ldexp(1.0, -e[0]), maps.domain, maps.codomain)
-    elif e is not None:
-        maps = _DiagonalStack(maps.values * np.ldexp(1.0, -e)[:, None], maps.basis, maps.domain)
-    return maps, e
+def _scaled(maps):
+    """The stack of the maps 2^-e M, e by the scale rule (:func:`lorentz._exponents`) of each
+    multiplier's largest |value| or the dense map's largest |entry|, and e, one per map."""
+    if isinstance(maps, _MapStack):
+        e = _exponents(np.abs(maps.mat).max(keepdims=True).ravel())
+        return _MapStack(maps.mat * np.ldexp(1.0, -e[0]), maps.domain, maps.codomain), e
+    e = _exponents(np.abs(maps.values).max(axis=1))
+    return _DiagonalStack(maps.values * np.ldexp(1.0, -e)[:, None], maps.basis, maps.domain), e
 
 
 def _inverse(x: np.ndarray) -> np.ndarray:
@@ -472,7 +467,7 @@ def _stack(maps: list[LinearMap]):
 def _estimate_stack(maps, p: float, q: float, seeds: list[int], restarts: int, max_iters: int, tol: float):
     """The estimates of the maps of one stack, one seed each, from one ascent of all their restarts
     on the maps :func:`_scaled`, whose values are scaled back."""
-    maps, e = _scaled(maps, q)
+    maps, e = _scaled(maps)
     t, r = len(seeds), restarts
     dom = maps.domain
     z = np.empty((t, r, dom.complex_dim), dtype=complex)
@@ -494,7 +489,7 @@ def _estimate_stack(maps, p: float, q: float, seeds: list[int], restarts: int, m
     owner = usable // r
     z[usable], values, converged = _ascent(maps, owner, dom_ops, p, q, z[usable], max_iters, tol)
     f = np.full(t * r, -np.inf)  # the values of the rows, scaled back, -inf for unusable starts
-    f[usable] = values if e is None else np.ldexp(values, e[owner])
+    f[usable] = np.ldexp(values, e[owner])
     best = np.arange(t) * r + f.reshape(t, r).argmax(axis=1)  # the first best row of each map
     used = np.bincount(owner, minlength=t)
     done = np.bincount(owner, weights=converged, minlength=t)
@@ -556,11 +551,11 @@ def brute_force_pq_norm(
     normals = np.empty((min(rows, samples), 2 * dim))
     rng = np.random.default_rng(seed)
     dom_ops = _block_ops(m.domain)
-    maps, e = _scaled(_MapStack(m.matrix, m.domain, m.codomain), q)
+    maps, e = _scaled(_MapStack(m.matrix, m.domain, m.codomain))
     best = 0.0
     for start in range(0, samples, rows):
         batch = z[start : start + rows]
         r = rng.standard_normal(out=normals[: len(batch)])
         batch.real, batch.imag = r[:, :dim], r[:, dim:]
         best = max(best, float(_ascent(maps, None, dom_ops, p, q, batch, refine_steps)[1].max()))
-    return best if e is None else float(np.ldexp(best, e[0]))
+    return float(np.ldexp(best, e[0]))

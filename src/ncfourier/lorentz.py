@@ -40,16 +40,18 @@ function.  A row's result does not depend on the other rows of its batch,
 bit for bit, and a block's singular values do not depend on the other
 blocks of its algebra.
 
-Scale follows one rule, :func:`_scale_exponents`.  Every norm is
-homogeneous, so a quantity that would leave the double range is taken at
-2^-e times its input, e the exponent of the input's largest magnitude,
-and scaled back by 2^e; a power of two moves no bit.  e is 0 wherever the
-r-th power of that magnitude stays well inside the range, so ordinary
-inputs keep their bits.  The rule scales 2x2 blocks before their Gram
-entries are formed (r = 2), the rows whose power sum leaves (1e-300, inf)
-in :meth:`_BlockOps.value` and the Lorentz sums, the element a Schatten
-gradient is taken at, and each map an estimate ascends on (see the
-``estimator`` module).
+Scale follows one rule, :func:`_exponents`, with no window.  Every norm
+is homogeneous, so a quantity is taken at 2^-e times its input, e the
+exponent that brings the input's largest magnitude into [1/2, 1), and
+scaled back by 2^e; a power of two moves no bit.  The rule scales each map
+an estimate ascends on and the element a Schatten gradient is taken at
+(see the ``estimator`` module), and the rows whose power sum leaves
+[2^-16, 2^16] in :meth:`_BlockOps.value` and the Lorentz sums: a root
+x^(1/p), taken with 1/p rounded, is off by about |ln x| / p times 2^-53,
+so every root is taken of a sum near 1, and 2^k z has 2^k times the norms
+of z to a few ulps.  2x2 blocks whose largest entry leaves
+[2^-451, 2^450) are scaled before their Gram entries are formed; the
+others are skipped, as their squares stay in range.
 """
 
 from __future__ import annotations
@@ -91,27 +93,13 @@ _SV_FLOOR = 1e-100
 # the scale rule
 
 
-def _scale_exponents(top: np.ndarray, r) -> np.ndarray | None:
-    """The package's one scale rule: per entry of ``top``, the largest magnitude of
-    a row, block or map, the exponent e that brings it into [1/2, 1) by the exact
-    power of two 2^-e, or 0 where its r-th power stays well inside the double
-    range, |e| max(r, 2) <= 900; None where every e is 0.  ``r`` is a number
-    or an array of one exponent per entry.  e >= -1022 keeps 2^-e a double;
-    it takes subnormal magnitudes to 2^-52 and above.
+def _exponents(top: np.ndarray) -> np.ndarray:
+    """The package's one scale rule: per entry of ``top``, the largest magnitude of a
+    row, block or map, the exponent e that brings it into [1/2, 1) by the exact
+    power of two 2^-e.  e >= -1022 keeps 2^-e a double; it takes subnormal
+    magnitudes to 2^-52 and above.  Zero, infinite and NaN magnitudes have e = 0.
     """
-    k = math.floor(900.0 / max(r if np.isscalar(r) else r.max(), 2.0))  # |e| <= k: 2^(-k-1) <= top < 2^k
-    if not top.size or (top.min() >= 2.0 ** (-k - 1) and top.max() < 2.0**k):
-        return None
-    e = np.maximum(np.frexp(top)[1], -1022)
-    e = np.where(np.abs(e) * np.maximum(r, 2.0) <= 900.0, 0, e)
-    return e if e.any() else None
-
-
-def _out_of_range(total: np.ndarray) -> np.ndarray | None:
-    """The rows whose power sum is not in (1e-300, inf), or None where there are none."""
-    if not total.size or (total.min() > _TINY and total.max() < np.inf):
-        return None
-    return np.flatnonzero(~((total > _TINY) & (total < np.inf)))
+    return np.maximum(np.frexp(top)[1], -1022)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +120,11 @@ def _spectrum2(y: np.ndarray):
     """Singular values of 2x2 blocks ``y[..., :] = (a, b, c, d)``, row-major, and the data
     :func:`_direction2` builds on.
 
-    Each block is scaled by 2^-e, e by :func:`_scale_exponents` of its
-    largest entry at r = 2, and its singular values are scaled back: the
-    Gram entries, squares of the entries, would leave the double range
-    (blocks of size 1e-160 or 1e160).  Ordinary blocks keep e = 0.  The
+    A block whose largest entry leaves [2^-451, 2^450) is scaled by 2^-e, e
+    by :func:`_exponents` of that entry, and its singular values are scaled
+    back: the Gram entries, squares of the entries, would leave the double
+    range (blocks of size 1e-160 or 1e160).  Other blocks, whose squares
+    stay in range, are not scaled, which saves the pass.  The
     eigenvalues of the Gram matrix (:func:`_gram2`) are mean +- radius,
     radius = hypot(delta, |h01|) with delta = (h00 - h11) / 2.  Returns sv,
     sv[..., :] = (s1, s2) with s1 >= s2, and the data
@@ -146,8 +135,9 @@ def _spectrum2(y: np.ndarray):
     """
     mag = np.abs(y)
     top = np.maximum(np.maximum(mag[..., 0], mag[..., 1]), np.maximum(mag[..., 2], mag[..., 3]))
-    e = _scale_exponents(top, 2.0)
-    if e is not None:
+    e = None
+    if top.size and (top.min() < 2.0**-451 or top.max() >= 2.0**450):
+        e = np.where((top >= 2.0**-451) & (top < 2.0**450), 0, _exponents(top))
         y = y * np.ldexp(1.0, -e)[..., None]
         mag = np.abs(y)
     h00, h11, h01 = _gram2(y, mag)
@@ -389,18 +379,19 @@ class _BlockOps:
         Each row is summed on its own (not by a BLAS matrix-vector product,
         whose bits for one row depend on the others), so a row's value does
         not depend on the batch it is in.  A row whose power sum sum w s^p
-        leaves (1e-300, inf) is summed again at s 2^-e, e by
-        :func:`_scale_exponents` of its largest singular value, and its norm
-        is scaled back by 2^e; the other rows keep their bits.
+        leaves [2^-16, 2^16] is summed again at s 2^-e, e by
+        :func:`_exponents` of its largest singular value, and its norm is
+        scaled back by 2^e; the other rows keep their bits.  So every root
+        is taken of a sum near 1, unless e is already 0.
         """
         if np.isinf(p):
             return sv.max(axis=1)
         with np.errstate(over="ignore"):
             total = np.einsum("ij,j->i", sv**p, self.wts)
-        bad = _out_of_range(total)
         out = total ** (1.0 / p)
-        e = None if bad is None else _scale_exponents(sv[bad].max(axis=1), p)
-        if e is not None:
+        bad = np.flatnonzero(~((total >= 2.0**-16) & (total <= 2.0**16)))
+        e = _exponents(sv[bad].max(axis=1))
+        if e.any():
             out[bad] = np.ldexp(self.value(np.ldexp(sv[bad], -e[:, None]), p), e)
         return out
 
@@ -691,9 +682,9 @@ def _lorentz(breakpoints: np.ndarray, steps: np.ndarray, p, q) -> np.ndarray:
     ``p`` and ``q`` are numbers, or (S, 1) columns with one index per row;
     q is infinite in every row or in none.  A row is summed in order, by a
     running sum, so that its zero padding leaves its bits alone.  A row
-    whose sum leaves (1e-300, inf) is summed again at steps scaled by 2^-e,
-    e by :func:`_scale_exponents` of its first step, the largest, and its
-    value is scaled back by 2^e.
+    whose sum leaves [2^-16, 2^16] is summed again at steps scaled by 2^-e,
+    e by :func:`_exponents` of its first step, the largest, and its value
+    is scaled back by 2^e.
     """
     if not steps.shape[1]:
         return np.zeros(len(steps))
@@ -704,13 +695,12 @@ def _lorentz(breakpoints: np.ndarray, steps: np.ndarray, p, q) -> np.ndarray:
     increments[:, 1:] -= breakpoints[:, :-1] ** ratio
     with np.errstate(over="ignore"):
         total = np.cumsum(steps**q * (p / q) * increments, axis=1)[:, -1:]
-    bad = _out_of_range(total[:, 0])
     out = (total ** (1.0 / q))[:, 0]
-    if bad is not None:
+    bad = np.flatnonzero(~((total[:, 0] >= 2.0**-16) & (total[:, 0] <= 2.0**16)))
+    e = _exponents(steps[bad, 0])
+    if e.any():
         pb, qb = (a[bad] if np.ndim(a) else a for a in (p, q))  # those rows' indices, or the one pair
-        e = _scale_exponents(steps[bad, 0], np.ravel(qb))
-        if e is not None:
-            out[bad] = np.ldexp(_lorentz(breakpoints[bad], np.ldexp(steps[bad], -e[:, None]), pb, qb), e)
+        out[bad] = np.ldexp(_lorentz(breakpoints[bad], np.ldexp(steps[bad], -e[:, None]), pb, qb), e)
     return out
 
 

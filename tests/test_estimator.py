@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncfourier.algebra import AlgebraElement, TracialAlgebra, random_element, trace
+from ncfourier.algebra import AlgebraElement, TracialAlgebra, random_element, random_row, trace
 from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError, ShapeMismatchError
 from ncfourier import checks, estimator
@@ -273,6 +273,22 @@ class TestBlockKernels:
                 want = scale * norms(z)
                 assert np.all(np.abs(norms(scale * z) - want) <= 1e-12 * want), q
 
+    # the norms of 2^k z are 2^k times those of z to a few ulps: every root is taken of a power
+    # sum in [2^-16, 2^16], where the rounding of 1/p costs little
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "alg",
+        [TracialAlgebra([2], [1.0]), TracialAlgebra([1, 2, 3], [0.25, 1.0, 4.0]), TracialAlgebra([1] * 64, [1 / 64] * 64)],
+    )
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.5])
+    def test_norms_of_powers_of_two_agree_to_ulps(self, alg, p):
+        z = np.array([random_row(alg, seed) for seed in range(20)])
+        for norms in (lambda z: lp_norms(alg, z, p), lambda z: lorentz_norms(alg, z, p, 3.0)):
+            want = norms(z)
+            for k in [-332, -200, 100, 300] + list(range(-60, 61, 3)):
+                got = np.ldexp(norms(z * 2.0**k), -k)
+                assert np.all(np.abs(got - want) <= 8.0 * np.spacing(want)), k
+
 
 # the witness of estimate_pq_norm(schur_map(A), 1.5, 3.0, seed=0) under the
 # former gradient ascent, A the first complex Gaussian 2x2 of default_rng(0):
@@ -310,8 +326,8 @@ class TestTinyScales:
     # on would leave the normal range, and powers s^q the double range.  An estimate and brute
     # force scale each map into range by a power of two first, and scale their values back.
     SCALES = np.concatenate([10.0 ** np.arange(-170.0, -139.0), 10.0 ** np.arange(140.0, 301.0, 5.0)])
-    # 2^k takes a map of largest |value| in [1/2, 1) outside the window of the scale rule
-    POWERS = [-1000, -700, -600, -540, -460, 460, 600, 900, 1000]
+    # 2^k takes a map of largest |value| in [1/2, 1) near it and far from it, out to the double range
+    POWERS = [-1000, -700, -600, -540, -460, -200, -50, -1, 1, 50, 200, 460, 600, 900, 1000]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", ["Z4", "M2"])
@@ -367,7 +383,7 @@ class TestTinyScales:
     def test_brute_force_is_homogeneous_bit_for_bit(self, name):
         build = _unit_map(name)
         want = brute_force_pq_norm(build(0), 4.0 / 3.0, 4.0, refine_steps=10)
-        for k in (-600, 600):
+        for k in (-600, -200, -1, 1, 200, 600):
             assert brute_force_pq_norm(build(k), 4.0 / 3.0, 4.0, refine_steps=10) == np.ldexp(want, k), k
 
     # the gradient has degree 0; it is taken at 2^-e x, in range at every q
