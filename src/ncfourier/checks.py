@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 _HARD_TOL = 1e-9
+_LR_TOL = 1e-6  # the hard L_r clause of multiplier_bound and schur_bound
 _SUBMULT_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
 # inversion_plancherel rounds its residuals up to multiples of this before
@@ -606,7 +607,7 @@ def check_multiplier_bound(
     passed = True
     if hard:
         details["max_lr_ratio"] = max_lr_ratio
-        passed = max_lr_ratio <= 1.0 + 1e-6
+        passed = max_lr_ratio <= 1.0 + _LR_TOL
         witness = witness if passed else lr_witness
     else:  # the L_r norm is reported for the hard clause only
         for row in series:
@@ -620,7 +621,7 @@ def check_multiplier_bound(
         seed=seed,
         hard=hard,
         passed=passed,
-        threshold=1.0 + 1e-6 if hard else None,
+        threshold=1.0 + _LR_TOL if hard else None,
         max_ratio=max_ratio,
         empirical_constant=max_ratio,
         witness=witness,
@@ -718,8 +719,8 @@ def check_schur_bound(
         trials=len(series),
         seed=seed,
         hard=True,
-        passed=max_lr_ratio <= 1.0 + 1e-6,
-        threshold=1.0 + 1e-6,
+        passed=max_lr_ratio <= 1.0 + _LR_TOL,
+        threshold=1.0 + _LR_TOL,
         max_ratio=max_weak_ratio,
         empirical_constant=max_weak_ratio,
         witness=witness,

@@ -22,21 +22,21 @@ Three levels of effort:
   and only allowed when the domain has at most 8 real dimensions, but it has
   no convergence test, which is the point.
 
-Both run one engine, :func:`_ascent`.  It runs on a stack of maps that
-share a domain and a codomain, and on all their starting points at once, as
-one complex batch of rows of length D_dom; each row carries the index of
-the map that owns it.  Multipliers held as their symbol (``linmap.Diagonal``:
-the values v of a map diagonal in a unitary basis B, the transform of its
-pair) are stacked T at a time, as their (T, D) values with the one basis
-they share, and a product with a batch of rows is ``B(B^{-1} z * v[owner])``,
-the weighted adjoint the same with conj(v); no D x D matrix is built.
-:func:`estimate_pq_norms` reads its maps once, in order: a multiplier joins
-the batch while it shares the batch's basis and the batch holds at most
-``_BATCH_BYTES`` of values and rows.  A dense map ascends alone: its stack
-holds its D_cod x D_dom matrix and its weighted adjoint, and either product
-is one product with all its rows.  So does brute force, which always
-multiplies by the matrix (its domains have at most four coordinates), on
-batches of samples of at most ``_BATCH_BYTES``.
+Both run one engine, :func:`_ascent`.  It runs on one ``LinearMap`` and on
+all its starting points at once, as one complex batch of rows of length
+D_dom, and multiplies them by the map's ``rows`` and ``adjoint_rows``.
+Multipliers held as their symbol (``linmap.Diagonal``: the values v of a map
+diagonal in a unitary basis B, the transform of its pair) are batched T at a
+time, as one diagonal map with their (T, D) values and the one basis they
+share; each row carries the index of the map that owns it, and a product
+with a batch of rows is ``B(B^{-1} z * v[owner])``, the weighted adjoint the
+same with conj(v); no D x D matrix is built.  :func:`estimate_pq_norms` reads
+its maps once, in order: a multiplier joins the batch while it shares the
+batch's basis and the batch holds at most ``_BATCH_BYTES`` of values and
+rows.  A dense map ascends alone, on its D_cod x D_dom matrix and weighted
+adjoint, and either product is one product with all its rows.  So does brute
+force, which always multiplies by the matrix (its domains have at most four
+coordinates), on batches of samples of at most ``_BATCH_BYTES``.
 
 A step is Boyd's power step for l_p norms (D. W. Boyd, "The power method for
 l^p norms", Linear Algebra Appl. 9, 1974; N. J. Higham, "Estimating the
@@ -85,7 +85,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, TracialAlgebra, random_row
 from .errors import ParameterError, ShapeMismatchError
-from .linmap import LinearMap, coordinate_weights, diagonal_product
+from .linmap import LinearMap, _diagonal, coordinate_weights
 from .lorentz import _TINY, _block_ops, _BlockOps, _exponents, lp_norm
 
 __all__ = [
@@ -138,78 +138,13 @@ def schatten_gradient(x: AlgebraElement, q: float) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# stacks of maps, exact L2 and warm starts
+# exact L2 and warm starts
 
 # What one batch of estimate_pq_norms may hold: the values of its multipliers
 # with a point and an image per restart (a dense map ascends alone); and one
 # batch of brute-force samples: a point and an image per sample.  Results do
 # not depend on it.
 _BATCH_BYTES = 1 << 19
-
-
-class _MapStack:
-    """One dense map, a complex C x D matrix, with its weighted adjoint: a stack of one.
-
-    The map owns every row of a batch, so ``owner`` is not read, and a
-    product is one product with all the rows.  The matrix is held
-    C-contiguous, so that an estimate depends on the map's values only, not
-    on how its matrix sits in memory.
-    """
-
-    def __init__(self, mat: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra):
-        self.mat = np.ascontiguousarray(mat)
-        self.domain = domain
-        self.codomain = codomain
-        self.wd = coordinate_weights(domain)
-        # the weighted adjoint, diag(w_c) conj(M) diag(1/w_d), transposed for row products
-        self.adj = np.conjugate(self.mat * coordinate_weights(codomain)[:, None]) / self.wd
-
-    def apply(self, z: np.ndarray, owner) -> np.ndarray:
-        """Images M z of rows in domain coordinates."""
-        return z @ self.mat.T
-
-    def adjoint(self, y: np.ndarray, owner) -> np.ndarray:
-        """Weighted adjoints diag(1/w_d) M^H diag(w_c) y of rows in codomain coordinates, by the held adjoint."""
-        return y @ self.adj
-
-
-class _DiagonalStack:
-    """T maps diagonal in one unitary basis (``linmap.Diagonal``), as their (T, D) values.
-
-    Domain and codomain are one algebra, and the weighted adjoint of a map
-    is the map with the conjugate values.  Row i of a batch belongs to map
-    ``owner[i]``, and is multiplied by that map's values on its own, so its
-    bits do not depend on the batch.
-    """
-
-    def __init__(self, values: np.ndarray, basis, algebra: TracialAlgebra):
-        self.values = values
-        self.basis = basis
-        self.domain = self.codomain = algebra
-        self.wd = coordinate_weights(algebra)
-
-    def apply(self, z: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Images M_t z of rows in domain coordinates."""
-        return diagonal_product(self.values[owner], self.basis, z)
-
-    def adjoint(self, y: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Weighted adjoints M_t* y of rows in codomain coordinates: the product with conj(v)."""
-        return diagonal_product(self.values[owner].conj(), self.basis, y)
-
-    def l2_maximizers(self, start: np.ndarray, exact: bool) -> np.ndarray:
-        """:func:`_l2_maximizers` of the maps, in their basis B, where M* M is B diag(|v|^2) B^{-1}.
-
-        Exact: the basis vector B e_g of the largest |v_g|.  Otherwise the
-        40 power steps from ``start`` in one: B ((|v| / max |v|)^80 B^{-1} start).
-        """
-        mags = np.abs(self.values)
-        if exact:
-            u = np.zeros(self.values.shape, dtype=complex)
-            u[np.arange(len(u)), mags.argmax(axis=1)] = 1.0
-        else:
-            u = self.basis.inverse(start) * (mags * _inverse(mags.max(axis=1))[:, None]) ** 80
-        v = self.basis.forward(u)
-        return v * _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, self.wd)))[:, None]
 
 
 def _weighted(mat: np.ndarray, domain: TracialAlgebra, codomain: TracialAlgebra) -> np.ndarray:
@@ -235,23 +170,40 @@ def _complex_normals(rng, shape) -> np.ndarray:
     return r[..., : shape[-1]] + 1j * r[..., shape[-1] :]
 
 
-def _l2_maximizers(maps, exact: bool) -> np.ndarray:
-    """Domain coords of a unit-L2 near-maximizer of every map of a stack, one row per map.
+def _l2_maximizers(maps: LinearMap, exact: bool) -> np.ndarray:
+    """Domain coords of a unit-L2 near-maximizer of every map of a batch, one row per map.
 
     It is the top right singular vector of the weighted matrix
     D_c M D_d^{-1}.  A dense map, which ascends alone, takes it by one SVD
     when ``exact``; otherwise by 40 steps of :func:`_ascent` at p = q = 2 on
     one row, where Boyd's step is the power method v <- M* M v at unit
-    L2 norm.  Diagonal maps take both in their basis
-    (:meth:`_DiagonalStack.l2_maximizers`).
+    L2 norm.  A batch of multipliers takes both in its basis
+    (:func:`_diagonal_l2_maximizers`).
     """
     start = _complex_normals(np.random.default_rng(0x5EED), (maps.domain.complex_dim,))
-    if isinstance(maps, _DiagonalStack):
-        return maps.l2_maximizers(start, exact)
+    if maps.diagonal is not None:
+        return _diagonal_l2_maximizers(*maps.diagonal, coordinate_weights(maps.domain), start, exact)
     if exact:
-        v = np.linalg.svd(_weighted(maps.mat, maps.domain, maps.codomain))[2][:1].conj()
-        return v / np.sqrt(maps.wd)
+        v = np.linalg.svd(_weighted(maps.matrix, maps.domain, maps.codomain))[2][:1].conj()
+        return v / np.sqrt(coordinate_weights(maps.domain))
     return _ascent(maps, None, _block_ops(maps.domain), 2.0, 2.0, start[None], 40)[0]
+
+
+def _diagonal_l2_maximizers(values: np.ndarray, basis, wd: np.ndarray, start: np.ndarray, exact: bool) -> np.ndarray:
+    """:func:`_l2_maximizers` of the maps with values (T, D) in the basis B, where M* M is
+    B diag(|v|^2) B^{-1}; ``wd`` is the coordinate weights.
+
+    Exact: the basis vector B e_g of the largest |v_g|.  Otherwise the
+    40 power steps from ``start`` in one: B ((|v| / max |v|)^80 B^{-1} start).
+    """
+    mags = np.abs(values)
+    if exact:
+        u = np.zeros(values.shape, dtype=complex)
+        u[np.arange(len(u)), mags.argmax(axis=1)] = 1.0
+    else:
+        u = basis.inverse(start) * (mags * _inverse(mags.max(axis=1))[:, None]) ** 80
+    v = basis.forward(u)
+    return v * _inverse(np.sqrt(np.einsum("ij,j->i", np.abs(v) ** 2, wd)))[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +225,7 @@ def _check_counts(**counts) -> None:
 
 
 def _ascent(
-    maps: _MapStack | _DiagonalStack,
+    maps: LinearMap,
     owner: np.ndarray | None,
     dom_ops: _BlockOps,
     p: float,
@@ -316,13 +268,13 @@ def _ascent(
     def image(z, at):
         """The images' q-norms f and directions psi_q(Mz) / f^q, whose weighted
         adjoints have dual norm at least 1; both 0 where f^q <= 1e-300."""
-        total, d = cod_ops.duality(maps.apply(z, at), q, _inverse)
+        total, d = cod_ops.duality(maps.rows(z, at), q, _inverse)
         return np.where(total > _TINY, total, 0.0) ** (1.0 / q), d
 
     def step(at, d):
         """The next points, psi_p'(M* d) at unit p-norm, from the directions d of the images:
         ||psi_p'(w)||_p is the p-th root of the power sum of w at p'."""
-        return dom_ops.duality(maps.adjoint(d, at), p_dual, lambda total: _inverse(total ** (1.0 / p)))[1]
+        return dom_ops.duality(maps.adjoint_rows(d, at), p_dual, lambda total: _inverse(total ** (1.0 / p)))[1]
 
     z *= _inverse(dom_ops.norm(z, p))[:, None]
     f, d = image(z, owner)
@@ -352,17 +304,18 @@ def _ascent(
         converged[ids[stop]] = True
         new[~rise] = point[~rise]  # a row whose value does not rise keeps its point
     z[ids] = state[0]
-    return z, cod_ops.norm(maps.apply(z, owner), q) * _inverse(dom_ops.norm(z, p)), converged
+    return z, cod_ops.norm(maps.rows(z, owner), q) * _inverse(dom_ops.norm(z, p)), converged
 
 
-def _scaled(maps):
-    """The stack of the maps 2^-e M, e by the scale rule (:func:`lorentz._exponents`) of each
+def _scaled(maps: LinearMap):
+    """The batch of the maps 2^-e M, e by the scale rule (:func:`lorentz._exponents`) of each
     multiplier's largest |value| or the dense map's largest |entry|, and e, one per map."""
-    if isinstance(maps, _MapStack):
-        e = _exponents(np.abs(maps.mat).max(keepdims=True).ravel())
-        return _MapStack(maps.mat * np.ldexp(1.0, -e[0]), maps.domain, maps.codomain), e
-    e = _exponents(np.abs(maps.values).max(axis=1))
-    return _DiagonalStack(maps.values * np.ldexp(1.0, -e)[:, None], maps.basis, maps.domain), e
+    if maps.diagonal is None:  # held C-contiguous, so that an estimate depends on the map's values only
+        e = _exponents(np.abs(maps.matrix).max(keepdims=True).ravel())
+        return LinearMap(maps.domain, maps.codomain, np.ascontiguousarray(maps.matrix) * np.ldexp(1.0, -e[0])), e
+    values, basis = maps.diagonal
+    e = _exponents(np.abs(values).max(axis=1))
+    return _diagonal(maps.domain, values * np.ldexp(1.0, -e)[:, None], basis), e
 
 
 def _inverse(x: np.ndarray) -> np.ndarray:
@@ -456,17 +409,18 @@ def _map_bytes(m: LinearMap, restarts: int) -> int:
     return values.itemsize * (values.size + restarts * (m.domain.complex_dim + m.codomain.complex_dim))
 
 
-def _stack(maps: list[LinearMap]):
-    """The stack of a batch: one dense map as its matrix, or multipliers of one basis as their values."""
+def _stack(maps: list[LinearMap]) -> LinearMap:
+    """The map a batch ascends on: its one dense map, or its multipliers of one basis as one
+    diagonal map with their (T, D) values."""
     first = maps[0]
     if first.diagonal is None:
-        return _MapStack(first.matrix, first.domain, first.codomain)
-    return _DiagonalStack(np.stack([m.diagonal.values for m in maps]), first.diagonal.basis, first.domain)
+        return first
+    return _diagonal(first.domain, np.stack([m.diagonal.values for m in maps]), first.diagonal.basis)
 
 
-def _estimate_stack(maps, p: float, q: float, seeds: list[int], restarts: int, max_iters: int, tol: float):
-    """The estimates of the maps of one stack, one seed each, from one ascent of all their restarts
-    on the maps :func:`_scaled`, whose values are scaled back."""
+def _estimate_stack(maps: LinearMap, p: float, q: float, seeds: list[int], restarts: int, max_iters: int, tol: float):
+    """The estimates of the maps of one batch (:func:`_stack`), one seed each, from one ascent of
+    all their restarts on the maps :func:`_scaled`, whose values are scaled back."""
     maps, e = _scaled(maps)
     t, r = len(seeds), restarts
     dom = maps.domain
@@ -529,6 +483,14 @@ def brute_force_pq_norm(
     ``refine_steps`` steps of the estimator's power iteration, with no
     convergence test, returning the best ratio seen anywhere along the way.
     The samples ascend on the map scaled as an estimate's is (:func:`_scaled`).
+
+    They ascend on the map's matrix even where the map is held as its
+    symbol: on these domains of at most four coordinates a product with the
+    matrix is cheaper than one through the basis.  Ten steps on a batch of
+    4096 rows take 5.9-6.4 ms on Z4's matrix against 16.2-16.4 ms through
+    its FFT basis, and 9.2-9.6 ms on M2's against 10.4-11.0 ms through the
+    identity basis, where the cost is gathering each row's values (Xeon,
+    OpenBLAS on one thread, minimum to median of 7).
     """
     _check_exponents(p, q)
     if m.domain.real_dim > 8:
@@ -551,7 +513,7 @@ def brute_force_pq_norm(
     normals = np.empty((min(rows, samples), 2 * dim))
     rng = np.random.default_rng(seed)
     dom_ops = _block_ops(m.domain)
-    maps, e = _scaled(_MapStack(m.matrix, m.domain, m.codomain))
+    maps, e = _scaled(LinearMap(m.domain, m.codomain, m.matrix))
     best = 0.0
     for start in range(0, samples, rows):
         batch = z[start : start + rows]

@@ -270,15 +270,13 @@ def available_groups(extra_dir: str | os.PathLike | None = None) -> dict[str, st
 
 
 def resolve_group(name: str, extra_dir: str | os.PathLike | None = None) -> FiniteGroupData:
-    """Find a group by catalog name: built-ins first, then the data directory."""
+    """Find a group by catalog name (:func:`available_groups`): built-ins first, then the data
+    directory.  Only listed names resolve; :func:`load_group_file` loads a path."""
     if name in _BUILTIN_FILES:
         return builtin_group(name)
-    if extra_dir is None:
-        extra_dir = os.environ.get(DATA_DIR_ENV)
-    if extra_dir:
-        p = Path(extra_dir) / f"{name}.json"
-        if p.exists():
-            return load_group_file(p)
+    source = available_groups(extra_dir).get(name)
+    if source is not None:
+        return load_group_file(source)
     raise GroupDataError(
         f"unknown group {name!r}; built-ins are {sorted(_BUILTIN_FILES)} and no "
         f"file {name}.json was found in the data directory"

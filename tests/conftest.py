@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from ncfourier.algebra import AlgebraElement, TracialAlgebra, random_element
-from ncfourier.linmap import coordinate_weights
+from ncfourier.linmap import LinearMap, coordinate_weights
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +321,12 @@ def _reference_power_step(m, z, p, q, textbook=False):
 
 def reference_estimate_pq_norm(m, p, q, restarts=8, max_iters=200, tol=1e-7, seed=0):
     """``estimate_pq_norm`` restart by restart."""
-    from ncfourier.estimator import NormEstimate, _l2_maximizers, _MapStack
+    from ncfourier.estimator import NormEstimate, _l2_maximizers
     from ncfourier.lorentz import _TINY, _BlockOps
 
     dom = m.domain
     dom_ops = _BlockOps(dom)
-    warm = _l2_maximizers(_MapStack(m.matrix, dom, m.codomain), p == q == 2.0)[0]
+    warm = _l2_maximizers(LinearMap(dom, m.codomain, m.matrix), p == q == 2.0)[0]
 
     n_rest = restarts - 1
     n_rank = n_rest // 2

@@ -864,6 +864,22 @@ class TestCliMain:
         assert "outside the output directory" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_group_name_outside_the_data_dir_exits_2(self, tmp_path, where):
+        # a group name resolves only to what `ncfourier instances` lists: not to
+        # a file reached by a ".." name or an absolute one
+        (tmp_path / "sub").mkdir()
+        save_group_file(tmp_path / "outside.json", cyclic_group_data(6))
+        name = "../outside" if where == "parent" else str(tmp_path / "outside")
+        doc = {"seed": 1, "checks": [{"check": "inversion_plancherel", "instance": name, "trials": 5}]}
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "NCFOURIER_DATA_DIR": "sub"}
+        cmd = [sys.executable, "-m", "ncfourier", "run", str(_write_config(tmp_path, doc)), "--out", str(out)]
+        result = subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert result.returncode == 2, result.stdout
+        assert "error:" in result.stderr and "unknown group" in result.stderr
+        assert not out.exists()
+
     def test_instances_data_dir(self, tmp_path, capsys):
         save_group_file(tmp_path / "Z11.json", cyclic_group_data(11))
         assert main(["instances", "--data-dir", str(tmp_path)]) == 0

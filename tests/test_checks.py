@@ -26,6 +26,7 @@ from ncfourier.campaign import resolve_instance
 from ncfourier.errors import ParameterError
 from ncfourier.fourier import build_finite_abelian, build_group_vna, perturb_fourier_matrix
 from ncfourier.groups import builtin_group
+from ncfourier.linmap import LinearMap
 from ncfourier.torus import cosine_profile, riemann_lp
 
 from ncfourier.checks import _random_sources, _source_battery
@@ -295,6 +296,26 @@ class TestMultiplierBound:
             check_multiplier_bound(pair, 3.0, 2.0)
         with pytest.raises(ParameterError):
             check_multiplier_bound(pair, 2.0, np.inf)
+
+
+class TestNoDenseMap:
+    # multipliers and Schur maps ascend as their symbols: with the dense
+    # constructor refused, the bound checks still run and pass
+    @pytest.fixture
+    def no_dense(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a dense LinearMap was built")
+
+        monkeypatch.setattr(LinearMap, "__init__", refuse)
+
+    @pytest.mark.parametrize("name", ["Z8", "S3"])
+    def test_multiplier_bound(self, name, no_dense):
+        rep = check_multiplier_bound(resolve_instance(name), 4.0 / 3.0, 4.0, trials=6, seed=15, estimator=FAST_EST)
+        assert rep.hard and rep.passed
+
+    def test_schur_bound(self, no_dense):
+        rep = check_schur_bound(4, 1.5, 3.0, trials=6, seed=16, estimator=FAST_EST)
+        assert rep.hard and rep.passed
 
 
 class TestPaley:

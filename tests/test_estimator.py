@@ -123,6 +123,29 @@ class TestLinearMap:
                 _weighted_inner(dom, x, adj.apply(y)), rel=1e-10, abs=1e-12
             )
 
+    def _row_maps(self):
+        """A dense map between two algebras, C- and F-ordered, and multipliers in the DFT, dense and identity bases."""
+        rng = np.random.default_rng(65)
+        dom, cod = TracialAlgebra([2, 1], [0.5, 2.0]), TracialAlgebra([1, 2], [3.0, 0.25])
+        mat = _complex_matrix(rng, (cod.complex_dim, dom.complex_dim))
+        yield LinearMap(dom, cod, mat)
+        yield LinearMap(dom, cod, np.asfortranarray(mat))
+        for name in ("Z8", "S3"):
+            pair = resolve_instance(name)
+            yield multiplier_map(pair, random_element(pair.source, 66))
+        yield schur_map(_complex_matrix(rng, (3, 3)))
+
+    def test_apply_is_a_row_of_rows(self):
+        bases = []
+        for m in self._row_maps():
+            x = random_element(m.domain, 67)
+            assert np.array_equal(m.apply(x).row, m.rows(x.row[None])[0])
+            if m.diagonal is not None:
+                bases.append(m.diagonal.basis.kind)
+                eye = np.eye(m.domain.complex_dim, dtype=complex)
+                assert np.array_equal(m.matrix, m.rows(eye).T)
+        assert bases == ["dft", "dense", "identity"]
+
     def test_scaled(self):
         alg = TracialAlgebra([2], [1.0])
         m = LinearMap(alg, alg, -3.0 * np.eye(alg.complex_dim))
@@ -459,7 +482,7 @@ class TestExactL2:
     def test_diagonal_warm_start_is_the_dense_power_method(self, name):
         m = _diagonal_map(name, 32)
         stack = estimator._stack([m])
-        dense = estimator._MapStack(m.matrix, m.domain, m.codomain)
+        dense = LinearMap(m.domain, m.codomain, m.matrix)
         got, want = (estimator._l2_maximizers(s, exact=False)[0] for s in (stack, dense))
         assert np.allclose(got, want, rtol=0.0, atol=1e-10)
 
@@ -622,8 +645,8 @@ class TestHeldAdjoint:
     def test_adjoint_is_the_product_with_the_weighted_adjoint(self):
         for m in self._maps():
             rows = _complex_matrix(np.random.default_rng(72), (300, m.codomain.complex_dim))
-            stack = estimator._MapStack(m.matrix, m.domain, m.codomain)
-            assert np.array_equal(stack.adjoint(rows, None), rows @ weighted_adjoint_matrix(m).T)
+            stack = LinearMap(m.domain, m.codomain, m.matrix)
+            assert np.array_equal(stack.adjoint_rows(rows, None), rows @ weighted_adjoint_matrix(m).T)
 
 
 class TestIterationCounts:
@@ -750,7 +773,7 @@ class TestTextbookStep:
     def test_steps_match_four_power_form(self, name, p, q):
         m = _pinned_map(name, "gaussian")
         z0 = estimator._complex_normals(np.random.default_rng(9), (300, m.domain.complex_dim))
-        maps = estimator._MapStack(m.matrix, m.domain, m.codomain)
+        maps = LinearMap(m.domain, m.codomain, m.matrix)
         for steps in (1, 3):
             z, best, _ = estimator._ascent(maps, None, _BlockOps(m.domain), p, q, z0.copy(), steps)
             want_z, want_best = reference_fixed_steps(m, z0, p, q, steps, textbook=True)

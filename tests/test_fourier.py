@@ -306,8 +306,8 @@ class TestDiagonalForm:
         owner = np.zeros(5, int)
         dense = _dense_multiplier(pair, x)
         adjoint = weighted_adjoint_matrix(LinearMap(pair.dual, pair.dual, dense))
-        assert _rel_err(stack.apply(z, owner), z @ dense.T) <= 1e-12
-        assert _rel_err(stack.adjoint(z.copy(), owner), z @ adjoint.T) <= 1e-12
+        assert _rel_err(stack.rows(z, owner), z @ dense.T) <= 1e-12
+        assert _rel_err(stack.adjoint_rows(z.copy(), owner), z @ adjoint.T) <= 1e-12
         assert "matrix" not in vars(m)  # the products built no matrix
         assert _rel_err(m.matrix, dense) <= 1e-12
 
@@ -404,8 +404,8 @@ class TestSymbolHeldGroupMultipliers:
         stack = _stack([m])
         owner = np.zeros(5, int)
         adjoint = weighted_adjoint_matrix(LinearMap(pair.dual, pair.dual, dense))
-        assert _rel_err(stack.apply(z, owner), z @ dense.T) <= 1e-12
-        assert _rel_err(stack.adjoint(z.copy(), owner), z @ adjoint.T) <= 1e-12
+        assert _rel_err(stack.rows(z, owner), z @ dense.T) <= 1e-12
+        assert _rel_err(stack.adjoint_rows(z.copy(), owner), z @ adjoint.T) <= 1e-12
         assert "matrix" not in vars(m)  # the products built no matrix
         assert _rel_err(m.matrix, dense) <= 1e-12
 
@@ -428,10 +428,17 @@ class TestSymbolHeldGroupMultipliers:
         pair, _, m, _ = _group_multiplier(name, 65)
         z = _gaussian_rows(np.random.default_rng(65), 300, pair.dual.complex_dim)
         stack = _stack([m])
-        images, adjoints = stack.apply(z, np.zeros(300, int)), stack.adjoint(z.copy(), np.zeros(300, int))
+        images, adjoints = stack.rows(z, np.zeros(300, int)), stack.adjoint_rows(z.copy(), np.zeros(300, int))
         for i in (0, 1, 150, 299):
-            assert np.array_equal(stack.apply(z[i : i + 1], np.zeros(1, int))[0], images[i])
-            assert np.array_equal(stack.adjoint(z[i : i + 1].copy(), np.zeros(1, int))[0], adjoints[i])
+            assert np.array_equal(stack.rows(z[i : i + 1], np.zeros(1, int))[0], images[i])
+            assert np.array_equal(stack.adjoint_rows(z[i : i + 1].copy(), np.zeros(1, int))[0], adjoints[i])
+        # a batch of several maps multiplies each row by its owner's values, as that map alone does
+        maps = [m] + [_group_multiplier(name, seed)[2] for seed in (66, 67)]
+        batch, owner = _stack(maps), np.arange(300) % 3
+        images, adjoints = batch.rows(z, owner), batch.adjoint_rows(z.copy(), owner)
+        for i in (0, 1, 2, 150, 299):
+            assert np.array_equal(maps[owner[i]].rows(z[i : i + 1])[0], images[i])
+            assert np.array_equal(maps[owner[i]].adjoint_rows(z[i : i + 1].copy())[0], adjoints[i])
 
     def test_z128_multiplier_holds_no_matrix(self):
         pair = build_group_vna(cyclic_group_data(128))

@@ -237,6 +237,16 @@ class TestResolution:
         with pytest.raises(GroupDataError, match="unknown group"):
             resolve_group("Z99", extra_dir=tmp_path)
 
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_name_outside_the_data_dir_is_unknown(self, tmp_path, where):
+        # only catalog names resolve; a path reaches a file through load_group_file
+        (tmp_path / "sub").mkdir()
+        save_group_file(tmp_path / "outside.json", cyclic_group_data(6))
+        name = "../outside" if where == "parent" else str(tmp_path / "outside")
+        assert name not in available_groups(extra_dir=tmp_path / "sub")
+        with pytest.raises(GroupDataError, match="unknown group"):
+            resolve_group(name, extra_dir=tmp_path / "sub")
+
     def test_available_groups_catalog(self, tmp_path, monkeypatch):
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)
         base = available_groups()

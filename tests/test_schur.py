@@ -94,8 +94,8 @@ class TestDiagonalForm:
         owner = np.zeros(4, int)
         dense = np.diag(a.ravel())
         adjoint = weighted_adjoint_matrix(LinearMap(m.domain, m.codomain, dense))
-        assert np.allclose(stack.apply(z, owner), z @ dense.T, rtol=1e-12, atol=0.0)
-        assert np.allclose(stack.adjoint(z.copy(), owner), z @ adjoint.T, rtol=1e-12, atol=0.0)
+        assert np.allclose(stack.rows(z, owner), z @ dense.T, rtol=1e-12, atol=0.0)
+        assert np.allclose(stack.adjoint_rows(z.copy(), owner), z @ adjoint.T, rtol=1e-12, atol=0.0)
         assert "matrix" not in vars(m)
         assert np.array_equal(m.matrix, dense)
 
@@ -121,8 +121,8 @@ class TestIdentityPair:
         z = rng.standard_normal((6, n * n)) + 1j * rng.standard_normal((6, n * n))
         stack = _stack([m])
         owner = np.zeros(6, int)
-        assert np.array_equal(stack.apply(z, owner), values * z)
-        assert np.array_equal(stack.adjoint(z.copy(), owner), values.conj() * z)
+        assert np.array_equal(stack.rows(z, owner), values * z)
+        assert np.array_equal(stack.adjoint_rows(z.copy(), owner), values.conj() * z)
         x = random_element(m.domain, 5)
         assert np.array_equal(m.apply(x).row, values * x.row)
         assert np.array_equal(m.matrix, np.ascontiguousarray((values * np.eye(n * n)).T))

@@ -8,9 +8,10 @@ For the maps of brute force on Z4 and M2 (a multiplier and a Schur map, held
 as their dense matrices) and a multiplier on the dual of S3 (blocks 1, 1, 2
 of unequal weights), it prints microseconds per call of
 ``_BlockOps.spectrum`` (with vectors) and ``direction`` on the codomain,
-``apply`` and ``adjoint`` of the map's ``_MapStack`` (its matrix and
-weighted adjoint, one row product each), and one step of ``_ascent``: the time
-of ``_ascent`` over 11 steps less that over 1, divided by 10.  Each map is
+``rows`` and ``adjoint_rows`` of the map's dense ``LinearMap`` (its matrix
+and weighted adjoint, one row product each; in the columns "apply" and
+"adjoint"), and one step of ``_ascent``: the time of ``_ascent`` over 11
+steps less that over 1, divided by 10.  Each map is
 timed on the batch brute force runs it in, ``_BATCH_BYTES // (16 (D_dom +
 D_cod))`` rows: 4096 for Z4 and M2 and 2730 for S3's dual.  Each figure is
 the minimum over ``REPEAT`` CPU timings of a loop of calls; a call that
@@ -36,8 +37,9 @@ import numpy as np
 
 from ncfourier.algebra import random_element
 from ncfourier.campaign import resolve_instance
-from ncfourier.estimator import _BATCH_BYTES, _ascent, _complex_normals, _MapStack
+from ncfourier.estimator import _BATCH_BYTES, _ascent, _complex_normals
 from ncfourier.fourier import multiplier_map
+from ncfourier.linmap import LinearMap
 from ncfourier.lorentz import _block_ops
 from ncfourier.schur import schur_map
 
@@ -81,10 +83,10 @@ def kernel_times(name: str, p: float, q: float) -> dict:
     """Microseconds per call of each kernel of one step on a brute-force batch of the map ``name``."""
     m = _map(name)
     rows = _BATCH_BYTES // (16 * (m.domain.complex_dim + m.codomain.complex_dim))
-    maps = _MapStack(m.matrix, m.domain, m.codomain)
+    maps = LinearMap(m.domain, m.codomain, m.matrix)
     dom_ops, cod_ops = _block_ops(m.domain), _block_ops(m.codomain)
     z = _complex_normals(np.random.default_rng(1), (rows, m.domain.complex_dim))
-    mz = maps.apply(z, None)
+    mz = maps.rows(z)
     sv, data = cod_ops.spectrum(mz, vectors=True)
     g = cod_ops.powers(sv, q)
 
@@ -95,9 +97,9 @@ def kernel_times(name: str, p: float, q: float) -> dict:
     out = {
         "spectrum": _per_call_us(lambda: cod_ops.spectrum(mz, vectors=True), number),
         "direction": _per_call_us(lambda: cod_ops.direction(mz, g, data), number),
-        "apply": _per_call_us(lambda: maps.apply(z, None), number),
+        "apply": _per_call_us(lambda: maps.rows(z), number),
         # an adjoint may overwrite its input, and the ascent does
-        "adjoint": _per_call_us(lambda y: maps.adjoint(y, None), number, fresh=mz),
+        "adjoint": _per_call_us(maps.adjoint_rows, number, fresh=mz),
     }
     one, eleven = (_per_call_us(ascent(steps), 2, fresh=z) for steps in (1, 11))
     out["ascent step"] = (eleven - one) / 10.0
