@@ -305,20 +305,15 @@ def modulus(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.algebra, out)
 
 
-def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Standard complex Gaussian entries, E|z|^2 = 1."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-
-
 @functools.lru_cache(maxsize=1024)
 def _layout(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index maps of the stacked coordinates of an algebra with blocks ``dims``.
 
     Returns where the real and the imaginary part of every coordinate sit in
-    one draw of 2D normals, which reads the stream in the order of one
-    :func:`_gaussian` call per block (the block's real parts, then its
-    imaginary parts), and the coordinate of its transpose, entry (j, i) of
-    its block, which the adjoint and the identity read.
+    one draw of 2D normals, which reads the stream block by block (the
+    block's real parts, then its imaginary parts), and the coordinate of its
+    transpose, entry (j, i) of its block, which the adjoint and the identity
+    read.
     """
     sizes = np.square(dims)
     n = np.repeat(dims, sizes)
@@ -340,11 +335,13 @@ def _random_hermitian(algebra, rng):
 
 
 def _random_sparse(algebra, rng, density):
-    blocks = []
-    for n in algebra.dims:
-        mask = rng.random((n, n)) < density
-        blocks.append((_gaussian(rng, n) * mask).ravel())
-    return np.concatenate(blocks)
+    # block by block: the uniforms of the mask, then the real and the imaginary parts
+    u, re, im = np.empty((3, algebra.complex_dim))
+    for o, k in itertools.pairwise(algebra._offsets):
+        rng.random(out=u[o:k])
+        rng.standard_normal(out=re[o:k])
+        rng.standard_normal(out=im[o:k])
+    return (re + 1j * im) / np.sqrt(2.0) * (u < density)
 
 
 def _random_rank_one(algebra, rng):

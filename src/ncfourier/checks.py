@@ -260,44 +260,11 @@ def _ratios(names, numerators, denominators):
 
 
 # trials whose spectra the lemma check takes in one kernel call; a chunk's
-# submultiplicativity test takes 9 x (steps of x) x (steps of y) points per
-# trial, at most 3600
+# submultiplicativity test compares at most 20 x 20 cell pairs of x and y
+# against at most 20 breakpoints of xy per trial
 _LEMMA_CHUNK = 32
 # the coordinates of the largest algebra a lemma trial draws: 4 blocks of size 5
 _LEMMA_COORDINATES = 4 * 5 * 5
-
-
-def _interior_points(breakpoints: np.ndarray, counts: np.ndarray):
-    """Sample points strictly inside every step cell of the step rows of ``_steps``.
-
-    Returns the points, three per step, row by row and in step order, and
-    the row of each.  The rows' zero padding gives none.
-
-    Evaluating exactly at breakpoints is unsafe: the breakpoint ladders of
-    x, y and xy are independently rounded cumulative sums of the same
-    weights, so a point meant to coincide with a jump can land an ulp on
-    either side of it and flip a whole step on one side of an inequality
-    only.  The fractions avoid 1/2 and pairs summing to an integer, which
-    duplicate weights (blocks of dimension > 1) would otherwise turn into
-    exact jump hits again.
-    """
-    left = np.concatenate([np.zeros((len(breakpoints), 1)), breakpoints[:, :-1]], axis=1)
-    widths = breakpoints - left
-    fracs = np.array([0.05, 0.3, 0.8])
-    points = left[:, :, None] + widths[:, :, None] * fracs
-    real = np.broadcast_to((np.arange(breakpoints.shape[1]) < counts[:, None])[:, :, None], points.shape)
-    return points[real], np.nonzero(real)[0]
-
-
-def _step_values(breakpoints: np.ndarray, steps: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The step rows of ``_steps`` at the points ``t`` > 0, point k on row ``rows[k]``, rows in order.
-
-    A row's value at t is its step at the number of its breakpoints below t,
-    and 0 past its support, as :class:`SingularFunction` evaluates it.
-    """
-    bounds = np.searchsorted(rows, np.arange(len(breakpoints) + 1))
-    below = np.concatenate([np.searchsorted(b, t[lo:hi]) for b, lo, hi in zip(breakpoints, bounds[:-1], bounds[1:])])
-    return np.concatenate([steps, np.zeros((len(steps), 1))], axis=1)[rows, below]
 
 
 def _lemma_ratios(algebras: list[TracialAlgebra], exponents: np.ndarray, seed: int, first_case: int) -> np.ndarray:
@@ -328,21 +295,23 @@ def _lemma_ratios(algebras: list[TracialAlgebra], exponents: np.ndarray, seed: i
     breakpoints, steps, counts = _steps(values, weights)
     (bx, by, bxy), (vx, vy, vxy) = breakpoints.reshape(3, count, -1), steps.reshape(3, count, -1)
 
-    # mu(s + t, xy) <= mu(s, x) mu(t, y) at interior points of the cells of x and y
-    s_points, s_rows = _interior_points(bx, counts[:count])
-    t_points, t_rows = _interior_points(by, counts[count : 2 * count])
-    # every pair (s, t) of a trial's points, trial by trial
-    ns, nt = np.bincount(s_rows, minlength=count), np.bincount(t_rows, minlength=count)
-    rows = np.repeat(np.arange(count), ns * nt)
-    k = np.arange(rows.size) - np.repeat(np.cumsum(ns * nt) - ns * nt, ns * nt)
-    s = s_points[(np.cumsum(ns) - ns)[rows] + k // nt[rows]]
-    t = t_points[(np.cumsum(nt) - nt)[rows] + k % nt[rows]]
-    lhs = _step_values(bxy, vxy, rows, s + t)
-    rhs = _step_values(bx, vx, rows, s) * _step_values(by, vy, rows, t)
+    # mu(s + t, xy) <= mu(s, x) mu(t, y) on every pair of cells of x and y.  On a
+    # pair the right side is constant and the left does not rise with s + t, so
+    # the largest ratio is at the smallest sum, 5% into each cell.  Inside a
+    # cell, not at its breakpoints: the breakpoints of x, y and xy are rounded
+    # sums of the same weights, and a point on a jump could land an ulp on
+    # either side of it.
+    lx, ly = (np.concatenate([np.zeros((count, 1)), b[:, :-1]], axis=1) for b in (bx, by))
+    u = (lx + 0.05 * (bx - lx))[:, :, None] + (ly + 0.05 * (by - ly))[:, None, :]
+    # mu(u, xy): its step at the number of its breakpoints below u, 0 past its support
+    below = (bxy[:, None, None, :] < u[..., None]).sum(axis=3)
+    lhs = np.concatenate([vxy, np.zeros((count, 1))], axis=1)[np.arange(count)[:, None, None], below]
+    rhs = vx[:, :, None] * vy[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.where(lhs > 0, np.inf, 0.0))
-    r_sub = np.zeros(count)
-    np.maximum.at(r_sub, rows, ratios)
+    cell = np.arange(bx.shape[1])
+    real = (cell < counts[:count, None])[:, :, None] & (cell < counts[count : 2 * count, None])[:, None, :]
+    r_sub = ratios.max(axis=(1, 2), initial=0.0, where=real)
 
     # ||x||_{p,r} <= const ||x||_{p,q} and ||xy||_{ph,inf} <= hoelder ||x||_{p0,inf} ||y||_{p1,inf}
     p, q, r, const, p0, p1, ph, hoelder = exponents.T[:, :, None]  # one column each
@@ -365,8 +334,9 @@ def check_lemma_constants(trials: int = 1000, seed: int = 0) -> CheckReport:
     random Gaussian pairs (x, y).  Three inequality families with explicit
     constants are checked on every draw:
 
-    * mu(s + t, xy) <= mu(s, x) mu(t, y) on a grid of interior points of
-      both factors' step cells, tolerance 1 + 1e-10;
+    * mu(s + t, xy) <= mu(s, x) mu(t, y) on every pair of step cells of x
+      and y, at the pair's smallest sum s + t (where its ratio is largest),
+      tolerance 1 + 1e-10;
     * ||x||_{p,r} <= (q/p)^(1/q - 1/r) ||x||_{p,q} for q < r, tol 1 + 1e-9;
     * ||xy||_{p,inf} <= 2^(1/p) ||x||_{p0,inf} ||y||_{p1,inf} with
       1/p = 1/p0 + 1/p1, tolerance 1 + 1e-9.

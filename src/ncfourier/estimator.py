@@ -310,9 +310,9 @@ def _ascent(
 def _scaled(maps: LinearMap):
     """The batch of the maps 2^-e M, e by the scale rule (:func:`lorentz._exponents`) of each
     multiplier's largest |value| or the dense map's largest |entry|, and e, one per map."""
-    if maps.diagonal is None:  # held C-contiguous, so that an estimate depends on the map's values only
+    if maps.diagonal is None:
         e = _exponents(np.abs(maps.matrix).max(keepdims=True).ravel())
-        return LinearMap(maps.domain, maps.codomain, np.ascontiguousarray(maps.matrix) * np.ldexp(1.0, -e[0])), e
+        return LinearMap(maps.domain, maps.codomain, maps.matrix * np.ldexp(1.0, -e[0])), e
     values, basis = maps.diagonal
     e = _exponents(np.abs(values).max(axis=1))
     return _diagonal(maps.domain, values * np.ldexp(1.0, -e)[:, None], basis), e

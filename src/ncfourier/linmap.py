@@ -8,15 +8,14 @@ complex-linear.
 
 A map holds one of two forms, and :meth:`LinearMap.rows` and
 :meth:`LinearMap.adjoint_rows` are the one place that multiplies rows (S, D)
-by either.  A dense map holds its matrix M: a product is ``z @ M.T``, and
-one with its weighted adjoint ``y @ adj``, the adjoint derived once.  Their
-bits depend on how M sits in memory, so the estimator ascends on a
-C-contiguous copy.  A
-multiplier holds its symbol: a map diagonal in a unitary basis B
-(:func:`diagonal_map`) keeps only its D values and B, a transform object
-with ``forward`` and ``inverse`` on stacked rows, so that a product with it
-is ``B(B^{-1} z * values)`` (:func:`diagonal_product`), and one with its
-weighted adjoint the same with the conjugate values.  The bases are the
+by either.  A dense map holds its matrix M, C-contiguous whatever the
+caller's layout, so that its products depend on M's values only: a product
+is ``z @ M.T``, and one with its weighted adjoint ``y @ adj``, the adjoint
+derived once.  A multiplier holds its symbol: a map diagonal in a unitary
+basis B (:func:`diagonal_map`) keeps only its D values and B, a transform
+object with ``forward`` and ``inverse`` on stacked rows, so that a product
+with it is ``B(B^{-1} z * values)`` (:func:`diagonal_product`), and one with
+its weighted adjoint the same with the conjugate values.  The bases are the
 transforms of the Fourier pairs (``fourier.DFT`` by FFT, ``DenseTransform``
 by its matrix) and the identity for Schur maps.  Its ``matrix`` is derived
 on first use.  T multipliers on one algebra that share a basis are held as
@@ -87,15 +86,15 @@ class LinearMap:
     """A complex-linear map between two block algebras in stacked coordinates.
 
     Built from its matrix, complex of shape (codomain.complex_dim,
-    domain.complex_dim).  Maps built by :func:`diagonal_map` carry their
-    :class:`Diagonal` form in ``diagonal`` (None for dense maps) and derive
-    ``matrix`` when it is first read.
+    domain.complex_dim), held C-contiguous.  Maps built by
+    :func:`diagonal_map` carry their :class:`Diagonal` form in ``diagonal``
+    (None for dense maps) and derive ``matrix`` when it is first read.
     """
 
     diagonal: Diagonal | None = None
 
     def __init__(self, domain: TracialAlgebra, codomain: TracialAlgebra, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=complex)
+        m = np.ascontiguousarray(matrix, dtype=complex)
         want = (codomain.complex_dim, domain.complex_dim)
         if m.shape != want:
             raise ShapeMismatchError(

@@ -218,7 +218,7 @@ class TestRandomElement:
         y = random_element(alg, 42)
         assert x.allclose(y, rtol=0, atol=0)
 
-    @pytest.mark.parametrize("ensemble", ["gaussian", "hermitian"])
+    @pytest.mark.parametrize("ensemble", ["gaussian", "hermitian", "sparse"])
     @pytest.mark.parametrize("dims", [[1] * 64, [1] * 512, [1, 1, 2], [2, 2, 3, 1, 1, 4]])
     def test_stream_matches_block_by_block_draws(self, ensemble, dims):
         alg = TracialAlgebra(dims, [1.0] * len(dims))

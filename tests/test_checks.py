@@ -109,8 +109,8 @@ class TestLemmaConstants:
         with pytest.raises(ParameterError):
             check_lemma_constants(trials=0)
 
-    # 45 trials end on a partial chunk
-    @pytest.mark.parametrize("trials, seed", [(1, 0), (60, 1), (300, 12345), (45, 2)])
+    # 33 and 45 trials end on a partial chunk, 320 on a full one
+    @pytest.mark.parametrize("trials, seed", [(1, 0), (60, 1), (300, 12345), (45, 2), (33, 4), (320, 9)])
     def test_matches_trial_by_trial_reference(self, trials, seed):
         cached = _block_ops.cache_info().currsize
         got = check_lemma_constants(trials=trials, seed=seed).to_dict()

@@ -146,6 +146,25 @@ class TestLinearMap:
                 assert np.array_equal(m.matrix, m.rows(eye).T)
         assert bases == ["dft", "dense", "identity"]
 
+    @pytest.mark.parametrize("dims", [[2], [1] * 5, [2, 2], [2, 2, 4]])
+    def test_dense_products_do_not_depend_on_layout(self, dims):
+        # D = 4, 5, 8 and 24: F- and C-ordered matrices multiply to different bits
+        alg = TracialAlgebra(dims, np.linspace(0.5, 2.0, len(dims)))
+        rng = np.random.default_rng(len(dims))
+        mat = np.asfortranarray(_complex_matrix(rng, (alg.complex_dim, alg.complex_dim)))
+        f, c = LinearMap(alg, alg, mat), LinearMap(alg, alg, np.ascontiguousarray(mat))
+        z = _complex_matrix(rng, (50, alg.complex_dim))
+        assert np.array_equal(f.rows(z), c.rows(z))
+        assert np.array_equal(f.adjoint_rows(z), c.adjoint_rows(z))
+        for row in z:
+            x = AlgebraElement.from_row(alg, row)
+            assert np.array_equal(f.apply(x).row, c.apply(x).row)
+        est = estimate_pq_norm(c, 1.5, 3.0, restarts=2)
+        assert est.certificate_ratio(f) == est.certificate_ratio(c)
+        for row in z:
+            est.witness = AlgebraElement.from_row(alg, row)
+            assert est.certificate_ratio(f) == est.certificate_ratio(c)
+
     def test_scaled(self):
         alg = TracialAlgebra([2], [1.0])
         m = LinearMap(alg, alg, -3.0 * np.eye(alg.complex_dim))
@@ -912,7 +931,8 @@ class TestBatchedEstimates:
         dom, cod = TracialAlgebra([2, 1], [0.4, 1.7]), TracialAlgebra([2, 1], [2.2, 0.3])
         mat = _complex_matrix(np.random.default_rng(74), (cod.complex_dim, dom.complex_dim))
         c_order, f_order = LinearMap(dom, cod, mat), LinearMap(dom, cod, np.asfortranarray(mat))
-        assert f_order.matrix.flags.f_contiguous and not f_order.matrix.flags.c_contiguous
+        # a map holds its matrix C-contiguous, whatever the layout it was built from
+        assert f_order.matrix.flags.c_contiguous and np.array_equal(f_order.matrix, mat)
         for p, q in TEXTBOOK_PAIRS:
             for settings in PINNED_SETTINGS:
                 a, b = (estimate_pq_norm(m, p, q, seed=5, **settings) for m in (c_order, f_order))
